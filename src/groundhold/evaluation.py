@@ -29,9 +29,10 @@ from .maghp import (
     build_det,
     build_dr,
     build_sp,
+    expected_recourse_cost,
     extract_policy,
     first_stage_cost,
-    recourse_cost,
+    overflow,
     solve,
 )
 from .pmf import Pmf, pmf_mean
@@ -195,10 +196,9 @@ def evaluate_policy(
             [tree.time_clusters.stage_of(t) for t in range(instance.horizon)]
         )
         assigned = assigned_counts(instance, policy, airport, op_type)
-        profiles = matrix[:, stage_of]
-        overflow = np.maximum(assigned[None, :] - profiles, 0.0).sum(axis=1)
-        per_sample += unit * overflow
-        overflow_by_op[op_type] += float(overflow.mean())
+        excess = overflow(assigned, matrix[:, stage_of])
+        per_sample += unit * excess
+        overflow_by_op[op_type] += float(excess.mean())
     return PolicyEvaluation(first_stage_cost(instance, policy), per_sample, overflow_by_op)
 
 
@@ -207,23 +207,6 @@ def out_of_sample_cost(
 ) -> float:
     """First-stage cost plus the average sampled recourse cost."""
     return evaluate_policy(policy, instance, samples).total
-
-
-def expected_recourse_cost(policy: GroundDelayPolicy, instance: MaghpInstance) -> float:
-    """Probability-weighted recourse over the trees' own scenarios.
-
-    For a policy solved by the stochastic model this equals the model's
-    objective minus its first-stage cost, which pins the evaluator and
-    the extensive form to the same cost semantics.
-    """
-    total = 0.0
-    for key in sorted(instance.trees):
-        tree = instance.trees[key]
-        total += math.fsum(
-            prob * recourse_cost(instance, policy, tree, vector)
-            for vector, prob in tree.scenarios
-        )
-    return total
 
 
 def lp_second_stage_cost(
@@ -328,12 +311,12 @@ def epsilon_sweep(
         dr_costs = {eps: ev.total for eps, ev in dr_evals.items()}
         eps_star = min(epsilons, key=lambda e: (dr_costs[e], e))
         best = dr_evals[eps_star]
-        overflow = {}
+        overflow_means = {}
         per_sample = {}
         for label, ev in (("det", det_eval), ("sp", sp_eval), ("dr", best)):
             per_sample[label] = ev.per_sample
             for op, value in ev.overflow_by_op.items():
-                overflow[label, op] = value
+                overflow_means[label, op] = value
         rows.append(
             ReductionRow(
                 reduction=r,
@@ -344,7 +327,7 @@ def epsilon_sweep(
                 dr_cost=best.total,
                 pct_vs_det=_pct_drop(det_eval.total, best.total),
                 pct_vs_sp=_pct_drop(sp_eval.total, best.total),
-                overflow=overflow,
+                overflow=overflow_means,
                 per_sample=per_sample,
             )
         )

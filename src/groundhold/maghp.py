@@ -7,19 +7,31 @@ their delay downstream minus the schedule's built-in slack. Three model
 flavors share this first stage:
 
 * deterministic: hard per-interval airport capacities;
-* stochastic: per-scenario queue overflow variables y, charged at the
-  recourse unit cost and weighted by scenario probability;
+* stochastic: queue overflow charged at the recourse unit cost and
+  weighted by probability;
 * robust: the stochastic model's expectation replaced by the worst
   distribution within a Wasserstein ball of radius epsilon around the
   tree's scenario probabilities, via the dual deterministic equivalent
   (a scalar multiplier and one free dual per empirical scenario, tied
-  to the recourse by one constraint per ordered scenario pair).
+  to each scenario's recourse by one constraint per ordered scenario
+  pair).
+
+Both scenario models share one stagewise overflow block instead of
+enumerating the tree. Overflow cost is separable per interval, and
+interval t's capacity depends only on the atom of its own stage, so per
+cell and interval t > 0 there is one variable z[t, c] >= assigned_t - c
+for each distinct capacity c of stage(t). The stochastic model prices
+z[t, c] at that capacity's stage probability; the robust model sums a
+scenario's z terms into one recourse variable Q_j, and its pair rows
+read alpha * dist(i, j) + beta_i - Q_j >= 0. Stage probabilities are
+summed from the tree's scenarios, so the block is exact for any
+scenario list, including atoms that collide after rounding.
 
 Capacity applies to intervals 0..horizon-1; enough unconstrained
 overflow periods are appended past the horizon that every instance
-stays feasible no matter how much traffic must be pushed out. Overflow
-at the first interval is pinned to zero in the stochastic and robust
-models, which makes interval 0's capacity hard there.
+stays feasible no matter how much traffic must be pushed out. The first
+interval allows no overflow in the stochastic and robust models: one
+hard row caps it at its stage's smallest capacity.
 
 A brute-force oracle (inner_worst_case) solves the worst-distribution
 LP directly with transportation variables so the dual reformulation can
@@ -28,9 +40,9 @@ be cross-checked end to end.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -214,7 +226,6 @@ class SolveResult:
     status: str
     objective: float | None
     policy: GroundDelayPolicy | None
-    second_stage: dict = field(default_factory=dict)
     duals: dict = field(default_factory=dict)
     kind: str = ""
     epsilon: dict = field(default_factory=dict)
@@ -231,7 +242,6 @@ class ModelBundle:
     v_index: dict
     g_index: dict
     a_index: dict
-    y_index: dict = field(default_factory=dict)
     alpha_index: dict = field(default_factory=dict)
     beta_index: dict = field(default_factory=dict)
     epsilon: dict = field(default_factory=dict)
@@ -288,18 +298,21 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel):
     return total, u_index, v_index, g_index, a_index
 
 
-def _assigned_terms(instance, u_index, v_index, airport, op_type, t):
-    if op_type == DEPARTURE:
-        return [
-            (u_index[f.id, t], 1.0)
-            for f in instance.departures_from(airport)
-            if (f.id, t) in u_index
-        ]
-    return [
-        (v_index[f.id, t], 1.0)
-        for f in instance.arrivals_to(airport)
-        if (f.id, t) in v_index
-    ]
+def _slot_terms(instance: MaghpInstance, u_index: dict, v_index: dict) -> dict:
+    """Per (airport, op_type), the slot binaries landing on each interval
+    of the horizon, in flight order; one pass over the slot maps. Cells
+    no flight uses read as empty intervals."""
+    horizon = instance.horizon
+    cells: dict = defaultdict(lambda: [[] for _ in range(horizon)])
+    for index, endpoint, op_type in (
+        (u_index, "origin", DEPARTURE),
+        (v_index, "destination", ARRIVAL),
+    ):
+        for (fid, t), var in index.items():
+            if t < horizon:
+                key = (getattr(instance.flight(fid), endpoint), op_type)
+                cells[key][t].append((var, 1.0))
+    return cells
 
 
 def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
@@ -310,13 +323,13 @@ def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
     """
     model = new_model()
     _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
+    slots = _slot_terms(instance, u_index, v_index)
     for (airport, op_type), profile in sorted(fixed_capacities.items()):
         if len(profile) != instance.horizon:
             raise ValueError(
                 f"capacity profile for {airport}/{op_type} must cover the horizon"
             )
-        for t in range(instance.horizon):
-            terms = _assigned_terms(instance, u_index, v_index, airport, op_type, t)
+        for t, terms in enumerate(slots[airport, op_type]):
             if terms:
                 model.add_linear_constraint(terms, "<=", float(profile[t]))
     return ModelBundle("det", model, instance, u_index, v_index, g_index, a_index)
@@ -330,30 +343,73 @@ def _require_trees(instance: MaghpInstance) -> list:
     return keys
 
 
+def stage_capacities(tree: ScenarioTree) -> tuple[dict, ...]:
+    """Per stage, each distinct capacity mapped to its probability.
+
+    Probabilities are summed from tree.scenarios per (stage, capacity),
+    not read from stage_pmfs, so the marginals stay exact for trees
+    loaded from hand-written files and for atoms that collide after
+    rounding. Capacities come in ascending order.
+    """
+    marginals: list[dict] = [{} for _ in range(tree.time_clusters.num_stages)]
+    for vector, prob in tree.scenarios:
+        for stage, capacity in enumerate(vector):
+            marginals[stage][capacity] = marginals[stage].get(capacity, 0.0) + prob
+    return tuple(dict(sorted(m.items())) for m in marginals)
+
+
+def _overflow_block(
+    model: LinearModel,
+    instance: MaghpInstance,
+    cell_slots: list,
+    tree: ScenarioTree,
+    priced: bool,
+) -> tuple[dict, list]:
+    """Stagewise queue overflow for one capacity cell.
+
+    Adds z[t, c] >= assigned_t - c, z >= 0, for every interval t > 0 and
+    every distinct capacity c of stage(t), and one hard row capping
+    interval 0 at its stage's smallest capacity. A z that can never be
+    positive (no more candidate flights than c) is left out and reads
+    as zero. With priced=True each z costs its stage probability times
+    the recourse unit. Returns the z map keyed (t, c) and the stage of
+    every interval.
+    """
+    marginals = stage_capacities(tree)
+    stages = [tree.time_clusters.stage_of(t) for t in range(instance.horizon)]
+    unit = instance.recourse_cost
+    z_index = {}
+    for t, terms in enumerate(cell_slots):
+        atoms = marginals[stages[t]]
+        if t == 0:
+            floor = min(atoms)
+            if terms and len(terms) > floor:
+                model.add_linear_constraint(terms, "<=", float(floor))
+            continue
+        for capacity, prob in atoms.items():
+            if len(terms) <= capacity:
+                continue
+            z = model.add_variable(objective=prob * unit if priced else 0.0)
+            z_index[t, capacity] = z
+            model.add_linear_constraint(terms + [(z, -1.0)], "<=", float(capacity))
+    return z_index, stages
+
+
 def build_sp(instance: MaghpInstance) -> ModelBundle:
-    """Extensive-form two-stage model over the attached scenario trees."""
+    """Two-stage stochastic model over the attached scenario trees.
+
+    The expectation over a tree's scenarios is written in stage-atom
+    form: per cell, z[t, c] carries the overflow above capacity c at
+    interval t and costs p_stage(t)(c) times the recourse unit, which
+    equals the scenario-weighted sum of per-scenario overflow exactly.
+    """
     keys = _require_trees(instance)
     model = new_model()
     _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
-    y_index = {}
-    unit = instance.recourse_cost
-    for airport, op_type in keys:
-        tree = instance.trees[airport, op_type]
-        for s, (vector, prob) in enumerate(tree.scenarios):
-            profile = scenario_capacity_profile(tree, vector)
-            for t in range(instance.horizon):
-                terms = _assigned_terms(
-                    instance, u_index, v_index, airport, op_type, t
-                )
-                if t > 0:
-                    y = model.add_variable(objective=prob * unit)
-                    y_index[airport, op_type, s, t] = y
-                    terms = terms + [(y, -1.0)]
-                if terms:
-                    model.add_linear_constraint(terms, "<=", float(profile[t]))
-    return ModelBundle(
-        "sp", model, instance, u_index, v_index, g_index, a_index, y_index
-    )
+    slots = _slot_terms(instance, u_index, v_index)
+    for key in keys:
+        _overflow_block(model, instance, slots[key], instance.trees[key], True)
+    return ModelBundle("sp", model, instance, u_index, v_index, g_index, a_index)
 
 
 def scenario_distance_matrix(tree: ScenarioTree) -> np.ndarray:
@@ -384,50 +440,45 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     epsilon is a single radius or a mapping per op_type. Per capacity
     cell the model carries one multiplier alpha >= 0 (objective weight
     epsilon), one free dual beta per empirical scenario (weighted by its
-    probability), recourse y for every support scenario, and the
-    constraint alpha * dist(i, j) + beta_i >= recourse_cost(y_j) for
-    every ordered scenario pair (i, j).
+    probability), the stagewise overflow block shared with build_sp
+    (unpriced), one recourse variable Q_j per support scenario tied by
+    one row to the recourse unit times the sum of z over j's stage
+    atoms, and alpha * dist(i, j) + beta_i - Q_j >= 0 for every ordered
+    scenario pair (i, j).
     """
     radii = _epsilon_by_op(epsilon)
     keys = _require_trees(instance)
     model = new_model()
     _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
-    y_index, alpha_index, beta_index = {}, {}, {}
+    slots = _slot_terms(instance, u_index, v_index)
+    alpha_index, beta_index = {}, {}
     unit = instance.recourse_cost
-    for airport, op_type in keys:
-        tree = instance.trees[airport, op_type]
+    for key in keys:
+        tree = instance.trees[key]
         distances = scenario_distance_matrix(tree)
-        n = tree.num_scenarios
-        alpha_index[airport, op_type] = model.add_variable(
-            objective=radii[op_type]
-        )
+        alpha = alpha_index[key] = model.add_variable(objective=radii[key[1]])
+        betas = []
         for i, prob in enumerate(tree.probabilities):
-            beta_index[airport, op_type, i] = model.add_variable(
-                objective=prob, lower=-np.inf
-            )
-        for s, (vector, _) in enumerate(tree.scenarios):
-            profile = scenario_capacity_profile(tree, vector)
-            for t in range(instance.horizon):
-                terms = _assigned_terms(
-                    instance, u_index, v_index, airport, op_type, t
+            betas.append(model.add_variable(objective=prob, lower=-np.inf))
+            beta_index[key + (i,)] = betas[-1]
+        z_index, stages = _overflow_block(model, instance, slots[key], tree, False)
+        recourse = []
+        for vector in tree.vectors:
+            q = model.add_variable()
+            recourse.append(q)
+            terms = [(q, 1.0)]
+            for t in range(1, instance.horizon):
+                z = z_index.get((t, vector[stages[t]]))
+                if z is not None:
+                    terms.append((z, -unit))
+            model.add_linear_constraint(terms, "=", 0.0)
+        for i, beta in enumerate(betas):
+            for j, q in enumerate(recourse):
+                model.add_linear_constraint(
+                    [(alpha, float(distances[i, j])), (beta, 1.0), (q, -1.0)],
+                    ">=",
+                    0.0,
                 )
-                if t > 0:
-                    y = model.add_variable()
-                    y_index[airport, op_type, s, t] = y
-                    terms = terms + [(y, -1.0)]
-                if terms:
-                    model.add_linear_constraint(terms, "<=", float(profile[t]))
-        for i in range(n):
-            for j in range(n):
-                terms = [
-                    (alpha_index[airport, op_type], float(distances[i, j])),
-                    (beta_index[airport, op_type, i], 1.0),
-                ]
-                terms += [
-                    (y_index[airport, op_type, j, t], -unit)
-                    for t in range(1, instance.horizon)
-                ]
-                model.add_linear_constraint(terms, ">=", 0.0)
     return ModelBundle(
         "dr",
         model,
@@ -436,7 +487,6 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         v_index,
         g_index,
         a_index,
-        y_index,
         alpha_index,
         beta_index,
         epsilon=radii,
@@ -462,26 +512,18 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
 
     values = solution.values
     instance = bundle.instance
-    u_slot, v_slot, ground, air = {}, {}, {}, {}
-    for f in instance.flights:
-        u_choices = [t for (fid, t) in bundle.u_index if fid == f.id]
-        v_choices = [t for (fid, t) in bundle.v_index if fid == f.id]
-        u_t = max(u_choices, key=lambda t: values[bundle.u_index[f.id, t]])
-        v_t = max(v_choices, key=lambda t: values[bundle.v_index[f.id, t]])
-        u_slot[f.id], v_slot[f.id] = u_t, v_t
-        ground[f.id] = u_t - f.sched_dep
-        air[f.id] = v_t - f.sched_arr - ground[f.id]
+    slots = ({}, {})
+    for index, chosen in zip((bundle.u_index, bundle.v_index), slots):
+        for (fid, t), var in index.items():
+            # first slot with the largest value, as max() over the slots would pick
+            if fid not in chosen or values[var] > values[index[fid, chosen[fid]]]:
+                chosen[fid] = t
+    u_slot, v_slot = slots
+    ground = {f.id: u_slot[f.id] - f.sched_dep for f in instance.flights}
+    air = {
+        f.id: v_slot[f.id] - f.sched_arr - ground[f.id] for f in instance.flights
+    }
     policy = GroundDelayPolicy(u_slot, v_slot, ground, air)
-
-    second_stage = {}
-    for (airport, op_type, s, t), var in bundle.y_index.items():
-        grid = second_stage.setdefault(
-            (airport, op_type),
-            np.zeros(
-                (instance.trees[airport, op_type].num_scenarios, instance.horizon)
-            ),
-        )
-        grid[s, t] = values[var]
 
     duals = {}
     if bundle.kind == "dr":
@@ -495,10 +537,7 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
 
     recomputed = first_stage_cost(instance, policy)
     if bundle.kind == "sp":
-        unit = instance.recourse_cost
-        for (airport, op_type), grid in second_stage.items():
-            probs = instance.trees[airport, op_type].probabilities
-            recomputed += unit * float(np.dot(probs, grid.sum(axis=1)))
+        recomputed += expected_recourse_cost(policy, instance)
     elif bundle.kind == "dr":
         for key in bundle.alpha_index:
             airport, op_type = key
@@ -517,7 +556,6 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
         "optimal",
         float(solution.objective),
         policy,
-        second_stage,
         duals,
         kind=bundle.kind,
         epsilon=dict(bundle.epsilon),
@@ -556,6 +594,12 @@ def assigned_counts(
     return counts
 
 
+def overflow(counts, capacities) -> np.ndarray:
+    """Queue overflow max(counts - capacities, 0) summed over the last
+    axis: one interval profile, or one row per sample."""
+    return np.maximum(np.asarray(counts) - np.asarray(capacities), 0.0).sum(axis=-1)
+
+
 def recourse_cost(
     instance: MaghpInstance,
     policy: GroundDelayPolicy,
@@ -564,9 +608,27 @@ def recourse_cost(
 ) -> float:
     """Queue-overflow cost of one realized capacity vector, closed form."""
     counts = assigned_counts(instance, policy, tree.airport, tree.op_type)
-    profile = np.asarray(scenario_capacity_profile(tree, vector), dtype=float)
-    overflow = np.maximum(counts - profile, 0.0)
-    return instance.recourse_cost * float(overflow.sum())
+    profile = scenario_capacity_profile(tree, vector)
+    return instance.recourse_cost * float(overflow(counts, profile))
+
+
+def expected_recourse_cost(policy: GroundDelayPolicy, instance: MaghpInstance) -> float:
+    """Probability-weighted recourse over every tree's scenarios.
+
+    Closed form in stage-atom terms: per interval, the overflow above
+    each capacity of its stage times that capacity's probability. For a
+    policy solved by the stochastic model this equals the model's
+    objective minus its first-stage cost.
+    """
+    total = 0.0
+    for key in sorted(instance.trees):
+        tree = instance.trees[key]
+        counts = assigned_counts(instance, policy, *key)
+        for segment, atoms in zip(tree.time_clusters.segments, stage_capacities(tree)):
+            capacities = np.array(list(atoms), dtype=float)
+            probs = np.array(list(atoms.values()))
+            total += float(probs @ overflow(counts[list(segment)], capacities[:, None]))
+    return instance.recourse_cost * total
 
 
 def inner_worst_case(
@@ -717,10 +779,6 @@ def result_to_dict(result: SolveResult, instance: MaghpInstance) -> dict:
             }
             for f in instance.flights
         }
-        body["second_stage"] = {
-            f"{airport}/{op_type}": grid.tolist()
-            for (airport, op_type), grid in sorted(result.second_stage.items())
-        }
         if result.duals:
             body["duals"] = {
                 "alpha": {
@@ -744,11 +802,10 @@ def save_result(path, result: SolveResult, instance: MaghpInstance) -> None:
 def result_from_dict(body: dict) -> SolveResult:
     """Rebuild status, objective, policy and duals from a result file.
 
-    Second-stage grids come back as plain arrays keyed like the duals,
-    which is all the evaluation entry points need.
+    Files written before the per-scenario second-stage grid was dropped
+    still carry a "second_stage" key; it is ignored.
     """
     policy = None
-    second_stage = {}
     duals = {}
     if "flights" in body:
         entries = body["flights"]
@@ -758,9 +815,6 @@ def result_from_dict(body: dict) -> SolveResult:
             {fid: int(e["ground_delay"]) for fid, e in entries.items()},
             {fid: int(e["air_delay"]) for fid, e in entries.items()},
         )
-        for label, grid in body.get("second_stage", {}).items():
-            airport, op_type = label.split("/")
-            second_stage[airport, op_type] = np.asarray(grid)
         if "duals" in body:
             duals["alpha"] = {
                 tuple(label.split("/")): value
@@ -774,7 +828,6 @@ def result_from_dict(body: dict) -> SolveResult:
         status=body["status"],
         objective=body["objective"],
         policy=policy,
-        second_stage=second_stage,
         duals=duals,
         kind=body.get("model", ""),
         epsilon={op: float(e) for op, e in body.get("epsilon", {}).items()},

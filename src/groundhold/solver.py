@@ -65,6 +65,10 @@ class LinearModel:
     def num_constraints(self) -> int:
         return len(self._rows)
 
+    @property
+    def num_nonzeros(self) -> int:
+        return sum(len(idx) for idx, _ in self._rows)
+
     def add_variable(
         self,
         kind: str = CONTINUOUS,

@@ -24,6 +24,8 @@ from groundhold.maghp import (
     instance_to_dict,
     load_instance,
     recourse_cost,
+    result_from_dict,
+    result_to_dict,
     save_instance,
     solve,
 )
@@ -456,3 +458,18 @@ def test_instance_file_round_trip(tmp_path):
     original = solve(build_sp(inst)).objective
     reloaded = solve(build_sp(loaded)).objective
     assert reloaded == pytest.approx(original, abs=1e-9)
+
+
+def test_result_files_carry_no_second_stage_grid():
+    """Result files hold the policy and duals only; an older file with a
+    per-scenario "second_stage" grid still loads, the grid ignored."""
+    inst = two_airport_instance()
+    result = solve(build_dr(inst, 0.1))
+    body = result_to_dict(result, inst)
+    assert "second_stage" not in body
+    older = dict(body, second_stage={"A/departure": [[0.0, 1.0], [0.0, 0.0]]})
+    loaded = result_from_dict(older)
+    assert loaded.policy == result.policy
+    assert loaded.objective == result.objective
+    assert loaded.duals == result.duals
+    assert not hasattr(loaded, "second_stage")

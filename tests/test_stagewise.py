@@ -1,0 +1,112 @@
+"""Stagewise sp and dr against the scenario-enumerating oracle.
+
+Each instance is solved by the library's stage-atom builders and by the
+extensive forms in oracles.py, and the objectives must agree. Besides,
+the stage-atom closed form of the expected recourse must equal the
+scenario-by-scenario sum, the robust objective must equal the first
+stage plus the worst case found by the transportation LP at every
+positive radius, and the robust model at radius 0 must collapse to the
+stochastic one.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from groundhold.fixtures import random_instance, stress_instance
+from groundhold.maghp import (
+    build_dr,
+    build_sp,
+    expected_recourse_cost,
+    extract_policy,
+    first_stage_cost,
+    inner_worst_case,
+    recourse_cost,
+    solve,
+    stage_capacities,
+)
+from groundhold.scenario import ReducedPmf, ScenarioTree
+from oracles import enumerated_dr, enumerated_sp
+
+RADII = (0.0, 0.05, 0.3, 1.0)
+TOL = 1e-6
+
+
+def _hand_written(tree: ScenarioTree, rng) -> ScenarioTree:
+    """The tree as a hand-written file might give it: the first stage's
+    atoms collide on one capacity and the scenario probabilities are no
+    longer products of the stage probabilities."""
+    first, *rest = tree.stage_pmfs
+    collided = ReducedPmf(tuple((first.atoms[0][0], p) for _, p in first.atoms))
+    stages = (collided, *rest)
+    weights = rng.dirichlet(np.ones(tree.num_scenarios))
+    scenarios = tuple(
+        (tuple(s for s, _ in combo), float(w))
+        for combo, w in zip(itertools.product(*(s.atoms for s in stages)), weights)
+    )
+    return ScenarioTree(
+        tree.airport, tree.op_type, stages, tree.time_clusters, scenarios
+    )
+
+
+def _hand_written_instance(seed):
+    instance = random_instance(seed)
+    rng = np.random.default_rng(seed)
+    instance.trees = {
+        key: _hand_written(tree, rng) for key, tree in sorted(instance.trees.items())
+    }
+    return instance
+
+
+CASES = {f"random-{seed}": (random_instance, seed) for seed in range(20)}
+CASES["stress"] = (lambda _: stress_instance(), None)
+CASES.update(
+    {f"hand-written-{seed}": (_hand_written_instance, seed) for seed in (50, 51)}
+)
+
+
+def _gap(value, reference):
+    return abs(value - reference) / max(1.0, abs(reference))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stagewise_models_match_enumeration(case):
+    make, seed = CASES[case]
+    instance = make(seed)
+    sp = solve(build_sp(instance))
+    assert _gap(sp.objective, solve(enumerated_sp(instance)).objective) <= TOL
+    policy = extract_policy(sp)
+    per_scenario = math.fsum(
+        prob * recourse_cost(instance, policy, tree, vector)
+        for tree in instance.trees.values()
+        for vector, prob in tree.scenarios
+    )
+    assert _gap(expected_recourse_cost(policy, instance), per_scenario) <= 1e-12
+
+    for epsilon in RADII:
+        dr = solve(build_dr(instance, epsilon))
+        oracle = solve(enumerated_dr(instance, epsilon))
+        assert _gap(dr.objective, oracle.objective) <= TOL, f"radius {epsilon}"
+
+        if epsilon == 0.0:
+            assert _gap(dr.objective, sp.objective) <= TOL
+            continue
+        policy = extract_policy(dr)
+        worst = first_stage_cost(instance, policy) + sum(
+            inner_worst_case(policy, instance, instance.trees[key], epsilon)
+            for key in instance.constrained_keys()
+        )
+        assert _gap(dr.objective, worst) <= TOL, f"radius {epsilon}"
+
+
+def test_stage_capacities_sum_scenarios_per_capacity():
+    tree = _hand_written(stress_instance().trees["C", "arrival"], np.random.default_rng(0))
+    first, second = stage_capacities(tree)
+    (only,) = first
+    assert first[only] == pytest.approx(1.0)
+    for capacity, prob in second.items():
+        expected = sum(p for v, p in tree.scenarios if v[1] == capacity)
+        assert prob == pytest.approx(expected, abs=1e-15)
+    assert list(second) == sorted(second)
