@@ -20,7 +20,6 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
 
 from .errors import (
     EmptySeriesError,
@@ -191,15 +190,6 @@ def estimate_capacities(
                     )
                 )
     return observations
-
-
-def coverage_ratio(
-    observations: list[CapacityObservation], stats: list[IntervalStats]
-) -> float:
-    """Fraction of interval cells that produced an observation."""
-    if not stats:
-        return 0.0
-    return len(observations) / len(stats)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,14 @@ import sys
 import numpy as np
 
 from .capacity import (
+    OP_TYPES,
     aggregate_intervals,
     estimate_capacities,
     read_operation_records,
     write_capacity_observations,
     write_interval_stats,
 )
-from .config import atomic_output, load_config, require, section_for
+from .config import atomic_output, load_config, require, section_for, typed
 from .errors import ConfigError, GroundholdError
 from .evaluation import (
     ReductionSpec,
@@ -35,6 +36,7 @@ from .evaluation import (
     write_sample_costs_csv,
 )
 from .maghp import (
+    DEFAULT_TIME_LIMIT,
     best_capacity_profiles,
     build_det,
     build_dr,
@@ -69,16 +71,17 @@ def cmd_estimate(config, args):
         time_format=section.get("time_format", "minutes"),
         horizon_start=section.get("horizon_start"),
     )
-    num_intervals = int(require(section, "num_intervals", "estimate"))
-    stats = aggregate_intervals(
-        records, num_intervals, float(section.get("interval_minutes", 15.0))
-    )
+    num_intervals = typed(section, "num_intervals", int, "estimate")
+    interval_minutes = typed(section, "interval_minutes", float, "estimate", 15.0)
+    stats = aggregate_intervals(records, num_intervals, interval_minutes)
     observations = estimate_capacities(
         stats,
-        alpha=float(section.get("alpha", 0.8)),
-        delay_threshold_minutes=float(section.get("delay_threshold_minutes", 15.0)),
-        min_delayed=int(section.get("min_delayed", 2)),
-        percentile=float(section.get("percentile", 0.9)),
+        alpha=typed(section, "alpha", float, "estimate", 0.8),
+        delay_threshold_minutes=typed(
+            section, "delay_threshold_minutes", float, "estimate", 15.0
+        ),
+        min_delayed=typed(section, "min_delayed", int, "estimate", 2),
+        percentile=typed(section, "percentile", float, "estimate", 0.9),
     )
     out = _out_path(args, section, "estimate")
     with atomic_output(out) as temp:
@@ -114,17 +117,17 @@ def cmd_predict(config, args):
     features, labels = _read_training_csv(require(section, "training", "predict"))
     split_train, split_val, split_test = temporal_split(
         len(labels),
-        train_frac=float(section.get("train_frac", 10 / 12)),
-        val_frac=float(section.get("val_frac", 1 / 12)),
+        train_frac=typed(section, "train_frac", float, "predict", 10 / 12),
+        val_frac=typed(section, "val_frac", float, "predict", 1 / 12),
     )
     held_out = split_test if len(split_test) else split_val
     training = TrainingConfig(
         kind=section.get("kind", "mlp"),
         max_capacity=section.get("max_capacity"),
-        hidden_units=int(section.get("hidden_units", 32)),
-        learning_rate=float(section.get("learning_rate", 1e-4)),
-        epochs=int(section.get("epochs", 300)),
-        batch_size=int(section.get("batch_size", 16)),
+        hidden_units=typed(section, "hidden_units", int, "predict", 32),
+        learning_rate=typed(section, "learning_rate", float, "predict", 1e-4),
+        epochs=typed(section, "epochs", int, "predict", 300),
+        batch_size=typed(section, "batch_size", int, "predict", 16),
         seed=int(config.get("seed", 0)),
     )
     model = train(features[split_train], labels[split_train], training)
@@ -132,7 +135,7 @@ def cmd_predict(config, args):
         model,
         features[held_out],
         labels[held_out],
-        level=float(section.get("level", 0.9)),
+        level=typed(section, "level", float, "predict", 0.9),
     )
     out = _out_path(args, section, "predict")
     with atomic_output(out) as temp:
@@ -159,8 +162,8 @@ def cmd_predict(config, args):
 def cmd_reduce_scenarios(config, args):
     section = section_for(config, "reduce-scenarios")
     cells = require(section, "cells", "reduce-scenarios")
-    change_points = int(require(section, "change_points", "reduce-scenarios"))
-    clusters = int(require(section, "clusters_per_stage", "reduce-scenarios"))
+    change_points = typed(section, "change_points", int, "reduce-scenarios")
+    clusters = typed(section, "clusters_per_stage", int, "reduce-scenarios")
     trees = []
     for cell in cells:
         series = load_pmf_series(require(cell, "series", "reduce-scenarios cell"))
@@ -169,7 +172,6 @@ def cmd_reduce_scenarios(config, args):
             build_scenario_tree(
                 clustering,
                 clusters,
-                seed=int(config.get("seed", 0)),
                 airport=require(cell, "airport", "reduce-scenarios cell"),
                 op_type=require(cell, "op_type", "reduce-scenarios cell"),
                 clamp=bool(section.get("clamp", False)),
@@ -184,9 +186,15 @@ def cmd_reduce_scenarios(config, args):
 
 
 def _parse_epsilon(value):
-    if isinstance(value, dict):
-        return {op: float(e) for op, e in value.items()}
-    return float(value)
+    """One radius, or a mapping with a radius for every op type."""
+    try:
+        if isinstance(value, dict):
+            return {op: float(value[op]) for op in OP_TYPES}
+        return float(value)
+    except KeyError as exc:
+        raise ConfigError(f"solve config 'epsilon' has no radius for {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solve config 'epsilon': {exc}") from exc
 
 
 def cmd_solve(config, args):
@@ -216,7 +224,7 @@ def cmd_solve(config, args):
     time_limit = (
         args.time_limit
         if args.time_limit is not None
-        else float(section.get("time_limit", 300.0))
+        else typed(section, "time_limit", float, "solve", DEFAULT_TIME_LIMIT)
     )
     result = solve(bundle, time_limit=time_limit)
     out = _out_path(args, section, "solve")
@@ -233,9 +241,9 @@ def cmd_evaluate(config, args):
     result = load_result(require(section, "result", "evaluate"))
     policy = extract_policy(result)
     spec = ReductionSpec(
-        reduction=float(require(section, "reduction", "evaluate")),
-        band=float(section.get("band", 1.0)),
-        sample_count=int(section.get("sample_count", 100)),
+        reduction=typed(section, "reduction", float, "evaluate"),
+        band=typed(section, "band", float, "evaluate", 1.0),
+        sample_count=typed(section, "sample_count", int, "evaluate", 100),
         seed=int(config.get("seed", 0)),
     )
     samples = resample_capacities(instance.trees, spec)
@@ -272,8 +280,8 @@ def cmd_sweep(config, args):
     reductions = require(section, "reductions", "sweep")
     spec = ReductionSpec(
         reduction=0.0,
-        band=float(section.get("band", 1.0)),
-        sample_count=int(section.get("sample_count", 100)),
+        band=typed(section, "band", float, "sweep", 1.0),
+        sample_count=typed(section, "sample_count", int, "sweep", 100),
         seed=int(config.get("seed", 0)),
     )
     report = epsilon_sweep(

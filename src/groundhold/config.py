@@ -2,8 +2,8 @@
 
 One config file drives every subcommand: a top-level seed plus one
 section per subcommand. Sections are plain objects so the whole file
-round-trips through json without loss, and all output files are
-written to a temp name and renamed into place so readers never see a
+round-trips through json without loss. atomic_output hands out a temp
+name that is renamed into place on success, so readers never see a
 half-written file.
 """
 
@@ -47,10 +47,6 @@ def load_config(path) -> dict:
     return body
 
 
-def save_config(path, config: dict) -> None:
-    atomic_write_text(path, json.dumps(config, indent=1, sort_keys=True) + "\n")
-
-
 def section_for(config: dict, name: str) -> dict:
     if name not in config:
         raise ConfigError(f"config has no {name!r} section")
@@ -61,6 +57,22 @@ def require(section: dict, key: str, context: str):
     if key not in section:
         raise ConfigError(f"{context} config needs {key!r}")
     return section[key]
+
+
+_REQUIRED = object()
+
+
+def typed(section: dict, key: str, kind, context: str, default=_REQUIRED):
+    """section[key] converted by kind (int or float), or default when the
+    key is absent. A required key that is absent, or a value kind cannot
+    convert, raises ConfigError naming the key."""
+    if key not in section and default is not _REQUIRED:
+        return default
+    raw = require(section, key, context)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context} config {key!r}: {exc}") from exc
 
 
 @contextmanager
@@ -76,8 +88,3 @@ def atomic_output(path):
     finally:
         if os.path.exists(temp):
             os.unlink(temp)
-
-
-def atomic_write_text(path, text: str) -> None:
-    with atomic_output(path) as temp:
-        Path(temp).write_text(text)

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Validation failures subclass ValueError so callers that don't care about
-the fine-grained type can catch the builtin. Solver-related failures get
-their own small hierarchy under SolverError.
+the fine-grained type can catch the builtin. A model that ends without a
+usable optimum where one is required raises SolverError.
 """
 
 
@@ -63,19 +63,7 @@ class DimensionMismatchError(GroundholdError, ValueError):
 
 
 class SolverError(GroundholdError, RuntimeError):
-    """Base class for optimization backend failures."""
-
-
-class BackendUnavailableError(SolverError):
-    """The requested optimization backend is not importable."""
-
-
-class InfeasibleError(SolverError):
-    """The model admits no feasible point."""
-
-
-class TimeLimitError(SolverError):
-    """The solver hit its time limit before proving optimality."""
+    """An optimization model ended without the optimum the caller needs."""
 
 
 class InfeasibleReductionError(GroundholdError, ValueError):
@@ -87,4 +75,5 @@ class ConfigError(GroundholdError, ValueError):
 
 
 class MissingInputError(GroundholdError, ValueError):
-    """A required input file or config entry is absent."""
+    """A required input file, config entry or file field is absent or
+    has the wrong shape."""

@@ -36,7 +36,7 @@ from .maghp import (
     solve,
 )
 from .pmf import Pmf, pmf_mean
-from .solver import new_model
+from .solver import LinearModel
 
 MEAN_TOL = 1e-8
 
@@ -81,7 +81,7 @@ def reduce_distribution(p: Pmf, reduction: float, band: float) -> Pmf:
     lows = [max(0.0, (1.0 - band) * w) for w in p.weights]
     highs = [(1.0 + band) * w for w in p.weights]
 
-    model = new_model()
+    model = LinearModel()
     for value, lo, hi in zip(p.support, lows, highs):
         model.add_variable(objective=float(value), lower=lo, upper=hi)
     n = len(p)
@@ -191,50 +191,12 @@ def evaluate_policy(
     unit = instance.recourse_cost
     for key, matrix in sorted(samples.items()):
         airport, op_type = key
-        tree = instance.trees[key]
-        stage_of = np.array(
-            [tree.time_clusters.stage_of(t) for t in range(instance.horizon)]
-        )
+        stages = list(instance.trees[key].time_clusters.stage_index)
         assigned = assigned_counts(instance, policy, airport, op_type)
-        excess = overflow(assigned, matrix[:, stage_of])
+        excess = overflow(assigned, matrix[:, stages])
         per_sample += unit * excess
         overflow_by_op[op_type] += float(excess.mean())
     return PolicyEvaluation(first_stage_cost(instance, policy), per_sample, overflow_by_op)
-
-
-def out_of_sample_cost(
-    policy: GroundDelayPolicy, instance: MaghpInstance, samples: dict
-) -> float:
-    """First-stage cost plus the average sampled recourse cost."""
-    return evaluate_policy(policy, instance, samples).total
-
-
-def lp_second_stage_cost(
-    policy: GroundDelayPolicy, instance: MaghpInstance, sample: dict
-) -> float:
-    """One sample's recourse cost by LP instead of the closed form.
-
-    sample maps (airport, op_type) to a single stage-capacity vector.
-    Exists to cross-check evaluate_policy; the two must agree to within
-    solver tolerance.
-    """
-    model = new_model()
-    for key in sorted(sample):
-        airport, op_type = key
-        tree = instance.trees[key]
-        profile = np.array(sample[key])[
-            [tree.time_clusters.stage_of(t) for t in range(instance.horizon)]
-        ]
-        assigned = assigned_counts(instance, policy, airport, op_type)
-        for t in range(instance.horizon):
-            y = model.add_variable(objective=instance.recourse_cost)
-            model.add_linear_constraint(
-                [(y, 1.0)], ">=", float(assigned[t] - profile[t])
-            )
-    solution = model.minimize()
-    if not solution.ok:
-        raise SolverError(f"evaluation LP ended with status {solution.status}")
-    return float(solution.objective)
 
 
 @dataclass

@@ -55,10 +55,9 @@ from .errors import (
 )
 from .pmf import normalize_ground_costs
 from .scenario import ScenarioTree, scenario_capacity_profile, tree_from_dict, tree_to_dict
-from .solver import BINARY, LinearModel, new_model
+from .solver import BINARY, LinearModel
 
 DEFAULT_TIME_LIMIT = 300.0
-MIP_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -321,7 +320,7 @@ def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
     fixed_capacities maps (airport, op_type) to a horizon-length count
     sequence; cells without an entry are unconstrained.
     """
-    model = new_model()
+    model = LinearModel()
     _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
     slots = _slot_terms(instance, u_index, v_index)
     for (airport, op_type), profile in sorted(fixed_capacities.items()):
@@ -364,7 +363,7 @@ def _overflow_block(
     cell_slots: list,
     tree: ScenarioTree,
     priced: bool,
-) -> tuple[dict, list]:
+) -> dict:
     """Stagewise queue overflow for one capacity cell.
 
     Adds z[t, c] >= assigned_t - c, z >= 0, for every interval t > 0 and
@@ -372,11 +371,10 @@ def _overflow_block(
     interval 0 at its stage's smallest capacity. A z that can never be
     positive (no more candidate flights than c) is left out and reads
     as zero. With priced=True each z costs its stage probability times
-    the recourse unit. Returns the z map keyed (t, c) and the stage of
-    every interval.
+    the recourse unit. Returns the z map keyed (t, c).
     """
     marginals = stage_capacities(tree)
-    stages = [tree.time_clusters.stage_of(t) for t in range(instance.horizon)]
+    stages = tree.time_clusters.stage_index
     unit = instance.recourse_cost
     z_index = {}
     for t, terms in enumerate(cell_slots):
@@ -392,7 +390,7 @@ def _overflow_block(
             z = model.add_variable(objective=prob * unit if priced else 0.0)
             z_index[t, capacity] = z
             model.add_linear_constraint(terms + [(z, -1.0)], "<=", float(capacity))
-    return z_index, stages
+    return z_index
 
 
 def build_sp(instance: MaghpInstance) -> ModelBundle:
@@ -404,7 +402,7 @@ def build_sp(instance: MaghpInstance) -> ModelBundle:
     equals the scenario-weighted sum of per-scenario overflow exactly.
     """
     keys = _require_trees(instance)
-    model = new_model()
+    model = LinearModel()
     _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
     slots = _slot_terms(instance, u_index, v_index)
     for key in keys:
@@ -448,7 +446,7 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     """
     radii = _epsilon_by_op(epsilon)
     keys = _require_trees(instance)
-    model = new_model()
+    model = LinearModel()
     _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
     slots = _slot_terms(instance, u_index, v_index)
     alpha_index, beta_index = {}, {}
@@ -461,7 +459,8 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         for i, prob in enumerate(tree.probabilities):
             betas.append(model.add_variable(objective=prob, lower=-np.inf))
             beta_index[key + (i,)] = betas[-1]
-        z_index, stages = _overflow_block(model, instance, slots[key], tree, False)
+        z_index = _overflow_block(model, instance, slots[key], tree, False)
+        stages = tree.time_clusters.stage_index
         recourse = []
         for vector in tree.vectors:
             q = model.add_variable()
@@ -500,7 +499,7 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
     must agree within 1e-6 relative; a disagreement means the variable
     maps and the model went out of sync and raises SolverError.
     """
-    solution = bundle.model.minimize(time_limit=time_limit, mip_gap=MIP_GAP)
+    solution = bundle.model.minimize(time_limit=time_limit)
     if solution.status != "optimal":
         return SolveResult(
             solution.status,
@@ -652,7 +651,7 @@ def inner_worst_case(
     ]
     distances = scenario_distance_matrix(tree)
     n = tree.num_scenarios
-    model = new_model()
+    model = LinearModel()
     plan = {
         (i, j): model.add_variable(objective=-q_cost[j])
         for i in range(n)
@@ -758,8 +757,20 @@ def save_instance(path, instance: MaghpInstance) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(instance), indent=1) + "\n")
 
 
+def _load(path, what: str, from_dict):
+    """from_dict applied to a JSON file; a missing field or a value of the
+    wrong shape raises MissingInputError naming the file."""
+    body = json.loads(Path(path).read_text())
+    try:
+        return from_dict(body)
+    except KeyError as exc:
+        raise MissingInputError(f"{what} file {path} is missing {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise MissingInputError(f"{what} file {path} is malformed: {exc}") from exc
+
+
 def load_instance(path) -> MaghpInstance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return _load(path, "instance", instance_from_dict)
 
 
 def result_to_dict(result: SolveResult, instance: MaghpInstance) -> dict:
@@ -805,6 +816,7 @@ def result_from_dict(body: dict) -> SolveResult:
     Files written before the per-scenario second-stage grid was dropped
     still carry a "second_stage" key; it is ignored.
     """
+    status, objective = body["status"], body["objective"]
     policy = None
     duals = {}
     if "flights" in body:
@@ -825,8 +837,8 @@ def result_from_dict(body: dict) -> SolveResult:
                 for label, values in body["duals"]["beta"].items()
             }
     return SolveResult(
-        status=body["status"],
-        objective=body["objective"],
+        status=status,
+        objective=objective,
         policy=policy,
         duals=duals,
         kind=body.get("model", ""),
@@ -835,4 +847,4 @@ def result_from_dict(body: dict) -> SolveResult:
 
 
 def load_result(path) -> SolveResult:
-    return result_from_dict(json.loads(Path(path).read_text()))
+    return _load(path, "result", result_from_dict)

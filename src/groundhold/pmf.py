@@ -1,11 +1,8 @@
-"""Discrete probability mass functions and Wasserstein distances.
+"""Discrete probability mass functions and the Wasserstein distance.
 
 Capacities are small non-negative integers, so every distribution here is
-a finite PMF on integer support. Two distance routines are provided: a
-closed-form order-1 Wasserstein distance for PMFs on the line, and a
-transportation LP for arbitrary finite distributions with an explicit
-ground cost matrix. The two must agree on the line with |x - y| costs;
-the test suite holds them to 1e-8 of each other.
+a finite PMF on integer support, and the order-1 Wasserstein distance
+between two of them has a closed form on the line.
 """
 
 from __future__ import annotations
@@ -19,13 +16,10 @@ import numpy as np
 
 from .errors import (
     AllZeroCostsError,
-    DimensionMismatchError,
     LengthMismatchError,
     MassDeviationError,
     NegativeWeightError,
-    SolverError,
 )
-from .solver import new_model
 
 #: strict tolerance on sum(weights) == 1 once a distribution is built
 MASS_TOL = 1e-9
@@ -129,102 +123,6 @@ def wasserstein_1d(p: Pmf, q: Pmf) -> float:
     ]
     gaps = np.diff(xs)
     return float(np.sum(np.abs(f_p[:-1] - f_q[:-1]) * gaps))
-
-
-@dataclass(frozen=True)
-class DiscreteJointDistribution:
-    """Finitely supported distribution over fixed-length real vectors.
-
-    Used for scenario distributions, where each atom is a vector of
-    per-stage capacities. Atoms may repeat; weights must be non-negative
-    and sum to one within MASS_TOL.
-    """
-
-    atoms: tuple[tuple[float, ...], ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.atoms) != len(self.weights):
-            raise LengthMismatchError(
-                f"{len(self.atoms)} atoms vs {len(self.weights)} weights"
-            )
-        if len(self.atoms) == 0:
-            raise LengthMismatchError("a distribution needs at least one atom")
-        dim = len(self.atoms[0])
-        if any(len(a) != dim for a in self.atoms):
-            raise DimensionMismatchError("atoms differ in dimension")
-        if any(w < 0 for w in self.weights):
-            raise NegativeWeightError(f"negative weight in {self.weights}")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > MASS_TOL:
-            raise MassDeviationError(f"weights sum to {total!r}, not 1")
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.atoms[0])
-
-    @property
-    def weights_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
-
-    @property
-    def atoms_array(self) -> np.ndarray:
-        return np.asarray(self.atoms, dtype=float)
-
-
-def joint_from_pmf(p: Pmf) -> DiscreteJointDistribution:
-    """View a scalar PMF as a distribution over 1-vectors."""
-    return DiscreteJointDistribution(
-        tuple((float(s),) for s in p.support), p.weights
-    )
-
-
-def _weights_of(dist) -> np.ndarray:
-    if isinstance(dist, (Pmf, DiscreteJointDistribution)):
-        return dist.weights_array
-    return np.asarray(dist, dtype=float)
-
-
-def wasserstein_lp(p, q, cost) -> tuple[float, np.ndarray]:
-    """Transportation LP between two finite distributions.
-
-    p and q may be Pmf, DiscreteJointDistribution, or plain weight
-    sequences; cost[i][j] is the ground cost of moving mass from atom i
-    of p to atom j of q. Returns (optimal value, coupling matrix). The
-    coupling's row sums match p's weights and column sums match q's.
-    """
-    mu = _weights_of(p)
-    nu = _weights_of(q)
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape != (len(mu), len(nu)):
-        raise DimensionMismatchError(
-            f"cost matrix shape {c.shape} does not match ({len(mu)}, {len(nu)})"
-        )
-    if np.any(c < 0):
-        raise ValueError("ground costs must be non-negative")
-
-    m, n = c.shape
-    model = new_model()
-    index = np.arange(m * n).reshape(m, n)
-    for i in range(m):
-        for j in range(n):
-            model.add_variable(objective=c[i, j])
-    for i in range(m):
-        model.add_linear_constraint(
-            [(int(index[i, j]), 1.0) for j in range(n)], "=", mu[i]
-        )
-    for j in range(n):
-        model.add_linear_constraint(
-            [(int(index[i, j]), 1.0) for i in range(m)], "=", nu[j]
-        )
-    solution = model.minimize()
-    if not solution.ok:
-        raise SolverError(f"transportation LP ended with status {solution.status}")
-    coupling = np.maximum(solution.values.reshape(m, n), 0.0)
-    return float(solution.objective), coupling
 
 
 def normalize_ground_costs(cost) -> np.ndarray:

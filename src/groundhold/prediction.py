@@ -30,10 +30,6 @@ from .errors import (
 )
 from .pmf import Pmf, make_pmf
 
-#: width of the standard interval feature schema used by the fixtures:
-#: hourly weather measurements plus demand and time-of-day encodings
-FEATURE_DIM = 17
-
 EMPIRICAL = "empirical"
 MLP = "mlp"
 
@@ -177,17 +173,6 @@ def train(features, labels, config: TrainingConfig) -> PredictorModel:
 
     model.params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
     return model
-
-
-def cross_entropy(model: PredictorModel, features, labels) -> float:
-    """Mean negative log-likelihood of the labels under the model."""
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    total = 0.0
-    for x, z in zip(features, labels):
-        p = predict_pmf(model, x)
-        total -= math.log(max(p.weights[z], 1e-300))
-    return total / len(labels)
 
 
 def predict_pmf(model: PredictorModel, feature_vector) -> Pmf:

@@ -30,7 +30,7 @@ from .errors import (
     TooFewIntervalsError,
     TooManyClustersError,
 )
-from .pmf import MASS_TOL, Pmf, make_pmf, pmf_mean, wasserstein_1d
+from .pmf import MASS_TOL, Pmf, make_pmf, wasserstein_1d
 
 #: refuse to enumerate trees beyond this many scenarios unless overridden
 DEFAULT_SCENARIO_CAP = 4096
@@ -65,14 +65,10 @@ class TimeClustering:
     def num_stages(self) -> int:
         return len(self.segments)
 
-    def stage_of(self, t: int) -> int:
-        """Index of the segment covering interval t."""
-        if not 0 <= t < self.num_intervals:
-            raise IndexError(f"interval {t} outside horizon of {self.num_intervals}")
-        for k, seg in enumerate(self.segments):
-            if t <= seg[-1]:
-                return k
-        raise IndexError(f"interval {t} not covered by any segment")
+    @property
+    def stage_index(self) -> tuple[int, ...]:
+        """The stage (segment index) of every interval, in interval order."""
+        return tuple(k for k, seg in enumerate(self.segments) for _ in seg)
 
 
 @dataclass(frozen=True)
@@ -218,17 +214,15 @@ def _quantile_centers(support, weights, k):
     return sorted(centers)
 
 
-def compress_pmf_kmeans(p: Pmf, k: int, seed: int = 0) -> ReducedPmf:
+def compress_pmf_kmeans(p: Pmf, k: int) -> ReducedPmf:
     """Collapse a PMF to k atoms by weighted 1-D K-means.
 
     Clusters live in support space; each output atom gets the summed
     probability of its members and the probability-weighted mean
     support rounded half-up. Zero-weight support points carry no mass
-    and are ignored. Initialization is by weighted quantiles, which is
-    already deterministic; the seed argument is accepted for interface
-    stability and does not influence the result.
+    and are ignored. Initialization is by weighted quantiles, so the
+    result is deterministic.
     """
-    del seed
     positive = [(s, w) for s, w in zip(p.support, p.weights) if w > 0]
     if k < 1:
         raise ValueError("need at least one cluster")
@@ -280,7 +274,6 @@ def compress_pmf_kmeans(p: Pmf, k: int, seed: int = 0) -> ReducedPmf:
 def build_scenario_tree(
     clustering: TimeClustering,
     k_per_stage: int,
-    seed: int = 0,
     airport: str = "",
     op_type: str = "",
     max_scenarios: int = DEFAULT_SCENARIO_CAP,
@@ -298,7 +291,7 @@ def build_scenario_tree(
         k = k_per_stage
         if clamp:
             k = min(k, sum(1 for w in rep.weights if w > 0))
-        stage_pmfs.append(compress_pmf_kmeans(rep, k, seed))
+        stage_pmfs.append(compress_pmf_kmeans(rep, k))
 
     count = 1
     for stage in stage_pmfs:
@@ -323,14 +316,6 @@ def build_scenario_tree(
     )
 
 
-def capacity_at(tree: ScenarioTree, scenario_index: int, t: int) -> int:
-    """Capacity at interval t under one scenario of the tree."""
-    if not 0 <= scenario_index < tree.num_scenarios:
-        raise IndexError(f"scenario index {scenario_index} out of range")
-    vector = tree.scenarios[scenario_index][0]
-    return vector[tree.time_clusters.stage_of(t)]
-
-
 def scenario_capacity_profile(tree: ScenarioTree, vector) -> list[int]:
     """Expand a stage-capacity vector to one capacity per interval."""
     clusters = tree.time_clusters
@@ -338,10 +323,7 @@ def scenario_capacity_profile(tree: ScenarioTree, vector) -> list[int]:
         raise ValueError(
             f"vector has {len(vector)} stages, tree has {clusters.num_stages}"
         )
-    profile = []
-    for seg, value in zip(clusters.segments, vector):
-        profile.extend([int(value)] * len(seg))
-    return profile
+    return [int(vector[k]) for k in clusters.stage_index]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Thin incremental model layer over scipy's HiGHS bindings.
 
-Every optimization problem in the package (transportation LPs, the ground
-holding MILPs, the robust deterministic equivalents) is built against the
-same three calls: add_variable, add_linear_constraint, minimize. Keeping
-the interface this small makes the model builders testable and leaves the
-door open for other backends without touching them.
+Every optimization problem in the package (the ground holding MILPs, the
+robust deterministic equivalents, the reduction and worst-case LPs) is
+built against the same three calls: add_variable, add_linear_constraint,
+minimize. minimize assembles the rows into one sparse matrix and hands
+the model to scipy.optimize.milp.
 """
 
 from __future__ import annotations
@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import LinearConstraint, Bounds, milp
 
-from .errors import BackendUnavailableError
-
-try:
-    from scipy import sparse
-    from scipy.optimize import LinearConstraint, Bounds, milp
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    sparse = None
+#: relative optimality gap at which HiGHS stops a MILP
+MIP_REL_GAP = 1e-6
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -117,14 +114,8 @@ class LinearModel:
         self._row_lb.append(lb)
         self._row_ub.append(ub)
 
-    def minimize(
-        self,
-        time_limit: float | None = None,
-        mip_gap: float = 1e-6,
-    ) -> Solution:
+    def minimize(self, time_limit: float | None = None) -> Solution:
         """Solve and return a Solution. Never raises for infeasibility."""
-        if sparse is None:
-            raise BackendUnavailableError("scipy is required to solve models")
         n = self.num_variables
         if n == 0:
             return Solution("optimal", 0.0, np.zeros(0))
@@ -147,7 +138,7 @@ class LinearModel:
                 LinearConstraint(a, np.asarray(self._row_lb), np.asarray(self._row_ub))
             )
 
-        options: dict = {"mip_rel_gap": mip_gap}
+        options: dict = {"mip_rel_gap": MIP_REL_GAP}
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
 
@@ -168,7 +159,3 @@ class LinearModel:
         if result.status == 2:
             return Solution("infeasible", None, None)
         return Solution("error", None, None)
-
-
-def new_model() -> LinearModel:
-    return LinearModel()

@@ -1,28 +1,41 @@
-"""Scenario-enumerating extensive forms, kept as differential oracles.
+"""Independent computations the tests hold the library against.
 
-These are the stochastic and robust builders as first written: one
-overflow variable per (scenario, interval), and in the robust model one
-row per ordered scenario pair carrying every one of those variables.
-They are exact but grow with the number of scenarios rather than the
-number of stage atoms, so the library builds the stagewise equivalent
-and the tests check the two against each other.
+The scenario-enumerating extensive forms are the stochastic and robust
+builders as first written: one overflow variable per (scenario,
+interval), and in the robust model one row per ordered scenario pair
+carrying every one of those variables. They are exact but grow with the
+number of scenarios rather than the number of stage atoms, so the
+library builds the stagewise equivalent and the tests check the two
+against each other.
+
+The LP oracles solve by linear programming what the library computes in
+closed form: the Wasserstein distance on the line (wasserstein_lp) and
+one sample's queue-overflow recourse (lp_second_stage_cost).
+cross_entropy is the training loss, used to check that training lowers
+it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from groundhold.capacity import DEPARTURE
+from groundhold.errors import DimensionMismatchError, SolverError
 from groundhold.maghp import (
     ModelBundle,
     MaghpInstance,
     _build_first_stage,
     _epsilon_by_op,
     _require_trees,
+    assigned_counts,
     scenario_distance_matrix,
 )
+from groundhold.pmf import Pmf
+from groundhold.prediction import predict_pmf
 from groundhold.scenario import scenario_capacity_profile
-from groundhold.solver import new_model
+from groundhold.solver import LinearModel
 
 
 def _assigned_terms(instance, u_index, v_index, airport, op_type, t):
@@ -60,7 +73,7 @@ def _scenario_overflow(model, instance, u_index, v_index, key, tree, weight):
 def enumerated_sp(instance: MaghpInstance) -> ModelBundle:
     """Extensive-form two-stage model, one recourse block per scenario."""
     keys = _require_trees(instance)
-    model = new_model()
+    model = LinearModel()
     _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
     unit = instance.recourse_cost
     for key in keys:
@@ -76,7 +89,7 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     support scenario's whole recourse sum."""
     radii = _epsilon_by_op(epsilon)
     keys = _require_trees(instance)
-    model = new_model()
+    model = LinearModel()
     _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
     alpha_index, beta_index = {}, {}
     unit = instance.recourse_cost
@@ -113,3 +126,76 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         beta_index=beta_index,
         epsilon=radii,
     )
+
+
+def wasserstein_lp(p, q, cost) -> tuple[float, np.ndarray]:
+    """Transportation LP between two finite distributions.
+
+    p and q are Pmf or plain weight sequences; cost[i][j] is the ground
+    cost of moving mass from atom i of p to atom j of q. Returns
+    (optimal value, coupling matrix). The coupling's row sums match p's
+    weights and column sums match q's.
+    """
+    mu = p.weights_array if isinstance(p, Pmf) else np.asarray(p, dtype=float)
+    nu = q.weights_array if isinstance(q, Pmf) else np.asarray(q, dtype=float)
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape != (len(mu), len(nu)):
+        raise DimensionMismatchError(
+            f"cost matrix shape {c.shape} does not match ({len(mu)}, {len(nu)})"
+        )
+    if np.any(c < 0):
+        raise ValueError("ground costs must be non-negative")
+
+    m, n = c.shape
+    model = LinearModel()
+    index = np.arange(m * n).reshape(m, n)
+    for i in range(m):
+        for j in range(n):
+            model.add_variable(objective=c[i, j])
+    for i in range(m):
+        model.add_linear_constraint(
+            [(int(index[i, j]), 1.0) for j in range(n)], "=", mu[i]
+        )
+    for j in range(n):
+        model.add_linear_constraint(
+            [(int(index[i, j]), 1.0) for i in range(m)], "=", nu[j]
+        )
+    solution = model.minimize()
+    if not solution.ok:
+        raise SolverError(f"transportation LP ended with status {solution.status}")
+    coupling = np.maximum(solution.values.reshape(m, n), 0.0)
+    return float(solution.objective), coupling
+
+
+def lp_second_stage_cost(policy, instance: MaghpInstance, sample: dict) -> float:
+    """One sample's recourse cost by LP instead of the closed form.
+
+    sample maps (airport, op_type) to a single stage-capacity vector.
+    evaluate_policy must agree with it to within solver tolerance.
+    """
+    model = LinearModel()
+    for key in sorted(sample):
+        airport, op_type = key
+        stages = list(instance.trees[key].time_clusters.stage_index)
+        profile = np.array(sample[key])[stages]
+        assigned = assigned_counts(instance, policy, airport, op_type)
+        for t in range(instance.horizon):
+            y = model.add_variable(objective=instance.recourse_cost)
+            model.add_linear_constraint(
+                [(y, 1.0)], ">=", float(assigned[t] - profile[t])
+            )
+    solution = model.minimize()
+    if not solution.ok:
+        raise SolverError(f"evaluation LP ended with status {solution.status}")
+    return float(solution.objective)
+
+
+def cross_entropy(model, features, labels) -> float:
+    """Mean negative log-likelihood of the labels under the model."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    total = 0.0
+    for x, z in zip(features, labels):
+        p = predict_pmf(model, x)
+        total -= math.log(max(p.weights[z], 1e-300))
+    return total / len(labels)

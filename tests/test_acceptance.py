@@ -29,7 +29,6 @@ from groundhold.evaluation import (
     ReductionSpec,
     epsilon_sweep,
     evaluate_policy,
-    lp_second_stage_cost,
     reduce_distribution,
 )
 from groundhold.fixtures import (
@@ -46,13 +45,14 @@ from groundhold.maghp import (
     inner_worst_case,
     solve,
 )
-from groundhold.pmf import make_pmf, pmf_mean, wasserstein_1d, wasserstein_lp
+from groundhold.pmf import make_pmf, pmf_mean, wasserstein_1d
 from groundhold.prediction import TrainingConfig, evaluate, train
 from groundhold.scenario import (
     build_scenario_tree,
     cluster_time_series,
     compress_pmf_kmeans,
 )
+from oracles import lp_second_stage_cost, wasserstein_lp
 
 
 def random_pmf(rng, max_atoms=8, max_value=20):
@@ -181,7 +181,7 @@ def test_scenario_tree_measures_are_consistent():
     for _ in range(20):
         series = [random_pmf(rng, max_atoms=5) for _ in range(8)]
         clustering = cluster_time_series(series, int(rng.integers(1, 3)))
-        tree = build_scenario_tree(clustering, 2, seed=0, clamp=True)
+        tree = build_scenario_tree(clustering, 2, clamp=True)
         assert abs(math.fsum(tree.probabilities) - 1.0) <= 1e-8
         sizes = [len(stage) for stage in tree.stage_pmfs]
         for stage_index, stage in enumerate(tree.stage_pmfs):
@@ -198,12 +198,12 @@ def test_scenario_tree_measures_are_consistent():
     for _ in range(100):
         p = random_pmf(rng)
         k = int(rng.integers(1, len(p.support) + 1))
-        reduced = compress_pmf_kmeans(p, k, seed=0)
+        reduced = compress_pmf_kmeans(p, k)
         assert abs(
             math.fsum(reduced.probabilities) - math.fsum(p.weights)
         ) <= 1e-12
         positive = tuple((s, w) for s, w in zip(p.support, p.weights) if w > 0)
-        lossless = compress_pmf_kmeans(p, len(positive), seed=0)
+        lossless = compress_pmf_kmeans(p, len(positive))
         assert lossless.atoms == positive
 
 

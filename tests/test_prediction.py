@@ -16,7 +16,6 @@ from groundhold.prediction import (
     MLP,
     PredictorModel,
     TrainingConfig,
-    cross_entropy,
     evaluate,
     load_model,
     point_prediction,
@@ -26,6 +25,7 @@ from groundhold.prediction import (
     tolerance_interval,
     train,
 )
+from oracles import cross_entropy
 
 EXAMPLE = make_pmf([0, 1, 2, 3, 4, 5], [0.05, 0.10, 0.70, 0.10, 0.03, 0.02])
 

@@ -16,7 +16,6 @@ from groundhold.pmf import make_pmf, pmf_mean
 from groundhold.scenario import (
     ReducedPmf,
     build_scenario_tree,
-    capacity_at,
     cluster_time_series,
     compress_pmf_kmeans,
     load_trees,
@@ -117,19 +116,19 @@ def test_representatives_average_mass():
 
 
 def test_compress_to_single_atom():
-    reduced = compress_pmf_kmeans(EXAMPLE, 1, seed=0)
+    reduced = compress_pmf_kmeans(EXAMPLE, 1)
     assert reduced.atoms == ((2, pytest.approx(1.0, abs=1e-12)),)
 
 
 def test_identity_compression():
-    reduced = compress_pmf_kmeans(EXAMPLE, len(EXAMPLE), seed=0)
+    reduced = compress_pmf_kmeans(EXAMPLE, len(EXAMPLE))
     assert reduced.supports == EXAMPLE.support
     assert reduced.probabilities == pytest.approx(EXAMPLE.weights, abs=0)
 
 
 def test_two_lump_compression_rounds_half_up():
     p = make_pmf([1, 2, 9, 10], [0.3, 0.2, 0.25, 0.25])
-    reduced = compress_pmf_kmeans(p, 2, seed=0)
+    reduced = compress_pmf_kmeans(p, 2)
     # centroids 1.4 and 9.5; half-up rounding pushes 9.5 to 10
     assert reduced.supports == (1, 10)
     assert reduced.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
@@ -140,7 +139,7 @@ def test_compression_conserves_mass_without_renormalizing():
     for _ in range(50):
         p = random_pmf(rng)
         k = int(rng.integers(1, len(p) + 1))
-        reduced = compress_pmf_kmeans(p, k, seed=0)
+        reduced = compress_pmf_kmeans(p, k)
         assert abs(
             math.fsum(reduced.probabilities) - math.fsum(p.weights)
         ) <= 1e-15
@@ -150,23 +149,23 @@ def test_single_atom_mean_drift_bounded_by_rounding():
     rng = np.random.default_rng(43)
     for _ in range(30):
         p = random_pmf(rng)
-        reduced = compress_pmf_kmeans(p, 1, seed=0)
+        reduced = compress_pmf_kmeans(p, 1)
         assert abs(reduced.mean() - pmf_mean(p)) <= 0.5 + 1e-12
 
 
 def test_zero_weight_atoms_are_ignored():
     p = make_pmf([0, 1, 2], [0.5, 0.0, 0.5])
-    reduced = compress_pmf_kmeans(p, 2, seed=0)
+    reduced = compress_pmf_kmeans(p, 2)
     assert reduced.atoms == ((0, 0.5), (2, 0.5))
     with pytest.raises(TooManyClustersError):
-        compress_pmf_kmeans(p, 3, seed=0)
+        compress_pmf_kmeans(p, 3)
 
 
 def test_compression_rejects_bad_k():
     with pytest.raises(ValueError):
-        compress_pmf_kmeans(EXAMPLE, 0, seed=0)
+        compress_pmf_kmeans(EXAMPLE, 0)
     with pytest.raises(TooManyClustersError):
-        compress_pmf_kmeans(EXAMPLE, 7, seed=0)
+        compress_pmf_kmeans(EXAMPLE, 7)
 
 
 def test_compression_is_deterministic():
@@ -174,7 +173,7 @@ def test_compression_is_deterministic():
     for _ in range(10):
         p = random_pmf(rng)
         k = int(rng.integers(1, len(p) + 1))
-        assert compress_pmf_kmeans(p, k, 0) == compress_pmf_kmeans(p, k, 99)
+        assert compress_pmf_kmeans(p, k) == compress_pmf_kmeans(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def test_tree_product_probabilities():
     clustering = two_stage_clustering()
     assert clustering.boundaries == (2,)
     # stage PMFs: {0: 0.5, 1: 0.5} x {0: 0.6, 1: 0.4} after averaging
-    tree = build_scenario_tree(clustering, 2, seed=0, airport="A",
+    tree = build_scenario_tree(clustering, 2, airport="A",
                                op_type="departure")
     probs = tree.probabilities
     assert len(probs) == 4
@@ -216,7 +215,7 @@ def test_tree_marginalization_recovers_stages():
     for _ in range(10):
         series = [random_pmf(rng, max_atoms=5) for _ in range(8)]
         clustering = cluster_time_series(series, 2)
-        tree = build_scenario_tree(clustering, 2, seed=0, clamp=True)
+        tree = build_scenario_tree(clustering, 2, clamp=True)
         for stage_index, stage in enumerate(tree.stage_pmfs):
             for atom_index, (_, p_atom) in enumerate(stage.atoms):
                 marginal = math.fsum(
@@ -240,7 +239,7 @@ def _atom_of(tree, scenario_index, stage_index):
 def test_eight_scenarios_three_stages():
     series = [bernoulli(0.3)] * 3 + [bernoulli(0.6)] * 3 + [bernoulli(0.9)] * 3
     clustering = cluster_time_series(series, 2)
-    tree = build_scenario_tree(clustering, 2, seed=0)
+    tree = build_scenario_tree(clustering, 2)
     assert tree.num_scenarios == 8
     assert math.fsum(tree.probabilities) == pytest.approx(1.0, abs=1e-8)
 
@@ -249,40 +248,42 @@ def test_scenario_cap():
     series = [bernoulli(0.1 * i) for i in range(1, 9)]
     clustering = cluster_time_series(series, 3)
     with pytest.raises(ScenarioExplosionError):
-        build_scenario_tree(clustering, 2, seed=0, max_scenarios=15)
+        build_scenario_tree(clustering, 2, max_scenarios=15)
 
 
 def test_capacity_at_boundary_and_lookup():
     clustering = two_stage_clustering()
-    tree = build_scenario_tree(clustering, 2, seed=0)
+    tree = build_scenario_tree(clustering, 2)
     c1 = clustering.boundaries[0]
-    for index, (vector, _) in enumerate(tree.scenarios):
-        assert capacity_at(tree, index, c1) == vector[0]
-        assert capacity_at(tree, index, c1 + 1) == vector[1]
-    with pytest.raises(IndexError):
-        capacity_at(tree, 99, 0)
-    with pytest.raises(IndexError):
-        capacity_at(tree, 0, 99)
+    assert clustering.stage_index == (0, 0, 0, 1)
+    for vector in tree.vectors:
+        profile = scenario_capacity_profile(tree, vector)
+        assert profile[c1] == vector[0]
+        assert profile[c1 + 1] == vector[1]
+    with pytest.raises(ValueError):
+        scenario_capacity_profile(tree, (1,))
+    with pytest.raises(ValueError):
+        scenario_capacity_profile(tree, (1, 2, 3))
 
 
 def test_single_stage_tree_is_flat():
     series = [bernoulli(0.5)] * 4
-    tree = build_scenario_tree(cluster_time_series(series, 0), 2, seed=0)
-    for index in range(tree.num_scenarios):
-        values = {capacity_at(tree, index, t) for t in range(4)}
-        assert len(values) == 1
+    tree = build_scenario_tree(cluster_time_series(series, 0), 2)
+    assert tree.time_clusters.stage_index == (0, 0, 0, 0)
+    for vector in tree.vectors:
+        assert len(set(scenario_capacity_profile(tree, vector))) == 1
 
 
 def test_capacity_profile_expansion():
     clustering = two_stage_clustering()
-    tree = build_scenario_tree(clustering, 2, seed=0)
+    tree = build_scenario_tree(clustering, 2)
     profile = scenario_capacity_profile(tree, (3, 5))
     assert profile == [3, 3, 3, 5]
 
 
 def test_tree_json_round_trip(tmp_path):
     clustering = two_stage_clustering()
-    tree = build_scenario_tree(clustering, 2, seed=0, airport="B",
+    tree = build_scenario_tree(clustering, 2, airport="B",
                                op_type="arrival")
     path = tmp_path / "trees.json"
     save_trees(path, [tree])

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from groundhold.solver import BINARY, new_model
+from groundhold.solver import BINARY, LinearModel
 
 
 def test_empty_model_is_trivially_optimal():
-    solution = new_model().minimize()
+    solution = LinearModel().minimize()
     assert solution.ok
     assert solution.objective == 0.0
 
 
 def test_small_lp():
-    model = new_model()
+    model = LinearModel()
     x = model.add_variable(objective=1.0)
     model.add_linear_constraint([(x, 1.0)], ">=", 3.0)
     solution = model.minimize()
@@ -23,7 +23,7 @@ def test_small_lp():
 
 
 def test_equality_and_upper_bounds():
-    model = new_model()
+    model = LinearModel()
     x = model.add_variable(objective=2.0, upper=5.0)
     y = model.add_variable(objective=1.0)
     model.add_linear_constraint([(x, 1.0), (y, 1.0)], "=", 8.0)
@@ -37,7 +37,7 @@ def test_equality_and_upper_bounds():
 def test_binary_assignment():
     """Pick exactly one slot per item, cheapest combination wins."""
     costs = np.array([[4.0, 1.0], [2.0, 9.0]])
-    model = new_model()
+    model = LinearModel()
     var = {}
     for i in range(2):
         for j in range(2):
@@ -54,7 +54,7 @@ def test_binary_assignment():
 
 
 def test_infeasible_model_reports_status():
-    model = new_model()
+    model = LinearModel()
     x = model.add_variable()
     model.add_linear_constraint([(x, 1.0)], "<=", -1.0)
     solution = model.minimize()
@@ -63,7 +63,7 @@ def test_infeasible_model_reports_status():
 
 
 def test_free_variable_lower_bound():
-    model = new_model()
+    model = LinearModel()
     x = model.add_variable(objective=1.0, lower=-np.inf)
     model.add_linear_constraint([(x, 1.0)], ">=", -4.0)
     solution = model.minimize()
@@ -72,7 +72,7 @@ def test_free_variable_lower_bound():
 
 
 def test_rejects_unknown_kind_and_sense():
-    model = new_model()
+    model = LinearModel()
     with pytest.raises(ValueError):
         model.add_variable(kind="integer")
     x = model.add_variable()
