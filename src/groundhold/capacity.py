@@ -117,8 +117,9 @@ def aggregate_intervals(
             demand[bin_of(rec.scheduled_minute, "scheduled", rec)] += 1
             b = bin_of(rec.actual_minute, "actual", rec)
             throughput[b] += 1
-            delays[b].append(max(0.0, rec.delay_minutes))
-            if rec.delay_minutes > DELAYED_FLIGHT_MINUTES:
+            delay = rec.delay_minutes
+            delays[b].append(max(0.0, delay))
+            if delay > DELAYED_FLIGHT_MINUTES:
                 delayed[b] += 1
         for t in range(num_intervals):
             avg = math.fsum(delays[t]) / len(delays[t]) if delays[t] else 0.0

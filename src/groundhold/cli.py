@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from .capacity import (
-    OP_TYPES,
     aggregate_intervals,
     estimate_capacities,
     read_operation_records,
@@ -37,6 +36,7 @@ from .evaluation import (
 )
 from .maghp import (
     DEFAULT_TIME_LIMIT,
+    _epsilon_by_op,
     best_capacity_profiles,
     build_det,
     build_dr,
@@ -185,18 +185,6 @@ def cmd_reduce_scenarios(config, args):
     return 0
 
 
-def _parse_epsilon(value):
-    """One radius, or a mapping with a radius for every op type."""
-    try:
-        if isinstance(value, dict):
-            return {op: float(value[op]) for op in OP_TYPES}
-        return float(value)
-    except KeyError as exc:
-        raise ConfigError(f"solve config 'epsilon' has no radius for {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solve config 'epsilon': {exc}") from exc
-
-
 def cmd_solve(config, args):
     section = section_for(config, "solve")
     instance = load_instance(require(section, "instance", "solve"))
@@ -218,9 +206,13 @@ def cmd_solve(config, args):
         epsilon = (
             args.epsilon
             if args.epsilon is not None
-            else _parse_epsilon(require(section, "epsilon", "solve"))
+            else require(section, "epsilon", "solve")
         )
-        bundle = build_dr(instance, epsilon)
+        try:
+            radii = _epsilon_by_op(epsilon)
+        except ValueError as exc:
+            raise ConfigError(f"solve 'epsilon': {exc}") from exc
+        bundle = build_dr(instance, radii)
     time_limit = (
         args.time_limit
         if args.time_limit is not None

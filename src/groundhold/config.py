@@ -1,10 +1,12 @@
-"""JSON run configuration and atomic output files.
+"""JSON run configuration, JSON input files and atomic output files.
 
 One config file drives every subcommand: a top-level seed plus one
 section per subcommand. Sections are plain objects so the whole file
-round-trips through json without loss. atomic_output hands out a temp
-name that is renamed into place on success, so readers never see a
-half-written file.
+round-trips through json without loss. load_input is the one reader of
+the JSON input files (instances, results, scenario trees, PMF series)
+and names the file in every error about its content. atomic_output
+hands out a temp name that is renamed into place on success, so readers
+never see a half-written file.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, GroundholdError, MissingInputError
 
 SECTIONS = ("estimate", "predict", "reduce-scenarios", "solve", "evaluate", "sweep")
 
@@ -73,6 +75,23 @@ def typed(section: dict, key: str, kind, context: str, default=_REQUIRED):
         return kind(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context} config {key!r}: {exc}") from exc
+
+
+def load_input(path, what: str, from_body):
+    """from_body applied to the parsed JSON of an input file.
+
+    Invalid JSON, a missing field, or a value of the wrong shape or type
+    raises MissingInputError naming the file; the package's own errors
+    pass through unchanged, and so does an unreadable file.
+    """
+    try:
+        return from_body(json.loads(Path(path).read_text()))
+    except GroundholdError:
+        raise
+    except KeyError as exc:
+        raise MissingInputError(f"{what} file {path} is missing {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MissingInputError(f"{what} file {path} is malformed: {exc}") from exc
 
 
 @contextmanager

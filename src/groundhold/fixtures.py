@@ -86,7 +86,6 @@ def random_instance(seed: int) -> MaghpInstance:
     rng = np.random.default_rng(seed)
     airports = ("A", "B", "C")[: int(rng.integers(2, 4))]
     horizon = int(rng.integers(4, 9))
-    network = set(airports)
 
     flights = []
     for i in range(int(rng.integers(6, 13))):
@@ -105,8 +104,6 @@ def random_instance(seed: int) -> MaghpInstance:
                 destination=destination,
                 sched_dep=sched_dep,
                 sched_arr=sched_arr,
-                in_network_origin=origin in network,
-                in_network_destination=destination in network,
             )
         )
 
@@ -163,7 +160,6 @@ def stress_instance() -> MaghpInstance:
     compressed to two atoms per stage, so each tree carries four
     scenarios.
     """
-    net = {"A", "B", "C"}
 
     def leg(fid, origin, dest, dep):
         return Flight(
@@ -172,8 +168,6 @@ def stress_instance() -> MaghpInstance:
             destination=dest,
             sched_dep=dep,
             sched_arr=dep + 1,
-            in_network_origin=origin in net,
-            in_network_destination=dest in net,
         )
 
     inbound_departures = [0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 3]

@@ -49,10 +49,8 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import ARRIVAL, DEPARTURE, OP_TYPES
-from .errors import (
-    MissingInputError,
-    SolverError,
-)
+from .config import load_input
+from .errors import MissingInputError, SolverError
 from .pmf import normalize_ground_costs
 from .scenario import ScenarioTree, scenario_capacity_profile, tree_from_dict, tree_to_dict
 from .solver import BINARY, LinearModel
@@ -62,15 +60,16 @@ DEFAULT_TIME_LIMIT = 300.0
 
 @dataclass(frozen=True)
 class Flight:
-    """One flight leg with scheduled departure/arrival interval indices."""
+    """One flight leg with scheduled departure/arrival interval indices.
+
+    An endpoint is inside the network when it is one of the instance's
+    airports."""
 
     id: str
     origin: str
     destination: str
     sched_dep: int
     sched_arr: int
-    in_network_origin: bool = True
-    in_network_destination: bool = True
 
     def __post_init__(self):
         if self.sched_dep < 0:
@@ -123,16 +122,6 @@ class MaghpInstance:
         if len(set(ids)) != len(ids):
             raise ValueError("flight ids must be unique")
         self._by_id = {f.id: f for f in self.flights}
-        network = set(self.airports)
-        for f in self.flights:
-            if f.in_network_origin != (f.origin in network):
-                raise ValueError(
-                    f"flight {f.id}: origin network flag disagrees with airports"
-                )
-            if f.in_network_destination != (f.destination in network):
-                raise ValueError(
-                    f"flight {f.id}: destination network flag disagrees with airports"
-                )
         for c in self.connections:
             pred, succ = self.flight(c.predecessor), self.flight(c.successor)
             if pred.destination != succ.origin:
@@ -148,7 +137,7 @@ class MaghpInstance:
         for (airport, op_type), tree in self.trees.items():
             if op_type not in OP_TYPES:
                 raise ValueError(f"unknown op_type {op_type!r} in trees")
-            if airport not in network:
+            if airport not in self.airports:
                 raise ValueError(f"tree attached to unknown airport {airport!r}")
             if tree.time_clusters.num_intervals != self.horizon:
                 raise ValueError(
@@ -193,21 +182,33 @@ class MaghpInstance:
             raise ValueError("connection graph contains a cycle")
         return max(latest[f.id] + f.flight_time for f in self.flights) + 1
 
-    def departures_from(self, airport: str):
-        return [f for f in self.flights if f.origin == airport]
-
-    def arrivals_to(self, airport: str):
-        return [f for f in self.flights if f.destination == airport]
-
     def constrained_keys(self):
-        """(airport, op_type) cells that need a capacity profile."""
+        """(airport, op_type) cells that need a capacity profile: each
+        network airport some flight departs from or arrives at."""
         keys = set()
         for f in self.flights:
-            if f.in_network_origin:
+            if f.origin in self.airports:
                 keys.add((f.origin, DEPARTURE))
-            if f.in_network_destination:
+            if f.destination in self.airports:
                 keys.add((f.destination, ARRIVAL))
         return sorted(keys)
+
+
+def _cell_loads(instance: MaghpInstance, departures, arrivals):
+    """The one rule for which capacity cell a slot loads.
+
+    departures and arrivals yield ((flight id, interval), item) pairs of
+    departure and arrival slots. A departure slot loads the flight's
+    origin, an arrival slot its destination, and only slots inside the
+    horizon count; yields ((airport, op_type), interval, item).
+    """
+    for slots, endpoint, op_type in (
+        (departures, "origin", DEPARTURE),
+        (arrivals, "destination", ARRIVAL),
+    ):
+        for (fid, t), item in slots:
+            if t < instance.horizon:
+                yield (getattr(instance.flight(fid), endpoint), op_type), t, item
 
 
 @dataclass(frozen=True)
@@ -232,31 +233,36 @@ class SolveResult:
 
 @dataclass
 class ModelBundle:
-    """A built model plus the variable maps needed to read it back."""
+    """A built model plus the variable maps needed to read it back.
+
+    u_index and v_index map (flight id, interval) to the departure and
+    arrival slot binaries. For dr, alpha_index maps each cell to its
+    multiplier and beta_index each cell to the list of its per-scenario
+    duals, in the tree's scenario order.
+    """
 
     kind: str
     model: LinearModel
     instance: MaghpInstance
     u_index: dict
     v_index: dict
-    g_index: dict
-    a_index: dict
     alpha_index: dict = field(default_factory=dict)
     beta_index: dict = field(default_factory=dict)
     epsilon: dict = field(default_factory=dict)
 
 
 def _build_first_stage(instance: MaghpInstance, model: LinearModel):
-    """Shared slot binaries, delay variables and coupling constraints."""
+    """Shared slot binaries, delay variables and coupling constraints;
+    returns the departure and arrival slot maps."""
     total = instance.total_periods()
-    u_index, v_index, g_index, a_index = {}, {}, {}, {}
+    u_index, v_index, ground, air = {}, {}, {}, {}
     for f in instance.flights:
         for t in range(f.sched_dep, total - f.flight_time):
             u_index[f.id, t] = model.add_variable(kind=BINARY)
         for t in range(f.sched_arr, total):
             v_index[f.id, t] = model.add_variable(kind=BINARY)
-        g_index[f.id] = model.add_variable(objective=instance.cost_ground)
-        a_index[f.id] = model.add_variable(objective=instance.cost_air)
+        ground[f.id] = model.add_variable(objective=instance.cost_ground)
+        air[f.id] = model.add_variable(objective=instance.cost_air)
 
         u_terms = [(u_index[f.id, t], 1.0) for t in range(f.sched_dep, total - f.flight_time)]
         v_terms = [(v_index[f.id, t], 1.0) for t in range(f.sched_arr, total)]
@@ -264,7 +270,7 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel):
         model.add_linear_constraint(v_terms, "=", 1.0)
         # ground delay is the chosen departure slot minus schedule
         model.add_linear_constraint(
-            [(g_index[f.id], 1.0)]
+            [(ground[f.id], 1.0)]
             + [
                 (u_index[f.id, t], -float(t))
                 for t in range(f.sched_dep, total - f.flight_time)
@@ -273,7 +279,7 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel):
             -float(f.sched_dep),
         )
         # airborne delay is whatever arrival lateness ground delay missed
-        terms = [(a_index[f.id], 1.0)]
+        terms = [(air[f.id], 1.0)]
         terms += [(v_index[f.id, t], -float(t)) for t in range(f.sched_arr, total)]
         terms += [(u_index[f.id, t], float(t)) for t in range(f.sched_dep, total - f.flight_time)]
         model.add_linear_constraint(terms, "=", float(f.sched_dep - f.sched_arr))
@@ -281,36 +287,31 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel):
     for c in instance.connections:
         pred = instance.flight(c.predecessor)
         succ = instance.flight(c.successor)
-        if not (pred.in_network_destination and succ.in_network_origin):
-            continue
-        # delay propagation: the successor absorbs the predecessor's
+        # delay propagates only through a turnaround airport (the
+        # successor's origin, which is the predecessor's destination)
+        # inside the network: the successor absorbs the predecessor's
         # total delay beyond the scheduled slack
+        if succ.origin not in instance.airports:
+            continue
         model.add_linear_constraint(
             [
-                (g_index[succ.id], 1.0),
-                (g_index[pred.id], -1.0),
-                (a_index[pred.id], -1.0),
+                (ground[succ.id], 1.0),
+                (ground[pred.id], -1.0),
+                (air[pred.id], -1.0),
             ],
             ">=",
             -float(c.slack),
         )
-    return total, u_index, v_index, g_index, a_index
+    return u_index, v_index
 
 
 def _slot_terms(instance: MaghpInstance, u_index: dict, v_index: dict) -> dict:
     """Per (airport, op_type), the slot binaries landing on each interval
     of the horizon, in flight order; one pass over the slot maps. Cells
     no flight uses read as empty intervals."""
-    horizon = instance.horizon
-    cells: dict = defaultdict(lambda: [[] for _ in range(horizon)])
-    for index, endpoint, op_type in (
-        (u_index, "origin", DEPARTURE),
-        (v_index, "destination", ARRIVAL),
-    ):
-        for (fid, t), var in index.items():
-            if t < horizon:
-                key = (getattr(instance.flight(fid), endpoint), op_type)
-                cells[key][t].append((var, 1.0))
+    cells: dict = defaultdict(lambda: [[] for _ in range(instance.horizon)])
+    for key, t, var in _cell_loads(instance, u_index.items(), v_index.items()):
+        cells[key][t].append((var, 1.0))
     return cells
 
 
@@ -321,7 +322,7 @@ def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
     sequence; cells without an entry are unconstrained.
     """
     model = LinearModel()
-    _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
+    u_index, v_index = _build_first_stage(instance, model)
     slots = _slot_terms(instance, u_index, v_index)
     for (airport, op_type), profile in sorted(fixed_capacities.items()):
         if len(profile) != instance.horizon:
@@ -331,7 +332,7 @@ def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
         for t, terms in enumerate(slots[airport, op_type]):
             if terms:
                 model.add_linear_constraint(terms, "<=", float(profile[t]))
-    return ModelBundle("det", model, instance, u_index, v_index, g_index, a_index)
+    return ModelBundle("det", model, instance, u_index, v_index)
 
 
 def _require_trees(instance: MaghpInstance) -> list:
@@ -403,11 +404,11 @@ def build_sp(instance: MaghpInstance) -> ModelBundle:
     """
     keys = _require_trees(instance)
     model = LinearModel()
-    _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
+    u_index, v_index = _build_first_stage(instance, model)
     slots = _slot_terms(instance, u_index, v_index)
     for key in keys:
         _overflow_block(model, instance, slots[key], instance.trees[key], True)
-    return ModelBundle("sp", model, instance, u_index, v_index, g_index, a_index)
+    return ModelBundle("sp", model, instance, u_index, v_index)
 
 
 def scenario_distance_matrix(tree: ScenarioTree) -> np.ndarray:
@@ -422,13 +423,22 @@ def scenario_distance_matrix(tree: ScenarioTree) -> np.ndarray:
 
 
 def _epsilon_by_op(epsilon) -> dict:
-    if isinstance(epsilon, dict):
-        radii = {op: float(epsilon[op]) for op in OP_TYPES}
-    else:
-        radii = {op: float(epsilon) for op in OP_TYPES}
-    for op, value in radii.items():
-        if value < 0:
-            raise ValueError(f"epsilon for {op} must be non-negative")
+    """Radius per op type from one radius or a mapping per op type.
+
+    Raises ValueError naming the op type whose radius is missing, not a
+    number, negative or infinite.
+    """
+    radii = {}
+    for op in OP_TYPES:
+        if isinstance(epsilon, dict) and op not in epsilon:
+            raise ValueError(f"no radius for {op!r}")
+        raw = epsilon[op] if isinstance(epsilon, dict) else epsilon
+        try:
+            radii[op] = float(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"radius for {op!r} is not a number: {raw!r}") from None
+        if not 0 <= radii[op] < math.inf:
+            raise ValueError(f"radius for {op!r} must be finite and non-negative")
     return radii
 
 
@@ -447,7 +457,7 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     radii = _epsilon_by_op(epsilon)
     keys = _require_trees(instance)
     model = LinearModel()
-    _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
+    u_index, v_index = _build_first_stage(instance, model)
     slots = _slot_terms(instance, u_index, v_index)
     alpha_index, beta_index = {}, {}
     unit = instance.recourse_cost
@@ -455,10 +465,10 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         tree = instance.trees[key]
         distances = scenario_distance_matrix(tree)
         alpha = alpha_index[key] = model.add_variable(objective=radii[key[1]])
-        betas = []
-        for i, prob in enumerate(tree.probabilities):
-            betas.append(model.add_variable(objective=prob, lower=-np.inf))
-            beta_index[key + (i,)] = betas[-1]
+        betas = beta_index[key] = [
+            model.add_variable(objective=prob, lower=-np.inf)
+            for prob in tree.probabilities
+        ]
         z_index = _overflow_block(model, instance, slots[key], tree, False)
         stages = tree.time_clusters.stage_index
         recourse = []
@@ -479,23 +489,16 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
                     0.0,
                 )
     return ModelBundle(
-        "dr",
-        model,
-        instance,
-        u_index,
-        v_index,
-        g_index,
-        a_index,
-        alpha_index,
-        beta_index,
-        epsilon=radii,
+        "dr", model, instance, u_index, v_index, alpha_index, beta_index, radii
     )
 
 
 def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
     """Run the solver and read the solution back into domain terms.
 
-    The reported objective is re-derived from the extracted solution and
+    For dr, duals["alpha"] maps each cell to its multiplier and
+    duals["beta"] each cell to the list of its per-scenario duals. The
+    reported objective is re-derived from the extracted solution and
     must agree within 1e-6 relative; a disagreement means the variable
     maps and the model went out of sync and raises SolverError.
     """
@@ -529,21 +532,20 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
         duals["alpha"] = {
             key: float(values[var]) for key, var in bundle.alpha_index.items()
         }
-        beta: dict = {}
-        for (airport, op_type, i), var in bundle.beta_index.items():
-            beta.setdefault((airport, op_type), {})[i] = float(values[var])
-        duals["beta"] = beta
+        duals["beta"] = {
+            key: [float(values[var]) for var in betas]
+            for key, betas in bundle.beta_index.items()
+        }
 
     recomputed = first_stage_cost(instance, policy)
     if bundle.kind == "sp":
         recomputed += expected_recourse_cost(policy, instance)
     elif bundle.kind == "dr":
-        for key in bundle.alpha_index:
-            airport, op_type = key
-            recomputed += bundle.epsilon[op_type] * duals["alpha"][key]
+        for key, alpha in duals["alpha"].items():
+            recomputed += bundle.epsilon[key[1]] * alpha
             probs = instance.trees[key].probabilities
             recomputed += math.fsum(
-                p * duals["beta"][key][i] for i, p in enumerate(probs)
+                p * beta for p, beta in zip(probs, duals["beta"][key])
             )
     gap = abs(recomputed - solution.objective) / max(1.0, abs(solution.objective))
     if gap > 1e-6:
@@ -580,16 +582,11 @@ def assigned_counts(
 ) -> np.ndarray:
     """Flights the policy puts on each capacity-constrained interval."""
     counts = np.zeros(instance.horizon)
-    if op_type == DEPARTURE:
-        for f in instance.departures_from(airport):
-            t = policy.u_slot[f.id]
-            if t < instance.horizon:
-                counts[t] += 1
-    else:
-        for f in instance.arrivals_to(airport):
-            t = policy.v_slot[f.id]
-            if t < instance.horizon:
-                counts[t] += 1
+    departures = (((f.id, policy.u_slot[f.id]), None) for f in instance.flights)
+    arrivals = (((f.id, policy.v_slot[f.id]), None) for f in instance.flights)
+    for key, t, _ in _cell_loads(instance, departures, arrivals):
+        if key == (airport, op_type):
+            counts[t] += 1
     return counts
 
 
@@ -721,7 +718,6 @@ def instance_to_dict(instance: MaghpInstance) -> dict:
 
 
 def instance_from_dict(body: dict) -> MaghpInstance:
-    network = set(body["airports"])
     flights = tuple(
         Flight(
             id=f["id"],
@@ -729,8 +725,6 @@ def instance_from_dict(body: dict) -> MaghpInstance:
             destination=f["destination"],
             sched_dep=int(f["sched_dep"]),
             sched_arr=int(f["sched_arr"]),
-            in_network_origin=f["origin"] in network,
-            in_network_destination=f["destination"] in network,
         )
         for f in body["flights"]
     )
@@ -757,20 +751,8 @@ def save_instance(path, instance: MaghpInstance) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(instance), indent=1) + "\n")
 
 
-def _load(path, what: str, from_dict):
-    """from_dict applied to a JSON file; a missing field or a value of the
-    wrong shape raises MissingInputError naming the file."""
-    body = json.loads(Path(path).read_text())
-    try:
-        return from_dict(body)
-    except KeyError as exc:
-        raise MissingInputError(f"{what} file {path} is missing {exc}") from exc
-    except (AttributeError, TypeError) as exc:
-        raise MissingInputError(f"{what} file {path} is malformed: {exc}") from exc
-
-
 def load_instance(path) -> MaghpInstance:
-    return _load(path, "instance", instance_from_dict)
+    return load_input(path, "instance", instance_from_dict)
 
 
 def result_to_dict(result: SolveResult, instance: MaghpInstance) -> dict:
@@ -797,8 +779,8 @@ def result_to_dict(result: SolveResult, instance: MaghpInstance) -> dict:
                     for (a, o), value in sorted(result.duals["alpha"].items())
                 },
                 "beta": {
-                    f"{a}/{o}": [beta[i] for i in sorted(beta)]
-                    for (a, o), beta in sorted(result.duals["beta"].items())
+                    f"{a}/{o}": list(betas)
+                    for (a, o), betas in sorted(result.duals["beta"].items())
                 },
             }
     return body
@@ -833,7 +815,7 @@ def result_from_dict(body: dict) -> SolveResult:
                 for label, value in body["duals"]["alpha"].items()
             }
             duals["beta"] = {
-                tuple(label.split("/")): dict(enumerate(values))
+                tuple(label.split("/")): list(values)
                 for label, values in body["duals"]["beta"].items()
             }
     return SolveResult(
@@ -847,4 +829,4 @@ def result_from_dict(body: dict) -> SolveResult:
 
 
 def load_result(path) -> SolveResult:
-    return _load(path, "result", result_from_dict)
+    return load_input(path, "result", result_from_dict)

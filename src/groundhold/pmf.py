@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import load_input
 from .errors import (
     AllZeroCostsError,
     LengthMismatchError,
@@ -161,4 +162,4 @@ def save_pmf_series(path, series: list[Pmf]) -> None:
 
 
 def load_pmf_series(path) -> list[Pmf]:
-    return [pmf_from_dict(d) for d in json.loads(Path(path).read_text())]
+    return load_input(path, "PMF series", lambda body: [pmf_from_dict(d) for d in body])

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import load_input
 from .errors import (
     EmptySeriesError,
     InvalidChangePointCountError,
@@ -375,4 +376,4 @@ def save_trees(path, trees: list[ScenarioTree]) -> None:
 
 
 def load_trees(path) -> list[ScenarioTree]:
-    return [tree_from_dict(d) for d in json.loads(Path(path).read_text())]
+    return load_input(path, "trees", lambda body: [tree_from_dict(d) for d in body])

@@ -3,8 +3,9 @@
 Every optimization problem in the package (the ground holding MILPs, the
 robust deterministic equivalents, the reduction and worst-case LPs) is
 built against the same three calls: add_variable, add_linear_constraint,
-minimize. minimize assembles the rows into one sparse matrix and hands
-the model to scipy.optimize.milp.
+minimize. add_linear_constraint appends each term as a (row, column,
+value) triplet; minimize builds one sparse matrix from the triplets and
+hands the model to scipy.optimize.milp.
 """
 
 from __future__ import annotations
@@ -50,7 +51,10 @@ class LinearModel:
     _integrality: list[int] = field(default_factory=list)
     _lower: list[float] = field(default_factory=list)
     _upper: list[float] = field(default_factory=list)
-    _rows: list[tuple[list[int], list[float]]] = field(default_factory=list)
+    # constraint matrix as COO triplets, one entry per term in row order
+    _row_ids: list[int] = field(default_factory=list)
+    _cols: list[int] = field(default_factory=list)
+    _vals: list[float] = field(default_factory=list)
     _row_lb: list[float] = field(default_factory=list)
     _row_ub: list[float] = field(default_factory=list)
 
@@ -60,11 +64,11 @@ class LinearModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rows)
+        return len(self._row_lb)
 
     @property
     def num_nonzeros(self) -> int:
-        return sum(len(idx) for idx, _ in self._rows)
+        return len(self._vals)
 
     def add_variable(
         self,
@@ -110,7 +114,9 @@ class LinearModel:
         rhs = float(rhs)
         lb = rhs if sense in ("=", ">=") else -np.inf
         ub = rhs if sense in ("=", "<=") else np.inf
-        self._rows.append((idx, coef))
+        self._row_ids.extend([self.num_constraints] * len(idx))
+        self._cols.extend(idx)
+        self._vals.extend(coef)
         self._row_lb.append(lb)
         self._row_ub.append(ub)
 
@@ -125,14 +131,10 @@ class LinearModel:
         bounds = Bounds(np.asarray(self._lower), np.asarray(self._upper))
 
         constraints = []
-        if self._rows:
-            data, rows, cols = [], [], []
-            for r, (idx, coef) in enumerate(self._rows):
-                rows.extend([r] * len(idx))
-                cols.extend(idx)
-                data.extend(coef)
+        if self._row_lb:
             a = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(len(self._rows), n)
+                (self._vals, (self._row_ids, self._cols)),
+                shape=(self.num_constraints, n),
             )
             constraints.append(
                 LinearConstraint(a, np.asarray(self._row_lb), np.asarray(self._row_ub))

@@ -42,13 +42,13 @@ def _assigned_terms(instance, u_index, v_index, airport, op_type, t):
     if op_type == DEPARTURE:
         return [
             (u_index[f.id, t], 1.0)
-            for f in instance.departures_from(airport)
-            if (f.id, t) in u_index
+            for f in instance.flights
+            if f.origin == airport and (f.id, t) in u_index
         ]
     return [
         (v_index[f.id, t], 1.0)
-        for f in instance.arrivals_to(airport)
-        if (f.id, t) in v_index
+        for f in instance.flights
+        if f.destination == airport and (f.id, t) in v_index
     ]
 
 
@@ -74,14 +74,14 @@ def enumerated_sp(instance: MaghpInstance) -> ModelBundle:
     """Extensive-form two-stage model, one recourse block per scenario."""
     keys = _require_trees(instance)
     model = LinearModel()
-    _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
+    u_index, v_index = _build_first_stage(instance, model)
     unit = instance.recourse_cost
     for key in keys:
         _scenario_overflow(
             model, instance, u_index, v_index, key, instance.trees[key],
             lambda prob: prob * unit,
         )
-    return ModelBundle("sp", model, instance, u_index, v_index, g_index, a_index)
+    return ModelBundle("sp", model, instance, u_index, v_index)
 
 
 def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
@@ -90,19 +90,17 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     radii = _epsilon_by_op(epsilon)
     keys = _require_trees(instance)
     model = LinearModel()
-    _, u_index, v_index, g_index, a_index = _build_first_stage(instance, model)
+    u_index, v_index = _build_first_stage(instance, model)
     alpha_index, beta_index = {}, {}
     unit = instance.recourse_cost
     for key in keys:
         tree = instance.trees[key]
         distances = scenario_distance_matrix(tree)
         alpha = alpha_index[key] = model.add_variable(objective=radii[key[1]])
-        betas = [
+        betas = beta_index[key] = [
             model.add_variable(objective=prob, lower=-np.inf)
             for prob in tree.probabilities
         ]
-        for i, beta in enumerate(betas):
-            beta_index[key + (i,)] = beta
         y_index = _scenario_overflow(
             model, instance, u_index, v_index, key, tree, lambda prob: 0.0
         )
@@ -120,8 +118,6 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         instance,
         u_index,
         v_index,
-        g_index,
-        a_index,
         alpha_index=alpha_index,
         beta_index=beta_index,
         epsilon=radii,

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 from test_maghp import flight, single_stage_tree, two_airport_instance
@@ -37,10 +38,10 @@ def three_airport_instance():
     """Rotation A -> B -> C -> A with two extra contenders at A."""
     net = ("A", "B", "C")
     flights = (
-        flight("f1", "A", "B", 0, 1, net),
-        flight("f2", "A", "B", 0, 1, net),
-        flight("f3", "B", "C", 1, 2, net),
-        flight("f4", "C", "A", 2, 3, net),
+        flight("f1", "A", "B", 0, 1),
+        flight("f2", "A", "B", 0, 1),
+        flight("f3", "B", "C", 1, 2),
+        flight("f4", "C", "A", 2, 3),
     )
     connections = (
         FlightConnection("f1", "f3", 0),
@@ -421,7 +422,7 @@ def test_infeasible_reduction_exits_1(tmp_path):
     net = ("A", "B")
     instance = MaghpInstance(
         airports=net,
-        flights=(flight("f1", "A", "B", 0, 1, net),),
+        flights=(flight("f1", "A", "B", 0, 1),),
         connections=(),
         horizon=2,
         cost_ground=1.0,
@@ -477,25 +478,34 @@ MALFORMED = {
         2,
         "sample_count",
     ),
+    "horizon not a number": ("solve", {"instance": "typo.json"}, 1, "typo.json"),
+    "series entry without weights": (
+        "reduce-scenarios",
+        {
+            "cells": [{"series": "series.json", "airport": "A", "op_type": "departure"}],
+            "change_points": 1,
+            "clusters_per_stage": 1,
+        },
+        1,
+        "series.json",
+    ),
+    "negative epsilon": ("solve", {"model": "dr", "epsilon": -0.1}, 2, "epsilon"),
+    "epsilon not a number": ("solve", {"model": "dr", "epsilon": "nan"}, 2, "epsilon"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_names_the_field(tmp_path, capsys, case):
+def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     command, section, code, named = MALFORMED[case]
-    instance_path = tmp_path / "instance.json"
-    save_instance(instance_path, two_airport_instance())
-    bare = json.loads(instance_path.read_text())
-    del bare["flights"]
-    (tmp_path / "bare.json").write_text(json.dumps(bare))
-    section = {
-        "instance": str(instance_path),
-        "out": str(tmp_path / "out"),
-        **section,
-    }
-    for key in ("instance", "result"):
-        if key in section:
-            section[key] = str(tmp_path / section[key])
+    monkeypatch.chdir(tmp_path)
+    save_instance("instance.json", two_airport_instance())
+    body = json.loads(Path("instance.json").read_text())
+    Path("typo.json").write_text(json.dumps({**body, "horizon": "x"}))
+    del body["flights"]
+    Path("bare.json").write_text(json.dumps(body))
+    series = [{"support": [0, 1], "weights": [0.5, 0.5]}, {"support": [0, 1]}]
+    Path("series.json").write_text(json.dumps(series))
+    section = {"instance": "instance.json", "out": "out", **section}
     config = write_config(tmp_path, {command: section})
     assert main([command, "--config", config]) == code
     err = capsys.readouterr().err

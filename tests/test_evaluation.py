@@ -145,8 +145,7 @@ def test_evaluator_agrees_with_sp_on_training_scenarios():
 
 def test_out_of_sample_cost_hand_case():
     """Two samples, counts [3, 1] against capacities 1 and 3."""
-    net = {"A"}
-    flights = tuple(flight(f"f{i}", "A", "X", 0, 1, net) for i in range(4))
+    flights = tuple(flight(f"f{i}", "A", "X", 0, 1) for i in range(4))
     tree = single_stage_tree("A", "departure", 2, [(1, 0.5), (3, 0.5)])
     inst = MaghpInstance(
         airports=("A",),

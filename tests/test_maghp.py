@@ -47,24 +47,15 @@ def single_stage_tree(airport, op_type, horizon, atoms):
     return ScenarioTree(airport, op_type, (stage,), clustering, scenarios)
 
 
-def flight(fid, origin, dest, dep, arr, network):
-    return Flight(
-        id=fid,
-        origin=origin,
-        destination=dest,
-        sched_dep=dep,
-        sched_arr=arr,
-        in_network_origin=origin in network,
-        in_network_destination=dest in network,
-    )
+def flight(fid, origin, dest, dep, arr):
+    return Flight(fid, origin, dest, dep, arr)
 
 
 def test_det_single_flight_no_delay():
     """Ample capacity leaves the schedule untouched at zero cost."""
-    net = {"A", "B"}
     inst = MaghpInstance(
         airports=("A", "B"),
-        flights=(flight("f1", "A", "B", 0, 1, net),),
+        flights=(flight("f1", "A", "B", 0, 1),),
         connections=(),
         horizon=2,
         cost_ground=1.0,
@@ -81,12 +72,11 @@ def test_det_single_flight_no_delay():
 
 def test_det_two_flights_share_one_slot():
     """Departure capacity one pushes exactly one flight back an interval."""
-    net = {"A"}
     inst = MaghpInstance(
         airports=("A",),
         flights=(
-            flight("f1", "A", "X", 0, 1, net),
-            flight("f2", "A", "X", 0, 1, net),
+            flight("f1", "A", "X", 0, 1),
+            flight("f2", "A", "X", 0, 1),
         ),
         connections=(),
         horizon=2,
@@ -104,12 +94,11 @@ def test_det_two_flights_share_one_slot():
 def test_det_connection_passes_delay_minus_slack():
     """A predecessor held three intervals forces its successor to absorb
     the excess over one interval of slack."""
-    net = {"A", "B"}
     inst = MaghpInstance(
         airports=("A", "B"),
         flights=(
-            flight("p", "A", "B", 0, 1, net),
-            flight("s", "B", "X", 2, 3, net),
+            flight("p", "A", "B", 0, 1),
+            flight("s", "B", "X", 2, 3),
         ),
         connections=(FlightConnection("p", "s", 1),),
         horizon=4,
@@ -130,30 +119,31 @@ def test_det_connection_passes_delay_minus_slack():
 
 
 def test_coupling_skipped_at_out_of_network_airport():
-    """Connections through airports outside the network carry no delay."""
-    net = {"A", "B"}
-    inst = MaghpInstance(
-        airports=("A", "B"),
-        flights=(
-            flight("p", "A", "X", 0, 1, net),
-            flight("s", "X", "B", 1, 2, net),
-        ),
-        connections=(FlightConnection("p", "s", 0),),
-        horizon=2,
-        cost_ground=1.0,
-        cost_air=3.0,
-    )
-    result = solve(build_det(inst, {("A", "departure"): [0, 1]}))
-    policy = extract_policy(result)
-    assert policy.ground_delay["p"] == 1
-    assert policy.ground_delay["s"] == 0
-    assert result.objective == pytest.approx(1.0, abs=1e-9)
+    """Connections through airports outside the network carry no delay,
+    whether the aircraft flies on to another network airport (A -> X -> B)
+    or back to the one it left (A -> X -> A)."""
+    for airports, final in ((("A", "B"), "B"), (("A",), "A")):
+        inst = MaghpInstance(
+            airports=airports,
+            flights=(
+                flight("p", "A", "X", 0, 1),
+                flight("s", "X", final, 1, 2),
+            ),
+            connections=(FlightConnection("p", "s", 0),),
+            horizon=2,
+            cost_ground=1.0,
+            cost_air=3.0,
+        )
+        result = solve(build_det(inst, {("A", "departure"): [0, 1]}))
+        policy = extract_policy(result)
+        assert policy.ground_delay["p"] == 1
+        assert policy.ground_delay["s"] == 0
+        assert result.objective == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sp_single_scenario_equals_det():
     """A degenerate tree reproduces the deterministic model's optimum."""
-    net = {"A", "B"}
-    flights = tuple(flight(f"f{i}", "A", "B", 0, 1, net) for i in range(3))
+    flights = tuple(flight(f"f{i}", "A", "B", 0, 1) for i in range(3))
     trees = {
         ("A", "departure"): single_stage_tree("A", "departure", 3, [(1, 1.0)]),
         ("B", "arrival"): single_stage_tree("B", "arrival", 3, [(3, 1.0)]),
@@ -177,8 +167,7 @@ def test_sp_single_scenario_equals_det():
 def test_sp_two_scenarios_matches_exhaustive_enumeration():
     """Three departures, capacities 2 or 0 with equal odds: the model's
     optimum equals a brute-force scan over every slot assignment."""
-    net = {"A"}
-    flights = tuple(flight(f"f{i}", "A", "X", 0, 1, net) for i in range(3))
+    flights = tuple(flight(f"f{i}", "A", "X", 0, 1) for i in range(3))
     tree = single_stage_tree("A", "departure", 2, [(2, 0.5), (0, 0.5)])
     inst = MaghpInstance(
         airports=("A",),
@@ -209,10 +198,9 @@ def test_sp_two_scenarios_matches_exhaustive_enumeration():
 
 def two_airport_instance():
     """Small two-cell instance used across the robust-model tests."""
-    net = {"A", "B"}
     flights = tuple(
-        flight(f"f{i}", "A", "B", 0, 1, net) for i in range(3)
-    ) + (flight("f3", "A", "B", 1, 2, net),)
+        flight(f"f{i}", "A", "B", 0, 1) for i in range(3)
+    ) + (flight("f3", "A", "B", 1, 2),)
     trees = {
         ("A", "departure"): single_stage_tree(
             "A", "departure", 3, [(1, 0.6), (2, 0.4)]
@@ -298,8 +286,7 @@ def hand_policy(inst, slots):
 
 
 def worst_case_fixture():
-    net = {"A"}
-    flights = tuple(flight(f"f{i}", "A", "X", 0, 1, net) for i in range(4))
+    flights = tuple(flight(f"f{i}", "A", "X", 0, 1) for i in range(4))
     tree = single_stage_tree("A", "departure", 2, [(1, 0.5), (3, 0.5)])
     inst = MaghpInstance(
         airports=("A",),
@@ -362,10 +349,9 @@ def test_best_capacity_profile_breaks_ties_toward_first():
         ((3, 1), 0.25),
     )
     tree = ScenarioTree("A", "departure", stages, clustering, scenarios)
-    net = {"A"}
     inst = MaghpInstance(
         airports=("A",),
-        flights=(flight("f0", "A", "X", 0, 1, net),),
+        flights=(flight("f0", "A", "X", 0, 1),),
         connections=(),
         horizon=3,
         cost_ground=1.0,
@@ -377,18 +363,17 @@ def test_best_capacity_profile_breaks_ties_toward_first():
 
 
 def test_instance_validation_rejects_bad_data():
-    net = {"A", "B"}
-    good = flight("f1", "A", "B", 0, 1, net)
+    good = flight("f1", "A", "B", 0, 1)
     with pytest.raises(ValueError):
         MaghpInstance(("A", "B"), (good,), (), 2, 3.0, 1.0)  # air < ground
     with pytest.raises(ValueError):
         MaghpInstance(("A", "B"), (good, good), (), 2, 1.0, 3.0)
     with pytest.raises(ValueError):
-        flight("f2", "A", "B", 3, 3, net)
+        flight("f2", "A", "B", 3, 3)
     with pytest.raises(ValueError):
         MaghpInstance(
             ("A", "B"),
-            (good, flight("f2", "A", "B", 0, 1, net)),
+            (good, flight("f2", "A", "B", 0, 1)),
             (FlightConnection("f1", "f2", 0),),  # f2 departs from A, not B
             2,
             1.0,
@@ -408,13 +393,12 @@ def test_instance_validation_rejects_bad_data():
 
 def test_connection_cycle_rejected():
     """A rotation cycle always puts some successor before its aircraft."""
-    net = {"A", "B"}
     with pytest.raises(ValueError):
         MaghpInstance(
             airports=("A", "B"),
             flights=(
-                flight("f1", "A", "B", 0, 1, net),
-                flight("f2", "B", "A", 2, 3, net),
+                flight("f1", "A", "B", 0, 1),
+                flight("f2", "B", "A", 2, 3),
             ),
             connections=(
                 FlightConnection("f1", "f2", 0),
@@ -427,10 +411,9 @@ def test_connection_cycle_rejected():
 
 
 def test_build_sp_requires_trees():
-    net = {"A"}
     inst = MaghpInstance(
         airports=("A",),
-        flights=(flight("f1", "A", "X", 0, 1, net),),
+        flights=(flight("f1", "A", "X", 0, 1),),
         connections=(),
         horizon=2,
         cost_ground=1.0,
