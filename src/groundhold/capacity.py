@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 
+from .config import parse_cell
 from .errors import (
     EmptySeriesError,
     MissingInputError,
@@ -34,6 +35,8 @@ OP_TYPES = (ARRIVAL, DEPARTURE)
 CRITERION_THROUGHPUT = "throughput"
 CRITERION_DEMAND = "demand"
 CRITERION_DELAY = "delay"
+
+RECORD_COLUMNS = ("airport", "op_type", "scheduled_time", "actual_time")
 
 #: a flight counts as delayed once it runs more than this many minutes late
 DELAYED_FLIGHT_MINUTES = 5.0
@@ -207,7 +210,9 @@ def read_operation_records(
 
     time_format 'minutes' reads the time columns as minutes from the
     horizon start; 'iso8601' parses timestamps and measures minutes from
-    horizon_start, which is then required.
+    horizon_start, which is then required. A missing column or a time
+    that does not parse raises MissingInputError naming the file and
+    the column.
     """
     if time_format not in ("minutes", "iso8601"):
         raise ValueError(f"unknown time format {time_format!r}")
@@ -224,13 +229,21 @@ def read_operation_records(
 
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for column in RECORD_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise MissingInputError(f"records file {path} has no {column!r} column")
+        for row in reader:
+            scheduled, actual = (
+                parse_cell(minutes, row[column], path, "records", reader.line_num, column)
+                for column in ("scheduled_time", "actual_time")
+            )
             records.append(
                 OperationRecord(
                     airport=row["airport"],
                     op_type=row["op_type"],
-                    scheduled_minute=minutes(row["scheduled_time"]),
-                    actual_minute=minutes(row["actual_time"]),
+                    scheduled_minute=scheduled,
+                    actual_minute=actual,
                 )
             )
     return records
@@ -240,7 +253,7 @@ def write_operation_records(path, records) -> None:
     """Counterpart of read_operation_records with minute timestamps."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["airport", "op_type", "scheduled_time", "actual_time"])
+        writer.writerow(RECORD_COLUMNS)
         for r in records:
             writer.writerow(
                 [r.airport, r.op_type, repr(r.scheduled_minute), repr(r.actual_minute)]

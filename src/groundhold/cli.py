@@ -23,8 +23,8 @@ from .capacity import (
     write_capacity_observations,
     write_interval_stats,
 )
-from .config import atomic_output, load_config, require, section_for, typed
-from .errors import ConfigError, GroundholdError
+from .config import atomic_output, load_config, parse_cell, require, section_for, typed
+from .errors import ConfigError, GroundholdError, MissingInputError
 from .evaluation import (
     ReductionSpec,
     epsilon_sweep,
@@ -105,9 +105,19 @@ def _read_training_csv(path):
         label_at = header.index("label")
         features, labels = [], []
         for row in reader:
-            labels.append(int(row[label_at]))
+            line = reader.line_num
+            if len(row) != len(header):
+                raise MissingInputError(
+                    f"training file {path} line {line} has {len(row)} fields, "
+                    f"its header {len(header)}"
+                )
+            labels.append(parse_cell(int, row[label_at], path, "training", line, "label"))
             features.append(
-                [float(v) for i, v in enumerate(row) if i != label_at]
+                [
+                    parse_cell(float, v, path, "training", line, header[i])
+                    for i, v in enumerate(row)
+                    if i != label_at
+                ]
             )
     return np.asarray(features), np.asarray(labels)
 

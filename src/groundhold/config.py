@@ -4,7 +4,8 @@ One config file drives every subcommand: a top-level seed plus one
 section per subcommand. Sections are plain objects so the whole file
 round-trips through json without loss. load_input is the one reader of
 the JSON input files (instances, results, scenario trees, PMF series)
-and names the file in every error about its content. atomic_output
+and names the file in every error about its content; parse_cell does
+the same for one cell of a CSV input file. atomic_output
 hands out a temp name that is renamed into place on success, so readers
 never see a half-written file.
 """
@@ -92,6 +93,17 @@ def load_input(path, what: str, from_body):
         raise MissingInputError(f"{what} file {path} is missing {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise MissingInputError(f"{what} file {path} is malformed: {exc}") from exc
+
+
+def parse_cell(parse, text, path, what: str, line: int, column: str):
+    """parse(text) for one cell of a CSV input file. A value parse
+    rejects raises MissingInputError naming the file, line and column."""
+    try:
+        return parse(text)
+    except (TypeError, ValueError) as exc:
+        raise MissingInputError(
+            f"{what} file {path} line {line}, column {column!r}: {exc}"
+        ) from exc
 
 
 @contextmanager

@@ -33,6 +33,7 @@ from .maghp import (
     extract_policy,
     first_stage_cost,
     overflow,
+    set_radius,
     solve,
 )
 from .pmf import Pmf, pmf_mean
@@ -241,6 +242,8 @@ def epsilon_sweep(
 ) -> SensitivityReport:
     """Solve det/sp/dr once, then price all three per shift level.
 
+    The dr model is built once and moved from radius to radius by
+    set_radius, which changes only the multipliers' objective weights.
     The deterministic baseline fixes capacities at each cell's best
     support scenario. Every policy at a given shift level is priced on
     identical samples; the reported robust cost per level is the best
@@ -255,8 +258,10 @@ def epsilon_sweep(
     policies = {"det": extract_policy(det_result), "sp": extract_policy(sp_result)}
     in_sample = {}
     dr_policies = {}
+    dr = build_dr(instance, epsilons[0])
     for eps in epsilons:
-        result = solve(build_dr(instance, eps))
+        set_radius(dr, eps)
+        result = solve(dr)
         in_sample[eps] = result.objective
         dr_policies[eps] = extract_policy(result)
 

@@ -14,7 +14,7 @@ flavors share this first stage:
   tree's scenario probabilities, via the dual deterministic equivalent
   (a scalar multiplier and one free dual per empirical scenario, tied
   to each scenario's recourse by one constraint per ordered scenario
-  pair).
+  pair that no lower, nearer scenario already covers).
 
 Both scenario models share one stagewise overflow block instead of
 enumerating the tree. Overflow cost is separable per interval, and
@@ -26,6 +26,14 @@ scenario's z terms into one recourse variable Q_j, and its pair rows
 read alpha * dist(i, j) + beta_i - Q_j >= 0. Stage probabilities are
 summed from the tree's scenarios, so the block is exact for any
 scenario list, including atoms that collide after rounding.
+
+The robust model keeps pair row (i, j) only when no other scenario k
+has x_k <= x_j in every stage and dist(i, k) <= dist(i, j) (for tied
+vectors, only a lower k counts). Recourse does not increase with
+capacity, so row (i, k) already implies row (i, j) and the optimum is
+unchanged (build_dr gives the argument). On a product tree with a
+distinct atoms per stage and s stages, (a(a+1)/2)^s of the (a^s)^2
+pairs remain.
 
 Capacity applies to intervals 0..horizon-1; enough unconstrained
 overflow periods are appended past the horizon that every instance
@@ -442,6 +450,31 @@ def _epsilon_by_op(epsilon) -> dict:
     return radii
 
 
+def kept_pairs(tree: ScenarioTree, distances: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ordered scenario pairs (i, j) whose robust
+    pair row build_dr keeps.
+
+    Row (i, j) is dropped when another scenario k dominates j as seen
+    from i: x_k <= x_j in every stage and dist(i, k) <= dist(i, j), where
+    a vector tied with x_j dominates only from a lower index. The mask
+    depends on the vectors and distances alone, not on the radius, and
+    is built one i at a time so memory stays O(n^2).
+    """
+    vectors = np.asarray(tree.vectors)
+    n = len(vectors)
+    below = np.ones((n, n), dtype=bool)  # below[k, j]: x_k <= x_j stagewise
+    tied = np.ones((n, n), dtype=bool)
+    for column in vectors.T:
+        below &= column[:, None] <= column[None, :]
+        tied &= column[:, None] == column[None, :]
+    order = np.arange(n)
+    dominates = below & ~(tied & (order[:, None] >= order[None, :]))
+    keep = np.empty((n, n), dtype=bool)
+    for i, row in enumerate(distances):
+        keep[i] = ~(dominates & (row[:, None] <= row[None, :])).any(axis=0)
+    return keep
+
+
 def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     """Dual deterministic equivalent of the Wasserstein-robust model.
 
@@ -451,8 +484,17 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     probability), the stagewise overflow block shared with build_sp
     (unpriced), one recourse variable Q_j per support scenario tied by
     one row to the recourse unit times the sum of z over j's stage
-    atoms, and alpha * dist(i, j) + beta_i - Q_j >= 0 for every ordered
-    scenario pair (i, j).
+    atoms, and alpha * dist(i, j) + beta_i - Q_j >= 0 for each ordered
+    scenario pair (i, j) that kept_pairs keeps.
+
+    Dropping the dominated pairs leaves the optimum unchanged. The z are
+    unpriced, so z[t, c] = max(0, assigned_t - c) keeps every row
+    feasible at the same objective; then Q_j is the closed-form recourse
+    of x_j, which does not increase when a capacity rises. For k
+    dominating j from i this gives Q_j <= Q_k <= alpha * dist(i, k) +
+    beta_i <= alpha * dist(i, j) + beta_i, as alpha >= 0, and since
+    dominance is a strict order on finitely many scenarios, every chain
+    of dropped rows ends at a kept one.
     """
     radii = _epsilon_by_op(epsilon)
     keys = _require_trees(instance)
@@ -481,16 +523,28 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
                 if z is not None:
                     terms.append((z, -unit))
             model.add_linear_constraint(terms, "=", 0.0)
-        for i, beta in enumerate(betas):
-            for j, q in enumerate(recourse):
-                model.add_linear_constraint(
-                    [(alpha, float(distances[i, j])), (beta, 1.0), (q, -1.0)],
-                    ">=",
-                    0.0,
-                )
+        for i, j in zip(*np.nonzero(kept_pairs(tree, distances))):
+            model.add_linear_constraint(
+                [(alpha, float(distances[i, j])), (betas[i], 1.0), (recourse[j], -1.0)],
+                ">=",
+                0.0,
+            )
     return ModelBundle(
         "dr", model, instance, u_index, v_index, alpha_index, beta_index, radii
     )
+
+
+def set_radius(bundle: ModelBundle, epsilon) -> None:
+    """Move a built dr model to another radius in place.
+
+    Only each alpha's objective weight depends on the radius, so the
+    model handed to the solver equals a fresh build_dr(instance,
+    epsilon); bundle.epsilon follows, for solve()'s objective check.
+    """
+    radii = _epsilon_by_op(epsilon)
+    for (_, op_type), alpha in bundle.alpha_index.items():
+        bundle.model.set_objective(alpha, radii[op_type])
+    bundle.epsilon = radii
 
 
 def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:

@@ -5,7 +5,9 @@ robust deterministic equivalents, the reduction and worst-case LPs) is
 built against the same three calls: add_variable, add_linear_constraint,
 minimize. add_linear_constraint appends each term as a (row, column,
 value) triplet; minimize builds one sparse matrix from the triplets and
-hands the model to scipy.optimize.milp.
+hands the model to scipy.optimize.milp. The matrix is kept until a
+variable or row is added, so a model solved again after set_objective
+is not assembled twice.
 """
 
 from __future__ import annotations
@@ -31,12 +33,17 @@ class Solution:
 
     status is one of 'optimal', 'infeasible', 'time_limit' or 'error';
     objective and values are None unless status is 'optimal' or the solver
-    returned an incumbent at the time limit.
+    returned an incumbent at the time limit. mip_gap, dual_bound and
+    node_count are HiGHS's MIP telemetry; they are None for a model
+    without integer variables and whenever HiGHS reports none.
     """
 
     status: str
     objective: float | None
     values: np.ndarray | None
+    mip_gap: float | None = None
+    dual_bound: float | None = None
+    node_count: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -57,6 +64,8 @@ class LinearModel:
     _vals: list[float] = field(default_factory=list)
     _row_lb: list[float] = field(default_factory=list)
     _row_ub: list[float] = field(default_factory=list)
+    # the assembled rows, dropped whenever a variable or row is added
+    _assembled: LinearConstraint | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_variables(self) -> int:
@@ -94,7 +103,14 @@ class LinearModel:
         self._integrality.append(integral)
         self._lower.append(lo)
         self._upper.append(hi)
+        self._assembled = None
         return len(self._objective) - 1
+
+    def set_objective(self, var: int, coefficient: float) -> None:
+        """Replace one variable's objective coefficient."""
+        if not 0 <= var < self.num_variables:
+            raise IndexError(f"variable index {var} out of range")
+        self._objective[var] = float(coefficient)
 
     def add_linear_constraint(
         self,
@@ -119,6 +135,7 @@ class LinearModel:
         self._vals.extend(coef)
         self._row_lb.append(lb)
         self._row_ub.append(ub)
+        self._assembled = None
 
     def minimize(self, time_limit: float | None = None) -> Solution:
         """Solve and return a Solution. Never raises for infeasibility."""
@@ -130,15 +147,15 @@ class LinearModel:
         integrality = np.asarray(self._integrality)
         bounds = Bounds(np.asarray(self._lower), np.asarray(self._upper))
 
-        constraints = []
-        if self._row_lb:
+        if self._row_lb and self._assembled is None:
             a = sparse.csr_matrix(
                 (self._vals, (self._row_ids, self._cols)),
                 shape=(self.num_constraints, n),
             )
-            constraints.append(
-                LinearConstraint(a, np.asarray(self._row_lb), np.asarray(self._row_ub))
+            self._assembled = LinearConstraint(
+                a, np.asarray(self._row_lb), np.asarray(self._row_ub)
             )
+        constraints = [] if self._assembled is None else [self._assembled]
 
         options: dict = {"mip_rel_gap": MIP_REL_GAP}
         if time_limit is not None:
@@ -152,12 +169,26 @@ class LinearModel:
             options=options,
         )
 
+        telemetry = _telemetry(result)
         if result.status == 0:
-            return Solution("optimal", float(result.fun), np.asarray(result.x))
+            return Solution("optimal", float(result.fun), np.asarray(result.x), *telemetry)
         if result.status == 1:
             values = None if result.x is None else np.asarray(result.x)
             objective = None if result.fun is None else float(result.fun)
-            return Solution("time_limit", objective, values)
+            return Solution("time_limit", objective, values, *telemetry)
         if result.status == 2:
             return Solution("infeasible", None, None)
         return Solution("error", None, None)
+
+
+def _telemetry(result) -> tuple:
+    """(mip_gap, dual_bound, node_count) from a milp result, None where
+    HiGHS reports nothing."""
+    gap, bound, nodes = (
+        result.get(key) for key in ("mip_gap", "mip_dual_bound", "mip_node_count")
+    )
+    return (
+        None if gap is None else float(gap),
+        None if bound is None else float(bound),
+        None if nodes is None else int(nodes),
+    )

@@ -489,6 +489,24 @@ MALFORMED = {
         1,
         "series.json",
     ),
+    "records without actual_time": (
+        "estimate",
+        {"records": "short.csv", "num_intervals": 4},
+        1,
+        "short.csv has no 'actual_time'",
+    ),
+    "actual_time not a number": (
+        "estimate",
+        {"records": "zz.csv", "num_intervals": 4},
+        1,
+        "zz.csv line 2, column 'actual_time'",
+    ),
+    "label not an integer": (
+        "predict",
+        {"training": "labels.csv"},
+        1,
+        "labels.csv line 2, column 'label'",
+    ),
     "negative epsilon": ("solve", {"model": "dr", "epsilon": -0.1}, 2, "epsilon"),
     "epsilon not a number": ("solve", {"model": "dr", "epsilon": "nan"}, 2, "epsilon"),
 }
@@ -505,6 +523,11 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     Path("bare.json").write_text(json.dumps(body))
     series = [{"support": [0, 1], "weights": [0.5, 0.5]}, {"support": [0, 1]}]
     Path("series.json").write_text(json.dumps(series))
+    Path("short.csv").write_text("airport,op_type,scheduled_time\nA,departure,0\n")
+    Path("zz.csv").write_text(
+        "airport,op_type,scheduled_time,actual_time\nA,departure,0,zz\n"
+    )
+    Path("labels.csv").write_text("f0,label\n0.5,x\n")
     section = {"instance": "instance.json", "out": "out", **section}
     config = write_config(tmp_path, {command: section})
     assert main([command, "--config", config]) == code

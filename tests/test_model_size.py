@@ -22,10 +22,10 @@ INSTANCES = {
 PINS = {
     ("stress_instance()", "det"): (492, 148, 1374, 0.0),
     ("stress_instance()", "sp"): (528, 162, 1590, 30.9875),
-    ("stress_instance()", "dr"): (582, 282, 1974, 31.781171082873254),
+    ("stress_instance()", "dr"): (582, 240, 1848, 31.781171082873254),
     ("random_instance(0)", "det"): (162, 64, 444, 0.0),
     ("random_instance(0)", "sp"): (175, 51, 454, 0.0),
-    ("random_instance(0)", "dr"): (208, 109, 621, 0.0),
+    ("random_instance(0)", "dr"): (208, 92, 570, 0.0),
 }
 
 

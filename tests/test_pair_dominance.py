@@ -1,0 +1,113 @@
+"""The robust model keeps only the undominated Wasserstein pair rows.
+
+build_dr drops pair row (i, j) when a scenario k with x_k <= x_j in
+every stage and dist(i, k) <= dist(i, j) already covers it. The
+argument is that the closed-form recourse R_j does not increase with
+capacity, so at the robust optimum every pair, dropped ones included,
+must still satisfy beta_i >= R_j - alpha * dist(i, j). These tests
+check that inequality directly, pin the kept count on product trees
+and the tie rule, and check that moving a built model to another radius
+gives the model a fresh build would.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from test_stagewise import _hand_written_instance
+
+from groundhold.fixtures import random_instance, stress_instance
+from groundhold.maghp import (
+    build_dr,
+    extract_policy,
+    kept_pairs,
+    recourse_cost,
+    scenario_distance_matrix,
+    set_radius,
+    solve,
+)
+from groundhold.pmf import make_pmf
+from groundhold.scenario import ReducedPmf, ScenarioTree, TimeClustering
+
+CASES = {f"random-{seed}": (random_instance, seed) for seed in range(20)}
+CASES.update(
+    {f"hand-written-{seed}": (_hand_written_instance, seed) for seed in (50, 51)}
+)
+
+
+@pytest.mark.parametrize("radius", (0.05, 0.3))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_pair_holds_at_the_dr_optimum(case, radius):
+    make, seed = CASES[case]
+    instance = make(seed)
+    bundle = build_dr(instance, radius)
+    result = solve(bundle)
+    policy = extract_policy(result)
+    dropped = 0
+    for key in instance.constrained_keys():
+        tree = instance.trees[key]
+        distances = scenario_distance_matrix(tree)
+        alpha = result.duals["alpha"][key]
+        betas = np.array(result.duals["beta"][key])
+        recourse = np.array(
+            [recourse_cost(instance, policy, tree, vector) for vector in tree.vectors]
+        )
+        slack = betas[:, None] - (recourse[None, :] - alpha * distances)
+        assert slack.min() >= -1e-9, f"cell {key}"
+        dropped += int((~kept_pairs(tree, distances)).sum())
+    assert dropped > 0
+
+
+def _product_tree(atoms_per_stage, stages, rng):
+    """A tree with one interval per stage and distinct, unevenly spaced
+    atoms in every stage; scenarios are the full product."""
+    stage_atoms = [
+        sorted(rng.choice(np.arange(20), size=atoms_per_stage, replace=False).tolist())
+        for _ in range(stages)
+    ]
+    probs = [1.0 / atoms_per_stage] * atoms_per_stage
+    clustering = TimeClustering(
+        boundaries=tuple(range(stages - 1)),
+        segments=tuple((t,) for t in range(stages)),
+        representatives=tuple(make_pmf(atoms, probs) for atoms in stage_atoms),
+    )
+    pmfs = tuple(ReducedPmf(tuple((a, p) for a, p in zip(atoms, probs))) for atoms in stage_atoms)
+    scenarios = tuple(
+        (vector, 1.0 / atoms_per_stage**stages)
+        for vector in itertools.product(*stage_atoms)
+    )
+    return ScenarioTree("A", "departure", pmfs, clustering, scenarios)
+
+
+@pytest.mark.parametrize("atoms,stages", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3)])
+def test_product_tree_keeps_triangular_pair_count(atoms, stages):
+    tree = _product_tree(atoms, stages, np.random.default_rng(atoms * 10 + stages))
+    keep = kept_pairs(tree, scenario_distance_matrix(tree))
+    assert int(keep.sum()) == (atoms * (atoms + 1) // 2) ** stages
+
+
+def test_tied_vectors_are_covered_by_the_lowest_index():
+    clustering = TimeClustering((), ((0,),), (make_pmf([2, 5], [0.5, 0.5]),))
+    stage = ReducedPmf(((2, 0.25), (2, 0.25), (5, 0.5)))
+    scenarios = (((2,), 0.25), ((2,), 0.25), ((5,), 0.5))
+    tree = ScenarioTree("A", "departure", (stage,), clustering, scenarios)
+    keep = kept_pairs(tree, scenario_distance_matrix(tree))
+    # column 1 ties with column 0, which covers it from the lower index;
+    # capacity 5 is covered by capacity 2 unless 5 is nearer to i
+    assert keep.tolist() == [
+        [True, False, False],
+        [True, False, False],
+        [True, False, True],
+    ]
+
+
+@pytest.mark.parametrize("start,radius", [(0.05, 0.3), (0.3, {"departure": 0.0, "arrival": 1.0})])
+def test_set_radius_gives_the_model_a_fresh_build_gives(start, radius):
+    instance = stress_instance()
+    moved = build_dr(instance, start)
+    solve(moved)
+    set_radius(moved, radius)
+    fresh = build_dr(instance, radius)
+    assert moved.model == fresh.model
+    assert moved.epsilon == fresh.epsilon
+    assert solve(moved).objective == solve(fresh).objective

@@ -80,3 +80,31 @@ def test_rejects_unknown_kind_and_sense():
         model.add_linear_constraint([(x, 1.0)], "<", 0.0)
     with pytest.raises(IndexError):
         model.add_linear_constraint([(99, 1.0)], "<=", 0.0)
+
+
+def test_milp_carries_highs_telemetry():
+    model = LinearModel()
+    x = model.add_variable(kind=BINARY, objective=1.0)
+    y = model.add_variable(kind=BINARY, objective=2.0)
+    model.add_linear_constraint([(x, 1.0), (y, 1.0)], ">=", 1.0)
+    solution = model.minimize()
+    assert solution.ok
+    assert solution.mip_gap == pytest.approx(0.0, abs=1e-6)
+    assert solution.dual_bound == pytest.approx(1.0)
+    assert isinstance(solution.node_count, int) and solution.node_count >= 0
+
+
+def test_set_objective_and_later_rows_reach_the_solver():
+    model = LinearModel()
+    x = model.add_variable(objective=1.0)
+    y = model.add_variable(objective=2.0)
+    model.add_linear_constraint([(x, 1.0), (y, 1.0)], ">=", 3.0)
+    assert model.minimize().values[x] == pytest.approx(3.0)
+    model.set_objective(x, 5.0)
+    solution = model.minimize()
+    assert solution.objective == pytest.approx(6.0)
+    assert solution.values[y] == pytest.approx(3.0)
+    model.add_linear_constraint([(y, 1.0)], "<=", 1.0)
+    assert model.minimize().objective == pytest.approx(12.0)
+    with pytest.raises(IndexError):
+        model.set_objective(2, 1.0)
