@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,6 +63,25 @@ def _out_path(args, section, name):
     if args.out:
         return args.out
     return require(section, "out", name)
+
+
+def _shift_spec(config, section, context, reduction):
+    """The section's shift settings; a value ReductionSpec rejects is a
+    config error."""
+    band = typed(section, "band", float, context, 1.0)
+    sample_count = typed(section, "sample_count", int, context, 100)
+    try:
+        return ReductionSpec(reduction, band, sample_count, int(config.get("seed", 0)))
+    except ValueError as exc:
+        raise ConfigError(f"{context} config: {exc}") from exc
+
+
+def _radii(values):
+    """A list of sweep radii, each one that _epsilon_by_op accepts."""
+    radii = [float(value) for value in values]
+    for radius in radii:
+        _epsilon_by_op(radius)
+    return radii
 
 
 def cmd_estimate(config, args):
@@ -213,16 +233,9 @@ def cmd_solve(config, args):
     elif kind == "sp":
         bundle = build_sp(instance)
     else:
-        epsilon = (
-            args.epsilon
-            if args.epsilon is not None
-            else require(section, "epsilon", "solve")
-        )
-        try:
-            radii = _epsilon_by_op(epsilon)
-        except ValueError as exc:
-            raise ConfigError(f"solve 'epsilon': {exc}") from exc
-        bundle = build_dr(instance, radii)
+        if args.epsilon is not None:
+            section = {**section, "epsilon": args.epsilon}
+        bundle = build_dr(instance, typed(section, "epsilon", _epsilon_by_op, "solve"))
     time_limit = (
         args.time_limit
         if args.time_limit is not None
@@ -239,15 +252,10 @@ def cmd_solve(config, args):
 
 def cmd_evaluate(config, args):
     section = section_for(config, "evaluate")
+    reduction = typed(section, "reduction", float, "evaluate")
+    spec = _shift_spec(config, section, "evaluate", reduction)
     instance = load_instance(require(section, "instance", "evaluate"))
-    result = load_result(require(section, "result", "evaluate"))
-    policy = extract_policy(result)
-    spec = ReductionSpec(
-        reduction=typed(section, "reduction", float, "evaluate"),
-        band=typed(section, "band", float, "evaluate", 1.0),
-        sample_count=typed(section, "sample_count", int, "evaluate", 100),
-        seed=int(config.get("seed", 0)),
-    )
+    policy = extract_policy(load_result(require(section, "result", "evaluate")))
     samples = resample_capacities(instance.trees, spec)
     evaluation = evaluate_policy(policy, instance, samples)
     body = {
@@ -273,19 +281,17 @@ def cmd_evaluate(config, args):
 
 def cmd_sweep(config, args):
     section = section_for(config, "sweep")
+    if args.epsilons is not None:
+        section = {**section, "epsilons": args.epsilons}
+    epsilons = typed(section, "epsilons", _radii, "sweep")
+    spec = _shift_spec(config, section, "sweep", 0.0)
+    reductions = typed(
+        section,
+        "reductions",
+        lambda levels: [replace(spec, reduction=float(r)).reduction for r in levels],
+        "sweep",
+    )
     instance = load_instance(require(section, "instance", "sweep"))
-    epsilons = (
-        args.epsilons
-        if args.epsilons is not None
-        else require(section, "epsilons", "sweep")
-    )
-    reductions = require(section, "reductions", "sweep")
-    spec = ReductionSpec(
-        reduction=0.0,
-        band=typed(section, "band", float, "sweep", 1.0),
-        sample_count=typed(section, "sample_count", int, "sweep", 100),
-        seed=int(config.get("seed", 0)),
-    )
     report = epsilon_sweep(
         instance,
         epsilons,

@@ -66,9 +66,9 @@ _REQUIRED = object()
 
 
 def typed(section: dict, key: str, kind, context: str, default=_REQUIRED):
-    """section[key] converted by kind (int or float), or default when the
-    key is absent. A required key that is absent, or a value kind cannot
-    convert, raises ConfigError naming the key."""
+    """section[key] converted by kind (int, float or a checking parser),
+    or default when the key is absent. A required key that is absent, or
+    a value kind rejects, raises ConfigError naming the key."""
     if key not in section and default is not _REQUIRED:
         return default
     raw = require(section, key, context)

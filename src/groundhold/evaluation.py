@@ -1,9 +1,11 @@
 """Out-of-sample policy evaluation under capacity distribution shifts.
 
 The testing distribution is built by shifting each scenario tree's
-stage representatives toward lower capacity: an LP finds new stage
-weights whose mean drops by the requested fraction while every weight
-stays within a multiplicative band of its original value. Capacity
+stage representatives toward lower capacity: probability moves from the
+highest capacities to the lowest, each weight staying within a
+multiplicative band of its original value, until the mean has dropped
+by the requested fraction. Mass only moves downward, so the order-1
+Wasserstein distance of the shift equals its mean drop. Capacity
 samples drawn from the shifted representatives then price a frozen
 first-stage policy by the same queue-overflow recourse the stochastic
 model uses, and a radius sweep reports how the deterministic,
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import ARRIVAL, DEPARTURE
-from .errors import InfeasibleReductionError, SolverError
+from .errors import InfeasibleReductionError
 from .maghp import (
     GroundDelayPolicy,
     MaghpInstance,
@@ -29,17 +31,20 @@ from .maghp import (
     build_det,
     build_dr,
     build_sp,
-    expected_recourse_cost,
     extract_policy,
     first_stage_cost,
     overflow,
     set_radius,
     solve,
 )
-from .pmf import Pmf, pmf_mean
-from .solver import LinearModel
+from .pmf import MASS_TOL, Pmf, pmf_mean
 
-MEAN_TOL = 1e-8
+
+def _check_shift(reduction: float, band: float) -> None:
+    if not 0.0 <= reduction < 1.0:
+        raise ValueError("reduction must lie in [0, 1)")
+    if not 0.0 <= band < math.inf:
+        raise ValueError("band must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,7 @@ class ReductionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.reduction < 1.0:
-            raise ValueError("reduction must lie in [0, 1)")
-        if self.band < 0.0:
-            raise ValueError("band must be non-negative")
+        _check_shift(self.reduction, self.band)
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
 
@@ -67,67 +69,45 @@ class ReductionSpec:
 def reduce_distribution(p: Pmf, reduction: float, band: float) -> Pmf:
     """Reweight p so its mean falls to (1 - reduction) times the original.
 
-    Solves a small LP that pushes probability toward low capacities,
-    keeping each weight within the band and summing to one. Raises
-    InfeasibleReductionError when the band cannot reach the target mean
-    (a point mass, say, cannot lose mean at all).
+    Two pointers start on the lowest and the highest support; mass moves
+    from the high one to the low one until the target mean is reached,
+    and a pointer whose weight hits its band limit (1 -/+ band times its
+    original weight) is set exactly to that limit and moves inward. The
+    result is first-order dominated by p, so its order-1 Wasserstein
+    distance to p equals the mean drop. Raises InfeasibleReductionError
+    when the pointers meet first (a point mass, say, cannot lose mean at
+    all); the message gives the lowest mean the band allows.
     """
-    if not 0.0 <= reduction < 1.0:
-        raise ValueError("reduction must lie in [0, 1)")
-    if band < 0.0:
-        raise ValueError("band must be non-negative")
+    _check_shift(reduction, band)
     if reduction == 0.0:
         return p
-    target = (1.0 - reduction) * pmf_mean(p)
-    lows = [max(0.0, (1.0 - band) * w) for w in p.weights]
-    highs = [(1.0 + band) * w for w in p.weights]
-
-    model = LinearModel()
-    for value, lo, hi in zip(p.support, lows, highs):
-        model.add_variable(objective=float(value), lower=lo, upper=hi)
-    n = len(p)
-    model.add_linear_constraint([(i, 1.0) for i in range(n)], "=", 1.0)
-    model.add_linear_constraint(
-        [(i, float(v)) for i, v in enumerate(p.support)], ">=", target
-    )
-    solution = model.minimize()
-    if solution.status == "infeasible" or (
-        solution.ok and solution.objective > target + MEAN_TOL
-    ):
-        achieved = solution.objective if solution.ok else None
+    weights = list(p.weights)
+    lows = [max(0.0, (1.0 - band) * w) for w in weights]
+    highs = [(1.0 + band) * w for w in weights]
+    gap = reduction * pmf_mean(p)
+    lo, hi = 0, len(p) - 1
+    while gap > MASS_TOL and lo < hi:
+        step = p.support[hi] - p.support[lo]
+        give, take = weights[hi] - lows[hi], highs[lo] - weights[lo]
+        move = min(gap / step, give, take)
+        weights[hi] -= move
+        weights[lo] += move
+        gap -= move * step
+        if move == give:
+            weights[hi] = lows[hi]
+            hi -= 1
+        if move == take:
+            weights[lo] = highs[lo]
+            lo += 1
+    # a mean within MASS_TOL of the target counts as reached, so a target
+    # on the band's lowest mean is not lost to rounding
+    if gap > MASS_TOL:
+        lowest = math.fsum(w * v for w, v in zip(weights, p.support))
         raise InfeasibleReductionError(
             f"cannot cut the mean of {p.support} by {reduction:.0%} within a "
-            f"band of {band} (closest achievable mean: {achieved})"
+            f"band of {band} (closest achievable mean: {lowest!r})"
         )
-    if not solution.ok:
-        raise SolverError(f"reduction LP ended with status {solution.status}")
-
-    weights = [min(max(x, lo), hi) for x, lo, hi in zip(solution.values, lows, highs)]
-    weights = _repair_simplex(weights, lows, highs)
     return Pmf(p.support, tuple(weights))
-
-
-def _repair_simplex(weights, lows, highs):
-    """Nudge clipped LP weights so they sum to exactly one, staying in band."""
-    residual = 1.0 - math.fsum(weights)
-    order = range(len(weights))
-    if residual > 0:
-        ranked = sorted(order, key=lambda i: highs[i] - weights[i], reverse=True)
-        for i in ranked:
-            bump = min(residual, highs[i] - weights[i])
-            weights[i] += bump
-            residual = 1.0 - math.fsum(weights)
-            if residual <= 0:
-                break
-    elif residual < 0:
-        ranked = sorted(order, key=lambda i: weights[i] - lows[i], reverse=True)
-        for i in ranked:
-            drop = min(-residual, weights[i] - lows[i])
-            weights[i] -= drop
-            residual = 1.0 - math.fsum(weights)
-            if residual >= 0:
-                break
-    return weights
 
 
 def shifted_representatives(tree, spec: ReductionSpec) -> list[Pmf]:

@@ -1,11 +1,11 @@
 """Thin incremental model layer over scipy's HiGHS bindings.
 
 Every optimization problem in the package (the ground holding MILPs, the
-robust deterministic equivalents, the reduction and worst-case LPs) is
-built against the same three calls: add_variable, add_linear_constraint,
-minimize. add_linear_constraint appends each term as a (row, column,
-value) triplet; minimize builds one sparse matrix from the triplets and
-hands the model to scipy.optimize.milp. The matrix is kept until a
+robust deterministic equivalents, the worst-case LP) is built against
+the same three calls: add_variable, add_linear_constraint, minimize.
+add_linear_constraint appends each term as a (row, column, value)
+triplet; minimize builds one sparse matrix from the triplets and hands
+the model to scipy.optimize.milp. The matrix is kept until a
 variable or row is added, so a model solved again after set_objective
 is not assembled twice.
 """

@@ -509,6 +509,54 @@ MALFORMED = {
     ),
     "negative epsilon": ("solve", {"model": "dr", "epsilon": -0.1}, 2, "epsilon"),
     "epsilon not a number": ("solve", {"model": "dr", "epsilon": "nan"}, 2, "epsilon"),
+    "band not finite": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [0.1], "band": "nan"},
+        2,
+        "band",
+    ),
+    "negative band": (
+        "evaluate",
+        {"result": "result.json", "reduction": 0.1, "band": -1},
+        2,
+        "band",
+    ),
+    "sample count zero": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [0.1], "sample_count": 0},
+        2,
+        "sample_count",
+    ),
+    "reduction entry out of range": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [0.1, 1.5]},
+        2,
+        "'reductions'",
+    ),
+    "reduction entry not a number": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": ["x"]},
+        2,
+        "'reductions'",
+    ),
+    "evaluate reduction out of range": (
+        "evaluate",
+        {"result": "result.json", "reduction": 1.5},
+        2,
+        "reduction",
+    ),
+    "negative sweep radius": (
+        "sweep",
+        {"epsilons": [0.1, -0.1], "reductions": [0.1]},
+        2,
+        "'epsilons'",
+    ),
+    "infinite sweep radius": (
+        "sweep",
+        {"epsilons": [0.1, "inf"], "reductions": [0.1]},
+        2,
+        "'epsilons'",
+    ),
 }
 
 

@@ -1,16 +1,17 @@
 """Distribution shifting and out-of-sample evaluation tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import groundhold.solver as solver
 from groundhold.errors import InfeasibleReductionError
 from groundhold.evaluation import (
     ReductionSpec,
     epsilon_sweep,
     evaluate_policy,
-    expected_recourse_cost,
     reduce_distribution,
     resample_capacities,
     shifted_representatives,
@@ -22,13 +23,15 @@ from groundhold.maghp import (
     GroundDelayPolicy,
     MaghpInstance,
     build_sp,
+    expected_recourse_cost,
     extract_policy,
     first_stage_cost,
     solve,
 )
-from groundhold.pmf import make_pmf, pmf_mean, point_mass
+from groundhold.fixtures import stress_instance
+from groundhold.pmf import make_pmf, pmf_mean, point_mass, wasserstein_1d
 
-from oracles import lp_second_stage_cost
+from oracles import lp_second_stage_cost, wasserstein_lp
 from test_maghp import flight, single_stage_tree, two_airport_instance
 
 
@@ -70,7 +73,10 @@ def _min_band_mean(p, band):
 
 def test_reduce_hits_target_or_reports_infeasible():
     """Across random PMFs the output mean lands on the target exactly,
-    stays inside the band, and infeasibility agrees with a greedy oracle."""
+    stays inside the band, only moves mass downward (so W1 equals the
+    mean drop, by the CDF formula and by the transportation LP), and
+    infeasibility and its reported lowest mean agree with a greedy
+    oracle."""
     rng = np.random.default_rng(7)
     for _ in range(60):
         size = rng.integers(2, 6)
@@ -80,16 +86,24 @@ def test_reduce_hits_target_or_reports_infeasible():
         reduction = float(rng.choice([0.1, 0.25, 0.5]))
         band = float(rng.choice([0.5, 1.0]))
         target = (1.0 - reduction) * pmf_mean(p)
-        reachable = _min_band_mean(p, band) <= target + 1e-9
-        if not reachable:
-            with pytest.raises(InfeasibleReductionError):
+        lowest = _min_band_mean(p, band)
+        if lowest > target + 1e-9:
+            with pytest.raises(InfeasibleReductionError) as raised:
                 reduce_distribution(p, reduction, band)
+            reported = re.search(r"achievable mean: (\S+)\)", str(raised.value))
+            assert float(reported.group(1)) == pytest.approx(lowest, abs=1e-9)
             continue
         shifted = reduce_distribution(p, reduction, band)
         assert pmf_mean(shifted) == pytest.approx(target, abs=1e-8)
         assert math.fsum(shifted.weights) == pytest.approx(1.0, abs=1e-9)
         for w, orig in zip(shifted.weights, p.weights):
             assert max(0.0, (1.0 - band) * orig) - 1e-9 <= w <= (1.0 + band) * orig + 1e-9
+        assert np.all(np.cumsum(shifted.weights) >= np.cumsum(p.weights) - 1e-12)
+        drop = pmf_mean(p) - pmf_mean(shifted)
+        assert wasserstein_1d(p, shifted) == pytest.approx(drop, abs=1e-9)
+        cost = np.abs(support[:, None] - support[None, :])
+        transport, _ = wasserstein_lp(p, shifted, cost)
+        assert transport == pytest.approx(drop, abs=1e-8)
 
 
 def test_resample_unshifted_matches_representatives():
@@ -130,6 +144,29 @@ def test_reduction_spec_validation():
         ReductionSpec(reduction=0.2, band=-0.5)
     with pytest.raises(ValueError):
         ReductionSpec(reduction=0.2, sample_count=0)
+    p = make_pmf([1, 3], [0.5, 0.5])
+    for band in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="band must be finite"):
+            ReductionSpec(reduction=0.2, band=band)
+        with pytest.raises(ValueError, match="band must be finite"):
+            reduce_distribution(p, 0.2, band)
+
+
+def test_sweep_solves_only_its_models(monkeypatch):
+    """A sweep calls the solver once for det, once for sp and once per
+    radius; shifting the test distributions takes no solve."""
+    calls = []
+    milp = solver.milp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "milp", counting)
+    radii = (0.0, 0.1, 0.5)
+    spec = ReductionSpec(reduction=0.0, band=1.0, sample_count=20, seed=0)
+    epsilon_sweep(stress_instance(), radii, (0.1, 0.3, 0.5), spec)
+    assert len(calls) == 2 + len(radii)
 
 
 def test_evaluator_agrees_with_sp_on_training_scenarios():
