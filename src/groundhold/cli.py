@@ -76,6 +76,14 @@ def _shift_spec(config, section, context, reduction):
         raise ConfigError(f"{context} config: {exc}") from exc
 
 
+def _time_limit(value):
+    """A solver time limit in seconds, which must be greater than 0."""
+    limit = float(value)
+    if not limit > 0:
+        raise ValueError(f"must be greater than 0, got {value!r}")
+    return limit
+
+
 def _radii(values):
     """A list of sweep radii, each one that _epsilon_by_op accepts."""
     radii = [float(value) for value in values]
@@ -153,7 +161,7 @@ def cmd_predict(config, args):
     held_out = split_test if len(split_test) else split_val
     training = TrainingConfig(
         kind=section.get("kind", "mlp"),
-        max_capacity=section.get("max_capacity"),
+        max_capacity=typed(section, "max_capacity", int, "predict", None),
         hidden_units=typed(section, "hidden_units", int, "predict", 32),
         learning_rate=typed(section, "learning_rate", float, "predict", 1e-4),
         epochs=typed(section, "epochs", int, "predict", 300),
@@ -194,6 +202,7 @@ def cmd_reduce_scenarios(config, args):
     cells = require(section, "cells", "reduce-scenarios")
     change_points = typed(section, "change_points", int, "reduce-scenarios")
     clusters = typed(section, "clusters_per_stage", int, "reduce-scenarios")
+    clamp = typed(section, "clamp", bool, "reduce-scenarios", False)
     trees = []
     for cell in cells:
         series = load_pmf_series(require(cell, "series", "reduce-scenarios cell"))
@@ -204,7 +213,7 @@ def cmd_reduce_scenarios(config, args):
                 clusters,
                 airport=require(cell, "airport", "reduce-scenarios cell"),
                 op_type=require(cell, "op_type", "reduce-scenarios cell"),
-                clamp=bool(section.get("clamp", False)),
+                clamp=clamp,
             )
         )
     out = _out_path(args, section, "reduce-scenarios")
@@ -221,6 +230,9 @@ def cmd_solve(config, args):
     kind = args.model or section.get("model", "sp")
     if kind not in ("det", "sp", "dr"):
         raise ConfigError(f"unknown model kind {kind!r}")
+    if args.time_limit is not None:
+        section = {**section, "time_limit": args.time_limit}
+    time_limit = typed(section, "time_limit", _time_limit, "solve", DEFAULT_TIME_LIMIT)
     if kind == "det":
         if "capacities" in section:
             fixed = {
@@ -236,11 +248,6 @@ def cmd_solve(config, args):
         if args.epsilon is not None:
             section = {**section, "epsilon": args.epsilon}
         bundle = build_dr(instance, typed(section, "epsilon", _epsilon_by_op, "solve"))
-    time_limit = (
-        args.time_limit
-        if args.time_limit is not None
-        else typed(section, "time_limit", float, "solve", DEFAULT_TIME_LIMIT)
-    )
     result = solve(bundle, time_limit=time_limit)
     out = _out_path(args, section, "solve")
     with atomic_output(out) as temp:

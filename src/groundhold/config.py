@@ -37,7 +37,7 @@ def load_config(path) -> dict:
         raise ConfigError("config root must be an object")
     for name, section in body.items():
         if name == "seed":
-            if not isinstance(section, int):
+            if not _is_exactly(section, int):
                 raise ConfigError("seed must be an integer")
             continue
         if name not in SECTIONS:
@@ -65,13 +65,22 @@ def require(section: dict, key: str, context: str):
 _REQUIRED = object()
 
 
+def _is_exactly(value, kind) -> bool:
+    """Whether a JSON value is of kind exactly; true is not the int 1."""
+    return isinstance(value, kind) and (kind is bool) == isinstance(value, bool)
+
+
 def typed(section: dict, key: str, kind, context: str, default=_REQUIRED):
-    """section[key] converted by kind (int, float or a checking parser),
-    or default when the key is absent. A required key that is absent, or
-    a value kind rejects, raises ConfigError naming the key."""
+    """section[key] converted by kind (float or a checking parser), or
+    checked to be a JSON int or bool as is, so 2.7 is not truncated to 2
+    nor "false" read as true; default when the key is absent. A required
+    key that is absent, or a value kind rejects, raises ConfigError
+    naming the key."""
     if key not in section and default is not _REQUIRED:
         return default
     raw = require(section, key, context)
+    if kind in (int, bool) and not _is_exactly(raw, kind):
+        raise ConfigError(f"{context} config {key!r}: expected {kind.__name__}, got {raw!r}")
     try:
         return kind(raw)
     except (TypeError, ValueError) as exc:

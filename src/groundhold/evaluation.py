@@ -26,7 +26,6 @@ from .errors import InfeasibleReductionError
 from .maghp import (
     GroundDelayPolicy,
     MaghpInstance,
-    assigned_counts,
     best_capacity_profiles,
     build_det,
     build_dr,
@@ -160,22 +159,16 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Price a frozen policy against drawn capacity samples.
 
-    Second-stage cost is closed form: overflow beyond the sampled
-    capacity at each constrained interval, at the recourse unit cost.
+    Second-stage cost is the closed-form overflow beyond the sampled
+    capacities (maghp.overflow) at the recourse unit cost.
     """
     sizes = {m.shape[0] for m in samples.values()}
     if len(sizes) != 1:
         raise ValueError("sample sets disagree on sample count")
-    n = sizes.pop()
-    per_sample = np.zeros(n)
+    per_sample = np.zeros(sizes.pop())
     overflow_by_op = {DEPARTURE: 0.0, ARRIVAL: 0.0}
-    unit = instance.recourse_cost
-    for key, matrix in sorted(samples.items()):
-        airport, op_type = key
-        stages = list(instance.trees[key].time_clusters.stage_index)
-        assigned = assigned_counts(instance, policy, airport, op_type)
-        excess = overflow(assigned, matrix[:, stages])
-        per_sample += unit * excess
+    for (_, op_type), excess in sorted(overflow(instance, policy, samples).items()):
+        per_sample += instance.recourse_cost * excess
         overflow_by_op[op_type] += float(excess.mean())
     return PolicyEvaluation(first_stage_cost(instance, policy), per_sample, overflow_by_op)
 
@@ -198,9 +191,6 @@ class ReductionRow:
 class SensitivityReport:
     day: str
     epsilons: tuple
-    sample_count: int
-    band: float
-    seed: int
     det_objective: float
     sp_objective: float
     in_sample: dict
@@ -281,9 +271,6 @@ def epsilon_sweep(
     return SensitivityReport(
         day=day,
         epsilons=epsilons,
-        sample_count=spec.sample_count,
-        band=spec.band,
-        seed=spec.seed,
         det_objective=det_result.objective,
         sp_objective=sp_result.objective,
         in_sample=in_sample,

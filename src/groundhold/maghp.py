@@ -552,9 +552,11 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
 
     For dr, duals["alpha"] maps each cell to its multiplier and
     duals["beta"] each cell to the list of its per-scenario duals. The
-    reported objective is re-derived from the extracted solution and
-    must agree within 1e-6 relative; a disagreement means the variable
-    maps and the model went out of sync and raises SolverError.
+    reported objective is recomputed from the policy, pricing recourse
+    by overflow, and must agree within 1e-6 relative, else SolverError.
+    For dr that is, per cell, epsilon * alpha + sum_i p_i * max_j (Q_j -
+    alpha * dist(i, j)) at the solved alpha, a max over every pair, so a
+    pair row build_dr should have kept trips the check too.
     """
     solution = bundle.model.minimize(time_limit=time_limit)
     if solution.status != "optimal":
@@ -595,12 +597,13 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
     if bundle.kind == "sp":
         recomputed += expected_recourse_cost(policy, instance)
     elif bundle.kind == "dr":
-        for key, alpha in duals["alpha"].items():
+        vectors = {key: instance.trees[key].vectors for key in duals["alpha"]}
+        for key, excess in overflow(instance, policy, vectors).items():
+            tree, alpha = instance.trees[key], duals["alpha"][key]
+            # regret[i, j] = Q_j - alpha * dist(i, j)
+            regret = instance.recourse_cost * excess - alpha * scenario_distance_matrix(tree)
             recomputed += bundle.epsilon[key[1]] * alpha
-            probs = instance.trees[key].probabilities
-            recomputed += math.fsum(
-                p * beta for p, beta in zip(probs, duals["beta"][key])
-            )
+            recomputed += float(np.dot(tree.probabilities, regret.max(axis=1)))
     gap = abs(recomputed - solution.objective) / max(1.0, abs(solution.objective))
     if gap > 1e-6:
         raise SolverError(
@@ -631,54 +634,46 @@ def first_stage_cost(instance: MaghpInstance, policy: GroundDelayPolicy) -> floa
     )
 
 
-def assigned_counts(
-    instance: MaghpInstance, policy: GroundDelayPolicy, airport: str, op_type: str
-) -> np.ndarray:
-    """Flights the policy puts on each capacity-constrained interval."""
-    counts = np.zeros(instance.horizon)
+def assigned_counts(instance: MaghpInstance, policy: GroundDelayPolicy) -> dict:
+    """Per (airport, op_type), the flights the policy puts on each
+    interval of the horizon, in one pass over the flights; the same
+    shape _slot_terms has. Cells no flight loads read as zeros."""
+    counts: dict = defaultdict(lambda: np.zeros(instance.horizon))
     departures = (((f.id, policy.u_slot[f.id]), None) for f in instance.flights)
     arrivals = (((f.id, policy.v_slot[f.id]), None) for f in instance.flights)
     for key, t, _ in _cell_loads(instance, departures, arrivals):
-        if key == (airport, op_type):
-            counts[t] += 1
+        counts[key][t] += 1
     return counts
 
 
-def overflow(counts, capacities) -> np.ndarray:
-    """Queue overflow max(counts - capacities, 0) summed over the last
-    axis: one interval profile, or one row per sample."""
-    return np.maximum(np.asarray(counts) - np.asarray(capacities), 0.0).sum(axis=-1)
-
-
-def recourse_cost(
-    instance: MaghpInstance,
-    policy: GroundDelayPolicy,
-    tree: ScenarioTree,
-    vector,
-) -> float:
-    """Queue-overflow cost of one realized capacity vector, closed form."""
-    counts = assigned_counts(instance, policy, tree.airport, tree.op_type)
-    profile = scenario_capacity_profile(tree, vector)
-    return instance.recourse_cost * float(overflow(counts, profile))
+def overflow(instance: MaghpInstance, policy: GroundDelayPolicy, capacities: dict) -> dict:
+    """Queue overflow of a frozen policy, the one closed form of the
+    recourse. capacities maps a cell to rows of stage capacities (its
+    tree.vectors, or samples drawn per stage); per cell, one value per
+    row: max(assigned_t - capacity_t, 0) summed over the horizon, which
+    instance.recourse_cost turns into the recourse cost."""
+    counts = assigned_counts(instance, policy)
+    excess = {}
+    for key, rows in capacities.items():
+        stages = list(instance.trees[key].time_clusters.stage_index)
+        profiles = np.asarray(rows)[:, stages]
+        excess[key] = np.maximum(counts[key] - profiles, 0.0).sum(axis=1)
+    return excess
 
 
 def expected_recourse_cost(policy: GroundDelayPolicy, instance: MaghpInstance) -> float:
     """Probability-weighted recourse over every tree's scenarios.
 
-    Closed form in stage-atom terms: per interval, the overflow above
-    each capacity of its stage times that capacity's probability. For a
-    policy solved by the stochastic model this equals the model's
-    objective minus its first-stage cost.
+    Sums each scenario's overflow at its probability, so it does not
+    repeat the stagewise form build_sp optimizes; for a policy solved by
+    the stochastic model it equals the model's objective minus its
+    first-stage cost.
     """
-    total = 0.0
-    for key in sorted(instance.trees):
-        tree = instance.trees[key]
-        counts = assigned_counts(instance, policy, *key)
-        for segment, atoms in zip(tree.time_clusters.segments, stage_capacities(tree)):
-            capacities = np.array(list(atoms), dtype=float)
-            probs = np.array(list(atoms.values()))
-            total += float(probs @ overflow(counts[list(segment)], capacities[:, None]))
-    return instance.recourse_cost * total
+    trees = dict(sorted(instance.trees.items()))
+    excess = overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
+    return instance.recourse_cost * math.fsum(
+        float(np.dot(tree.probabilities, excess[key])) for key, tree in trees.items()
+    )
 
 
 def inner_worst_case(
@@ -697,9 +692,8 @@ def inner_worst_case(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    q_cost = [
-        recourse_cost(instance, policy, tree, vector) for vector in tree.vectors
-    ]
+    key = (tree.airport, tree.op_type)
+    q_cost = overflow(instance, policy, {key: tree.vectors})[key] * instance.recourse_cost
     distances = scenario_distance_matrix(tree)
     n = tree.num_scenarios
     model = LinearModel()
@@ -847,11 +841,7 @@ def save_result(path, result: SolveResult, instance: MaghpInstance) -> None:
 
 
 def result_from_dict(body: dict) -> SolveResult:
-    """Rebuild status, objective, policy and duals from a result file.
-
-    Files written before the per-scenario second-stage grid was dropped
-    still carry a "second_stage" key; it is ignored.
-    """
+    """Rebuild status, objective, policy and duals from a result file."""
     status, objective = body["status"], body["objective"]
     policy = None
     duals = {}

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import load_input
 from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
@@ -272,7 +273,12 @@ def save_model(path, model: PredictorModel) -> None:
 
 
 def load_model(path) -> PredictorModel:
-    body = json.loads(Path(path).read_text())
+    """Read a model file; a malformed one raises MissingInputError
+    naming the file."""
+    return load_input(path, "model", _model_from_dict)
+
+
+def _model_from_dict(body: dict) -> PredictorModel:
     model = PredictorModel(
         kind=body["kind"],
         max_capacity=body["max_capacity"],

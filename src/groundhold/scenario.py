@@ -31,7 +31,7 @@ from .errors import (
     TooFewIntervalsError,
     TooManyClustersError,
 )
-from .pmf import MASS_TOL, Pmf, make_pmf, wasserstein_1d
+from .pmf import MASS_TOL, Pmf, make_pmf, pmf_from_dict, pmf_to_dict, wasserstein_1d
 
 #: refuse to enumerate trees beyond this many scenarios unless overridden
 DEFAULT_SCENARIO_CAP = 4096
@@ -337,10 +337,7 @@ def tree_to_dict(tree: ScenarioTree) -> dict:
         "op_type": tree.op_type,
         "boundaries": list(tree.time_clusters.boundaries),
         "segments": [list(seg) for seg in tree.time_clusters.segments],
-        "representatives": [
-            {"support": list(p.support), "weights": list(p.weights)}
-            for p in tree.time_clusters.representatives
-        ],
+        "representatives": [pmf_to_dict(p) for p in tree.time_clusters.representatives],
         "stages": [[[s, p] for s, p in stage.atoms] for stage in tree.stage_pmfs],
         "scenarios": [[list(v), p] for v, p in tree.scenarios],
     }
@@ -350,10 +347,7 @@ def tree_from_dict(body: dict) -> ScenarioTree:
     clustering = TimeClustering(
         tuple(body["boundaries"]),
         tuple(tuple(seg) for seg in body["segments"]),
-        tuple(
-            make_pmf(rep["support"], rep["weights"])
-            for rep in body["representatives"]
-        ),
+        tuple(pmf_from_dict(rep) for rep in body["representatives"]),
     )
     return ScenarioTree(
         airport=body["airport"],

@@ -171,10 +171,9 @@ def lp_second_stage_cost(policy, instance: MaghpInstance, sample: dict) -> float
     """
     model = LinearModel()
     for key in sorted(sample):
-        airport, op_type = key
         stages = list(instance.trees[key].time_clusters.stage_index)
         profile = np.array(sample[key])[stages]
-        assigned = assigned_counts(instance, policy, airport, op_type)
+        assigned = assigned_counts(instance, policy)[key]
         for t in range(instance.horizon):
             y = model.add_variable(objective=instance.recourse_cost)
             model.add_linear_constraint(

@@ -557,6 +557,33 @@ MALFORMED = {
         2,
         "'epsilons'",
     ),
+    "negative time limit": ("solve", {"time_limit": -1}, 2, "time_limit"),
+    "time limit not a number": ("solve", {"time_limit": "nan"}, 2, "time_limit"),
+    "zero time limit": ("solve", {"time_limit": 0}, 2, "time_limit"),
+    "fractional sample count": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [0.1], "sample_count": 2.7},
+        2,
+        "sample_count",
+    ),
+    "boolean sample count": (
+        "evaluate",
+        {"result": "result.json", "reduction": 0.1, "sample_count": True},
+        2,
+        "sample_count",
+    ),
+    "fractional change points": (
+        "reduce-scenarios",
+        {"cells": [], "change_points": 1.5, "clusters_per_stage": 1},
+        2,
+        "change_points",
+    ),
+    "clamp given as a string": (
+        "reduce-scenarios",
+        {"cells": [], "change_points": 1, "clusters_per_stage": 1, "clamp": "false"},
+        2,
+        "clamp",
+    ),
 }
 
 
@@ -600,7 +627,18 @@ def test_config_round_trips(tmp_path):
 
 
 def test_seed_must_be_integer(tmp_path):
-    config = write_config(tmp_path, {"seed": "zero", "solve": {}})
-    with pytest.raises(ConfigError):
-        load_config(config)
-    assert main(["solve", "--config", config]) == 2
+    for seed in ("zero", True):
+        config = write_config(tmp_path, {"seed": seed, "solve": {}})
+        with pytest.raises(ConfigError):
+            load_config(config)
+        assert main(["solve", "--config", config]) == 2
+
+
+@pytest.mark.parametrize("limit", ["-1", "nan", "0"])
+def test_time_limit_flag_must_be_positive(tmp_path, monkeypatch, capsys, limit):
+    monkeypatch.chdir(tmp_path)
+    save_instance("instance.json", two_airport_instance())
+    config = write_config(tmp_path, {"solve": {"instance": "instance.json", "out": "out"}})
+    assert main(["solve", "--config", config, "--time-limit", limit]) == 2
+    assert "time_limit" in capsys.readouterr().err
+    assert not Path("out").exists()

@@ -23,7 +23,7 @@ from groundhold.maghp import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    recourse_cost,
+    overflow,
     result_from_dict,
     result_to_dict,
     save_instance,
@@ -236,10 +236,9 @@ def test_dr_saturates_at_ball_diameter():
     assert at_one.objective == pytest.approx(beyond.objective, rel=1e-9)
     policy = extract_policy(at_one)
     worst = first_stage_cost(inst, policy)
-    for tree in inst.trees.values():
-        worst += max(
-            recourse_cost(inst, policy, tree, vector) for vector in tree.vectors
-        )
+    vectors = {key: tree.vectors for key, tree in inst.trees.items()}
+    for excess in overflow(inst, policy, vectors).values():
+        worst += inst.recourse_cost * excess.max()
     assert at_one.objective == pytest.approx(worst, rel=1e-6)
 
 
@@ -304,8 +303,8 @@ def worst_case_fixture():
 def test_inner_worst_case_zero_radius_is_expectation():
     inst, tree, policy = worst_case_fixture()
     # counts [3, 1]: capacity 1 overflows by 2 (cost 6), capacity 3 by 0
-    assert recourse_cost(inst, policy, tree, (1,)) == pytest.approx(6.0)
-    assert recourse_cost(inst, policy, tree, (3,)) == pytest.approx(0.0)
+    excess = overflow(inst, policy, {("A", "departure"): [(1,), (3,)]})
+    assert (inst.recourse_cost * excess["A", "departure"]).tolist() == [6.0, 0.0]
     value = inner_worst_case(policy, inst, tree, 0.0)
     assert value == pytest.approx(3.0, abs=1e-8)
 
@@ -327,8 +326,9 @@ def test_inner_worst_case_partial_budget():
 def test_assigned_counts_ignore_overflow_slots():
     inst, tree, policy = worst_case_fixture()
     shifted = hand_policy(inst, {"f0": 0, "f1": 1, "f2": 2, "f3": 5})
-    counts = assigned_counts(inst, shifted, "A", "departure")
-    assert counts.tolist() == [1.0, 1.0]
+    counts = assigned_counts(inst, shifted)
+    assert counts["A", "departure"].tolist() == [1.0, 1.0]
+    assert counts["A", "arrival"].tolist() == [0.0, 0.0]
 
 
 def test_best_capacity_profile_breaks_ties_toward_first():

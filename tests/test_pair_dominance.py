@@ -6,7 +6,8 @@ argument is that the closed-form recourse R_j does not increase with
 capacity, so at the robust optimum every pair, dropped ones included,
 must still satisfy beta_i >= R_j - alpha * dist(i, j). These tests
 check that inequality directly, pin the kept count on product trees
-and the tie rule, and check that moving a built model to another radius
+and the tie rule, check that solve() rejects a model whose pruning drops
+a needed row, and check that moving a built model to another radius
 gives the model a fresh build would.
 """
 
@@ -16,12 +17,14 @@ import numpy as np
 import pytest
 from test_stagewise import _hand_written_instance
 
+from groundhold import maghp
+from groundhold.errors import SolverError
 from groundhold.fixtures import random_instance, stress_instance
 from groundhold.maghp import (
     build_dr,
     extract_policy,
     kept_pairs,
-    recourse_cost,
+    overflow,
     scenario_distance_matrix,
     set_radius,
     solve,
@@ -49,9 +52,7 @@ def test_every_pair_holds_at_the_dr_optimum(case, radius):
         distances = scenario_distance_matrix(tree)
         alpha = result.duals["alpha"][key]
         betas = np.array(result.duals["beta"][key])
-        recourse = np.array(
-            [recourse_cost(instance, policy, tree, vector) for vector in tree.vectors]
-        )
+        recourse = instance.recourse_cost * overflow(instance, policy, {key: tree.vectors})[key]
         slack = betas[:, None] - (recourse[None, :] - alpha * distances)
         assert slack.min() >= -1e-9, f"cell {key}"
         dropped += int((~kept_pairs(tree, distances)).sum())
@@ -99,6 +100,17 @@ def test_tied_vectors_are_covered_by_the_lowest_index():
         [True, False, False],
         [True, False, True],
     ]
+
+
+def test_solve_rejects_pruning_that_drops_needed_rows(monkeypatch):
+    """solve() recomputes the robust objective as a max over every pair,
+    so a model that keeps only the diagonal pair rows understates the
+    worst case and fails the objective check."""
+    monkeypatch.setattr(
+        maghp, "kept_pairs", lambda tree, distances: np.eye(len(distances), dtype=bool)
+    )
+    with pytest.raises(SolverError):
+        solve(build_dr(stress_instance(), 0.1))
 
 
 @pytest.mark.parametrize("start,radius", [(0.05, 0.3), (0.3, {"departure": 0.0, "arrival": 1.0})])

@@ -9,6 +9,7 @@ from groundhold.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     LabelOutOfRangeError,
+    MissingInputError,
 )
 from groundhold.pmf import make_pmf
 from groundhold.prediction import (
@@ -165,6 +166,14 @@ def test_model_file_round_trip(tmp_path):
         loaded = load_model(path)
         for x in features[:5]:
             assert predict_pmf(loaded, x).weights == predict_pmf(model, x).weights
+
+
+@pytest.mark.parametrize("text", ['{"kind": "mlp", "max_capacity": 3}', "{not json"])
+def test_malformed_model_file_names_the_file(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(MissingInputError, match="model.json"):
+        load_model(path)
 
 
 def test_temporal_split_is_contiguous():
