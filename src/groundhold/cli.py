@@ -31,6 +31,7 @@ from .evaluation import (
     epsilon_sweep,
     evaluate_policy,
     resample_capacities,
+    sweep_radii,
     write_in_sample_csv,
     write_report_csv,
     write_sample_costs_csv,
@@ -82,14 +83,6 @@ def _time_limit(value):
     if not limit > 0:
         raise ValueError(f"must be greater than 0, got {value!r}")
     return limit
-
-
-def _radii(values):
-    """A list of sweep radii, each one that _epsilon_by_op accepts."""
-    radii = [float(value) for value in values]
-    for radius in radii:
-        _epsilon_by_op(radius)
-    return radii
 
 
 def cmd_estimate(config, args):
@@ -290,7 +283,7 @@ def cmd_sweep(config, args):
     section = section_for(config, "sweep")
     if args.epsilons is not None:
         section = {**section, "epsilons": args.epsilons}
-    epsilons = typed(section, "epsilons", _radii, "sweep")
+    epsilons = typed(section, "epsilons", sweep_radii, "sweep")
     spec = _shift_spec(config, section, "sweep", 0.0)
     reductions = typed(
         section,

@@ -26,6 +26,8 @@ from .errors import InfeasibleReductionError
 from .maghp import (
     GroundDelayPolicy,
     MaghpInstance,
+    SolveResult,
+    _epsilon_by_op,
     best_capacity_profiles,
     build_det,
     build_dr,
@@ -35,6 +37,7 @@ from .maghp import (
     overflow,
     set_radius,
     solve,
+    support_worst_case,
 )
 from .pmf import MASS_TOL, Pmf, pmf_mean
 
@@ -203,6 +206,28 @@ def _pct_drop(base: float, value: float) -> float:
     return 100.0 * (base - value) / base
 
 
+def sweep_radii(values) -> tuple:
+    """Distinct sweep radii in ascending order, with -0.0 read as 0.0.
+
+    Raises ValueError for an empty list or a radius _epsilon_by_op
+    rejects."""
+    values = list(values)
+    if not values:
+        raise ValueError("need at least one radius to sweep")
+    for value in values:
+        _epsilon_by_op(value)
+    # adding 0.0 turns -0.0 into 0.0, so the reports never print "-0"
+    return tuple(sorted({float(value) + 0.0 for value in values}))
+
+
+def _saturated(result: SolveResult, instance: MaghpInstance) -> bool:
+    """True when an optimal robust objective already reaches its policy's
+    support worst case, within solve()'s own 1e-6 guard."""
+    objective = result.objective
+    bound = support_worst_case(result.policy, instance)
+    return objective >= bound - 1e-6 * max(1.0, abs(objective))
+
+
 def epsilon_sweep(
     instance: MaghpInstance,
     epsilons,
@@ -212,39 +237,63 @@ def epsilon_sweep(
 ) -> SensitivityReport:
     """Solve det/sp/dr once, then price all three per shift level.
 
-    The dr model is built once and moved from radius to radius by
-    set_radius, which changes only the multipliers' objective weights.
-    The deterministic baseline fixes capacities at each cell's best
-    support scenario. Every policy at a given shift level is priced on
-    identical samples; the reported robust cost per level is the best
-    radius's cost, ties going to the smaller radius.
+    Radii go in ascending order, and a radius runs the solver only when
+    no earlier result already certifies its robust optimum:
+
+    * At radius 0 the Wasserstein ball holds only the tree's own
+      distribution, so the robust model is the stochastic one and the sp
+      solve gives its objective and policy.
+    * For any policy the robust cost does not decrease with the radius
+      and never exceeds the policy's support worst case S
+      (maghp.support_worst_case). So once an optimal robust objective at
+      radius e1, with policy p, reaches S(p) (up to solve()'s 1e-6), at
+      every larger radius e2 each policy costs at least the optimum at
+      e1, while p costs at most S(p): p stays optimal, at the same
+      objective, and every larger radius reuses that result. The sp
+      result, as the radius-0 optimum, can certify too.
+
+    The dr model is built at the first radius that needs a solve and
+    moved between radii by set_radius, which changes only the
+    multipliers' objective weights. The deterministic baseline fixes
+    capacities at each cell's best support scenario. Every policy at a
+    given shift level is priced on identical samples, once per distinct
+    policy; the reported robust cost per level is the best radius's
+    cost, ties going to the smaller radius.
     """
-    epsilons = tuple(sorted(set(float(e) for e in epsilons)))
-    if not epsilons:
-        raise ValueError("need at least one radius to sweep")
+    epsilons = sweep_radii(epsilons)
 
     det_result = solve(build_det(instance, best_capacity_profiles(instance)))
     sp_result = solve(build_sp(instance))
     policies = {"det": extract_policy(det_result), "sp": extract_policy(sp_result)}
     in_sample = {}
     dr_policies = {}
-    dr = build_dr(instance, epsilons[0])
+    dr = certified = None
     for eps in epsilons:
-        set_radius(dr, eps)
-        result = solve(dr)
+        if eps == 0.0:
+            result = sp_result
+        elif certified is not None:
+            result = certified
+        else:
+            if dr is None:
+                dr = build_dr(instance, eps)
+            set_radius(dr, eps)
+            result = solve(dr)
         in_sample[eps] = result.objective
         dr_policies[eps] = extract_policy(result)
+        if certified is None and _saturated(result, instance):
+            certified = result
 
     rows = []
     for r in sorted(set(float(r) for r in reductions)):
         level_spec = replace(spec, reduction=r)
         samples = resample_capacities(instance.trees, level_spec)
-        det_eval = evaluate_policy(policies["det"], instance, samples)
-        sp_eval = evaluate_policy(policies["sp"], instance, samples)
-        dr_evals = {
-            eps: evaluate_policy(dr_policies[eps], instance, samples)
-            for eps in epsilons
-        }
+        scored = {}
+        for policy in (*policies.values(), *dr_policies.values()):
+            if id(policy) not in scored:
+                scored[id(policy)] = evaluate_policy(policy, instance, samples)
+        det_eval = scored[id(policies["det"])]
+        sp_eval = scored[id(policies["sp"])]
+        dr_evals = {eps: scored[id(dr_policies[eps])] for eps in epsilons}
         dr_costs = {eps: ev.total for eps, ev in dr_evals.items()}
         eps_star = min(epsilons, key=lambda e: (dr_costs[e], e))
         best = dr_evals[eps_star]

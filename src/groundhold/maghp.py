@@ -676,6 +676,22 @@ def expected_recourse_cost(policy: GroundDelayPolicy, instance: MaghpInstance) -
     )
 
 
+def support_worst_case(policy: GroundDelayPolicy, instance: MaghpInstance) -> float:
+    """First-stage cost plus, per tree, the largest recourse over its
+    scenarios.
+
+    Every distribution in a Wasserstein ball lives on the tree's
+    scenarios, so this bounds the policy's robust cost at any radius, and
+    the robust cost reaches it once the radius covers the ball's
+    diameter.
+    """
+    trees = dict(sorted(instance.trees.items()))
+    excess = overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
+    return first_stage_cost(instance, policy) + instance.recourse_cost * math.fsum(
+        float(excess[key].max()) for key in trees
+    )
+
+
 def inner_worst_case(
     policy: GroundDelayPolicy,
     instance: MaghpInstance,

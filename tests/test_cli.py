@@ -354,6 +354,33 @@ def test_sweep_zero_radius_matches_sp(tmp_path):
     )
 
 
+def test_sweep_flag_reads_negative_zero_as_zero(tmp_path):
+    instance_path = tmp_path / "instance.json"
+    save_instance(instance_path, two_airport_instance())
+    report_path = tmp_path / "report.csv"
+    curve_path = tmp_path / "curve.csv"
+    config = write_config(
+        tmp_path,
+        {
+            "seed": 0,
+            "sweep": {
+                "instance": str(instance_path),
+                "epsilons": [0.5],
+                "reductions": [0.1],
+                "sample_count": 20,
+                "out": str(report_path),
+                "curve_out": str(curve_path),
+            },
+        },
+    )
+    assert main(["sweep", "--config", config, "--epsilons", "-0", "0.1"]) == 0
+    with open(curve_path, newline="") as fh:
+        radii = [row["epsilon"] for row in csv.DictReader(fh) if row["model"] == "dr"]
+    assert radii == ["0", "0.1"]
+    with open(report_path, newline="") as fh:
+        assert [row["epsilon_star"] for row in csv.DictReader(fh)] in (["0"], ["0.1"])
+
+
 def test_outputs_are_idempotent(tmp_path):
     instance = two_airport_instance()
     instance_path = tmp_path / "instance.json"
@@ -554,6 +581,12 @@ MALFORMED = {
     "infinite sweep radius": (
         "sweep",
         {"epsilons": [0.1, "inf"], "reductions": [0.1]},
+        2,
+        "'epsilons'",
+    ),
+    "empty sweep radius list": (
+        "sweep",
+        {"epsilons": [], "reductions": [0.1], "instance": "missing.json"},
         2,
         "'epsilons'",
     ),

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import groundhold.evaluation as evaluation
 import groundhold.solver as solver
 from groundhold.errors import InfeasibleReductionError
 from groundhold.evaluation import (
@@ -22,13 +23,16 @@ from groundhold.evaluation import (
 from groundhold.maghp import (
     GroundDelayPolicy,
     MaghpInstance,
+    build_dr,
     build_sp,
     expected_recourse_cost,
     extract_policy,
     first_stage_cost,
+    inner_worst_case,
     solve,
+    support_worst_case,
 )
-from groundhold.fixtures import stress_instance
+from groundhold.fixtures import random_instance, stress_instance
 from groundhold.pmf import make_pmf, pmf_mean, point_mass, wasserstein_1d
 
 from oracles import lp_second_stage_cost, wasserstein_lp
@@ -152,9 +156,8 @@ def test_reduction_spec_validation():
             reduce_distribution(p, 0.2, band)
 
 
-def test_sweep_solves_only_its_models(monkeypatch):
-    """A sweep calls the solver once for det, once for sp and once per
-    radius; shifting the test distributions takes no solve."""
+def _count_milp(monkeypatch):
+    """A list that grows by one per groundhold.solver.milp call."""
     calls = []
     milp = solver.milp
 
@@ -163,10 +166,111 @@ def test_sweep_solves_only_its_models(monkeypatch):
         return milp(*args, **kwargs)
 
     monkeypatch.setattr(solver, "milp", counting)
-    radii = (0.0, 0.1, 0.5)
+    return calls
+
+
+def _saturates(result, instance):
+    objective = result.objective
+    bound = support_worst_case(extract_policy(result), instance)
+    return objective >= bound - 1e-6 * max(1.0, abs(objective))
+
+
+GRID = (0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
+SHIFTS = (0.1, 0.3, 0.5)
+# name: (instance, radii, reduction levels, solver calls)
+SWEEP_CASES = {
+    # radius 0.5 saturates and is solved; radius 0.1 is not saturated
+    "stress-0.1-0.5": (stress_instance, (0.0, 0.1, 0.5), SHIFTS, 4),
+    # no radius saturates, so every positive radius is solved
+    "stress-unsaturated": (stress_instance, (0.0, 0.02, 0.05, 0.1, 0.2), SHIFTS, 6),
+    # sp has no recourse: its radius-0 optimum certifies every radius
+    "random-0": (lambda: random_instance(0), GRID, (0.0,), 2),
+    # the first robust solve, at 0.02, certifies the rest of the grid
+    "random-52": (lambda: random_instance(52), GRID, (0.0,), 3),
+}
+
+
+def test_sweep_solves_only_its_models(monkeypatch):
+    """A sweep calls the solver once for det and once for sp; shifting
+    the test distributions takes no solve. Radius 0 reuses sp, and of
+    the positive radii only those up to the first whose optimum reaches
+    its policy's support worst case are solved (none when sp already
+    does), which fresh per-radius solves decide here."""
     spec = ReductionSpec(reduction=0.0, band=1.0, sample_count=20, seed=0)
-    epsilon_sweep(stress_instance(), radii, (0.1, 0.3, 0.5), spec)
-    assert len(calls) == 2 + len(radii)
+    for name, (make, radii, reductions, pinned) in SWEEP_CASES.items():
+        instance = make()
+        certified = _saturates(solve(build_sp(instance)), instance)
+        solved = 0
+        for eps in radii:
+            if eps > 0 and not certified:
+                solved += 1
+                certified = _saturates(solve(build_dr(instance, eps)), instance)
+        calls = _count_milp(monkeypatch)
+        epsilon_sweep(instance, radii, reductions, spec)
+        assert len(calls) == 2 + solved == pinned, name
+        monkeypatch.undo()
+
+
+DIFFERENTIAL = {f"random-{seed}": (random_instance, seed) for seed in range(10)}
+DIFFERENTIAL["stress"] = (lambda _: stress_instance(), None)
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
+def test_sweep_matches_fresh_solves(case, monkeypatch):
+    """Every in-sample objective equals a fresh robust solve at its
+    radius; at each radius the sweep did not solve, the policy it reused
+    (sp's at radius 0, else the last solve's) has that objective as its
+    robust cost by the inner worst-case LP."""
+    make, seed = DIFFERENTIAL[case]
+    instance = make(seed)
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(evaluation, "solve", recording)
+    spec = ReductionSpec(reduction=0.0, band=1.0, sample_count=5, seed=0)
+    report = epsilon_sweep(instance, GRID, (0.0,), spec)
+    monkeypatch.undo()
+
+    for eps in GRID:
+        fresh = solve(build_dr(instance, eps)).objective
+        gap = abs(report.in_sample[eps] - fresh) / max(1.0, abs(fresh))
+        assert gap <= 1e-6, f"radius {eps}: relative gap {gap}"
+    positive = [eps for eps in GRID if eps > 0]
+    solved = len(results) - 2  # det and sp come first
+    reused = {0.0: results[1]} | {eps: results[-1] for eps in positive[solved:]}
+    for eps, source in reused.items():
+        policy = extract_policy(source)
+        worst = first_stage_cost(instance, policy) + math.fsum(
+            inner_worst_case(policy, instance, instance.trees[key], eps)
+            for key in instance.constrained_keys()
+        )
+        assert worst == pytest.approx(report.in_sample[eps], abs=1e-5), eps
+
+
+@pytest.mark.parametrize(
+    "radii", [(0.0, 0.02, math.inf), (-0.1, 0.1), (0.1, math.nan), (0.0, "x")]
+)
+def test_sweep_checks_every_radius_before_solving(radii, monkeypatch):
+    """A bad radius anywhere in the grid fails before any model is
+    solved, even where the sweep would not have solved that radius."""
+    calls = _count_milp(monkeypatch)
+    with pytest.raises(ValueError, match="radius for"):
+        epsilon_sweep(two_airport_instance(), radii, (0.0,), ReductionSpec(0.0))
+    assert calls == []
+
+
+def test_sweep_reads_negative_zero_as_zero(tmp_path):
+    spec = ReductionSpec(reduction=0.0, band=1.0, sample_count=10, seed=0)
+    report = epsilon_sweep(two_airport_instance(), (-0.0, 0.1), (0.0,), spec)
+    assert report.epsilons == (0.0, 0.1)
+    assert math.copysign(1.0, report.epsilons[0]) == 1.0
+    curve = tmp_path / "curve.csv"
+    write_in_sample_csv(curve, report)
+    assert "dr,0," in curve.read_text()
+    assert "-0" not in curve.read_text()
 
 
 def test_evaluator_agrees_with_sp_on_training_scenarios():
