@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 
+import numpy as np
+
 from .config import parse_cell
 from .errors import (
     EmptySeriesError,
@@ -95,37 +97,59 @@ def aggregate_intervals(
     scheduled time. Average delay is taken over the flights operated in
     the interval with early operations clipped to zero delay; the
     delayed count uses the raw delay. Both scheduled and actual times
-    must land inside [0, num_intervals * interval_minutes).
+    must land inside [0, num_intervals * interval_minutes), else
+    TimestampOutOfHorizonError names the first record, in sorted
+    (airport, op_type) group order, that does not; a non-finite or
+    non-positive interval_minutes or num_intervals < 1 raises
+    ValueError.
     """
+    if not 0 < interval_minutes < math.inf:
+        raise ValueError(
+            f"interval_minutes must be finite and positive, got {interval_minutes}"
+        )
+    if num_intervals < 1:
+        raise ValueError(f"num_intervals must be at least 1, got {num_intervals}")
     groups: dict[tuple[str, str], list[OperationRecord]] = {}
     for rec in records:
         groups.setdefault((rec.airport, rec.op_type), []).append(rec)
 
-    def bin_of(minute: float, what: str, rec: OperationRecord) -> int:
-        b = int(minute // interval_minutes)
-        if not 0 <= b < num_intervals:
-            raise TimestampOutOfHorizonError(
-                f"{what} time {minute} of {rec.airport} {rec.op_type} record "
-                f"is outside the {num_intervals}-interval horizon"
-            )
-        return b
-
     stats = []
     for (airport, op_type), recs in sorted(groups.items()):
-        throughput = [0] * num_intervals
-        demand = [0] * num_intervals
-        delays: list[list[float]] = [[] for _ in range(num_intervals)]
-        delayed = [0] * num_intervals
-        for rec in recs:
-            demand[bin_of(rec.scheduled_minute, "scheduled", rec)] += 1
-            b = bin_of(rec.actual_minute, "actual", rec)
-            throughput[b] += 1
-            delay = rec.delay_minutes
-            delays[b].append(max(0.0, delay))
-            if delay > DELAYED_FLIGHT_MINUTES:
-                delayed[b] += 1
+        scheduled = np.fromiter((r.scheduled_minute for r in recs), float, len(recs))
+        actual = np.fromiter((r.actual_minute for r in recs), float, len(recs))
+        with np.errstate(invalid="ignore"):  # an infinite time bins to NaN
+            scheduled_bins = np.floor_divide(scheduled, interval_minutes)
+            actual_bins = np.floor_divide(actual, interval_minutes)
+        scheduled_out = ~((scheduled_bins >= 0) & (scheduled_bins < num_intervals))
+        actual_out = ~((actual_bins >= 0) & (actual_bins < num_intervals))
+        out = scheduled_out | actual_out
+        if out.any():
+            # the first bad record, its scheduled time checked before its actual
+            k = int(out.argmax())
+            if scheduled_out[k]:
+                what, minute = "scheduled", recs[k].scheduled_minute
+            else:
+                what, minute = "actual", recs[k].actual_minute
+            raise TimestampOutOfHorizonError(
+                f"{what} time {minute} of {airport} {op_type} record "
+                f"is outside the {num_intervals}-interval horizon"
+            )
+        scheduled_bins = scheduled_bins.astype(np.int64)
+        actual_bins = actual_bins.astype(np.int64)
+        delay = actual - scheduled
+        demand = np.bincount(scheduled_bins, minlength=num_intervals).tolist()
+        throughput = np.bincount(actual_bins, minlength=num_intervals).tolist()
+        delayed = np.bincount(
+            actual_bins[delay > DELAYED_FLIGHT_MINUTES], minlength=num_intervals
+        ).tolist()
+        # early operations count as zero delay, as max(0.0, delay) does
+        order = np.argsort(actual_bins, kind="stable")
+        clipped = np.where(delay > 0.0, delay, 0.0)[order].tolist()
+        start = 0
         for t in range(num_intervals):
-            avg = math.fsum(delays[t]) / len(delays[t]) if delays[t] else 0.0
+            count = throughput[t]
+            avg = math.fsum(clipped[start : start + count]) / count if count else 0.0
+            start += count
             stats.append(
                 IntervalStats(
                     airport, op_type, t, throughput[t], demand[t], avg, delayed[t]

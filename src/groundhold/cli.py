@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -85,25 +86,58 @@ def _time_limit(value):
     return limit
 
 
+def _finite(value):
+    """A finite number."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
+
+
+def _interval_minutes(value):
+    """An interval length in minutes, finite and greater than 0."""
+    minutes = _finite(value)
+    if not minutes > 0:
+        raise ValueError(f"must be greater than 0, got {value!r}")
+    return minutes
+
+
+def _percentile(value):
+    """A percentile level in (0, 1]."""
+    level = float(value)
+    if not 0 < level <= 1:
+        raise ValueError(f"must be in (0, 1], got {value!r}")
+    return level
+
+
+def _interval_count(value):
+    """A number of intervals: a JSON integer (not a bool) of at least 1."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"expected an integer of at least 1, got {value!r}")
+    return value
+
+
 def cmd_estimate(config, args):
     section = section_for(config, "estimate")
+    num_intervals = typed(section, "num_intervals", _interval_count, "estimate")
+    interval_minutes = typed(
+        section, "interval_minutes", _interval_minutes, "estimate", 15.0
+    )
+    criteria = dict(
+        alpha=typed(section, "alpha", _finite, "estimate", 0.8),
+        delay_threshold_minutes=typed(
+            section, "delay_threshold_minutes", _finite, "estimate", 15.0
+        ),
+        min_delayed=typed(section, "min_delayed", int, "estimate", 2),
+        percentile=typed(section, "percentile", _percentile, "estimate", 0.9),
+    )
     records = read_operation_records(
         require(section, "records", "estimate"),
         time_format=section.get("time_format", "minutes"),
         horizon_start=section.get("horizon_start"),
     )
-    num_intervals = typed(section, "num_intervals", int, "estimate")
-    interval_minutes = typed(section, "interval_minutes", float, "estimate", 15.0)
     stats = aggregate_intervals(records, num_intervals, interval_minutes)
-    observations = estimate_capacities(
-        stats,
-        alpha=typed(section, "alpha", float, "estimate", 0.8),
-        delay_threshold_minutes=typed(
-            section, "delay_threshold_minutes", float, "estimate", 15.0
-        ),
-        min_delayed=typed(section, "min_delayed", int, "estimate", 2),
-        percentile=typed(section, "percentile", float, "estimate", 0.9),
-    )
+    observations = estimate_capacities(stats, **criteria)
     out = _out_path(args, section, "estimate")
     with atomic_output(out) as temp:
         write_capacity_observations(temp, observations)

@@ -15,6 +15,7 @@ stochastic and robust policies compare per shift level.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -373,16 +374,27 @@ def write_report_csv(path, report: SensitivityReport) -> None:
 
 
 def write_sample_costs_csv(path, report: SensitivityReport) -> None:
-    """Per-sample second-stage costs, for auditing the averages."""
+    """Per-sample second-stage costs, for auditing the averages.
+
+    The bytes are those of csv.writer writing one row per sample. The
+    fields shared by a (reduction, model) block go through csv.writer
+    once, so a day name that needs quoting is quoted, and the block's
+    sample and cost fields, which never need quoting, are formatted in
+    one join.
+    """
     with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["day", "reduction", "model", "sample", "second_stage_cost"])
+        csv.writer(handle).writerow(
+            ["day", "reduction", "model", "sample", "second_stage_cost"]
+        )
         for row in report.rows:
             for model in ("det", "sp", "dr"):
-                for i, cost in enumerate(row.per_sample[model]):
-                    writer.writerow(
-                        [report.day, f"{row.reduction:g}", model, i, f"{cost:.6f}"]
-                    )
+                line = io.StringIO()
+                csv.writer(line).writerow([report.day, f"{row.reduction:g}", model, ""])
+                prefix = line.getvalue().removesuffix("\r\n")
+                costs = np.asarray(row.per_sample[model]).tolist()
+                handle.write(
+                    "".join(f"{prefix}{i},{cost:.6f}\r\n" for i, cost in enumerate(costs))
+                )
 
 
 def write_in_sample_csv(path, report: SensitivityReport) -> None:

@@ -513,22 +513,29 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         ]
         z_index = _overflow_block(model, instance, slots[key], tree, False)
         stages = tree.time_clusters.stage_index
-        recourse = []
-        for vector in tree.vectors:
-            q = model.add_variable()
-            recourse.append(q)
-            terms = [(q, 1.0)]
-            for t in range(1, instance.horizon):
-                z = z_index.get((t, vector[stages[t]]))
-                if z is not None:
-                    terms.append((z, -unit))
-            model.add_linear_constraint(terms, "=", 0.0)
-        for i, j in zip(*np.nonzero(kept_pairs(tree, distances))):
-            model.add_linear_constraint(
-                [(alpha, float(distances[i, j])), (betas[i], 1.0), (recourse[j], -1.0)],
-                ">=",
-                0.0,
-            )
+        recourse = np.array([model.add_variable() for _ in tree.vectors])
+        rows, cols, vals = [], [], []
+        for row, (q, vector) in enumerate(zip(recourse.tolist(), tree.vectors)):
+            zs = [z_index.get((t, vector[stages[t]])) for t in range(1, instance.horizon)]
+            zs = [z for z in zs if z is not None]
+            rows += [row] * (1 + len(zs))
+            cols += [q, *zs]
+            vals += [1.0] + [-unit] * len(zs)
+        zeros = np.zeros(len(recourse))
+        model.add_rows(rows, cols, vals, zeros, zeros)
+        # one row alpha * dist(i, j) + beta_i - Q_j >= 0 per kept pair,
+        # its terms in the order alpha, beta_i, Q_j
+        ii, jj = np.nonzero(kept_pairs(tree, distances))
+        pairs = len(ii)
+        ones = np.ones(pairs)
+        pair_cols = (np.full(pairs, alpha), np.asarray(betas)[ii], recourse[jj])
+        model.add_rows(
+            np.repeat(np.arange(pairs), 3),
+            np.column_stack(pair_cols).ravel(),
+            np.column_stack((distances[ii, jj], ones, -ones)).ravel(),
+            np.zeros(pairs),
+            np.full(pairs, np.inf),
+        )
     return ModelBundle(
         "dr", model, instance, u_index, v_index, alpha_index, beta_index, radii
     )

@@ -2,10 +2,12 @@
 
 Every optimization problem in the package (the ground holding MILPs, the
 robust deterministic equivalents, the worst-case LP) is built against
-the same three calls: add_variable, add_linear_constraint, minimize.
-add_linear_constraint appends each term as a (row, column, value)
-triplet; minimize builds one sparse matrix from the triplets and hands
-the model to scipy.optimize.milp. The matrix is kept until a
+the same few calls: add_variable, add_linear_constraint or add_rows,
+set_objective and minimize. add_linear_constraint appends one row's
+terms as (row, column, value) triplets; add_rows appends a whole block
+of rows given as such triplets, with row ids counted within the block,
+in one call. minimize builds one sparse matrix from the triplets and
+hands the model to scipy.optimize.milp. The matrix is kept until a
 variable or row is added, so a model solved again after set_objective
 is not assembled twice.
 """
@@ -58,7 +60,7 @@ class LinearModel:
     _integrality: list[int] = field(default_factory=list)
     _lower: list[float] = field(default_factory=list)
     _upper: list[float] = field(default_factory=list)
-    # constraint matrix as COO triplets, one entry per term in row order
+    # constraint matrix as COO triplets, one entry per term
     _row_ids: list[int] = field(default_factory=list)
     _cols: list[int] = field(default_factory=list)
     _vals: list[float] = field(default_factory=list)
@@ -135,6 +137,33 @@ class LinearModel:
         self._vals.extend(coef)
         self._row_lb.append(lb)
         self._row_ub.append(ub)
+        self._assembled = None
+
+    def add_rows(self, rows, cols, vals, lb, ub) -> None:
+        """Add the block of rows lb <= A x <= ub, with A given as COO
+        triplets (rows[k], cols[k], vals[k]).
+
+        Row ids count from 0 within the block, which has len(lb) rows;
+        triplets are appended in the order given.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=float)
+        lb = np.asarray(lb, dtype=float)
+        ub = np.asarray(ub, dtype=float)
+        if not rows.shape == cols.shape == vals.shape or lb.shape != ub.shape:
+            raise ValueError("rows, cols and vals, and lb and ub, must match in length")
+        bad = (cols < 0) | (cols >= self.num_variables)
+        if bad.any():
+            raise IndexError(f"variable index {cols[bad][0]} out of range")
+        bad = (rows < 0) | (rows >= len(lb))
+        if bad.any():
+            raise IndexError(f"row index {rows[bad][0]} outside the {len(lb)}-row block")
+        self._row_ids.extend((rows + self.num_constraints).tolist())
+        self._cols.extend(cols.tolist())
+        self._vals.extend(vals.tolist())
+        self._row_lb.extend(lb.tolist())
+        self._row_ub.extend(ub.tolist())
         self._assembled = None
 
     def minimize(self, time_limit: float | None = None) -> Solution:

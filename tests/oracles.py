@@ -12,7 +12,9 @@ The LP oracles solve by linear programming what the library computes in
 closed form: the Wasserstein distance on the line (wasserstein_lp) and
 one sample's queue-overflow recourse (lp_second_stage_cost).
 cross_entropy is the training loss, used to check that training lowers
-it.
+it. looped_aggregate_intervals is the interval binning as first written,
+one record at a time in Python, which the library's array version must
+reproduce exactly.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ import math
 
 import numpy as np
 
-from groundhold.capacity import DEPARTURE
-from groundhold.errors import DimensionMismatchError, SolverError
+from groundhold.capacity import DELAYED_FLIGHT_MINUTES, DEPARTURE, IntervalStats
+from groundhold.errors import (
+    DimensionMismatchError,
+    SolverError,
+    TimestampOutOfHorizonError,
+)
 from groundhold.maghp import (
     ModelBundle,
     MaghpInstance,
@@ -194,3 +200,43 @@ def cross_entropy(model, features, labels) -> float:
         p = predict_pmf(model, x)
         total -= math.log(max(p.weights[z], 1e-300))
     return total / len(labels)
+
+
+def looped_aggregate_intervals(records, num_intervals, interval_minutes=15.0):
+    """aggregate_intervals one record at a time, keeping a list of delays
+    per bin; the same stats, and the same error for the same record."""
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.airport, rec.op_type), []).append(rec)
+
+    def bin_of(minute, what, rec):
+        b = int(minute // interval_minutes)
+        if not 0 <= b < num_intervals:
+            raise TimestampOutOfHorizonError(
+                f"{what} time {minute} of {rec.airport} {rec.op_type} record "
+                f"is outside the {num_intervals}-interval horizon"
+            )
+        return b
+
+    stats = []
+    for (airport, op_type), recs in sorted(groups.items()):
+        throughput = [0] * num_intervals
+        demand = [0] * num_intervals
+        delays = [[] for _ in range(num_intervals)]
+        delayed = [0] * num_intervals
+        for rec in recs:
+            demand[bin_of(rec.scheduled_minute, "scheduled", rec)] += 1
+            b = bin_of(rec.actual_minute, "actual", rec)
+            throughput[b] += 1
+            delay = rec.delay_minutes
+            delays[b].append(max(0.0, delay))
+            if delay > DELAYED_FLIGHT_MINUTES:
+                delayed[b] += 1
+        for t in range(num_intervals):
+            avg = math.fsum(delays[t]) / len(delays[t]) if delays[t] else 0.0
+            stats.append(
+                IntervalStats(
+                    airport, op_type, t, throughput[t], demand[t], avg, delayed[t]
+                )
+            )
+    return stats

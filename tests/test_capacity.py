@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import handcase
+from oracles import looped_aggregate_intervals
 from groundhold.capacity import (
     CapacityObservation,
     IntervalStats,
@@ -65,6 +66,71 @@ def test_aggregate_rejects_out_of_horizon():
         aggregate_intervals(
             [OperationRecord("X", "arrival", -1.0, 3.0)], num_intervals=2
         )
+
+
+def _seeded_records(seed, count, horizon_minutes):
+    """Records over two airports and both op types with fractional
+    minutes, some early, some exactly five minutes late, and none in the
+    horizon's second quarter, so some bins stay empty."""
+    rng = np.random.default_rng(seed)
+    scheduled = rng.uniform(0.0, horizon_minutes, count)
+    scheduled[::7] = np.floor(scheduled[::7])  # whole minutes, on bin edges too
+    delay = rng.normal(4.0, 9.0, count)
+    delay[::5] = np.round(delay[::5])  # whole minutes, on the delayed cut-off too
+    actual = np.clip(scheduled + delay, 0.0, horizon_minutes - 1e-9)
+    airports = rng.choice(["B", "A"], count)
+    ops = rng.choice(["departure", "arrival"], count)
+    gap = (0.25 * horizon_minutes, 0.5 * horizon_minutes)
+    return [
+        OperationRecord(str(a), str(o), float(s), float(t))
+        for a, o, s, t in zip(airports, ops, scheduled, actual)
+        if not (gap[0] <= s < gap[1] or gap[0] <= t < gap[1])
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("interval_minutes", [15.0, 10, 1 / 3])
+def test_aggregate_matches_the_record_loop(seed, interval_minutes):
+    num_intervals = 12
+    horizon = num_intervals * interval_minutes
+    records = _seeded_records(seed, 400, horizon)
+    stats = aggregate_intervals(records, num_intervals, interval_minutes)
+    expected = looped_aggregate_intervals(records, num_intervals, interval_minutes)
+    assert repr(stats) == repr(expected)  # same values and the same types
+    assert any(s.throughput == 0 for s in stats)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_aggregate_names_the_same_out_of_horizon_record(seed):
+    """Out-of-horizon times at both ends, scheduled and actual, in each
+    group in turn, with two bad records sharing the first group."""
+    bad = [
+        OperationRecord("A", "arrival", -0.5, 3.0),
+        OperationRecord("A", "arrival", 7.0, 500.0),
+        OperationRecord("A", "departure", 200.25, 181.5),
+        OperationRecord("B", "arrival", 3.0, -1e-9),
+        OperationRecord("B", "departure", 4.0, 180.0),
+    ]
+    rng = np.random.default_rng(100 + seed)
+    for first in range(len(bad)):
+        records = _seeded_records(seed, 200, 180.0)
+        for rec in bad[first:]:
+            records.insert(int(rng.integers(len(records) + 1)), rec)
+        with pytest.raises(TimestampOutOfHorizonError) as looped:
+            looped_aggregate_intervals(records, 12)
+        with pytest.raises(TimestampOutOfHorizonError) as vectorised:
+            aggregate_intervals(records, 12)
+        assert str(vectorised.value) == str(looped.value)
+
+
+@pytest.mark.parametrize(
+    "num_intervals, interval_minutes",
+    [(4, 0.0), (4, -15.0), (4, float("nan")), (4, float("inf")), (0, 15.0), (-3, 15.0)],
+)
+def test_aggregate_rejects_a_bad_grid(num_intervals, interval_minutes):
+    records = [OperationRecord("X", "arrival", 0.0, 1.0)]
+    with pytest.raises(ValueError, match="num_intervals|interval_minutes"):
+        aggregate_intervals(records, num_intervals, interval_minutes)
 
 
 def test_aggregate_empty_records():

@@ -617,6 +617,68 @@ MALFORMED = {
         2,
         "clamp",
     ),
+    # the estimate grid and criteria are checked before the records
+    # file, which is absent here, is read
+    "zero interval minutes": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "interval_minutes": 0},
+        2,
+        "interval_minutes",
+    ),
+    "interval minutes not a number": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "interval_minutes": "nan"},
+        2,
+        "interval_minutes",
+    ),
+    "negative interval minutes": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "interval_minutes": -15},
+        2,
+        "interval_minutes",
+    ),
+    "zero intervals": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 0},
+        2,
+        "num_intervals",
+    ),
+    "negative intervals": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": -3},
+        2,
+        "num_intervals",
+    ),
+    "fractional intervals": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4.5},
+        2,
+        "num_intervals",
+    ),
+    "alpha not a number": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "alpha": "nan"},
+        2,
+        "alpha",
+    ),
+    "percentile not a number": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "percentile": "nan"},
+        2,
+        "percentile",
+    ),
+    "percentile above one": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "percentile": 1.5},
+        2,
+        "percentile",
+    ),
+    "delay threshold not a number": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "delay_threshold_minutes": "nan"},
+        2,
+        "delay_threshold_minutes",
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 """Distribution shifting and out-of-sample evaluation tests."""
 
+import csv
 import math
 import re
 
@@ -10,7 +11,9 @@ import groundhold.evaluation as evaluation
 import groundhold.solver as solver
 from groundhold.errors import InfeasibleReductionError
 from groundhold.evaluation import (
+    ReductionRow,
     ReductionSpec,
+    SensitivityReport,
     epsilon_sweep,
     evaluate_policy,
     reduce_distribution,
@@ -371,6 +374,34 @@ def test_sweep_report_shape_and_selection(tmp_path):
     curve = curve_path.read_text().strip().splitlines()
     assert curve[0] == "model,epsilon,objective"
     assert len(curve) == 1 + 2 + len(report.epsilons)
+
+
+@pytest.mark.parametrize("day", ["plain", "a,b", 'say "hi"', "two\nlines"])
+def test_sample_costs_csv_is_what_csv_writer_writes(tmp_path, day):
+    """The block-formatted samples CSV equals csv.writer writing one row
+    per sample, byte for byte, also for day names that need quoting."""
+    rng = np.random.default_rng(3)
+    costs = np.concatenate([[0.0, -0.0, 1e-7, 2.5e6, 1 / 3], rng.exponential(40.0, 20)])
+    rows = [
+        ReductionRow(
+            reduction, 0.0, 0.0, {}, 0.0, 0.0, 0.0, 0.0, {},
+            {"det": costs, "sp": costs[::-1] * reduction, "dr": costs[:3]},
+        )
+        for reduction in (0.0, 0.05, 0.1, 1 / 3)
+    ]
+    report = SensitivityReport(day, (0.0,), 0.0, 0.0, {0.0: 0.0}, rows)
+    write_sample_costs_csv(tmp_path / "blocks.csv", report)
+
+    with (tmp_path / "rows.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["day", "reduction", "model", "sample", "second_stage_cost"])
+        for row in report.rows:
+            for model in ("det", "sp", "dr"):
+                for i, cost in enumerate(row.per_sample[model]):
+                    writer.writerow([day, f"{row.reduction:g}", model, i, f"{cost:.6f}"])
+    written = (tmp_path / "blocks.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert written.count(b"\r\n") == 1 + 4 * (25 + 25 + 3)
 
 
 def test_sweep_rejects_empty_radius_list():

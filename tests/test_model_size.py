@@ -8,8 +8,11 @@ has three flights to EXT and two connections, so it also pins the
 network-membership rules.
 """
 
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import groundhold.solver as solver
 from groundhold.fixtures import random_instance, stress_instance
 from groundhold.maghp import best_capacity_profiles, build_det, build_dr, build_sp, solve
 
@@ -55,3 +58,53 @@ def test_model_size_and_objective_are_pinned(bundles, case):
         nonzeros,
     )
     assert solve(bundles[case]).objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+
+
+def _handed_to_highs(model, monkeypatch):
+    """The arrays minimize() passes to milp, captured without solving."""
+    seen = {}
+
+    def capture(c, constraints, integrality, bounds, options):
+        (rows,) = constraints
+        seen.update(
+            c=c, indptr=rows.A.indptr, indices=rows.A.indices, data=rows.A.data,
+            row_lb=rows.lb, row_ub=rows.ub, integrality=integrality,
+            lower=bounds.lb, upper=bounds.ub,
+        )
+        return OptimizeResult(status=2, x=None, fun=None)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "milp", capture)
+        model.minimize()
+    return seen
+
+
+def _add_rows_one_by_one(model, rows, cols, vals, lb, ub):
+    terms = [[] for _ in lb]
+    for row, col, val in zip(rows, cols, vals):
+        terms[row].append((col, val))
+    for row_terms, lo, hi in zip(terms, lb, ub):
+        if lo == hi:
+            model.add_linear_constraint(row_terms, "=", lo)
+        elif hi == np.inf:
+            model.add_linear_constraint(row_terms, ">=", lo)
+        else:
+            assert lo == -np.inf
+            model.add_linear_constraint(row_terms, "<=", hi)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [stress_instance] + [lambda seed=seed: random_instance(seed) for seed in range(5)],
+    ids=["stress"] + [f"random{seed}" for seed in range(5)],
+)
+def test_bulk_rows_hand_highs_the_per_row_model(make, monkeypatch):
+    """build_dr's bulk add_rows calls give HiGHS the same matrix, bounds
+    and objective as adding each of those rows on its own."""
+    instance = make()
+    bulk = _handed_to_highs(build_dr(instance, 0.1).model, monkeypatch)
+    monkeypatch.setattr(solver.LinearModel, "add_rows", _add_rows_one_by_one)
+    by_row = _handed_to_highs(build_dr(instance, 0.1).model, monkeypatch)
+    assert bulk.keys() == by_row.keys()
+    for name in bulk:
+        assert np.array_equal(bulk[name], by_row[name]), name
