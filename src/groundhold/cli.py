@@ -110,16 +110,21 @@ def _percentile(value):
     return level
 
 
-def _interval_count(value):
-    """A number of intervals: a JSON integer (not a bool) of at least 1."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"expected an integer of at least 1, got {value!r}")
-    return value
+def _count(minimum):
+    """A parser for a count: a JSON integer (not a bool) of at least
+    minimum."""
+
+    def parse(value):
+        if type(value) is not int or value < minimum:
+            raise ValueError(f"expected an integer of at least {minimum}, got {value!r}")
+        return value
+
+    return parse
 
 
 def cmd_estimate(config, args):
     section = section_for(config, "estimate")
-    num_intervals = typed(section, "num_intervals", _interval_count, "estimate")
+    num_intervals = typed(section, "num_intervals", _count(1), "estimate")
     interval_minutes = typed(
         section, "interval_minutes", _interval_minutes, "estimate", 15.0
     )
@@ -227,8 +232,8 @@ def cmd_predict(config, args):
 def cmd_reduce_scenarios(config, args):
     section = section_for(config, "reduce-scenarios")
     cells = require(section, "cells", "reduce-scenarios")
-    change_points = typed(section, "change_points", int, "reduce-scenarios")
-    clusters = typed(section, "clusters_per_stage", int, "reduce-scenarios")
+    change_points = typed(section, "change_points", _count(0), "reduce-scenarios")
+    clusters = typed(section, "clusters_per_stage", _count(1), "reduce-scenarios")
     clamp = typed(section, "clamp", bool, "reduce-scenarios", False)
     trees = []
     for cell in cells:
@@ -284,12 +289,34 @@ def cmd_solve(config, args):
     return 0 if result.status == "optimal" else 1
 
 
+def _checked_policy(path, instance):
+    """The policy of the result file at path, checked to fit instance:
+    every flight has slots, departs no earlier than scheduled and
+    arrives no earlier than its departure plus its flight time. Raises
+    MissingInputError naming the file and the flight."""
+    policy = extract_policy(load_result(path))
+    for f in instance.flights:
+        if f.id not in policy.u_slot:
+            fault = "has no slots"
+        elif policy.u_slot[f.id] < f.sched_dep:
+            fault = f"departs at {policy.u_slot[f.id]}, before its schedule {f.sched_dep}"
+        elif policy.v_slot[f.id] < policy.u_slot[f.id] + f.flight_time:
+            fault = (
+                f"arrives at {policy.v_slot[f.id]}, before its departure "
+                f"{policy.u_slot[f.id]} plus flight time {f.flight_time}"
+            )
+        else:
+            continue
+        raise MissingInputError(f"result file {path}: flight {f.id} {fault}")
+    return policy
+
+
 def cmd_evaluate(config, args):
     section = section_for(config, "evaluate")
     reduction = typed(section, "reduction", float, "evaluate")
     spec = _shift_spec(config, section, "evaluate", reduction)
     instance = load_instance(require(section, "instance", "evaluate"))
-    policy = extract_policy(load_result(require(section, "result", "evaluate")))
+    policy = _checked_policy(require(section, "result", "evaluate"), instance)
     samples = resample_capacities(instance.trees, spec)
     evaluation = evaluate_policy(policy, instance, samples)
     body = {

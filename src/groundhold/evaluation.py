@@ -36,7 +36,6 @@ from .maghp import (
     extract_policy,
     first_stage_cost,
     overflow,
-    set_radius,
     solve,
     support_worst_case,
 )
@@ -253,13 +252,11 @@ def epsilon_sweep(
       objective, and every larger radius reuses that result. The sp
       result, as the radius-0 optimum, can certify too.
 
-    The dr model is built at the first radius that needs a solve and
-    moved between radii by set_radius, which changes only the
-    multipliers' objective weights. The deterministic baseline fixes
-    capacities at each cell's best support scenario. Every policy at a
-    given shift level is priced on identical samples, once per distinct
-    policy; the reported robust cost per level is the best radius's
-    cost, ties going to the smaller radius.
+    Each radius that needs a solve gets its own build_dr model. The
+    deterministic baseline fixes capacities at each cell's best support
+    scenario. Every policy at a given shift level is priced on identical
+    samples, once per distinct policy; the reported robust cost per
+    level is the best radius's cost, ties going to the smaller radius.
     """
     epsilons = sweep_radii(epsilons)
 
@@ -268,17 +265,14 @@ def epsilon_sweep(
     policies = {"det": extract_policy(det_result), "sp": extract_policy(sp_result)}
     in_sample = {}
     dr_policies = {}
-    dr = certified = None
+    certified = None
     for eps in epsilons:
         if eps == 0.0:
             result = sp_result
         elif certified is not None:
             result = certified
         else:
-            if dr is None:
-                dr = build_dr(instance, eps)
-            set_radius(dr, eps)
-            result = solve(dr)
+            result = solve(build_dr(instance, eps))
         in_sample[eps] = result.objective
         dr_policies[eps] = extract_policy(result)
         if certified is None and _saturated(result, instance):

@@ -41,9 +41,8 @@ stays feasible no matter how much traffic must be pushed out. The first
 interval allows no overflow in the stochastic and robust models: one
 hard row caps it at its stage's smallest capacity.
 
-A brute-force oracle (inner_worst_case) solves the worst-distribution
-LP directly with transportation variables so the dual reformulation can
-be cross-checked end to end.
+A solved policy is its slot assignment; flight_delays derives each
+flight's ground and airborne delay from the slots.
 """
 
 from __future__ import annotations
@@ -221,12 +220,11 @@ def _cell_loads(instance: MaghpInstance, departures, arrivals):
 
 @dataclass(frozen=True)
 class GroundDelayPolicy:
-    """First-stage slot choices with their implied delays."""
+    """First-stage slot choices: per flight id, the departure (u_slot)
+    and arrival (v_slot) interval. flight_delays derives the delays."""
 
     u_slot: dict
     v_slot: dict
-    ground_delay: dict
-    air_delay: dict
 
 
 @dataclass
@@ -541,19 +539,6 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     )
 
 
-def set_radius(bundle: ModelBundle, epsilon) -> None:
-    """Move a built dr model to another radius in place.
-
-    Only each alpha's objective weight depends on the radius, so the
-    model handed to the solver equals a fresh build_dr(instance,
-    epsilon); bundle.epsilon follows, for solve()'s objective check.
-    """
-    radii = _epsilon_by_op(epsilon)
-    for (_, op_type), alpha in bundle.alpha_index.items():
-        bundle.model.set_objective(alpha, radii[op_type])
-    bundle.epsilon = radii
-
-
 def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
     """Run the solver and read the solution back into domain terms.
 
@@ -583,12 +568,7 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
             # first slot with the largest value, as max() over the slots would pick
             if fid not in chosen or values[var] > values[index[fid, chosen[fid]]]:
                 chosen[fid] = t
-    u_slot, v_slot = slots
-    ground = {f.id: u_slot[f.id] - f.sched_dep for f in instance.flights}
-    air = {
-        f.id: v_slot[f.id] - f.sched_arr - ground[f.id] for f in instance.flights
-    }
-    policy = GroundDelayPolicy(u_slot, v_slot, ground, air)
+    policy = GroundDelayPolicy(*slots)
 
     duals = {}
     if bundle.kind == "dr":
@@ -633,11 +613,21 @@ def extract_policy(result: SolveResult) -> GroundDelayPolicy:
     return result.policy
 
 
+def flight_delays(instance: MaghpInstance, policy: GroundDelayPolicy) -> dict:
+    """Per flight id, the (ground, air) delay in intervals the slots
+    imply: ground delay is the departure slot minus the scheduled
+    departure, airborne delay the arrival lateness ground delay left."""
+    delays = {}
+    for f in instance.flights:
+        ground = policy.u_slot[f.id] - f.sched_dep
+        delays[f.id] = ground, policy.v_slot[f.id] - f.sched_arr - ground
+    return delays
+
+
 def first_stage_cost(instance: MaghpInstance, policy: GroundDelayPolicy) -> float:
     return math.fsum(
-        instance.cost_ground * policy.ground_delay[f.id]
-        + instance.cost_air * policy.air_delay[f.id]
-        for f in instance.flights
+        instance.cost_ground * ground + instance.cost_air * air
+        for ground, air in flight_delays(instance, policy).values()
     )
 
 
@@ -697,49 +687,6 @@ def support_worst_case(policy: GroundDelayPolicy, instance: MaghpInstance) -> fl
     return first_stage_cost(instance, policy) + instance.recourse_cost * math.fsum(
         float(excess[key].max()) for key in trees
     )
-
-
-def inner_worst_case(
-    policy: GroundDelayPolicy,
-    instance: MaghpInstance,
-    tree: ScenarioTree,
-    epsilon: float,
-) -> float:
-    """Worst expected recourse cost over the Wasserstein ball, by LP.
-
-    Maximizes sum_j q_j * Q_j over distributions q reachable from the
-    tree's probabilities within transport budget epsilon, using explicit
-    transportation variables; the q are the coupling's column sums. This
-    is the primal the robust model dualizes, so strong duality ties the
-    two together exactly.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    key = (tree.airport, tree.op_type)
-    q_cost = overflow(instance, policy, {key: tree.vectors})[key] * instance.recourse_cost
-    distances = scenario_distance_matrix(tree)
-    n = tree.num_scenarios
-    model = LinearModel()
-    plan = {
-        (i, j): model.add_variable(objective=-q_cost[j])
-        for i in range(n)
-        for j in range(n)
-    }
-    for i, prob in enumerate(tree.probabilities):
-        model.add_linear_constraint(
-            [(plan[i, j], 1.0) for j in range(n)], "=", prob
-        )
-    model.add_linear_constraint(
-        [(plan[i, j], float(distances[i, j])) for i in range(n) for j in range(n)],
-        "<=",
-        float(epsilon),
-    )
-    solution = model.minimize()
-    if not solution.ok:
-        raise SolverError(
-            f"worst-case LP ended with status {solution.status}"
-        )
-    return -float(solution.objective)
 
 
 def best_capacity_profiles(instance: MaghpInstance) -> dict:
@@ -834,12 +781,13 @@ def result_to_dict(result: SolveResult, instance: MaghpInstance) -> dict:
         "epsilon": {op: e for op, e in sorted(result.epsilon.items())},
     }
     if result.policy is not None:
+        delays = flight_delays(instance, result.policy)
         body["flights"] = {
             f.id: {
                 "u_slot": result.policy.u_slot[f.id],
                 "v_slot": result.policy.v_slot[f.id],
-                "ground_delay": result.policy.ground_delay[f.id],
-                "air_delay": result.policy.air_delay[f.id],
+                "ground_delay": delays[f.id][0],
+                "air_delay": delays[f.id][1],
             }
             for f in instance.flights
         }
@@ -864,7 +812,10 @@ def save_result(path, result: SolveResult, instance: MaghpInstance) -> None:
 
 
 def result_from_dict(body: dict) -> SolveResult:
-    """Rebuild status, objective, policy and duals from a result file."""
+    """Rebuild status, objective, policy and duals from a result file.
+
+    The policy is read from the slots alone; a flight's ground_delay and
+    air_delay fields are derived from them and not read back."""
     status, objective = body["status"], body["objective"]
     policy = None
     duals = {}
@@ -873,8 +824,6 @@ def result_from_dict(body: dict) -> SolveResult:
         policy = GroundDelayPolicy(
             {fid: int(e["u_slot"]) for fid, e in entries.items()},
             {fid: int(e["v_slot"]) for fid, e in entries.items()},
-            {fid: int(e["ground_delay"]) for fid, e in entries.items()},
-            {fid: int(e["air_delay"]) for fid, e in entries.items()},
         )
         if "duals" in body:
             duals["alpha"] = {

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .config import load_input
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .pmf import MASS_TOL, Pmf, make_pmf, pmf_from_dict, pmf_to_dict, wasserstein_1d
 
-#: refuse to enumerate trees beyond this many scenarios unless overridden
+#: refuse to enumerate trees beyond this many scenarios
 DEFAULT_SCENARIO_CAP = 4096
 
 
@@ -109,7 +110,11 @@ class ReducedPmf:
 
 @dataclass(frozen=True)
 class ScenarioTree:
-    """Stagewise capacity atoms and their full scenario enumeration."""
+    """Stagewise capacity atoms and their full scenario enumeration.
+
+    probabilities and vectors are computed from scenarios once per tree
+    and kept; dataclasses.replace builds a new tree, which computes its
+    own."""
 
     airport: str
     op_type: str
@@ -133,11 +138,11 @@ class ScenarioTree:
     def num_scenarios(self) -> int:
         return len(self.scenarios)
 
-    @property
+    @cached_property
     def probabilities(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.scenarios)
 
-    @property
+    @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(v for v, _ in self.scenarios)
 
@@ -277,7 +282,6 @@ def build_scenario_tree(
     k_per_stage: int,
     airport: str = "",
     op_type: str = "",
-    max_scenarios: int = DEFAULT_SCENARIO_CAP,
     clamp: bool = False,
 ) -> ScenarioTree:
     """Compress each stage representative and enumerate all scenarios.
@@ -285,7 +289,9 @@ def build_scenario_tree(
     With clamp=True a stage whose representative has fewer than
     k_per_stage positive atoms is compressed to what it has instead of
     raising. Scenario probabilities are the products of their stage atom
-    probabilities; enumeration order varies the last stage fastest.
+    probabilities; enumeration order varies the last stage fastest. More
+    than DEFAULT_SCENARIO_CAP scenarios raise ScenarioExplosionError
+    before any is enumerated.
     """
     stage_pmfs = []
     for rep in clustering.representatives:
@@ -297,9 +303,9 @@ def build_scenario_tree(
     count = 1
     for stage in stage_pmfs:
         count *= len(stage)
-    if count > max_scenarios:
+    if count > DEFAULT_SCENARIO_CAP:
         raise ScenarioExplosionError(
-            f"{count} scenarios exceed the cap of {max_scenarios}"
+            f"{count} scenarios exceed the cap of {DEFAULT_SCENARIO_CAP}"
         )
 
     scenarios = []

@@ -1,15 +1,14 @@
 """Thin incremental model layer over scipy's HiGHS bindings.
 
-Every optimization problem in the package (the ground holding MILPs, the
-robust deterministic equivalents, the worst-case LP) is built against
-the same few calls: add_variable, add_linear_constraint or add_rows,
-set_objective and minimize. add_linear_constraint appends one row's
-terms as (row, column, value) triplets; add_rows appends a whole block
-of rows given as such triplets, with row ids counted within the block,
-in one call. minimize builds one sparse matrix from the triplets and
-hands the model to scipy.optimize.milp. The matrix is kept until a
-variable or row is added, so a model solved again after set_objective
-is not assembled twice.
+Every optimization problem in the package (the ground holding MILPs and
+the robust deterministic equivalent) is built against the same few
+calls: add_variable, add_linear_constraint or add_rows, and minimize.
+add_linear_constraint appends one row's terms as (row, column, value)
+triplets; add_rows appends a whole block of rows given as such
+triplets, with row ids counted within the block, in one call. A model
+is built for one problem and solved once: each minimize call builds one
+sparse matrix from the triplets and hands the model to
+scipy.optimize.milp.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ class LinearModel:
     _vals: list[float] = field(default_factory=list)
     _row_lb: list[float] = field(default_factory=list)
     _row_ub: list[float] = field(default_factory=list)
-    # the assembled rows, dropped whenever a variable or row is added
-    _assembled: LinearConstraint | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_variables(self) -> int:
@@ -86,33 +83,24 @@ class LinearModel:
         kind: str = CONTINUOUS,
         objective: float = 0.0,
         lower: float = 0.0,
-        upper: float | None = None,
     ) -> int:
         """Append a variable and return its index.
 
-        Continuous variables default to [0, inf); pass lower=-inf for a
-        free variable. Binary variables ignore the bound arguments.
+        Continuous variables range over [lower, inf), lower defaulting
+        to 0; pass lower=-inf for a free variable. Binary variables
+        ignore lower.
         """
         if kind == BINARY:
             lo, hi, integral = 0.0, 1.0, 1
         elif kind == CONTINUOUS:
-            lo = float(lower)
-            hi = np.inf if upper is None else float(upper)
-            integral = 0
+            lo, hi, integral = float(lower), np.inf, 0
         else:
             raise ValueError(f"unknown variable kind {kind!r}")
         self._objective.append(float(objective))
         self._integrality.append(integral)
         self._lower.append(lo)
         self._upper.append(hi)
-        self._assembled = None
         return len(self._objective) - 1
-
-    def set_objective(self, var: int, coefficient: float) -> None:
-        """Replace one variable's objective coefficient."""
-        if not 0 <= var < self.num_variables:
-            raise IndexError(f"variable index {var} out of range")
-        self._objective[var] = float(coefficient)
 
     def add_linear_constraint(
         self,
@@ -137,7 +125,6 @@ class LinearModel:
         self._vals.extend(coef)
         self._row_lb.append(lb)
         self._row_ub.append(ub)
-        self._assembled = None
 
     def add_rows(self, rows, cols, vals, lb, ub) -> None:
         """Add the block of rows lb <= A x <= ub, with A given as COO
@@ -164,7 +151,6 @@ class LinearModel:
         self._vals.extend(vals.tolist())
         self._row_lb.extend(lb.tolist())
         self._row_ub.extend(ub.tolist())
-        self._assembled = None
 
     def minimize(self, time_limit: float | None = None) -> Solution:
         """Solve and return a Solution. Never raises for infeasibility."""
@@ -176,15 +162,15 @@ class LinearModel:
         integrality = np.asarray(self._integrality)
         bounds = Bounds(np.asarray(self._lower), np.asarray(self._upper))
 
-        if self._row_lb and self._assembled is None:
+        constraints = []
+        if self._row_lb:
             a = sparse.csr_matrix(
                 (self._vals, (self._row_ids, self._cols)),
                 shape=(self.num_constraints, n),
             )
-            self._assembled = LinearConstraint(
-                a, np.asarray(self._row_lb), np.asarray(self._row_ub)
+            constraints.append(
+                LinearConstraint(a, np.asarray(self._row_lb), np.asarray(self._row_ub))
             )
-        constraints = [] if self._assembled is None else [self._assembled]
 
         options: dict = {"mip_rel_gap": MIP_REL_GAP}
         if time_limit is not None:

@@ -9,8 +9,11 @@ library builds the stagewise equivalent and the tests check the two
 against each other.
 
 The LP oracles solve by linear programming what the library computes in
-closed form: the Wasserstein distance on the line (wasserstein_lp) and
-one sample's queue-overflow recourse (lp_second_stage_cost).
+closed form or by duality: the Wasserstein distance on the line
+(wasserstein_lp), one sample's queue-overflow recourse
+(lp_second_stage_cost), and the worst expected recourse over a
+Wasserstein ball (inner_worst_case), the primal the robust model
+dualizes.
 cross_entropy is the training loss, used to check that training lowers
 it. looped_aggregate_intervals is the interval binning as first written,
 one record at a time in Python, which the library's array version must
@@ -36,6 +39,7 @@ from groundhold.maghp import (
     _epsilon_by_op,
     _require_trees,
     assigned_counts,
+    overflow,
     scenario_distance_matrix,
 )
 from groundhold.pmf import Pmf
@@ -167,6 +171,44 @@ def wasserstein_lp(p, q, cost) -> tuple[float, np.ndarray]:
         raise SolverError(f"transportation LP ended with status {solution.status}")
     coupling = np.maximum(solution.values.reshape(m, n), 0.0)
     return float(solution.objective), coupling
+
+
+def inner_worst_case(policy, instance: MaghpInstance, tree, epsilon: float) -> float:
+    """Worst expected recourse cost over the Wasserstein ball, by LP.
+
+    Maximizes sum_j q_j * Q_j over distributions q reachable from the
+    tree's probabilities within transport budget epsilon, using explicit
+    transportation variables; the q are the coupling's column sums. This
+    is the primal the robust model dualizes, so strong duality ties the
+    two together exactly.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    key = (tree.airport, tree.op_type)
+    q_cost = overflow(instance, policy, {key: tree.vectors})[key] * instance.recourse_cost
+    distances = scenario_distance_matrix(tree)
+    n = tree.num_scenarios
+    model = LinearModel()
+    plan = {
+        (i, j): model.add_variable(objective=-q_cost[j])
+        for i in range(n)
+        for j in range(n)
+    }
+    for i, prob in enumerate(tree.probabilities):
+        model.add_linear_constraint(
+            [(plan[i, j], 1.0) for j in range(n)], "=", prob
+        )
+    model.add_linear_constraint(
+        [(plan[i, j], float(distances[i, j])) for i in range(n) for j in range(n)],
+        "<=",
+        float(epsilon),
+    )
+    solution = model.minimize()
+    if not solution.ok:
+        raise SolverError(
+            f"worst-case LP ended with status {solution.status}"
+        )
+    return -float(solution.objective)
 
 
 def lp_second_stage_cost(policy, instance: MaghpInstance, sample: dict) -> float:

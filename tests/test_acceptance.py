@@ -42,7 +42,6 @@ from groundhold.maghp import (
     build_sp,
     extract_policy,
     first_stage_cost,
-    inner_worst_case,
     solve,
 )
 from groundhold.pmf import make_pmf, pmf_mean, wasserstein_1d
@@ -52,7 +51,7 @@ from groundhold.scenario import (
     cluster_time_series,
     compress_pmf_kmeans,
 )
-from oracles import lp_second_stage_cost, wasserstein_lp
+from oracles import inner_worst_case, lp_second_stage_cost, wasserstein_lp
 
 
 def random_pmf(rng, max_atoms=8, max_value=20):
@@ -268,8 +267,6 @@ def test_closed_form_recourse_matches_lp():
         policy = GroundDelayPolicy(
             dict(slots),
             {fid: t + instance.flight(fid).flight_time for fid, t in slots.items()},
-            {fid: t - instance.flight(fid).sched_dep for fid, t in slots.items()},
-            {fid: 0 for fid in ids},
         )
         sample = {
             key: [int(rng.choice(stage.supports)) for stage in tree.stage_pmfs]

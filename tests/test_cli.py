@@ -485,6 +485,82 @@ def test_infeasible_reduction_exits_1(tmp_path):
     assert main(["evaluate", "--config", config]) == 1
 
 
+def _solved_sp(tmp_path):
+    """A config that solves sp on two_airport_instance and evaluates the
+    result, after the solve has run; returns (config, result path,
+    evaluation path)."""
+    instance_path = tmp_path / "instance.json"
+    save_instance(instance_path, two_airport_instance())
+    result_path = tmp_path / "result.json"
+    eval_path = tmp_path / "evaluation.json"
+    config = write_config(
+        tmp_path,
+        {
+            "solve": {"instance": str(instance_path), "model": "sp", "out": str(result_path)},
+            "evaluate": {
+                "instance": str(instance_path),
+                "result": str(result_path),
+                "reduction": 0.2,
+                "sample_count": 30,
+                "out": str(eval_path),
+            },
+        },
+    )
+    assert main(["solve", "--config", config]) == 0
+    return config, result_path, eval_path
+
+
+def test_evaluate_reads_the_slots_not_the_delay_fields(tmp_path):
+    """A result file's delay fields are derived from its slots, so a
+    file whose delays disagree with its slots evaluates exactly like
+    the consistent file."""
+    config, result_path, eval_path = _solved_sp(tmp_path)
+    assert main(["evaluate", "--config", config]) == 0
+    consistent = eval_path.read_bytes()
+    body = json.loads(result_path.read_text())
+    body["flights"]["f0"]["ground_delay"] += 50
+    body["flights"]["f3"]["air_delay"] = -7
+    result_path.write_text(json.dumps(body))
+    assert main(["evaluate", "--config", config]) == 0
+    assert eval_path.read_bytes() == consistent
+
+
+def _drop_f0(flights):
+    del flights["f0"]
+
+
+def _depart_f3_early(flights):
+    # f3 is scheduled to depart in interval 1
+    flights["f3"]["u_slot"] = 0
+
+
+def _land_f0_early(flights):
+    flights["f0"]["v_slot"] = flights["f0"]["u_slot"]
+
+
+@pytest.mark.parametrize(
+    "fault,named",
+    [
+        (_drop_f0, "flight f0 has no slots"),
+        (_depart_f3_early, "flight f3 departs at 0, before its schedule 1"),
+        (_land_f0_early, "flight f0 arrives at"),
+    ],
+    ids=["missing flight", "early departure", "early arrival"],
+)
+def test_evaluate_rejects_a_result_that_does_not_fit(tmp_path, capsys, fault, named):
+    config, result_path, eval_path = _solved_sp(tmp_path)
+    body = json.loads(result_path.read_text())
+    fault(body["flights"])
+    result_path.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert f"result file {result_path}: {named}" in err
+    assert not eval_path.exists()
+
+
+ABSENT_CELL = {"series": "missing.json", "airport": "A", "op_type": "departure"}
+
 MALFORMED = {
     "epsilon without departure": (
         "solve",
@@ -608,6 +684,26 @@ MALFORMED = {
     "fractional change points": (
         "reduce-scenarios",
         {"cells": [], "change_points": 1.5, "clusters_per_stage": 1},
+        2,
+        "change_points",
+    ),
+    # the reduce-scenarios counts are checked before the series file,
+    # which is absent here, is read
+    "zero clusters per stage": (
+        "reduce-scenarios",
+        {"cells": [ABSENT_CELL], "change_points": 1, "clusters_per_stage": 0},
+        2,
+        "clusters_per_stage",
+    ),
+    "negative clusters per stage": (
+        "reduce-scenarios",
+        {"cells": [ABSENT_CELL], "change_points": 1, "clusters_per_stage": -2},
+        2,
+        "clusters_per_stage",
+    ),
+    "negative change points": (
+        "reduce-scenarios",
+        {"cells": [ABSENT_CELL], "change_points": -1, "clusters_per_stage": 1},
         2,
         "change_points",
     ),

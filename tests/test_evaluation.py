@@ -31,14 +31,13 @@ from groundhold.maghp import (
     expected_recourse_cost,
     extract_policy,
     first_stage_cost,
-    inner_worst_case,
     solve,
     support_worst_case,
 )
 from groundhold.fixtures import random_instance, stress_instance
 from groundhold.pmf import make_pmf, pmf_mean, point_mass, wasserstein_1d
 
-from oracles import lp_second_stage_cost, wasserstein_lp
+from oracles import inner_worst_case, lp_second_stage_cost, wasserstein_lp
 from test_maghp import flight, single_stage_tree, two_airport_instance
 
 
@@ -303,8 +302,6 @@ def test_out_of_sample_cost_hand_case():
     policy = GroundDelayPolicy(
         {"f0": 0, "f1": 0, "f2": 0, "f3": 1},
         {"f0": 1, "f1": 1, "f2": 1, "f3": 2},
-        {"f0": 0, "f1": 0, "f2": 0, "f3": 1},
-        {"f0": 0, "f1": 0, "f2": 0, "f3": 0},
     )
     samples = {("A", "departure"): np.array([[1], [3]])}
     evaluation = evaluate_policy(policy, inst, samples)
@@ -327,8 +324,6 @@ def test_closed_form_matches_lp_on_random_policies():
         policy = GroundDelayPolicy(
             dict(slots),
             {fid: t + inst.flight(fid).flight_time for fid, t in slots.items()},
-            {fid: t - inst.flight(fid).sched_dep for fid, t in slots.items()},
-            {fid: 0 for fid in ids},
         )
         sample = {
             key: [int(rng.choice(stage.supports)) for stage in tree.stage_pmfs]

@@ -19,7 +19,7 @@ from groundhold.maghp import (
     build_sp,
     extract_policy,
     first_stage_cost,
-    inner_worst_case,
+    flight_delays,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -31,6 +31,7 @@ from groundhold.maghp import (
 )
 from groundhold.pmf import make_pmf
 from groundhold.scenario import ReducedPmf, ScenarioTree, TimeClustering
+from oracles import inner_worst_case
 
 
 def single_stage_tree(airport, op_type, horizon, atoms):
@@ -67,7 +68,7 @@ def test_det_single_flight_no_delay():
     assert result.objective == pytest.approx(0.0, abs=1e-9)
     policy = extract_policy(result)
     assert policy.u_slot["f1"] == 0 and policy.v_slot["f1"] == 1
-    assert policy.ground_delay["f1"] == 0 and policy.air_delay["f1"] == 0
+    assert flight_delays(inst, policy)["f1"] == (0, 0)
 
 
 def test_det_two_flights_share_one_slot():
@@ -87,8 +88,8 @@ def test_det_two_flights_share_one_slot():
     assert result.objective == pytest.approx(1.0, abs=1e-9)
     policy = extract_policy(result)
     assert sorted(policy.u_slot.values()) == [0, 1]
-    assert sorted(policy.ground_delay.values()) == [0, 1]
-    assert all(a == 0 for a in policy.air_delay.values())
+    # (ground, air) per flight: one held an interval, no airborne delay
+    assert sorted(flight_delays(inst, policy).values()) == [(0, 0), (1, 0)]
 
 
 def test_det_connection_passes_delay_minus_slack():
@@ -112,9 +113,9 @@ def test_det_connection_passes_delay_minus_slack():
     }
     result = solve(build_det(inst, caps))
     policy = extract_policy(result)
-    assert policy.ground_delay["p"] == 3
-    assert policy.air_delay["p"] == 0
-    assert policy.ground_delay["s"] == 2
+    delays = flight_delays(inst, policy)
+    assert delays["p"] == (3, 0)
+    assert delays["s"][0] == 2
     assert result.objective == pytest.approx(5.0, abs=1e-9)
 
 
@@ -136,8 +137,9 @@ def test_coupling_skipped_at_out_of_network_airport():
         )
         result = solve(build_det(inst, {("A", "departure"): [0, 1]}))
         policy = extract_policy(result)
-        assert policy.ground_delay["p"] == 1
-        assert policy.ground_delay["s"] == 0
+        delays = flight_delays(inst, policy)
+        assert delays["p"][0] == 1
+        assert delays["s"][0] == 0
         assert result.objective == pytest.approx(1.0, abs=1e-9)
 
 
@@ -161,7 +163,8 @@ def test_sp_single_scenario_equals_det():
     sp = solve(build_sp(inst))
     assert det.objective == pytest.approx(3.0, abs=1e-9)
     assert sp.objective == pytest.approx(det.objective, abs=1e-9)
-    assert sorted(extract_policy(sp).ground_delay.values()) == [0, 1, 2]
+    delays = flight_delays(inst, extract_policy(sp))
+    assert sorted(ground for ground, _ in delays.values()) == [0, 1, 2]
 
 
 def test_sp_two_scenarios_matches_exhaustive_enumeration():
@@ -279,9 +282,7 @@ def test_dr_per_op_radii_accepted():
 def hand_policy(inst, slots):
     u = dict(slots)
     v = {fid: t + inst.flight(fid).flight_time for fid, t in u.items()}
-    g = {fid: t - inst.flight(fid).sched_dep for fid, t in u.items()}
-    a = {fid: 0 for fid in u}
-    return GroundDelayPolicy(u, v, g, a)
+    return GroundDelayPolicy(u, v)
 
 
 def worst_case_fixture():

@@ -6,9 +6,8 @@ argument is that the closed-form recourse R_j does not increase with
 capacity, so at the robust optimum every pair, dropped ones included,
 must still satisfy beta_i >= R_j - alpha * dist(i, j). These tests
 check that inequality directly, pin the kept count on product trees
-and the tie rule, check that solve() rejects a model whose pruning drops
-a needed row, and check that moving a built model to another radius
-gives the model a fresh build would.
+and the tie rule, and check that solve() rejects a model whose pruning
+drops a needed row.
 """
 
 import itertools
@@ -26,7 +25,6 @@ from groundhold.maghp import (
     kept_pairs,
     overflow,
     scenario_distance_matrix,
-    set_radius,
     solve,
 )
 from groundhold.pmf import make_pmf
@@ -112,14 +110,3 @@ def test_solve_rejects_pruning_that_drops_needed_rows(monkeypatch):
     with pytest.raises(SolverError):
         solve(build_dr(stress_instance(), 0.1))
 
-
-@pytest.mark.parametrize("start,radius", [(0.05, 0.3), (0.3, {"departure": 0.0, "arrival": 1.0})])
-def test_set_radius_gives_the_model_a_fresh_build_gives(start, radius):
-    instance = stress_instance()
-    moved = build_dr(instance, start)
-    solve(moved)
-    set_radius(moved, radius)
-    fresh = build_dr(instance, radius)
-    assert moved.model == fresh.model
-    assert moved.epsilon == fresh.epsilon
-    assert solve(moved).objective == solve(fresh).objective

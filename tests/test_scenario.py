@@ -245,10 +245,13 @@ def test_eight_scenarios_three_stages():
 
 
 def test_scenario_cap():
-    series = [bernoulli(0.1 * i) for i in range(1, 9)]
-    clustering = cluster_time_series(series, 3)
-    with pytest.raises(ScenarioExplosionError):
-        build_scenario_tree(clustering, 2, max_scenarios=15)
+    """13 two-atom stages make 8,192 scenarios, over the cap of 4,096;
+    the count is refused before any scenario is enumerated."""
+    series = [bernoulli(0.05 + 0.065 * i) for i in range(14)]
+    clustering = cluster_time_series(series, 13)
+    assert clustering.num_stages == 13
+    with pytest.raises(ScenarioExplosionError, match="8192 scenarios exceed the cap of 4096"):
+        build_scenario_tree(clustering, 2)
 
 
 def test_capacity_at_boundary_and_lookup():

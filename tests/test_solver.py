@@ -24,8 +24,9 @@ def test_small_lp():
 
 def test_equality_and_upper_bounds():
     model = LinearModel()
-    x = model.add_variable(objective=2.0, upper=5.0)
+    x = model.add_variable(objective=2.0)
     y = model.add_variable(objective=1.0)
+    model.add_linear_constraint([(x, 1.0)], "<=", 5.0)
     model.add_linear_constraint([(x, 1.0), (y, 1.0)], "=", 8.0)
     solution = model.minimize()
     assert solution.ok
@@ -94,13 +95,13 @@ def test_milp_carries_highs_telemetry():
     assert isinstance(solution.node_count, int) and solution.node_count >= 0
 
 
-def test_set_objective_and_later_rows_reach_the_solver():
+def test_rows_added_after_a_solve_reach_the_solver():
+    """minimize assembles the rows on every call, so rows and variables
+    added after a solve are part of the next one."""
     model = LinearModel()
-    x = model.add_variable(objective=1.0)
+    x = model.add_variable(objective=5.0)
     y = model.add_variable(objective=2.0)
     model.add_linear_constraint([(x, 1.0), (y, 1.0)], ">=", 3.0)
-    assert model.minimize().values[x] == pytest.approx(3.0)
-    model.set_objective(x, 5.0)
     solution = model.minimize()
     assert solution.objective == pytest.approx(6.0)
     assert solution.values[y] == pytest.approx(3.0)
@@ -108,8 +109,9 @@ def test_set_objective_and_later_rows_reach_the_solver():
     assert model.minimize().objective == pytest.approx(12.0)
     model.add_rows([0], [x], [1.0], [2.5], [np.inf])
     assert model.minimize().objective == pytest.approx(13.5)
-    with pytest.raises(IndexError):
-        model.set_objective(2, 1.0)
+    z = model.add_variable(objective=1.0)
+    model.add_linear_constraint([(z, 1.0)], ">=", 0.5)
+    assert model.minimize().objective == pytest.approx(14.0)
 
 
 def test_add_rows_matches_one_row_at_a_time():
@@ -118,13 +120,14 @@ def test_add_rows_matches_one_row_at_a_time():
     models = [LinearModel(), LinearModel()]
     for model in models:
         model.add_variable(objective=1.0)
-        model.add_variable(objective=2.0, upper=4.0)
+        model.add_variable(objective=2.0)
         model.add_linear_constraint([(0, 1.0)], "<=", 9.0)
+        model.add_linear_constraint([(1, 1.0)], "<=", 4.0)
     by_row, bulk = models
     by_row.add_linear_constraint([(0, 1.0), (1, 1.0)], ">=", 5.0)
     by_row.add_linear_constraint([(1, 1.0)], "=", 2.0)
     bulk.add_rows([1, 0, 0], [1, 0, 1], [1.0, 1.0, 1.0], [5.0, 2.0], [np.inf, 2.0])
-    assert (bulk.num_constraints, bulk.num_nonzeros) == (3, 4)
+    assert (bulk.num_constraints, bulk.num_nonzeros) == (4, 5)
     for model in models:
         solution = model.minimize()
         assert solution.objective == pytest.approx(7.0)

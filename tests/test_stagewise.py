@@ -23,12 +23,11 @@ from groundhold.maghp import (
     expected_recourse_cost,
     extract_policy,
     first_stage_cost,
-    inner_worst_case,
     solve,
     stage_capacities,
 )
 from groundhold.scenario import ReducedPmf, ScenarioTree
-from oracles import enumerated_dr, enumerated_sp
+from oracles import enumerated_dr, enumerated_sp, inner_worst_case
 
 RADII = (0.0, 0.05, 0.3, 1.0)
 TOL = 1e-6
