@@ -44,7 +44,7 @@ RECORD_COLUMNS = ("airport", "op_type", "scheduled_time", "actual_time")
 DELAYED_FLIGHT_MINUTES = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperationRecord:
     """One arrival or departure: where, when planned, when flown."""
 
@@ -62,7 +62,7 @@ class OperationRecord:
         return self.actual_minute - self.scheduled_minute
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalStats:
     """Aggregates for one (airport, op_type, interval) cell."""
 
@@ -75,7 +75,7 @@ class IntervalStats:
     delayed_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapacityObservation:
     """A saturated interval whose throughput is taken as capacity."""
 

@@ -45,6 +45,7 @@ from .maghp import (
     build_dr,
     build_sp,
     extract_policy,
+    flight_delays,
     load_instance,
     load_result,
     save_result,
@@ -292,8 +293,10 @@ def cmd_solve(config, args):
 def _checked_policy(path, instance):
     """The policy of the result file at path, checked to fit instance:
     every flight has slots, departs no earlier than scheduled and
-    arrives no earlier than its departure plus its flight time. Raises
-    MissingInputError naming the file and the flight."""
+    arrives no earlier than its departure plus its flight time, and a
+    successor departing from a network airport is held at least the
+    delay its predecessor passes on beyond the connection's slack.
+    Raises MissingInputError naming the file and the flight(s)."""
     policy = extract_policy(load_result(path))
     for f in instance.flights:
         if f.id not in policy.u_slot:
@@ -308,6 +311,16 @@ def _checked_policy(path, instance):
         else:
             continue
         raise MissingInputError(f"result file {path}: flight {f.id} {fault}")
+    delays = flight_delays(instance, policy)
+    for c in instance.delay_connections():
+        held = delays[c.successor][0]
+        passed_on = sum(delays[c.predecessor]) - c.slack
+        if held < passed_on:
+            raise MissingInputError(
+                f"result file {path}: flight {c.successor} is held {held} intervals, "
+                f"less than the {passed_on} its predecessor {c.predecessor} passes on "
+                f"beyond slack {c.slack}"
+            )
     return policy
 
 

@@ -374,8 +374,11 @@ def write_sample_costs_csv(path, report: SensitivityReport) -> None:
     fields shared by a (reduction, model) block go through csv.writer
     once, so a day name that needs quoting is quoted, and the block's
     sample and cost fields, which never need quoting, are formatted in
-    one join.
+    one join. Costs are the recourse unit times integer overflow counts,
+    so a block holds few distinct values: each distinct float (told
+    apart by its bits, so 0.0 and -0.0 stay distinct) is formatted once.
     """
+    heads: list[str] = []
     with Path(path).open("w", newline="") as handle:
         csv.writer(handle).writerow(
             ["day", "reduction", "model", "sample", "second_stage_cost"]
@@ -385,9 +388,12 @@ def write_sample_costs_csv(path, report: SensitivityReport) -> None:
                 line = io.StringIO()
                 csv.writer(line).writerow([report.day, f"{row.reduction:g}", model, ""])
                 prefix = line.getvalue().removesuffix("\r\n")
-                costs = np.asarray(row.per_sample[model]).tolist()
+                costs = np.asarray(row.per_sample[model], dtype=float)
+                heads.extend(f"{i}," for i in range(len(heads), len(costs)))
+                bits, which = np.unique(costs.view(np.int64), return_inverse=True)
+                text = [f"{cost:.6f}\r\n" for cost in bits.view(float).tolist()]
                 handle.write(
-                    "".join(f"{prefix}{i},{cost:.6f}\r\n" for i, cost in enumerate(costs))
+                    "".join([f"{prefix}{head}{text[k]}" for head, k in zip(heads, which.tolist())])
                 )
 
 

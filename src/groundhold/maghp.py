@@ -189,6 +189,16 @@ class MaghpInstance:
             raise ValueError("connection graph contains a cycle")
         return max(latest[f.id] + f.flight_time for f in self.flights) + 1
 
+    def delay_connections(self) -> list[FlightConnection]:
+        """The connections delay propagates through: those whose
+        turnaround airport (the successor's origin, which is the
+        predecessor's destination) is inside the network. There the
+        successor absorbs the predecessor's total delay beyond the
+        scheduled slack."""
+        return [
+            c for c in self.connections if self.flight(c.successor).origin in self.airports
+        ]
+
     def constrained_keys(self):
         """(airport, op_type) cells that need a capacity profile: each
         network airport some flight departs from or arrives at."""
@@ -290,20 +300,12 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel):
         terms += [(u_index[f.id, t], float(t)) for t in range(f.sched_dep, total - f.flight_time)]
         model.add_linear_constraint(terms, "=", float(f.sched_dep - f.sched_arr))
 
-    for c in instance.connections:
-        pred = instance.flight(c.predecessor)
-        succ = instance.flight(c.successor)
-        # delay propagates only through a turnaround airport (the
-        # successor's origin, which is the predecessor's destination)
-        # inside the network: the successor absorbs the predecessor's
-        # total delay beyond the scheduled slack
-        if succ.origin not in instance.airports:
-            continue
+    for c in instance.delay_connections():
         model.add_linear_constraint(
             [
-                (ground[succ.id], 1.0),
-                (ground[pred.id], -1.0),
-                (air[pred.id], -1.0),
+                (ground[c.successor], 1.0),
+                (ground[c.predecessor], -1.0),
+                (air[c.predecessor], -1.0),
             ],
             ">=",
             -float(c.slack),

@@ -149,31 +149,51 @@ def train(features, labels, config: TrainingConfig) -> PredictorModel:
     b1 = np.zeros(hidden)
     w2 = rng.normal(0.0, math.sqrt(2.0 / hidden), size=(hidden, classes))
     b2 = np.zeros(classes)
-    onehot = np.eye(classes)[labels]
-
-    n = len(labels)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            x, y = normalized[batch], onehot[batch]
-            pre = x @ w1 + b1
-            hid = np.maximum(pre, 0.0)
-            probs = _softmax(hid @ w2 + b2)
-            # average cross-entropy gradient over the minibatch
-            g_logits = (probs - y) / len(batch)
-            g_w2 = hid.T @ g_logits
-            g_b2 = g_logits.sum(axis=0)
-            g_hid = (g_logits @ w2.T) * (pre > 0)
-            g_w1 = x.T @ g_hid
-            g_b1 = g_hid.sum(axis=0)
-            w1 -= config.learning_rate * g_w1
-            b1 -= config.learning_rate * g_b1
-            w2 -= config.learning_rate * g_w2
-            b2 -= config.learning_rate * g_b2
 
     model.params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
+    _descend(model.params, normalized, np.eye(classes)[labels], rng, config)
     return model
+
+
+def _descend(params: dict, normalized, onehot, rng, config: TrainingConfig) -> None:
+    """Minibatch gradient descent on the average cross-entropy, updating
+    params in place.
+
+    Each epoch gathers the rows in a fresh random order once and slices
+    its batches from the gathered arrays. The softmax and the gradient
+    steps run in place, but every floating-point operation is the one,
+    and in the order, of the plain loop (tests/oracles.py keeps it), so
+    the trained weights are the same to the bit.
+    """
+    w1, b1, w2, b2 = (params[k] for k in ("w1", "b1", "w2", "b2"))
+    lr, size, n = config.learning_rate, config.batch_size, len(onehot)
+    add, largest = np.add.reduce, np.maximum.reduce
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        xs, ys = normalized[order], onehot[order]
+        for start in range(0, n, size):
+            x, y = xs[start : start + size], ys[start : start + size]
+            pre = x @ w1
+            pre += b1
+            hid = np.maximum(pre, 0.0)
+            # softmax of the logits, then its gradient, both in place
+            g_logits = hid @ w2
+            g_logits += b2
+            g_logits -= largest(g_logits, axis=-1, keepdims=True)
+            np.exp(g_logits, out=g_logits)
+            g_logits /= add(g_logits, axis=-1, keepdims=True)
+            g_logits -= y
+            g_logits /= len(x)
+            g_w2 = hid.T @ g_logits
+            g_b2 = add(g_logits, axis=0)
+            g_hid = g_logits @ w2.T
+            g_hid *= pre > 0
+            g_w1 = x.T @ g_hid
+            g_b1 = add(g_hid, axis=0)
+            w1 -= lr * g_w1
+            b1 -= lr * g_b1
+            w2 -= lr * g_w2
+            b2 -= lr * g_b2
 
 
 def predict_pmf(model: PredictorModel, feature_vector) -> Pmf:

@@ -9,6 +9,10 @@ triplets, with row ids counted within the block, in one call. A model
 is built for one problem and solved once: each minimize call builds one
 sparse matrix from the triplets and hands the model to
 scipy.optimize.milp.
+
+scipy loads on the first solve, not on import, so the forecasting half
+of the package (capacity, prediction, pmf, scenario) never pays for the
+optimizer stack.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import LinearConstraint, Bounds, milp
 
 #: relative optimality gap at which HiGHS stops a MILP
 MIP_REL_GAP = 1e-6
@@ -158,6 +160,9 @@ class LinearModel:
         if n == 0:
             return Solution("optimal", 0.0, np.zeros(0))
 
+        from scipy import sparse
+        from scipy.optimize import Bounds, LinearConstraint
+
         c = np.asarray(self._objective)
         integrality = np.asarray(self._integrality)
         bounds = Bounds(np.asarray(self._lower), np.asarray(self._upper))
@@ -194,6 +199,13 @@ class LinearModel:
         if result.status == 2:
             return Solution("infeasible", None, None)
         return Solution("error", None, None)
+
+
+def milp(*args, **kwargs):
+    """scipy.optimize.milp, imported on the first call."""
+    from scipy.optimize import milp as scipy_milp
+
+    return scipy_milp(*args, **kwargs)
 
 
 def _telemetry(result) -> tuple:

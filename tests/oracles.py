@@ -15,7 +15,10 @@ closed form or by duality: the Wasserstein distance on the line
 Wasserstein ball (inner_worst_case), the primal the robust model
 dualizes.
 cross_entropy is the training loss, used to check that training lowers
-it. looped_aggregate_intervals is the interval binning as first written,
+it. minibatch_descent is the MLP training loop as first written, one
+fancy-indexed batch and fresh arrays per step, whose weights the
+library's in-place loop must reproduce to the bit.
+looped_aggregate_intervals is the interval binning as first written,
 one record at a time in Python, which the library's array version must
 reproduce exactly.
 """
@@ -43,7 +46,7 @@ from groundhold.maghp import (
     scenario_distance_matrix,
 )
 from groundhold.pmf import Pmf
-from groundhold.prediction import predict_pmf
+from groundhold.prediction import _softmax, predict_pmf
 from groundhold.scenario import scenario_capacity_profile
 from groundhold.solver import LinearModel
 
@@ -231,6 +234,32 @@ def lp_second_stage_cost(policy, instance: MaghpInstance, sample: dict) -> float
     if not solution.ok:
         raise SolverError(f"evaluation LP ended with status {solution.status}")
     return float(solution.objective)
+
+
+def minibatch_descent(params, normalized, onehot, rng, config) -> None:
+    """The plain minibatch loop prediction._descend must match bit for
+    bit; updates params in place."""
+    w1, b1, w2, b2 = (params[k] for k in ("w1", "b1", "w2", "b2"))
+    n = len(onehot)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            x, y = normalized[batch], onehot[batch]
+            pre = x @ w1 + b1
+            hid = np.maximum(pre, 0.0)
+            probs = _softmax(hid @ w2 + b2)
+            # average cross-entropy gradient over the minibatch
+            g_logits = (probs - y) / len(batch)
+            g_w2 = hid.T @ g_logits
+            g_b2 = g_logits.sum(axis=0)
+            g_hid = (g_logits @ w2.T) * (pre > 0)
+            g_w1 = x.T @ g_hid
+            g_b1 = g_hid.sum(axis=0)
+            w1 -= config.learning_rate * g_w1
+            b1 -= config.learning_rate * g_b1
+            w2 -= config.learning_rate * g_w2
+            b2 -= config.learning_rate * g_b2
 
 
 def cross_entropy(model, features, labels) -> float:

@@ -1,11 +1,15 @@
 """Capacity observation rules, from binning to criteria."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import handcase
 from oracles import looped_aggregate_intervals
 from groundhold.capacity import (
+    ARRIVAL,
+    DEPARTURE,
     CapacityObservation,
     IntervalStats,
     OperationRecord,
@@ -204,3 +208,23 @@ def test_record_csv_minutes_and_iso(tmp_path):
         path, time_format="iso8601", horizon_start="2024-05-01T09:00:00"
     )
     assert rec.scheduled_minute == 15.0 and rec.actual_minute == 30.0
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        OperationRecord("X", DEPARTURE, 10.0, 25.0),
+        IntervalStats("X", DEPARTURE, 3, 4, 5, 2.5, 1),
+        CapacityObservation("X", ARRIVAL, 3, 4, frozenset({"throughput"})),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_record_types_are_slotted_and_frozen(record):
+    """The per-record types carry no __dict__, stay frozen and still
+    take dataclasses.replace."""
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.airport = "Y"
+    moved = dataclasses.replace(record, airport="Y")
+    assert (moved.airport, record.airport) == ("Y", "X")
+    assert dataclasses.astuple(moved)[1:] == dataclasses.astuple(record)[1:]

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,7 @@ from groundhold.capacity import (
 from groundhold.cli import main
 from groundhold.config import load_config
 from groundhold.errors import ConfigError
-from groundhold.fixtures import bucket_training_data, synthetic_records
+from groundhold.fixtures import bucket_training_data, stress_instance, synthetic_records
 from groundhold.maghp import (
     FlightConnection,
     MaghpInstance,
@@ -189,6 +192,69 @@ def test_reduce_scenarios_builds_trees(tmp_path):
         assert len(tree.stage_pmfs) == 2
         assert tree.num_scenarios == 4
         assert tree.time_clusters.boundaries == (4,)
+
+
+FORECAST_THEN_SOLVE = """
+import json, sys
+import groundhold
+from groundhold.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+codes = {c: main([c, "--config", "config.json"]) for c in ("estimate", "predict", "reduce-scenarios")}
+before = scipy_modules()
+codes["solve"] = main(["solve", "--config", "config.json"])
+print(json.dumps({"codes": codes, "before": before, "after": bool(scipy_modules())}))
+"""
+
+
+def test_forecast_commands_never_load_scipy(tmp_path):
+    """estimate, predict and reduce-scenarios run without importing
+    scipy; a solve in the same process then loads it and works."""
+    write_operation_records(tmp_path / "records.csv", synthetic_records(seed=0))
+    features, labels = bucket_training_data(seed=1, count=120)
+    with open(tmp_path / "training.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "f2", "label"])
+        writer.writerows([*row, label] for row, label in zip(features, labels))
+    save_pmf_series(tmp_path / "dep.json", [make_pmf([4, 8], [0.5, 0.5])] * 4)
+    save_instance(tmp_path / "instance.json", two_airport_instance())
+    write_config(
+        tmp_path,
+        {
+            "seed": 5,
+            "estimate": {"records": "records.csv", "num_intervals": 48, "out": "obs.csv"},
+            "predict": {
+                "training": "training.csv",
+                "kind": "mlp",
+                "epochs": 2,
+                "out": "model.json",
+                "metrics_out": "metrics.json",
+            },
+            "reduce-scenarios": {
+                "cells": [{"airport": "A", "op_type": "departure", "series": "dep.json"}],
+                "change_points": 0,
+                "clusters_per_stage": 2,
+                "out": "trees.json",
+            },
+            "solve": {"instance": "instance.json", "model": "sp", "out": "result.json"},
+        },
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", FORECAST_THEN_SOLVE],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen == {
+        "codes": {"estimate": 0, "predict": 0, "reduce-scenarios": 0, "solve": 0},
+        "before": [],
+        "after": True,
+    }
+    assert json.loads((tmp_path / "result.json").read_text())["status"] == "optimal"
 
 
 def test_solve_dr_result_recomputes_from_file(tmp_path):
@@ -556,6 +622,44 @@ def test_evaluate_rejects_a_result_that_does_not_fit(tmp_path, capsys, fault, na
     assert main(["evaluate", "--config", config]) == 1
     err = capsys.readouterr().err
     assert f"result file {result_path}: {named}" in err
+    assert not eval_path.exists()
+
+
+def test_evaluate_rejects_a_result_that_breaks_a_connection(tmp_path, capsys):
+    """Holding a00 five more intervals while its successor ca0 (slack 1,
+    departing from network airport C) goes back on schedule is a policy
+    no model could return: evaluate exits 1 naming both flights."""
+    instance = stress_instance()
+    instance_path = tmp_path / "instance.json"
+    save_instance(instance_path, instance)
+    result_path = tmp_path / "result.json"
+    eval_path = tmp_path / "evaluation.json"
+    config = write_config(
+        tmp_path,
+        {
+            "solve": {"instance": str(instance_path), "model": "sp", "out": str(result_path)},
+            "evaluate": {
+                "instance": str(instance_path),
+                "result": str(result_path),
+                "reduction": 0.2,
+                "sample_count": 100,
+                "out": str(eval_path),
+            },
+        },
+    )
+    assert main(["solve", "--config", config]) == 0
+    body = json.loads(result_path.read_text())
+    a00 = body["flights"]["a00"]
+    a00["u_slot"] += 5
+    a00["v_slot"] += 5
+    ca0 = instance.flight("ca0")
+    body["flights"]["ca0"].update(u_slot=ca0.sched_dep, v_slot=ca0.sched_arr)
+    result_path.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert f"result file {result_path}: flight ca0 is held 0 intervals" in err
+    assert "its predecessor a00" in err
     assert not eval_path.exists()
 
 

@@ -1,6 +1,7 @@
 """Predictor training, PMF outputs and forecast metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from groundhold.prediction import (
     tolerance_interval,
     train,
 )
-from oracles import cross_entropy
+import groundhold.prediction as prediction
+from oracles import cross_entropy, minibatch_descent
 
 EXAMPLE = make_pmf([0, 1, 2, 3, 4, 5], [0.05, 0.10, 0.70, 0.10, 0.03, 0.02])
 
@@ -120,6 +122,30 @@ def test_mlp_learns_separable_toy_set():
         for x, z in zip(features, labels)
     )
     assert hits / n >= 0.95
+
+
+@pytest.mark.parametrize(
+    "seed,rows,batch_size",
+    [(0, 64, 16), (1, 61, 16), (2, 50, 1), (3, 37, 7), (4, 10, 64), (5, 300, 32)],
+    ids=["even", "ragged", "batch 1", "ragged small", "one batch", "bench batch"],
+)
+def test_training_weights_are_the_plain_loops_to_the_bit(monkeypatch, seed, rows, batch_size):
+    """The in-place training loop gives the plain loop's weights byte for
+    byte, for even and ragged last batches and batch size 1."""
+    rng = np.random.default_rng(100 + seed)
+    features = rng.normal(size=(rows, 4)) * [1.0, 5.0, 0.1, 30.0]
+    labels = rng.integers(0, 9, size=rows)
+    config = TrainingConfig(
+        kind=MLP, hidden_units=12, learning_rate=0.05, epochs=6,
+        batch_size=batch_size, seed=seed,
+    )
+    fast = train(features, labels, config)
+    monkeypatch.setattr(prediction, "_descend", minibatch_descent)
+    plain = train(features, labels, config)
+    for key in ("w1", "b1", "w2", "b2"):
+        assert fast.params[key].tobytes() == plain.params[key].tobytes(), key
+    untrained = train(features, labels, replace(config, epochs=0))
+    assert not np.array_equal(fast.params["w1"], untrained.params["w1"])
 
 
 def test_predicted_pmf_is_valid():
