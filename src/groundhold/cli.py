@@ -52,6 +52,8 @@ from .maghp import (
     solve,
 )
 from .prediction import (
+    EMPIRICAL,
+    MLP,
     TrainingConfig,
     evaluate,
     save_model,
@@ -95,20 +97,32 @@ def _finite(value):
     return number
 
 
-def _interval_minutes(value):
-    """An interval length in minutes, finite and greater than 0."""
-    minutes = _finite(value)
-    if not minutes > 0:
+def _positive(value):
+    """A finite number greater than 0."""
+    number = _finite(value)
+    if not number > 0:
         raise ValueError(f"must be greater than 0, got {value!r}")
-    return minutes
+    return number
 
 
-def _percentile(value):
-    """A percentile level in (0, 1]."""
+def _level(value):
+    """A level or fraction in (0, 1]."""
     level = float(value)
     if not 0 < level <= 1:
         raise ValueError(f"must be in (0, 1], got {value!r}")
     return level
+
+
+def _one_of(*choices):
+    """A parser accepting exactly one of choices."""
+
+    def parse(value):
+        if value not in choices:
+            expected = ", ".join(repr(c) for c in choices)
+            raise ValueError(f"expected one of {expected}, got {value!r}")
+        return value
+
+    return parse
 
 
 def _count(minimum):
@@ -126,8 +140,9 @@ def _count(minimum):
 def cmd_estimate(config, args):
     section = section_for(config, "estimate")
     num_intervals = typed(section, "num_intervals", _count(1), "estimate")
-    interval_minutes = typed(
-        section, "interval_minutes", _interval_minutes, "estimate", 15.0
+    interval_minutes = typed(section, "interval_minutes", _positive, "estimate", 15.0)
+    time_format = typed(
+        section, "time_format", _one_of("minutes", "iso8601"), "estimate", "minutes"
     )
     criteria = dict(
         alpha=typed(section, "alpha", _finite, "estimate", 0.8),
@@ -135,11 +150,11 @@ def cmd_estimate(config, args):
             section, "delay_threshold_minutes", _finite, "estimate", 15.0
         ),
         min_delayed=typed(section, "min_delayed", int, "estimate", 2),
-        percentile=typed(section, "percentile", _percentile, "estimate", 0.9),
+        percentile=typed(section, "percentile", _level, "estimate", 0.9),
     )
     records = read_operation_records(
         require(section, "records", "estimate"),
-        time_format=section.get("time_format", "minutes"),
+        time_format=time_format,
         horizon_start=section.get("horizon_start"),
     )
     stats = aggregate_intervals(records, num_intervals, interval_minutes)
@@ -185,28 +200,31 @@ def _read_training_csv(path):
 
 def cmd_predict(config, args):
     section = section_for(config, "predict")
-    features, labels = _read_training_csv(require(section, "training", "predict"))
-    split_train, split_val, split_test = temporal_split(
-        len(labels),
-        train_frac=typed(section, "train_frac", float, "predict", 10 / 12),
-        val_frac=typed(section, "val_frac", float, "predict", 1 / 12),
-    )
-    held_out = split_test if len(split_test) else split_val
+    train_frac = typed(section, "train_frac", _level, "predict", 10 / 12)
+    val_frac = typed(section, "val_frac", _finite, "predict", 1 / 12)
+    if not (val_frac >= 0 and train_frac + val_frac <= 1):
+        raise ConfigError(
+            f"predict config 'val_frac': must be in [0, 1 - train_frac], got {val_frac!r}"
+        )
     training = TrainingConfig(
-        kind=section.get("kind", "mlp"),
+        kind=typed(section, "kind", _one_of(MLP, EMPIRICAL), "predict", MLP),
         max_capacity=typed(section, "max_capacity", int, "predict", None),
-        hidden_units=typed(section, "hidden_units", int, "predict", 32),
-        learning_rate=typed(section, "learning_rate", float, "predict", 1e-4),
-        epochs=typed(section, "epochs", int, "predict", 300),
-        batch_size=typed(section, "batch_size", int, "predict", 16),
+        hidden_units=typed(section, "hidden_units", _count(1), "predict", 32),
+        learning_rate=typed(section, "learning_rate", _positive, "predict", 1e-4),
+        epochs=typed(section, "epochs", _count(0), "predict", 300),
+        batch_size=typed(section, "batch_size", _count(1), "predict", 16),
         seed=int(config.get("seed", 0)),
     )
+    level = typed(section, "level", _level, "predict", 0.9)
+    features, labels = _read_training_csv(require(section, "training", "predict"))
+    split_train, split_val, split_test = temporal_split(len(labels), train_frac, val_frac)
+    held_out = split_test if len(split_test) else split_val
     model = train(features[split_train], labels[split_train], training)
     metrics = evaluate(
         model,
         features[held_out],
         labels[held_out],
-        level=typed(section, "level", float, "predict", 0.9),
+        level=level,
     )
     out = _out_path(args, section, "predict")
     with atomic_output(out) as temp:
@@ -257,6 +275,28 @@ def cmd_reduce_scenarios(config, args):
     return 0
 
 
+def _det_capacities(raw, instance):
+    """The solve section's det profiles keyed (airport, op_type). Each
+    label must name a constrained cell "airport/op_type" and each profile
+    be a list of horizon-many finite numbers, else ConfigError."""
+    cells = {f"{airport}/{op}": (airport, op) for airport, op in instance.constrained_keys()}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"solve config 'capacities': expected an object, got {raw!r}")
+    fixed = {}
+    for label, profile in raw.items():
+        context = f"solve config 'capacities' {label!r}"
+        if label not in cells:
+            raise ConfigError(f"{context}: expected one of {', '.join(cells)}")
+        if not (
+            isinstance(profile, list)
+            and len(profile) == instance.horizon
+            and all(type(c) in (int, float) and math.isfinite(c) for c in profile)
+        ):
+            raise ConfigError(f"{context}: expected {instance.horizon} finite numbers")
+        fixed[cells[label]] = profile
+    return fixed
+
+
 def cmd_solve(config, args):
     section = section_for(config, "solve")
     instance = load_instance(require(section, "instance", "solve"))
@@ -268,10 +308,7 @@ def cmd_solve(config, args):
     time_limit = typed(section, "time_limit", _time_limit, "solve", DEFAULT_TIME_LIMIT)
     if kind == "det":
         if "capacities" in section:
-            fixed = {
-                tuple(label.split("/")): profile
-                for label, profile in section["capacities"].items()
-            }
+            fixed = _det_capacities(section["capacities"], instance)
         else:
             fixed = best_capacity_profiles(instance)
         bundle = build_det(instance, fixed)

@@ -11,29 +11,25 @@ flavors share this first stage:
   weighted by probability;
 * robust: the stochastic model's expectation replaced by the worst
   distribution within a Wasserstein ball of radius epsilon around the
-  tree's scenario probabilities, via the dual deterministic equivalent
-  (a scalar multiplier and one free dual per empirical scenario, tied
-  to each scenario's recourse by one constraint per ordered scenario
-  pair that no lower, nearer scenario already covers).
+  tree's scenario probabilities, under an L1 ground metric on
+  stage-capacity vectors, via the dual deterministic equivalent.
 
 Both scenario models share one stagewise overflow block instead of
 enumerating the tree. Overflow cost is separable per interval, and
 interval t's capacity depends only on the atom of its own stage, so per
 cell and interval t > 0 there is one variable z[t, c] >= assigned_t - c
 for each distinct capacity c of stage(t). The stochastic model prices
-z[t, c] at that capacity's stage probability; the robust model sums a
-scenario's z terms into one recourse variable Q_j, and its pair rows
-read alpha * dist(i, j) + beta_i - Q_j >= 0. Stage probabilities are
+z[t, c] at that capacity's stage probability. Stage probabilities are
 summed from the tree's scenarios, so the block is exact for any
 scenario list, including atoms that collide after rounding.
 
-The robust model keeps pair row (i, j) only when no other scenario k
-has x_k <= x_j in every stage and dist(i, k) <= dist(i, j) (for tied
-vectors, only a lower k counts). Recourse does not increase with
-capacity, so row (i, k) already implies row (i, j) and the optimum is
-unchanged (build_dr gives the argument). On a product tree with a
-distinct atoms per stage and s stages, (a(a+1)/2)^s of the (a^s)^2
-pairs remain.
+The robust dual splits by stage too. A tree's support is the product of
+its stage capacities and the L1 metric sums over stages, so the worst
+case seen from scenario i is a sum of one max per stage; the model
+carries a multiplier alpha and one free dual gamma[s, a] per stage s and
+capacity a, tied to the unpriced z by one row per pair of capacities of
+a stage (build_dr gives the argument). Its size grows with stage atoms,
+not with scenario pairs.
 
 Capacity applies to intervals 0..horizon-1; enough unconstrained
 overflow periods are appended past the horizon that every instance
@@ -58,7 +54,6 @@ import numpy as np
 from .capacity import ARRIVAL, DEPARTURE, OP_TYPES
 from .config import load_input
 from .errors import MissingInputError, SolverError
-from .pmf import normalize_ground_costs
 from .scenario import ScenarioTree, scenario_capacity_profile, tree_from_dict, tree_to_dict
 from .solver import BINARY, LinearModel
 
@@ -253,8 +248,8 @@ class ModelBundle:
 
     u_index and v_index map (flight id, interval) to the departure and
     arrival slot binaries. For dr, alpha_index maps each cell to its
-    multiplier and beta_index each cell to the list of its per-scenario
-    duals, in the tree's scenario order.
+    multiplier and beta_index each cell to, per scenario in the tree's
+    order, the variables whose values sum to that scenario's dual.
     """
 
     kind: str
@@ -419,15 +414,25 @@ def build_sp(instance: MaghpInstance) -> ModelBundle:
     return ModelBundle("sp", model, instance, u_index, v_index)
 
 
+def _diameter(marginals) -> float:
+    """D = sum over stages of (largest - smallest capacity), the largest
+    L1 distance between two vectors of a product support."""
+    return float(sum(max(atoms) - min(atoms) for atoms in marginals))
+
+
 def scenario_distance_matrix(tree: ScenarioTree) -> np.ndarray:
-    """Pairwise Euclidean distances between scenario vectors, scaled so
-    the largest distance is 1 (left at zero for degenerate trees)."""
+    """Pairwise L1 distances between scenario vectors over the tree's
+    diameter D (left at zero when D is 0), summed one stage at a time
+    so memory stays O(n^2)."""
     vectors = np.asarray(tree.vectors, dtype=float)
-    diff = vectors[:, None, :] - vectors[None, :, :]
-    distances = np.sqrt((diff**2).sum(axis=2))
-    if distances.max() <= 0.0:
-        return distances
-    return normalize_ground_costs(distances)
+    distances = np.zeros((len(vectors), len(vectors)))
+    for column in vectors.T:
+        step = np.subtract.outer(column, column)
+        distances += np.abs(step, out=step)
+    diameter = _diameter(stage_capacities(tree))
+    if diameter > 0.0:
+        distances /= diameter
+    return distances
 
 
 def _epsilon_by_op(epsilon) -> dict:
@@ -450,51 +455,26 @@ def _epsilon_by_op(epsilon) -> dict:
     return radii
 
 
-def kept_pairs(tree: ScenarioTree, distances: np.ndarray) -> np.ndarray:
-    """Boolean mask of the ordered scenario pairs (i, j) whose robust
-    pair row build_dr keeps.
-
-    Row (i, j) is dropped when another scenario k dominates j as seen
-    from i: x_k <= x_j in every stage and dist(i, k) <= dist(i, j), where
-    a vector tied with x_j dominates only from a lower index. The mask
-    depends on the vectors and distances alone, not on the radius, and
-    is built one i at a time so memory stays O(n^2).
-    """
-    vectors = np.asarray(tree.vectors)
-    n = len(vectors)
-    below = np.ones((n, n), dtype=bool)  # below[k, j]: x_k <= x_j stagewise
-    tied = np.ones((n, n), dtype=bool)
-    for column in vectors.T:
-        below &= column[:, None] <= column[None, :]
-        tied &= column[:, None] == column[None, :]
-    order = np.arange(n)
-    dominates = below & ~(tied & (order[:, None] >= order[None, :]))
-    keep = np.empty((n, n), dtype=bool)
-    for i, row in enumerate(distances):
-        keep[i] = ~(dominates & (row[:, None] <= row[None, :])).any(axis=0)
-    return keep
-
-
 def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
-    """Dual deterministic equivalent of the Wasserstein-robust model.
+    """Dual deterministic equivalent of the Wasserstein-robust model,
+    written per stage atom.
 
-    epsilon is a single radius or a mapping per op_type. Per capacity
-    cell the model carries one multiplier alpha >= 0 (objective weight
-    epsilon), one free dual beta per empirical scenario (weighted by its
-    probability), the stagewise overflow block shared with build_sp
-    (unpriced), one recourse variable Q_j per support scenario tied by
-    one row to the recourse unit times the sum of z over j's stage
-    atoms, and alpha * dist(i, j) + beta_i - Q_j >= 0 for each ordered
-    scenario pair (i, j) that kept_pairs keeps.
+    epsilon is a single radius or a mapping per op_type; the ground
+    metric is scenario_distance_matrix. Per capacity cell the model has
+    a multiplier alpha >= 0 (objective weight epsilon), a free
+    gamma[s, a] per stage s and capacity a (weight P_s(a), its stage
+    probability), build_sp's overflow block unpriced, and for every pair
+    of capacities a, b of stage s the row gamma[s, a] + alpha * |a - b|
+    / D - unit * sum z[t, b] >= 0, summing over t > 0 in stage s (a
+    missing z reads 0): sum_s k_s^2 rows for k_s capacities per stage.
 
-    Dropping the dominated pairs leaves the optimum unchanged. The z are
-    unpriced, so z[t, c] = max(0, assigned_t - c) keeps every row
-    feasible at the same objective; then Q_j is the closed-form recourse
-    of x_j, which does not increase when a capacity rises. For k
-    dominating j from i this gives Q_j <= Q_k <= alpha * dist(i, k) +
-    beta_i <= alpha * dist(i, j) + beta_i, as alpha >= 0, and since
-    dominance is a strict order on finitely many scenarios, every chain
-    of dropped rows ends at a kept one.
+    That is the scenario-pair dual, beta_i >= Q_j - alpha * d(i, j) for
+    all i, j, exactly. With G_s(b) = unit * sum z[t, b], Q_j =
+    sum_s G_s(x_j^s). On the product support every ScenarioTree has,
+    and with d summing over stages, max_j (Q_j - alpha * d(i, j)) =
+    sum_s max_b (G_s(b) - alpha * |x_i^s - b| / D), so beta_i =
+    sum_s gamma[s, x_i^s]; and sum_i p_i beta_i = sum_s sum_a P_s(a)
+    gamma[s, a] for any joint p.
     """
     radii = _epsilon_by_op(epsilon)
     keys = _require_trees(instance)
@@ -505,37 +485,25 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     unit = instance.recourse_cost
     for key in keys:
         tree = instance.trees[key]
-        distances = scenario_distance_matrix(tree)
+        marginals = stage_capacities(tree)
+        diameter = _diameter(marginals)
         alpha = alpha_index[key] = model.add_variable(objective=radii[key[1]])
-        betas = beta_index[key] = [
-            model.add_variable(objective=prob, lower=-np.inf)
-            for prob in tree.probabilities
+        gammas = [
+            {a: model.add_variable(objective=prob, lower=-np.inf) for a, prob in atoms.items()}
+            for atoms in marginals
         ]
         z_index = _overflow_block(model, instance, slots[key], tree, False)
-        stages = tree.time_clusters.stage_index
-        recourse = np.array([model.add_variable() for _ in tree.vectors])
-        rows, cols, vals = [], [], []
-        for row, (q, vector) in enumerate(zip(recourse.tolist(), tree.vectors)):
-            zs = [z_index.get((t, vector[stages[t]])) for t in range(1, instance.horizon)]
-            zs = [z for z in zs if z is not None]
-            rows += [row] * (1 + len(zs))
-            cols += [q, *zs]
-            vals += [1.0] + [-unit] * len(zs)
-        zeros = np.zeros(len(recourse))
-        model.add_rows(rows, cols, vals, zeros, zeros)
-        # one row alpha * dist(i, j) + beta_i - Q_j >= 0 per kept pair,
-        # its terms in the order alpha, beta_i, Q_j
-        ii, jj = np.nonzero(kept_pairs(tree, distances))
-        pairs = len(ii)
-        ones = np.ones(pairs)
-        pair_cols = (np.full(pairs, alpha), np.asarray(betas)[ii], recourse[jj])
-        model.add_rows(
-            np.repeat(np.arange(pairs), 3),
-            np.column_stack(pair_cols).ravel(),
-            np.column_stack((distances[ii, jj], ones, -ones)).ravel(),
-            np.zeros(pairs),
-            np.full(pairs, np.inf),
-        )
+        for segment, gamma in zip(tree.time_clusters.segments, gammas):
+            for a, g in gamma.items():
+                for b in gamma:
+                    terms = [(g, 1.0)]
+                    if a != b:
+                        terms.append((alpha, abs(a - b) / diameter))
+                    terms += [(z_index[t, b], -unit) for t in segment if (t, b) in z_index]
+                    model.add_linear_constraint(terms, ">=", 0.0)
+        beta_index[key] = [
+            tuple(gamma[x] for gamma, x in zip(gammas, vector)) for vector in tree.vectors
+        ]
     return ModelBundle(
         "dr", model, instance, u_index, v_index, alpha_index, beta_index, radii
     )
@@ -545,12 +513,14 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
     """Run the solver and read the solution back into domain terms.
 
     For dr, duals["alpha"] maps each cell to its multiplier and
-    duals["beta"] each cell to the list of its per-scenario duals. The
-    reported objective is recomputed from the policy, pricing recourse
-    by overflow, and must agree within 1e-6 relative, else SolverError.
-    For dr that is, per cell, epsilon * alpha + sum_i p_i * max_j (Q_j -
-    alpha * dist(i, j)) at the solved alpha, a max over every pair, so a
-    pair row build_dr should have kept trips the check too.
+    duals["beta"] each cell to the list of its per-scenario duals, each
+    the sum of its beta_index variables. The reported objective is
+    recomputed from the policy, pricing recourse by overflow, and must
+    agree within 1e-6 relative, else SolverError. For dr that is, per
+    cell, epsilon * alpha + sum_i p_i * max_j (Q_j - alpha * dist(i, j))
+    at the solved alpha, Q_j the recourse of scenario j: a max over
+    every scenario pair computed from the policy alone, so it checks the
+    stagewise rows of build_dr independently.
     """
     solution = bundle.model.minimize(time_limit=time_limit)
     if solution.status != "optimal":
@@ -578,8 +548,8 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
             key: float(values[var]) for key, var in bundle.alpha_index.items()
         }
         duals["beta"] = {
-            key: [float(values[var]) for var in betas]
-            for key, betas in bundle.beta_index.items()
+            key: values[np.asarray(terms)].sum(axis=1).tolist()
+            for key, terms in bundle.beta_index.items()
         }
 
     recomputed = first_stage_cost(instance, policy)
@@ -589,8 +559,10 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
         vectors = {key: instance.trees[key].vectors for key in duals["alpha"]}
         for key, excess in overflow(instance, policy, vectors).items():
             tree, alpha = instance.trees[key], duals["alpha"][key]
-            # regret[i, j] = Q_j - alpha * dist(i, j)
-            regret = instance.recourse_cost * excess - alpha * scenario_distance_matrix(tree)
+            # regret[i, j] = Q_j - alpha * dist(i, j), built in place
+            regret = scenario_distance_matrix(tree)
+            regret *= -alpha
+            regret += instance.recourse_cost * excess
             recomputed += bundle.epsilon[key[1]] * alpha
             recomputed += float(np.dot(tree.probabilities, regret.max(axis=1)))
     gap = abs(recomputed - solution.objective) / max(1.0, abs(solution.objective))

@@ -112,6 +112,10 @@ class ReducedPmf:
 class ScenarioTree:
     """Stagewise capacity atoms and their full scenario enumeration.
 
+    The scenario vectors are itertools.product of the stage supports, in
+    that order; the robust model relies on this product support. The
+    joint probabilities are free, as long as they sum to 1.
+
     probabilities and vectors are computed from scenarios once per tree
     and kept; dataclasses.replace builds a new tree, which computes its
     own."""
@@ -123,12 +127,14 @@ class ScenarioTree:
     scenarios: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
-        expected = 1
-        for stage in self.stage_pmfs:
-            expected *= len(stage)
-        if len(self.scenarios) != expected:
+        supports = [stage.supports for stage in self.stage_pmfs]
+        # the count first, so a file with many stage atoms is not enumerated
+        if math.prod(map(len, supports)) != len(self.vectors) or any(
+            v != w for v, w in zip(self.vectors, itertools.product(*supports))
+        ):
             raise ValueError(
-                f"{len(self.scenarios)} scenarios, expected {expected}"
+                "scenario vectors must be the product of the stage supports, "
+                "last stage fastest"
             )
         total = math.fsum(p for _, p in self.scenarios)
         if abs(total - 1.0) > 1e-8:

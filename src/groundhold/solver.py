@@ -1,14 +1,12 @@
 """Thin incremental model layer over scipy's HiGHS bindings.
 
 Every optimization problem in the package (the ground holding MILPs and
-the robust deterministic equivalent) is built against the same few
-calls: add_variable, add_linear_constraint or add_rows, and minimize.
+the robust deterministic equivalent) is built against the same three
+calls: add_variable, add_linear_constraint and minimize.
 add_linear_constraint appends one row's terms as (row, column, value)
-triplets; add_rows appends a whole block of rows given as such
-triplets, with row ids counted within the block, in one call. A model
-is built for one problem and solved once: each minimize call builds one
-sparse matrix from the triplets and hands the model to
-scipy.optimize.milp.
+triplets. A model is built for one problem and solved once: each
+minimize call builds one sparse matrix from the triplets and hands the
+model to scipy.optimize.milp.
 
 scipy loads on the first solve, not on import, so the forecasting half
 of the package (capacity, prediction, pmf, scenario) never pays for the
@@ -127,32 +125,6 @@ class LinearModel:
         self._vals.extend(coef)
         self._row_lb.append(lb)
         self._row_ub.append(ub)
-
-    def add_rows(self, rows, cols, vals, lb, ub) -> None:
-        """Add the block of rows lb <= A x <= ub, with A given as COO
-        triplets (rows[k], cols[k], vals[k]).
-
-        Row ids count from 0 within the block, which has len(lb) rows;
-        triplets are appended in the order given.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        lb = np.asarray(lb, dtype=float)
-        ub = np.asarray(ub, dtype=float)
-        if not rows.shape == cols.shape == vals.shape or lb.shape != ub.shape:
-            raise ValueError("rows, cols and vals, and lb and ub, must match in length")
-        bad = (cols < 0) | (cols >= self.num_variables)
-        if bad.any():
-            raise IndexError(f"variable index {cols[bad][0]} out of range")
-        bad = (rows < 0) | (rows >= len(lb))
-        if bad.any():
-            raise IndexError(f"row index {rows[bad][0]} outside the {len(lb)}-row block")
-        self._row_ids.extend((rows + self.num_constraints).tolist())
-        self._cols.extend(cols.tolist())
-        self._vals.extend(vals.tolist())
-        self._row_lb.extend(lb.tolist())
-        self._row_ub.extend(ub.tolist())
 
     def minimize(self, time_limit: float | None = None) -> Solution:
         """Solve and return a Solution. Never raises for infeasibility."""

@@ -110,10 +110,11 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         tree = instance.trees[key]
         distances = scenario_distance_matrix(tree)
         alpha = alpha_index[key] = model.add_variable(objective=radii[key[1]])
-        betas = beta_index[key] = [
+        betas = [
             model.add_variable(objective=prob, lower=-np.inf)
             for prob in tree.probabilities
         ]
+        beta_index[key] = [(beta,) for beta in betas]
         y_index = _scenario_overflow(
             model, instance, u_index, v_index, key, tree, lambda prob: 0.0
         )

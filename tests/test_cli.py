@@ -511,6 +511,28 @@ def test_missing_input_file_exits_1(tmp_path):
     assert main(["solve", "--config", config]) == 1
 
 
+def test_tree_off_its_product_support_exits_1(tmp_path, capsys):
+    """An instance file whose tree lists its scenario vectors in another
+    order than the product of its stage supports is rejected, naming the
+    file."""
+    instance_path = tmp_path / "instance.json"
+    save_instance(instance_path, stress_instance())
+    body = json.loads(instance_path.read_text())
+    scenarios = body["trees"][0]["scenarios"]
+    scenarios[0][0], scenarios[1][0] = scenarios[1][0], scenarios[0][0]
+    instance_path.write_text(json.dumps(body))
+    out = tmp_path / "result.json"
+    config = write_config(
+        tmp_path, {"solve": {"instance": str(instance_path), "model": "dr",
+                             "epsilon": 0.1, "out": str(out)}}
+    )
+    assert main(["solve", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert f"instance file {instance_path}" in err
+    assert "product of the stage supports" in err
+    assert not out.exists()
+
+
 def test_infeasible_reduction_exits_1(tmp_path):
     net = ("A", "B")
     instance = MaghpInstance(
@@ -878,6 +900,98 @@ MALFORMED = {
         {"records": "missing.csv", "num_intervals": 4, "delay_threshold_minutes": "nan"},
         2,
         "delay_threshold_minutes",
+    ),    "unknown time format": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "time_format": "hours"},
+        2,
+        "time_format",
+    ),
+    # the predict settings are checked before the training file, which
+    # is absent here, is read
+    "train fraction above one": (
+        "predict",
+        {"training": "missing.csv", "train_frac": 2.0},
+        2,
+        "train_frac",
+    ),
+    "zero hidden units": (
+        "predict",
+        {"training": "missing.csv", "hidden_units": 0},
+        2,
+        "hidden_units",
+    ),
+    "zero batch size": (
+        "predict",
+        {"training": "missing.csv", "batch_size": 0},
+        2,
+        "batch_size",
+    ),
+    "unknown predictor kind": (
+        "predict",
+        {"training": "missing.csv", "kind": "bogus"},
+        2,
+        "kind",
+    ),
+    "prediction level above one": (
+        "predict",
+        {"training": "missing.csv", "level": 1.5},
+        2,
+        "level",
+    ),
+    "learning rate not a number": (
+        "predict",
+        {"training": "missing.csv", "learning_rate": "nan"},
+        2,
+        "learning_rate",
+    ),
+    "negative validation fraction": (
+        "predict",
+        {"training": "missing.csv", "val_frac": -1},
+        2,
+        "val_frac",
+    ),
+    "fractions over one together": (
+        "predict",
+        {"training": "missing.csv", "train_frac": 0.9, "val_frac": 0.2},
+        2,
+        "val_frac",
+    ),
+    "negative epochs": (
+        "predict",
+        {"training": "missing.csv", "epochs": -1},
+        2,
+        "epochs",
+    ),
+    # det capacities must name a constrained cell and cover the horizon
+    "capacity label for an unused cell": (
+        "solve",
+        {"model": "det", "capacities": {"A/arrival": [1, 1, 1]}},
+        2,
+        "'capacities' 'A/arrival'",
+    ),
+    "capacity label without a slash": (
+        "solve",
+        {"model": "det", "capacities": {"A": [1, 1, 1]}},
+        2,
+        "'capacities' 'A'",
+    ),
+    "capacity entry not a number": (
+        "solve",
+        {"model": "det", "capacities": {"A/departure": [1, "x", 1]}},
+        2,
+        "'capacities' 'A/departure'",
+    ),
+    "capacity profile too short": (
+        "solve",
+        {"model": "det", "capacities": {"B/arrival": [1, 1]}},
+        2,
+        "'capacities' 'B/arrival'",
+    ),
+    "capacity entry not finite": (
+        "solve",
+        {"model": "det", "capacities": {"B/arrival": [1, 1, float("inf")]}},
+        2,
+        "'capacities' 'B/arrival'",
     ),
 }
 

@@ -5,16 +5,26 @@ model carries, or a regression that moves an optimum, fails here by
 name. Update the pins only together with a change that means to move
 them. stress_instance has no out-of-network endpoint; random_instance(0)
 has three flights to EXT and two connections, so it also pins the
-network-membership rules.
+network-membership rules. On product trees of growing size, dr's rows
+beyond sp's must count stage capacity pairs, not scenarios.
 """
+
+import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
-import groundhold.solver as solver
 from groundhold.fixtures import random_instance, stress_instance
-from groundhold.maghp import best_capacity_profiles, build_det, build_dr, build_sp, solve
+from groundhold.maghp import (
+    best_capacity_profiles,
+    build_det,
+    build_dr,
+    build_sp,
+    solve,
+    stage_capacities,
+)
+from groundhold.pmf import make_pmf
+from groundhold.scenario import ReducedPmf, ScenarioTree, TimeClustering
 
 INSTANCES = {
     "stress_instance()": stress_instance,
@@ -25,10 +35,10 @@ INSTANCES = {
 PINS = {
     ("stress_instance()", "det"): (492, 148, 1374, 0.0),
     ("stress_instance()", "sp"): (528, 162, 1590, 30.9875),
-    ("stress_instance()", "dr"): (582, 240, 1848, 31.781171082873254),
+    ("stress_instance()", "dr"): (558, 210, 1734, 31.926785714285714),
     ("random_instance(0)", "det"): (162, 64, 444, 0.0),
     ("random_instance(0)", "sp"): (175, 51, 454, 0.0),
-    ("random_instance(0)", "dr"): (208, 92, 570, 0.0),
+    ("random_instance(0)", "dr"): (194, 79, 522, 0.0),
 }
 
 
@@ -60,51 +70,47 @@ def test_model_size_and_objective_are_pinned(bundles, case):
     assert solve(bundles[case]).objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
 
-def _handed_to_highs(model, monkeypatch):
-    """The arrays minimize() passes to milp, captured without solving."""
-    seen = {}
-
-    def capture(c, constraints, integrality, bounds, options):
-        (rows,) = constraints
-        seen.update(
-            c=c, indptr=rows.A.indptr, indices=rows.A.indices, data=rows.A.data,
-            row_lb=rows.lb, row_ub=rows.ub, integrality=integrality,
-            lower=bounds.lb, upper=bounds.ub,
-        )
-        return OptimizeResult(status=2, x=None, fun=None)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "milp", capture)
-        model.minimize()
-    return seen
-
-
-def _add_rows_one_by_one(model, rows, cols, vals, lb, ub):
-    terms = [[] for _ in lb]
-    for row, col, val in zip(rows, cols, vals):
-        terms[row].append((col, val))
-    for row_terms, lo, hi in zip(terms, lb, ub):
-        if lo == hi:
-            model.add_linear_constraint(row_terms, "=", lo)
-        elif hi == np.inf:
-            model.add_linear_constraint(row_terms, ">=", lo)
-        else:
-            assert lo == -np.inf
-            model.add_linear_constraint(row_terms, "<=", hi)
+def _product_tree(key, horizon, atoms, stages, rng):
+    """A tree on the product of stages stages of atoms distinct
+    capacities each, the segments cut at random points of the horizon
+    and the joint probabilities drawn at random."""
+    cuts = sorted(rng.choice(np.arange(horizon - 1), size=stages - 1, replace=False).tolist())
+    bounds = [0] + [c + 1 for c in cuts] + [horizon]
+    supports = [
+        sorted(rng.choice(np.arange(12), size=atoms, replace=False).tolist())
+        for _ in range(stages)
+    ]
+    probs = [1.0 / atoms] * atoms
+    clustering = TimeClustering(
+        boundaries=tuple(cuts),
+        segments=tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])),
+        representatives=tuple(make_pmf(s, probs) for s in supports),
+    )
+    weights = rng.dirichlet(np.ones(atoms**stages))
+    scenarios = tuple(
+        (vector, float(w)) for vector, w in zip(itertools.product(*supports), weights)
+    )
+    pmfs = tuple(ReducedPmf(tuple(zip(s, probs))) for s in supports)
+    return ScenarioTree(*key, pmfs, clustering, scenarios)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [stress_instance] + [lambda seed=seed: random_instance(seed) for seed in range(5)],
-    ids=["stress"] + [f"random{seed}" for seed in range(5)],
-)
-def test_bulk_rows_hand_highs_the_per_row_model(make, monkeypatch):
-    """build_dr's bulk add_rows calls give HiGHS the same matrix, bounds
-    and objective as adding each of those rows on its own."""
-    instance = make()
-    bulk = _handed_to_highs(build_dr(instance, 0.1).model, monkeypatch)
-    monkeypatch.setattr(solver.LinearModel, "add_rows", _add_rows_one_by_one)
-    by_row = _handed_to_highs(build_dr(instance, 0.1).model, monkeypatch)
-    assert bulk.keys() == by_row.keys()
-    for name in bulk:
-        assert np.array_equal(bulk[name], by_row[name]), name
+@pytest.mark.parametrize("atoms,stages", [(3, 3), (4, 3), (4, 4)])
+def test_dr_rows_count_stage_atoms_not_scenarios(atoms, stages):
+    """Per cell, dr carries sp's rows plus one per ordered pair of
+    capacities of a stage, sum_s k_s^2, however many scenarios the
+    product tree has (27, 64 and 256 here)."""
+    instance = stress_instance()
+    rng = np.random.default_rng(atoms * 10 + stages)
+    instance.trees = {
+        key: _product_tree(key, instance.horizon, atoms, stages, rng)
+        for key in instance.constrained_keys()
+    }
+    assert {t.num_scenarios for t in instance.trees.values()} == {atoms**stages}
+    pair_rows = sum(
+        len(capacities) ** 2
+        for tree in instance.trees.values()
+        for capacities in stage_capacities(tree)
+    )
+    assert pair_rows == len(instance.trees) * stages * atoms**2
+    extra = build_dr(instance, 0.1).model.num_constraints
+    assert extra - build_sp(instance).model.num_constraints == pair_rows

@@ -15,6 +15,7 @@ from groundhold.errors import (
 from groundhold.pmf import make_pmf, pmf_mean
 from groundhold.scenario import (
     ReducedPmf,
+    ScenarioTree,
     build_scenario_tree,
     cluster_time_series,
     compress_pmf_kmeans,
@@ -198,6 +199,31 @@ def test_tree_product_probabilities():
     want = [a * b for a in expected_first for b in expected_second]
     assert probs == pytest.approx(want, abs=0)
     assert math.fsum(probs) == pytest.approx(1.0, abs=1e-8)
+
+
+def _with_vectors(tree, vectors):
+    scenarios = tuple(zip(vectors, tree.probabilities))
+    return ScenarioTree(
+        tree.airport, tree.op_type, tree.stage_pmfs, tree.time_clusters, scenarios
+    )
+
+
+def test_tree_vectors_must_be_the_product_of_stage_supports():
+    tree = build_scenario_tree(two_stage_clustering(), 2)
+    vectors = list(tree.vectors)
+    # free joint probabilities on the product are fine
+    assert _with_vectors(tree, vectors).vectors == tree.vectors
+    swapped = [vectors[1], vectors[0], *vectors[2:]]
+    repeated = [vectors[0], *vectors[:-1]]
+    shifted = [(vectors[0][0] + 1, vectors[0][1]), *vectors[1:]]
+    for bad in (swapped, repeated, shifted):
+        with pytest.raises(ValueError, match="product of the stage supports"):
+            _with_vectors(tree, bad)
+    with pytest.raises(ValueError, match="product of the stage supports"):
+        ScenarioTree(
+            tree.airport, tree.op_type, tree.stage_pmfs, tree.time_clusters,
+            tree.scenarios[:-1] + ((vectors[-1], 0.0),) * 2,
+        )
 
 
 def test_simple_product_example():

@@ -107,41 +107,8 @@ def test_rows_added_after_a_solve_reach_the_solver():
     assert solution.values[y] == pytest.approx(3.0)
     model.add_linear_constraint([(y, 1.0)], "<=", 1.0)
     assert model.minimize().objective == pytest.approx(12.0)
-    model.add_rows([0], [x], [1.0], [2.5], [np.inf])
+    model.add_linear_constraint([(x, 1.0)], ">=", 2.5)
     assert model.minimize().objective == pytest.approx(13.5)
     z = model.add_variable(objective=1.0)
     model.add_linear_constraint([(z, 1.0)], ">=", 0.5)
     assert model.minimize().objective == pytest.approx(14.0)
-
-
-def test_add_rows_matches_one_row_at_a_time():
-    """A block of COO rows, its row ids local to the block and given out
-    of order, solves like the same rows added one by one."""
-    models = [LinearModel(), LinearModel()]
-    for model in models:
-        model.add_variable(objective=1.0)
-        model.add_variable(objective=2.0)
-        model.add_linear_constraint([(0, 1.0)], "<=", 9.0)
-        model.add_linear_constraint([(1, 1.0)], "<=", 4.0)
-    by_row, bulk = models
-    by_row.add_linear_constraint([(0, 1.0), (1, 1.0)], ">=", 5.0)
-    by_row.add_linear_constraint([(1, 1.0)], "=", 2.0)
-    bulk.add_rows([1, 0, 0], [1, 0, 1], [1.0, 1.0, 1.0], [5.0, 2.0], [np.inf, 2.0])
-    assert (bulk.num_constraints, bulk.num_nonzeros) == (4, 5)
-    for model in models:
-        solution = model.minimize()
-        assert solution.objective == pytest.approx(7.0)
-        assert solution.values == pytest.approx([3.0, 2.0])
-
-
-def test_add_rows_rejects_out_of_range_indices():
-    model = LinearModel()
-    x = model.add_variable()
-    for column in (-1, 1):
-        with pytest.raises(IndexError):
-            model.add_rows([0], [column], [1.0], [0.0], [1.0])
-    with pytest.raises(IndexError):
-        model.add_rows([1], [x], [1.0], [0.0], [1.0])
-    with pytest.raises(ValueError):
-        model.add_rows([0, 0], [x], [1.0], [0.0], [1.0])
-    assert (model.num_constraints, model.num_nonzeros) == (0, 0)
