@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from datetime import datetime
 
 import numpy as np
 
@@ -113,6 +114,12 @@ def _level(value):
     return level
 
 
+def _timestamp(value):
+    """An ISO 8601 timestamp, passed on as written."""
+    datetime.fromisoformat(value)
+    return value
+
+
 def _one_of(*choices):
     """A parser accepting exactly one of choices."""
 
@@ -152,10 +159,13 @@ def cmd_estimate(config, args):
         min_delayed=typed(section, "min_delayed", int, "estimate", 2),
         percentile=typed(section, "percentile", _level, "estimate", 0.9),
     )
+    horizon_start = None
+    if time_format == "iso8601":
+        horizon_start = typed(section, "horizon_start", _timestamp, "estimate")
     records = read_operation_records(
         require(section, "records", "estimate"),
         time_format=time_format,
-        horizon_start=section.get("horizon_start"),
+        horizon_start=horizon_start,
     )
     stats = aggregate_intervals(records, num_intervals, interval_minutes)
     observations = estimate_capacities(stats, **criteria)

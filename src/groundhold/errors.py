@@ -22,10 +22,6 @@ class MassDeviationError(GroundholdError, ValueError):
     """Probability weights sum too far from one to renormalize."""
 
 
-class AllZeroCostsError(GroundholdError, ValueError):
-    """A cost matrix has no strictly positive entry to scale by."""
-
-
 class EmptySeriesError(GroundholdError, ValueError):
     """A PMF time series is empty."""
 

@@ -3,8 +3,12 @@
 Flights get exactly one departure slot and one arrival slot. Ground
 delay (slot minus scheduled departure) costs cost_ground per interval,
 airborne delay costs cost_air per interval, and connected flights pass
-their delay downstream minus the schedule's built-in slack. Three model
-flavors share this first stage:
+their delay downstream minus the schedule's built-in slack. The first
+stage prices delay through wait variables, one per flight and interval,
+that read 1 while the flight has not yet departed (or arrived); one
+precedence or connection row per interval ties them together, which
+makes the relaxation integral on most instances (_build_first_stage).
+Three model flavors share this first stage:
 
 * deterministic: hard per-interval airport capacities;
 * stochastic: queue overflow charged at the recourse unit cost and
@@ -263,49 +267,76 @@ class ModelBundle:
 
 
 def _build_first_stage(instance: MaghpInstance, model: LinearModel):
-    """Shared slot binaries, delay variables and coupling constraints;
-    returns the departure and arrival slot maps."""
-    total = instance.total_periods()
-    u_index, v_index, ground, air = {}, {}, {}, {}
-    for f in instance.flights:
-        for t in range(f.sched_dep, total - f.flight_time):
-            u_index[f.id, t] = model.add_variable(kind=BINARY)
-        for t in range(f.sched_arr, total):
-            v_index[f.id, t] = model.add_variable(kind=BINARY)
-        ground[f.id] = model.add_variable(objective=instance.cost_ground)
-        air[f.id] = model.add_variable(objective=instance.cost_air)
+    """Shared slot binaries, wait variables and coupling rows; returns
+    the departure and arrival slot maps.
 
-        u_terms = [(u_index[f.id, t], 1.0) for t in range(f.sched_dep, total - f.flight_time)]
-        v_terms = [(v_index[f.id, t], 1.0) for t in range(f.sched_arr, total)]
-        model.add_linear_constraint(u_terms, "=", 1.0)
-        model.add_linear_constraint(v_terms, "=", 1.0)
-        # ground delay is the chosen departure slot minus schedule
-        model.add_linear_constraint(
-            [(ground[f.id], 1.0)]
-            + [
-                (u_index[f.id, t], -float(t))
-                for t in range(f.sched_dep, total - f.flight_time)
-            ],
-            "=",
-            -float(f.sched_dep),
-        )
-        # airborne delay is whatever arrival lateness ground delay missed
-        terms = [(air[f.id], 1.0)]
-        terms += [(v_index[f.id, t], -float(t)) for t in range(f.sched_arr, total)]
-        terms += [(u_index[f.id, t], float(t)) for t in range(f.sched_dep, total - f.flight_time)]
-        model.add_linear_constraint(terms, "=", float(f.sched_dep - f.sched_arr))
+    Flight f departs in one slot u[f, t], t from sched_dep, and arrives
+    in one slot v[f, t], t from sched_arr. The wait x[f, t] = sum over
+    tau > t of u[f, tau] is 1 while f has not yet departed at t, and
+    y[f, t] likewise for arrival. Each is defined by one chain row
+    x[f, t] - x[f, t+1] - u[f, t+1] = 0 for t from the schedule up to
+    the last slot but one; a wait reads 1 before the schedule and 0 from
+    the last slot on. Ground delay is sum_t x[f, t] and airborne delay
+    sum_t y[f, t] - sum_t x[f, t], so the waits carry the whole delay
+    cost, (cost_ground - cost_air) on x and cost_air on y.
+
+    The coupling holds one row per interval (Bertsimas & Stock Patterson,
+    Oper. Res. 1998):
+
+    * precedence: y[f, t + flight_time] >= x[f, t], so f lands at least a
+      flight time after it leaves;
+    * connection: x[succ, t + lag] >= y[pred, t] with lag =
+      succ.sched_dep - pred.sched_arr - slack, so the successor leaves
+      at least lag after the predecessor lands. Where x[succ, t + lag]
+      lies before succ's schedule the row holds by itself; past succ's
+      last slot it reads y[pred, t] <= 0.
+
+    These rows make the relaxation integral on most instances, which
+    LinearModel.minimize then takes without branch and bound.
+    """
+    total = instance.total_periods()
+    u_index, v_index, waits = {}, {}, {}
+    ground_weight = instance.cost_ground - instance.cost_air
+    for f in instance.flights:
+        chains = []
+        for slots, first, last, weight in (
+            (u_index, f.sched_dep, total - f.flight_time, ground_weight),
+            (v_index, f.sched_arr, total, instance.cost_air),
+        ):
+            chosen = [model.add_variable(kind=BINARY) for _ in range(first, last)]
+            slots.update(((f.id, t), var) for t, var in zip(range(first, last), chosen))
+            model.add_linear_constraint([(var, 1.0) for var in chosen], "=", 1.0)
+            chains.append(_wait_chain(model, chosen, weight))
+        # x and y both have total - sched_arr - 1 entries, and entry k of
+        # y lies one flight time after entry k of x
+        for x, y in zip(*chains):
+            model.add_linear_constraint([(y, 1.0), (x, -1.0)], ">=", 0.0)
+        waits[f.id] = chains
 
     for c in instance.delay_connections():
-        model.add_linear_constraint(
-            [
-                (ground[c.successor], 1.0),
-                (ground[c.predecessor], -1.0),
-                (air[c.predecessor], -1.0),
-            ],
-            ">=",
-            -float(c.slack),
-        )
+        x = waits[c.successor][0]
+        y = waits[c.predecessor][1]
+        # entry k of the predecessor's y pairs with entry k - slack of
+        # the successor's x
+        for k in range(c.slack, len(y)):
+            if k - c.slack < len(x):
+                model.add_linear_constraint([(x[k - c.slack], 1.0), (y[k], -1.0)], ">=", 0.0)
+            else:
+                model.add_linear_constraint([(y[k], 1.0)], "<=", 0.0)
     return u_index, v_index
+
+
+def _wait_chain(model: LinearModel, chosen: list, weight: float) -> list:
+    """One wait variable per slot but the last, entry k the sum of the
+    slot binaries after slot k, each defined by one chain row; every
+    wait costs weight."""
+    waits = [model.add_variable(objective=weight) for _ in chosen[1:]]
+    for k, wait in enumerate(waits):
+        terms = [(wait, 1.0), (chosen[k + 1], -1.0)]
+        if k + 1 < len(waits):
+            terms.append((waits[k + 1], -1.0))
+        model.add_linear_constraint(terms, "=", 0.0)
+    return waits
 
 
 def _slot_terms(instance: MaghpInstance, u_index: dict, v_index: dict) -> dict:

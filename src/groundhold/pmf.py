@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import load_input
 from .errors import (
-    AllZeroCostsError,
     LengthMismatchError,
     MassDeviationError,
     NegativeWeightError,
@@ -124,22 +123,6 @@ def wasserstein_1d(p: Pmf, q: Pmf) -> float:
     ]
     gaps = np.diff(xs)
     return float(np.sum(np.abs(f_p[:-1] - f_q[:-1]) * gaps))
-
-
-def normalize_ground_costs(cost) -> np.ndarray:
-    """Scale a non-negative cost matrix so its largest entry is 1.
-
-    Keeps ambiguity radii comparable across airports whose raw capacity
-    scales differ. Raises AllZeroCostsError when there is nothing to
-    scale by.
-    """
-    c = np.asarray(cost, dtype=float)
-    if np.any(c < 0):
-        raise ValueError("ground costs must be non-negative")
-    top = c.max() if c.size else 0.0
-    if top <= 0.0:
-        raise AllZeroCostsError("cost matrix has no positive entry")
-    return c / top
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ calls: add_variable, add_linear_constraint and minimize.
 add_linear_constraint appends one row's terms as (row, column, value)
 triplets. A model is built for one problem and solved once: each
 minimize call builds one sparse matrix from the triplets and hands the
-model to scipy.optimize.milp.
+model to scipy.optimize.milp, first without integrality. A relaxation
+that comes out integral is the MILP's optimum and ends the solve; only
+a fractional one goes on to branch and bound.
 
 scipy loads on the first solve, not on import, so the forecasting half
 of the package (capacity, prediction, pmf, scenario) never pays for the
@@ -15,12 +17,15 @@ optimizer stack.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 #: relative optimality gap at which HiGHS stops a MILP
 MIP_REL_GAP = 1e-6
+#: largest distance from 0 or 1 at which a relaxed binary counts as integral
+INTEGRALITY_TOL = 1e-9
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -36,7 +41,9 @@ class Solution:
     objective and values are None unless status is 'optimal' or the solver
     returned an incumbent at the time limit. mip_gap, dual_bound and
     node_count are HiGHS's MIP telemetry; they are None for a model
-    without integer variables and whenever HiGHS reports none.
+    without integer variables and whenever HiGHS reports none. A MILP
+    whose relaxation came out integral reports gap 0, the objective as
+    its dual bound and 0 nodes, since no branch and bound ran.
     """
 
     status: str
@@ -127,7 +134,17 @@ class LinearModel:
         self._row_ub.append(ub)
 
     def minimize(self, time_limit: float | None = None) -> Solution:
-        """Solve and return a Solution. Never raises for infeasibility."""
+        """Solve and return a Solution. Never raises for infeasibility.
+
+        The relaxation comes first, through the same milp call with no
+        integrality. When it is optimal and every binary lies within
+        INTEGRALITY_TOL of 0 or 1, the binaries are rounded and that
+        point is returned as the MILP optimum: the relaxation bounds the
+        MILP from below and the rounded point is feasible for it. An
+        infeasible relaxation proves the MILP infeasible. Otherwise HiGHS
+        runs branch and bound within what the relaxation left of
+        time_limit.
+        """
         n = self.num_variables
         if n == 0:
             return Solution("optimal", 0.0, np.zeros(0))
@@ -135,6 +152,7 @@ class LinearModel:
         from scipy import sparse
         from scipy.optimize import Bounds, LinearConstraint
 
+        start = time.perf_counter()
         c = np.asarray(self._objective)
         integrality = np.asarray(self._integrality)
         bounds = Bounds(np.asarray(self._lower), np.asarray(self._upper))
@@ -153,24 +171,29 @@ class LinearModel:
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
 
-        result = milp(
-            c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=bounds,
-            options=options,
-        )
+        relaxed = milp(c, constraints=constraints, bounds=bounds, options=options)
+        if not integrality.any() or relaxed.status == 2:
+            return _solution(relaxed)
+        if relaxed.status == 0:
+            values = np.array(relaxed.x)
+            binary = integrality.astype(bool)
+            rounded = np.round(values[binary])
+            if np.all(np.abs(values[binary] - rounded) <= INTEGRALITY_TOL):
+                values[binary] = rounded
+                objective = float(relaxed.fun)
+                return Solution("optimal", objective, values, 0.0, objective, 0)
 
-        telemetry = _telemetry(result)
-        if result.status == 0:
-            return Solution("optimal", float(result.fun), np.asarray(result.x), *telemetry)
-        if result.status == 1:
-            values = None if result.x is None else np.asarray(result.x)
-            objective = None if result.fun is None else float(result.fun)
-            return Solution("time_limit", objective, values, *telemetry)
-        if result.status == 2:
-            return Solution("infeasible", None, None)
-        return Solution("error", None, None)
+        if time_limit is not None:
+            options["time_limit"] = max(time_limit - (time.perf_counter() - start), 0.0)
+        return _solution(
+            milp(
+                c,
+                constraints=constraints,
+                integrality=integrality,
+                bounds=bounds,
+                options=options,
+            )
+        )
 
 
 def milp(*args, **kwargs):
@@ -178,6 +201,20 @@ def milp(*args, **kwargs):
     from scipy.optimize import milp as scipy_milp
 
     return scipy_milp(*args, **kwargs)
+
+
+def _solution(result) -> Solution:
+    """A Solution from a milp result, with HiGHS's telemetry."""
+    telemetry = _telemetry(result)
+    if result.status == 0:
+        return Solution("optimal", float(result.fun), np.asarray(result.x), *telemetry)
+    if result.status == 1:
+        values = None if result.x is None else np.asarray(result.x)
+        objective = None if result.fun is None else float(result.fun)
+        return Solution("time_limit", objective, values, *telemetry)
+    if result.status == 2:
+        return Solution("infeasible", None, None)
+    return Solution("error", None, None)
 
 
 def _telemetry(result) -> tuple:

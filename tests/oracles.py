@@ -8,6 +8,12 @@ number of scenarios rather than the number of stage atoms, so the
 library builds the stagewise equivalent and the tests check the two
 against each other.
 
+aggregated_first_stage is the first stage as first written: one ground
+and one air delay variable per flight, each defined by one row over all
+of the flight's slots, and one row per connection over those delay sums.
+It is exact but its relaxation is weak, so it takes branch and bound;
+the library's per-interval wait rows must give the same optima.
+
 The LP oracles solve by linear programming what the library computes in
 closed form or by duality: the Wasserstein distance on the line
 (wasserstein_lp), one sample's queue-overflow recourse
@@ -48,7 +54,48 @@ from groundhold.maghp import (
 from groundhold.pmf import Pmf
 from groundhold.prediction import _softmax, predict_pmf
 from groundhold.scenario import scenario_capacity_profile
-from groundhold.solver import LinearModel
+from groundhold.solver import BINARY, LinearModel
+
+
+def aggregated_first_stage(instance: MaghpInstance, model: LinearModel):
+    """Slot binaries with aggregate delay rows; returns the departure and
+    arrival slot maps, as maghp._build_first_stage does."""
+    total = instance.total_periods()
+    u_index, v_index, ground, air = {}, {}, {}, {}
+    for f in instance.flights:
+        departures = range(f.sched_dep, total - f.flight_time)
+        arrivals = range(f.sched_arr, total)
+        for t in departures:
+            u_index[f.id, t] = model.add_variable(kind=BINARY)
+        for t in arrivals:
+            v_index[f.id, t] = model.add_variable(kind=BINARY)
+        ground[f.id] = model.add_variable(objective=instance.cost_ground)
+        air[f.id] = model.add_variable(objective=instance.cost_air)
+        model.add_linear_constraint([(u_index[f.id, t], 1.0) for t in departures], "=", 1.0)
+        model.add_linear_constraint([(v_index[f.id, t], 1.0) for t in arrivals], "=", 1.0)
+        # ground delay is the chosen departure slot minus schedule
+        model.add_linear_constraint(
+            [(ground[f.id], 1.0)] + [(u_index[f.id, t], -float(t)) for t in departures],
+            "=",
+            -float(f.sched_dep),
+        )
+        # airborne delay is whatever arrival lateness ground delay missed
+        terms = [(air[f.id], 1.0)]
+        terms += [(v_index[f.id, t], -float(t)) for t in arrivals]
+        terms += [(u_index[f.id, t], float(t)) for t in departures]
+        model.add_linear_constraint(terms, "=", float(f.sched_dep - f.sched_arr))
+
+    for c in instance.delay_connections():
+        model.add_linear_constraint(
+            [
+                (ground[c.successor], 1.0),
+                (ground[c.predecessor], -1.0),
+                (air[c.predecessor], -1.0),
+            ],
+            ">=",
+            -float(c.slack),
+        )
+    return u_index, v_index
 
 
 def _assigned_terms(instance, u_index, v_index, airport, op_type, t):

@@ -724,6 +724,23 @@ MALFORMED = {
         1,
         "short.csv has no 'actual_time'",
     ),
+    "iso8601 without horizon_start": (
+        "estimate",
+        {"records": "absent.csv", "num_intervals": 4, "time_format": "iso8601"},
+        2,
+        "horizon_start",
+    ),
+    "horizon_start not a timestamp": (
+        "estimate",
+        {
+            "records": "absent.csv",
+            "num_intervals": 4,
+            "time_format": "iso8601",
+            "horizon_start": "noon",
+        },
+        2,
+        "horizon_start",
+    ),
     "actual_time not a number": (
         "estimate",
         {"records": "zz.csv", "num_intervals": 4},

@@ -5,7 +5,8 @@ model carries, or a regression that moves an optimum, fails here by
 name. Update the pins only together with a change that means to move
 them. stress_instance has no out-of-network endpoint; random_instance(0)
 has three flights to EXT and two connections, so it also pins the
-network-membership rules. On product trees of growing size, dr's rows
+network-membership rules. The stress day's sp and dr relaxations are
+integral, which a looser first stage would lose. On product trees of growing size, dr's rows
 beyond sp's must count stage capacity pairs, not scenarios.
 """
 
@@ -33,12 +34,12 @@ INSTANCES = {
 
 # (instance, kind): (variables, rows, nonzeros, objective)
 PINS = {
-    ("stress_instance()", "det"): (492, 148, 1374, 0.0),
-    ("stress_instance()", "sp"): (528, 162, 1590, 30.9875),
-    ("stress_instance()", "dr"): (558, 210, 1734, 31.926785714285714),
-    ("random_instance(0)", "det"): (162, 64, 444, 0.0),
-    ("random_instance(0)", "sp"): (175, 51, 454, 0.0),
-    ("random_instance(0)", "dr"): (194, 79, 522, 0.0),
+    ("stress_instance()", "det"): (804, 670, 2130, 0.0),
+    ("stress_instance()", "sp"): (840, 684, 2346, 30.9875),
+    ("stress_instance()", "dr"): (870, 732, 2490, 31.926785714285714),
+    ("random_instance(0)", "det"): (270, 247, 715, 0.0),
+    ("random_instance(0)", "sp"): (283, 234, 725, 0.0),
+    ("random_instance(0)", "dr"): (302, 262, 793, 0.0),
 }
 
 
@@ -68,6 +69,15 @@ def test_model_size_and_objective_are_pinned(bundles, case):
         nonzeros,
     )
     assert solve(bundles[case]).objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["sp", "dr"])
+def test_stress_relaxation_is_integral(bundles, kind):
+    """The wait rows make the stress day's sp and dr relaxations
+    integral, so both solve without a branch and bound node."""
+    solution = bundles["stress_instance()", kind].model.minimize()
+    assert solution.ok
+    assert solution.node_count == 0
 
 
 def _product_tree(key, horizon, atoms, stages, rng):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from groundhold.errors import (
-    AllZeroCostsError,
     DimensionMismatchError,
     LengthMismatchError,
     MassDeviationError,
@@ -16,7 +15,6 @@ from groundhold.errors import (
 from groundhold.pmf import (
     Pmf,
     make_pmf,
-    normalize_ground_costs,
     pmf_from_dict,
     pmf_mean,
     pmf_to_dict,
@@ -117,17 +115,6 @@ def test_wasserstein_lp_rejects_shape_mismatch():
     p = make_pmf([0, 1], [0.5, 0.5])
     with pytest.raises(DimensionMismatchError):
         wasserstein_lp(p, p, np.zeros((2, 3)))
-
-
-def test_normalize_ground_costs_example():
-    scaled = normalize_ground_costs([[1.0, 4.0], [2.0, 8.0]])
-    assert np.allclose(scaled, [[0.125, 0.5], [0.25, 1.0]])
-    assert scaled.max() == 1.0
-
-
-def test_normalize_ground_costs_rejects_zero_matrix():
-    with pytest.raises(AllZeroCostsError):
-        normalize_ground_costs(np.zeros((3, 3)))
 
 
 def test_json_round_trip_is_exact():
