@@ -24,11 +24,7 @@ from datetime import datetime
 import numpy as np
 
 from .config import parse_cell
-from .errors import (
-    EmptySeriesError,
-    MissingInputError,
-    TimestampOutOfHorizonError,
-)
+from .errors import MissingInputError
 
 ARRIVAL = "arrival"
 DEPARTURE = "departure"
@@ -97,11 +93,10 @@ def aggregate_intervals(
     scheduled time. Average delay is taken over the flights operated in
     the interval with early operations clipped to zero delay; the
     delayed count uses the raw delay. Both scheduled and actual times
-    must land inside [0, num_intervals * interval_minutes), else
-    TimestampOutOfHorizonError names the first record, in sorted
-    (airport, op_type) group order, that does not; a non-finite or
-    non-positive interval_minutes or num_intervals < 1 raises
-    ValueError.
+    must land inside [0, num_intervals * interval_minutes), else a
+    ValueError names the first record, in sorted (airport, op_type)
+    group order, that does not; a non-finite or non-positive
+    interval_minutes or num_intervals < 1 also raises ValueError.
     """
     if not 0 < interval_minutes < math.inf:
         raise ValueError(
@@ -130,7 +125,7 @@ def aggregate_intervals(
                 what, minute = "scheduled", recs[k].scheduled_minute
             else:
                 what, minute = "actual", recs[k].actual_minute
-            raise TimestampOutOfHorizonError(
+            raise ValueError(
                 f"{what} time {minute} of {airport} {op_type} record "
                 f"is outside the {num_intervals}-interval horizon"
             )
@@ -166,7 +161,7 @@ def saturation_threshold(throughputs, percentile: float = 0.9) -> float:
     """
     values = sorted(throughputs)
     if not values:
-        raise EmptySeriesError("cannot take a percentile of nothing")
+        raise ValueError("cannot take a percentile of nothing")
     if not 0.0 < percentile <= 1.0:
         raise ValueError("percentile must be in (0, 1]")
     rank = math.ceil(percentile * len(values))

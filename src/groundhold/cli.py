@@ -71,13 +71,20 @@ def _out_path(args, section, name):
     return require(section, "out", name)
 
 
+def _settings(section, context, **kinds):
+    """The keys of kinds that the section sets, each read by typed with
+    its kind; a key the section leaves out keeps the library's default."""
+    return {
+        key: typed(section, key, kind, context) for key, kind in kinds.items() if key in section
+    }
+
+
 def _shift_spec(config, section, context, reduction):
     """The section's shift settings; a value ReductionSpec rejects is a
     config error."""
-    band = typed(section, "band", float, context, 1.0)
-    sample_count = typed(section, "sample_count", int, context, 100)
+    shift = _settings(section, context, band=float, sample_count=int)
     try:
-        return ReductionSpec(reduction, band, sample_count, int(config.get("seed", 0)))
+        return ReductionSpec(reduction, seed=int(config.get("seed", 0)), **shift)
     except ValueError as exc:
         raise ConfigError(f"{context} config: {exc}") from exc
 
@@ -147,17 +154,17 @@ def _count(minimum):
 def cmd_estimate(config, args):
     section = section_for(config, "estimate")
     num_intervals = typed(section, "num_intervals", _count(1), "estimate")
-    interval_minutes = typed(section, "interval_minutes", _positive, "estimate", 15.0)
+    grid = _settings(section, "estimate", interval_minutes=_positive)
     time_format = typed(
         section, "time_format", _one_of("minutes", "iso8601"), "estimate", "minutes"
     )
-    criteria = dict(
-        alpha=typed(section, "alpha", _finite, "estimate", 0.8),
-        delay_threshold_minutes=typed(
-            section, "delay_threshold_minutes", _finite, "estimate", 15.0
-        ),
-        min_delayed=typed(section, "min_delayed", int, "estimate", 2),
-        percentile=typed(section, "percentile", _level, "estimate", 0.9),
+    criteria = _settings(
+        section,
+        "estimate",
+        alpha=_finite,
+        delay_threshold_minutes=_finite,
+        min_delayed=int,
+        percentile=_level,
     )
     horizon_start = None
     if time_format == "iso8601":
@@ -167,7 +174,7 @@ def cmd_estimate(config, args):
         time_format=time_format,
         horizon_start=horizon_start,
     )
-    stats = aggregate_intervals(records, num_intervals, interval_minutes)
+    stats = aggregate_intervals(records, num_intervals, **grid)
     observations = estimate_capacities(stats, **criteria)
     out = _out_path(args, section, "estimate")
     with atomic_output(out) as temp:
@@ -217,25 +224,24 @@ def cmd_predict(config, args):
             f"predict config 'val_frac': must be in [0, 1 - train_frac], got {val_frac!r}"
         )
     training = TrainingConfig(
-        kind=typed(section, "kind", _one_of(MLP, EMPIRICAL), "predict", MLP),
-        max_capacity=typed(section, "max_capacity", int, "predict", None),
-        hidden_units=typed(section, "hidden_units", _count(1), "predict", 32),
-        learning_rate=typed(section, "learning_rate", _positive, "predict", 1e-4),
-        epochs=typed(section, "epochs", _count(0), "predict", 300),
-        batch_size=typed(section, "batch_size", _count(1), "predict", 16),
         seed=int(config.get("seed", 0)),
+        **_settings(
+            section,
+            "predict",
+            kind=_one_of(MLP, EMPIRICAL),
+            max_capacity=int,
+            hidden_units=_count(1),
+            learning_rate=_positive,
+            epochs=_count(0),
+            batch_size=_count(1),
+        ),
     )
-    level = typed(section, "level", _level, "predict", 0.9)
+    coverage = _settings(section, "predict", level=_level)
     features, labels = _read_training_csv(require(section, "training", "predict"))
     split_train, split_val, split_test = temporal_split(len(labels), train_frac, val_frac)
     held_out = split_test if len(split_test) else split_val
     model = train(features[split_train], labels[split_train], training)
-    metrics = evaluate(
-        model,
-        features[held_out],
-        labels[held_out],
-        level=level,
-    )
+    metrics = evaluate(model, features[held_out], labels[held_out], **coverage)
     out = _out_path(args, section, "predict")
     with atomic_output(out) as temp:
         save_model(temp, model)
@@ -263,7 +269,7 @@ def cmd_reduce_scenarios(config, args):
     cells = require(section, "cells", "reduce-scenarios")
     change_points = typed(section, "change_points", _count(0), "reduce-scenarios")
     clusters = typed(section, "clusters_per_stage", _count(1), "reduce-scenarios")
-    clamp = typed(section, "clamp", bool, "reduce-scenarios", False)
+    compression = _settings(section, "reduce-scenarios", clamp=bool)
     trees = []
     for cell in cells:
         series = load_pmf_series(require(cell, "series", "reduce-scenarios cell"))
@@ -274,7 +280,7 @@ def cmd_reduce_scenarios(config, args):
                 clusters,
                 airport=require(cell, "airport", "reduce-scenarios cell"),
                 op_type=require(cell, "op_type", "reduce-scenarios cell"),
-                clamp=clamp,
+                **compression,
             )
         )
     out = _out_path(args, section, "reduce-scenarios")
@@ -478,10 +484,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GroundholdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (GroundholdError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConfigError, GroundholdError, MissingInputError
+from .errors import ConfigError, MissingInputError
 
 SECTIONS = ("estimate", "predict", "reduce-scenarios", "solve", "evaluate", "sweep")
 
@@ -90,14 +90,12 @@ def typed(section: dict, key: str, kind, context: str, default=_REQUIRED):
 def load_input(path, what: str, from_body):
     """from_body applied to the parsed JSON of an input file.
 
-    Invalid JSON, a missing field, or a value of the wrong shape or type
-    raises MissingInputError naming the file; the package's own errors
-    pass through unchanged, and so does an unreadable file.
+    Invalid JSON, a missing field, or a value of the wrong shape, type
+    or content raises MissingInputError naming the file; an unreadable
+    file raises OSError.
     """
     try:
         return from_body(json.loads(Path(path).read_text()))
-    except GroundholdError:
-        raise
     except KeyError as exc:
         raise MissingInputError(f"{what} file {path} is missing {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

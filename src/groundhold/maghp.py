@@ -58,7 +58,7 @@ import numpy as np
 from .capacity import ARRIVAL, DEPARTURE, OP_TYPES
 from .config import load_input
 from .errors import MissingInputError, SolverError
-from .scenario import ScenarioTree, scenario_capacity_profile, tree_from_dict, tree_to_dict
+from .scenario import ScenarioTree, tree_from_dict, tree_to_dict
 from .solver import BINARY, LinearModel
 
 DEFAULT_TIME_LIMIT = 300.0
@@ -114,7 +114,6 @@ class MaghpInstance:
     cost_ground: float
     cost_air: float
     trees: dict = field(default_factory=dict)
-    cost_recourse: float | None = None
 
     def __post_init__(self):
         self.airports = tuple(self.airports)
@@ -157,7 +156,8 @@ class MaghpInstance:
 
     @property
     def recourse_cost(self) -> float:
-        return self.cost_air if self.cost_recourse is None else self.cost_recourse
+        """The price of one interval of airborne overflow: cost_air."""
+        return self.cost_air
 
     def total_periods(self) -> int:
         """Horizon plus enough overflow periods to absorb any traffic.
@@ -685,29 +685,26 @@ def support_worst_case(policy: GroundDelayPolicy, instance: MaghpInstance) -> fl
     Every distribution in a Wasserstein ball lives on the tree's
     scenarios, so this bounds the policy's robust cost at any radius, and
     the robust cost reaches it once the radius covers the ball's
-    diameter.
+    diameter. Overflow does not increase with capacity and the support
+    is a product, so the largest recourse is the one at each stage's
+    smallest capacity.
     """
     trees = dict(sorted(instance.trees.items()))
-    excess = overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
+    lowest = {key: [[min(m) for m in stage_capacities(t)]] for key, t in trees.items()}
+    excess = overflow(instance, policy, lowest)
     return first_stage_cost(instance, policy) + instance.recourse_cost * math.fsum(
-        float(excess[key].max()) for key in trees
+        float(excess[key][0]) for key in trees
     )
 
 
 def best_capacity_profiles(instance: MaghpInstance) -> dict:
     """Per cell, the support scenario with the largest time-weighted
-    total capacity, expanded to a per-interval profile."""
+    total capacity, expanded to a per-interval profile. On a product
+    support that is each stage's largest capacity."""
     profiles = {}
     for key, tree in sorted(instance.trees.items()):
-        lengths = [len(seg) for seg in tree.time_clusters.segments]
-        best = max(
-            range(tree.num_scenarios),
-            key=lambda s: (
-                sum(l * c for l, c in zip(lengths, tree.vectors[s])),
-                -s,
-            ),
-        )
-        profiles[key] = scenario_capacity_profile(tree, tree.vectors[best])
+        highest = [max(m) for m in stage_capacities(tree)]
+        profiles[key] = [highest[k] for k in tree.time_clusters.stage_index]
     return profiles
 
 
@@ -735,12 +732,19 @@ def instance_to_dict(instance: MaghpInstance) -> dict:
         "horizon": instance.horizon,
         "cost_ground": instance.cost_ground,
         "cost_air": instance.cost_air,
-        "cost_recourse": instance.cost_recourse,
         "trees": [tree_to_dict(t) for _, t in sorted(instance.trees.items())],
     }
 
 
 def instance_from_dict(body: dict) -> MaghpInstance:
+    """Rebuild an instance. Overflow is priced at cost_air, so a file
+    that sets cost_recourse to anything but null is refused rather than
+    priced at another rate."""
+    if body.get("cost_recourse") is not None:
+        raise ValueError(
+            "'cost_recourse' must be absent or null, since overflow is priced "
+            f"at cost_air; got {body['cost_recourse']!r}"
+        )
     flights = tuple(
         Flight(
             id=f["id"],
@@ -766,7 +770,6 @@ def instance_from_dict(body: dict) -> MaghpInstance:
         cost_ground=float(body["cost_ground"]),
         cost_air=float(body["cost_air"]),
         trees=trees,
-        cost_recourse=body.get("cost_recourse"),
     )
 
 

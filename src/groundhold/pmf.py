@@ -15,11 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_input
-from .errors import (
-    LengthMismatchError,
-    MassDeviationError,
-    NegativeWeightError,
-)
 
 #: strict tolerance on sum(weights) == 1 once a distribution is built
 MASS_TOL = 1e-9
@@ -41,18 +36,18 @@ class Pmf:
 
     def __post_init__(self):
         if len(self.support) != len(self.weights):
-            raise LengthMismatchError(
+            raise ValueError(
                 f"{len(self.support)} support points vs {len(self.weights)} weights"
             )
         if len(self.support) == 0:
-            raise LengthMismatchError("a PMF needs at least one support point")
+            raise ValueError("a PMF needs at least one support point")
         if any(b <= a for a, b in zip(self.support, self.support[1:])):
             raise ValueError("support must be strictly increasing")
         if any(w < 0 for w in self.weights):
-            raise NegativeWeightError(f"negative weight in {self.weights}")
+            raise ValueError(f"negative weight in {self.weights}")
         total = math.fsum(self.weights)
         if abs(total - 1.0) > MASS_TOL:
-            raise MassDeviationError(f"weights sum to {total!r}, not 1")
+            raise ValueError(f"weights sum to {total!r}, not 1")
 
     def __len__(self) -> int:
         return len(self.support)
@@ -77,20 +72,20 @@ def make_pmf(support, weights) -> Pmf:
     """Validate and build a Pmf, renormalizing near-unit mass.
 
     Weight vectors whose sum deviates from 1 by at most RENORM_TOL are
-    rescaled; larger deviations raise MassDeviationError. Raises
-    LengthMismatchError and NegativeWeightError as appropriate.
+    rescaled. Larger deviations, a length mismatch or a negative weight
+    raise ValueError.
     """
     support = tuple(int(s) for s in support)
     weights = tuple(float(w) for w in weights)
     if len(support) != len(weights):
-        raise LengthMismatchError(
+        raise ValueError(
             f"{len(support)} support points vs {len(weights)} weights"
         )
     if any(w < 0 for w in weights):
-        raise NegativeWeightError(f"negative weight in {weights}")
+        raise ValueError(f"negative weight in {weights}")
     total = math.fsum(weights)
     if abs(total - 1.0) > RENORM_TOL:
-        raise MassDeviationError(f"weights sum to {total!r}, not 1")
+        raise ValueError(f"weights sum to {total!r}, not 1")
     if abs(total - 1.0) > MASS_TOL:
         weights = tuple(w / total for w in weights)
     return Pmf(support, weights)

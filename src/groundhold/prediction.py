@@ -24,11 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_input
-from .errors import (
-    DimensionMismatchError,
-    EmptyDatasetError,
-    LabelOutOfRangeError,
-)
 from .pmf import Pmf, make_pmf
 
 EMPIRICAL = "empirical"
@@ -81,21 +76,21 @@ def _check_dataset(features, labels, max_capacity=None):
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     if features.ndim != 2:
-        raise DimensionMismatchError("features must be a 2-D array")
+        raise ValueError("features must be a 2-D array")
     if features.shape[0] == 0:
-        raise EmptyDatasetError("no training rows")
+        raise ValueError("no training rows")
     if features.shape[0] != labels.shape[0]:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"{features.shape[0]} feature rows vs {labels.shape[0]} labels"
         )
     if np.any(labels != labels.astype(int)):
-        raise LabelOutOfRangeError("labels must be integers")
+        raise ValueError("labels must be integers")
     labels = labels.astype(int)
     if np.any(labels < 0):
-        raise LabelOutOfRangeError("labels must be non-negative")
+        raise ValueError("labels must be non-negative")
     cap = int(labels.max()) if max_capacity is None else int(max_capacity)
     if np.any(labels > cap):
-        raise LabelOutOfRangeError(
+        raise ValueError(
             f"label {int(labels.max())} exceeds max capacity {cap}"
         )
     return features, labels, cap
@@ -200,7 +195,7 @@ def predict_pmf(model: PredictorModel, feature_vector) -> Pmf:
     """PMF over capacities 0..max_capacity for one feature vector."""
     x = np.asarray(feature_vector, dtype=float)
     if x.shape != (model.feature_dim,):
-        raise DimensionMismatchError(
+        raise ValueError(
             f"feature vector has shape {x.shape}, model expects ({model.feature_dim},)"
         )
     z = model.normalize(x)
@@ -243,7 +238,7 @@ def evaluate(model: PredictorModel, features, truths, level: float = 0.9) -> Pre
     features = np.asarray(features, dtype=float)
     truths = np.asarray(truths, dtype=int)
     if len(truths) == 0:
-        raise EmptyDatasetError("nothing to evaluate")
+        raise ValueError("nothing to evaluate")
     errors, covered, widths = [], 0, []
     for x, truth in zip(features, truths):
         pmf = predict_pmf(model, x)

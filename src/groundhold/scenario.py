@@ -25,13 +25,6 @@ from functools import cached_property
 from pathlib import Path
 
 from .config import load_input
-from .errors import (
-    EmptySeriesError,
-    InvalidChangePointCountError,
-    ScenarioExplosionError,
-    TooFewIntervalsError,
-    TooManyClustersError,
-)
 from .pmf import MASS_TOL, Pmf, make_pmf, pmf_from_dict, pmf_to_dict, wasserstein_1d
 
 #: refuse to enumerate trees beyond this many scenarios
@@ -164,12 +157,12 @@ def cluster_time_series(pmfs: list[Pmf], n: int) -> TimeClustering:
     dropped.
     """
     if not pmfs:
-        raise EmptySeriesError("no PMFs to cluster")
+        raise ValueError("no PMFs to cluster")
     horizon = len(pmfs)
     if horizon < 2:
-        raise TooFewIntervalsError("need at least 2 intervals to cluster")
+        raise ValueError("need at least 2 intervals to cluster")
     if not 0 <= n <= horizon - 1:
-        raise InvalidChangePointCountError(
+        raise ValueError(
             f"change-point count {n} outside [0, {horizon - 1}]"
         )
 
@@ -196,7 +189,7 @@ def cluster_time_series(pmfs: list[Pmf], n: int) -> TimeClustering:
 def average_pmfs(members: list[Pmf]) -> Pmf:
     """Coordinate-wise average over the union support (missing = 0)."""
     if not members:
-        raise EmptySeriesError("cannot average zero PMFs")
+        raise ValueError("cannot average zero PMFs")
     support = sorted({s for p in members for s in p.support})
     weights = [
         math.fsum(p.weight_at(s) for p in members) / len(members)
@@ -239,7 +232,7 @@ def compress_pmf_kmeans(p: Pmf, k: int) -> ReducedPmf:
     if k < 1:
         raise ValueError("need at least one cluster")
     if k > len(positive):
-        raise TooManyClustersError(
+        raise ValueError(
             f"{k} clusters requested but only {len(positive)} atoms carry mass"
         )
     support = [float(s) for s, _ in positive]
@@ -296,8 +289,8 @@ def build_scenario_tree(
     k_per_stage positive atoms is compressed to what it has instead of
     raising. Scenario probabilities are the products of their stage atom
     probabilities; enumeration order varies the last stage fastest. More
-    than DEFAULT_SCENARIO_CAP scenarios raise ScenarioExplosionError
-    before any is enumerated.
+    than DEFAULT_SCENARIO_CAP scenarios raise ValueError before any is
+    enumerated.
     """
     stage_pmfs = []
     for rep in clustering.representatives:
@@ -310,7 +303,7 @@ def build_scenario_tree(
     for stage in stage_pmfs:
         count *= len(stage)
     if count > DEFAULT_SCENARIO_CAP:
-        raise ScenarioExplosionError(
+        raise ValueError(
             f"{count} scenarios exceed the cap of {DEFAULT_SCENARIO_CAP}"
         )
 

@@ -27,6 +27,10 @@ library's in-place loop must reproduce to the bit.
 looped_aggregate_intervals is the interval binning as first written,
 one record at a time in Python, which the library's array version must
 reproduce exactly.
+scanned_best_capacity_profiles and scanned_support_worst_case are the
+det profiles and the support worst case as first written, each a scan
+over every scenario, which the library's reads of each stage's largest
+and smallest capacity must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -36,11 +40,7 @@ import math
 import numpy as np
 
 from groundhold.capacity import DELAYED_FLIGHT_MINUTES, DEPARTURE, IntervalStats
-from groundhold.errors import (
-    DimensionMismatchError,
-    SolverError,
-    TimestampOutOfHorizonError,
-)
+from groundhold.errors import SolverError
 from groundhold.maghp import (
     ModelBundle,
     MaghpInstance,
@@ -48,6 +48,7 @@ from groundhold.maghp import (
     _epsilon_by_op,
     _require_trees,
     assigned_counts,
+    first_stage_cost,
     overflow,
     scenario_distance_matrix,
 )
@@ -197,7 +198,7 @@ def wasserstein_lp(p, q, cost) -> tuple[float, np.ndarray]:
     nu = q.weights_array if isinstance(q, Pmf) else np.asarray(q, dtype=float)
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape != (len(mu), len(nu)):
-        raise DimensionMismatchError(
+        raise ValueError(
             f"cost matrix shape {c.shape} does not match ({len(mu)}, {len(nu)})"
         )
     if np.any(c < 0):
@@ -331,7 +332,7 @@ def looped_aggregate_intervals(records, num_intervals, interval_minutes=15.0):
     def bin_of(minute, what, rec):
         b = int(minute // interval_minutes)
         if not 0 <= b < num_intervals:
-            raise TimestampOutOfHorizonError(
+            raise ValueError(
                 f"{what} time {minute} of {rec.airport} {rec.op_type} record "
                 f"is outside the {num_intervals}-interval horizon"
             )
@@ -359,3 +360,27 @@ def looped_aggregate_intervals(records, num_intervals, interval_minutes=15.0):
                 )
             )
     return stats
+
+
+def scanned_best_capacity_profiles(instance: MaghpInstance) -> dict:
+    """Per cell, the scenario with the largest time-weighted total
+    capacity, the first on ties, expanded to a per-interval profile."""
+    profiles = {}
+    for key, tree in sorted(instance.trees.items()):
+        lengths = [len(seg) for seg in tree.time_clusters.segments]
+        best = max(
+            range(tree.num_scenarios),
+            key=lambda s: (sum(l * c for l, c in zip(lengths, tree.vectors[s])), -s),
+        )
+        profiles[key] = scenario_capacity_profile(tree, tree.vectors[best])
+    return profiles
+
+
+def scanned_support_worst_case(policy, instance: MaghpInstance) -> float:
+    """First-stage cost plus, per tree, the largest recourse over all of
+    its scenarios."""
+    trees = dict(sorted(instance.trees.items()))
+    excess = overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
+    return first_stage_cost(instance, policy) + instance.recourse_cost * math.fsum(
+        float(excess[key].max()) for key in trees
+    )

@@ -482,6 +482,66 @@ def test_outputs_are_idempotent(tmp_path):
     assert report_path.read_bytes() == first_report
 
 
+#: every setting the CLI leaves to a library default, written out at it
+DEFAULTS_WRITTEN_OUT = {
+    "estimate": {
+        "interval_minutes": 15.0,
+        "time_format": "minutes",
+        "alpha": 0.8,
+        "delay_threshold_minutes": 15.0,
+        "min_delayed": 2,
+        "percentile": 0.9,
+    },
+    "predict": {
+        "train_frac": 10 / 12,
+        "val_frac": 1 / 12,
+        "kind": "mlp",
+        "hidden_units": 32,
+        "learning_rate": 1e-4,
+        "epochs": 300,
+        "batch_size": 16,
+        "level": 0.9,
+    },
+    "sweep": {"band": 1.0, "sample_count": 100},
+}
+
+
+def _minimal_section(command, tmp_path):
+    """The command's required settings and the names of its outputs."""
+    if command == "estimate":
+        records = tmp_path / "records.csv"
+        write_operation_records(records, synthetic_records(seed=0))
+        return {"records": str(records), "num_intervals": 48}, ("out", "stats_out")
+    if command == "predict":
+        training = tmp_path / "training.csv"
+        features, labels = bucket_training_data(seed=1, count=240)
+        with open(training, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["f0", "f1", "f2", "label"])
+            writer.writerows([*row, label] for row, label in zip(features, labels))
+        return {"training": str(training)}, ("out", "metrics_out")
+    instance = tmp_path / "instance.json"
+    save_instance(instance, two_airport_instance())
+    section = {"instance": str(instance), "epsilons": [0.0, 0.1], "reductions": [0.1]}
+    return section, ("out", "samples_out", "curve_out")
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS_WRITTEN_OUT))
+def test_written_out_defaults_change_no_output(tmp_path, command):
+    """A section that writes out every default gives the same bytes as
+    one that leaves them to the library. max_capacity is left out: its
+    default, the largest training label, has no written form."""
+    section, outputs = _minimal_section(command, tmp_path)
+    written = {}
+    for name, settings in (("minimal", {}), ("defaults", DEFAULTS_WRITTEN_OUT[command])):
+        paths = [tmp_path / f"{name}-{key}" for key in outputs]
+        body = {**section, **settings, **{k: str(p) for k, p in zip(outputs, paths)}}
+        config = write_config(tmp_path, {"seed": 3, command: body}, f"{name}.json")
+        assert main([command, "--config", config]) == 0
+        written[name] = [p.read_bytes() for p in paths]
+    assert written["minimal"] == written["defaults"]
+
+
 def test_malformed_config_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -687,6 +747,13 @@ def test_evaluate_rejects_a_result_that_breaks_a_connection(tmp_path, capsys):
 
 ABSENT_CELL = {"series": "missing.json", "airport": "A", "op_type": "departure"}
 
+#: weights of a PMF the library rejects, by series file, and the reason
+BAD_SERIES = {
+    "negative-weight": ([1.2, -0.2], "negative weight in (1.2, -0.2)"),
+    "mass-of-1.1": ([0.5, 0.6], "weights sum to 1.1, not 1"),
+    "more-weights-than-support": ([0.5, 0.25, 0.25], "2 support points vs 3 weights"),
+}
+
 MALFORMED = {
     "epsilon without departure": (
         "solve",
@@ -717,6 +784,31 @@ MALFORMED = {
         },
         1,
         "series.json",
+    ),
+    **{
+        f"series entry with {name}": (
+            "reduce-scenarios",
+            {
+                "cells": [{"series": f"{name}.json", "airport": "A", "op_type": "departure"}],
+                "change_points": 1,
+                "clusters_per_stage": 1,
+            },
+            1,
+            f"PMF series file {name}.json is malformed: {reason}",
+        )
+        for name, (_, reason) in BAD_SERIES.items()
+    },
+    "tree representative with a negative weight": (
+        "solve",
+        {"instance": "negative-tree.json"},
+        1,
+        "instance file negative-tree.json is malformed: negative weight in (1.2, -0.2)",
+    ),
+    "instance that sets cost_recourse": (
+        "solve",
+        {"instance": "recourse.json"},
+        1,
+        "instance file recourse.json is malformed: 'cost_recourse'",
     ),
     "records without actual_time": (
         "estimate",
@@ -1020,10 +1112,17 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     save_instance("instance.json", two_airport_instance())
     body = json.loads(Path("instance.json").read_text())
     Path("typo.json").write_text(json.dumps({**body, "horizon": "x"}))
+    Path("recourse.json").write_text(json.dumps({**body, "cost_recourse": 5.0}))
+    trees = json.loads(json.dumps(body["trees"]))
+    trees[0]["representatives"][0] = {"support": [1, 2], "weights": [1.2, -0.2]}
+    Path("negative-tree.json").write_text(json.dumps({**body, "trees": trees}))
     del body["flights"]
     Path("bare.json").write_text(json.dumps(body))
-    series = [{"support": [0, 1], "weights": [0.5, 0.5]}, {"support": [0, 1]}]
-    Path("series.json").write_text(json.dumps(series))
+    good = {"support": [0, 1], "weights": [0.5, 0.5]}
+    Path("series.json").write_text(json.dumps([good, {"support": [0, 1]}]))
+    for name, (weights, _) in BAD_SERIES.items():
+        bad = {"support": [0, 1], "weights": weights}
+        Path(f"{name}.json").write_text(json.dumps([good, bad, good]))
     Path("short.csv").write_text("airport,op_type,scheduled_time\nA,departure,0\n")
     Path("zz.csv").write_text(
         "airport,op_type,scheduled_time,actual_time\nA,departure,0,zz\n"

@@ -439,6 +439,10 @@ def test_instance_file_round_trip(tmp_path):
     save_instance(path, inst)
     loaded = load_instance(path)
     assert instance_to_dict(loaded) == instance_to_dict(inst)
+    # overflow is priced at cost_air; a null cost_recourse still loads
+    assert "cost_recourse" not in instance_to_dict(inst)
+    older = dict(instance_to_dict(inst), cost_recourse=None)
+    assert instance_to_dict(instance_from_dict(older)) == instance_to_dict(inst)
     original = solve(build_sp(inst)).objective
     reloaded = solve(build_sp(loaded)).objective
     assert reloaded == pytest.approx(original, abs=1e-9)

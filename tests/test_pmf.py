@@ -6,12 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from groundhold.errors import (
-    DimensionMismatchError,
-    LengthMismatchError,
-    MassDeviationError,
-    NegativeWeightError,
-)
 from groundhold.pmf import (
     Pmf,
     make_pmf,
@@ -46,11 +40,11 @@ def test_make_pmf_renormalizes_small_deviation():
 
 
 def test_make_pmf_rejects_bad_input():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValueError, match="2 support points vs 1 weights"):
         make_pmf([0, 1], [1.0])
-    with pytest.raises(NegativeWeightError):
+    with pytest.raises(ValueError, match="negative weight in"):
         make_pmf([0, 1], [0.5, -0.1])
-    with pytest.raises(MassDeviationError):
+    with pytest.raises(ValueError, match="weights sum to 1.1, not 1"):
         make_pmf([0, 1], [0.5, 0.6])
     with pytest.raises(ValueError):
         Pmf((1, 1), (0.5, 0.5))
@@ -113,7 +107,7 @@ def test_wasserstein_lp_matches_closed_form():
 
 def test_wasserstein_lp_rejects_shape_mismatch():
     p = make_pmf([0, 1], [0.5, 0.5])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match=r"cost matrix shape \(2, 3\) does not match \(2, 2\)"):
         wasserstein_lp(p, p, np.zeros((2, 3)))
 
 

@@ -9,8 +9,10 @@ every positive radius, and the robust model at radius 0 must collapse
 to the stochastic one.
 """
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from groundhold.fixtures import random_instance, stress_instance
 from groundhold.maghp import (
     assigned_counts,
+    best_capacity_profiles,
     build_dr,
     build_sp,
     expected_recourse_cost,
@@ -25,9 +28,16 @@ from groundhold.maghp import (
     first_stage_cost,
     solve,
     stage_capacities,
+    support_worst_case,
 )
 from groundhold.scenario import ReducedPmf, ScenarioTree
-from oracles import enumerated_dr, enumerated_sp, inner_worst_case
+from oracles import (
+    enumerated_dr,
+    enumerated_sp,
+    inner_worst_case,
+    scanned_best_capacity_profiles,
+    scanned_support_worst_case,
+)
 
 RADII = (0.0, 0.05, 0.3, 1.0)
 TOL = 1e-6
@@ -122,3 +132,30 @@ def test_stage_capacities_sum_scenarios_per_capacity():
         expected = sum(p for v, p in tree.scenarios if v[1] == capacity)
         assert prob == pytest.approx(expected, abs=1e-15)
     assert list(second) == sorted(second)
+
+
+def _network_day(seed):
+    """bench/gen.py's network day at the benchmark sweep's size."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.network_day(seed, 14, 12, 3, 3)
+
+
+EXTREME_CASES = {**CASES, **{f"network-day-{seed}": (_network_day, seed) for seed in range(4)}}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_stage_extremes_match_the_scenario_scans(case):
+    """The det profiles read each stage's largest capacity and the
+    support worst case each stage's smallest; on a product support both
+    equal the scans over every scenario, with sp's and dr's policies."""
+    make, seed = EXTREME_CASES[case]
+    instance = make(seed)
+    assert best_capacity_profiles(instance) == scanned_best_capacity_profiles(instance)
+    for bundle in (build_sp(instance), build_dr(instance, 0.1)):
+        policy = extract_policy(solve(bundle))
+        assert support_worst_case(policy, instance) == scanned_support_worst_case(
+            policy, instance
+        )
