@@ -151,6 +151,20 @@ def _count(minimum):
     return parse
 
 
+def _cells(value):
+    """A list of objects."""
+    if not (isinstance(value, list) and all(isinstance(c, dict) for c in value)):
+        raise ValueError(f"expected a list of objects, got {value!r}")
+    return value
+
+
+def _path(value):
+    """A file path, written as a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a file path, got {value!r}")
+    return value
+
+
 def cmd_estimate(config, args):
     section = section_for(config, "estimate")
     num_intervals = typed(section, "num_intervals", _count(1), "estimate")
@@ -266,13 +280,13 @@ def cmd_predict(config, args):
 
 def cmd_reduce_scenarios(config, args):
     section = section_for(config, "reduce-scenarios")
-    cells = require(section, "cells", "reduce-scenarios")
+    cells = typed(section, "cells", _cells, "reduce-scenarios")
     change_points = typed(section, "change_points", _count(0), "reduce-scenarios")
     clusters = typed(section, "clusters_per_stage", _count(1), "reduce-scenarios")
     compression = _settings(section, "reduce-scenarios", clamp=bool)
     trees = []
     for cell in cells:
-        series = load_pmf_series(require(cell, "series", "reduce-scenarios cell"))
+        series = load_pmf_series(typed(cell, "series", _path, "reduce-scenarios cell"))
         clustering = cluster_time_series(series, change_points)
         trees.append(
             build_scenario_tree(

@@ -6,8 +6,9 @@ airborne delay costs cost_air per interval, and connected flights pass
 their delay downstream minus the schedule's built-in slack. The first
 stage prices delay through wait variables, one per flight and interval,
 that read 1 while the flight has not yet departed (or arrived); one
-precedence or connection row per interval ties them together, which
-makes the relaxation integral on most instances (_build_first_stage).
+precedence or connection row per interval ties them together. That
+keeps the deterministic relaxation integral on the days measured, the
+stochastic and robust ones only at small sizes (_build_first_stage).
 Three model flavors share this first stage:
 
 * deterministic: hard per-interval airport capacities;
@@ -252,8 +253,8 @@ class ModelBundle:
 
     u_index and v_index map (flight id, interval) to the departure and
     arrival slot binaries. For dr, alpha_index maps each cell to its
-    multiplier and beta_index each cell to, per scenario in the tree's
-    order, the variables whose values sum to that scenario's dual.
+    multiplier and gamma_index each cell to one {capacity: variable} map
+    per stage, its free duals in ascending capacity.
     """
 
     kind: str
@@ -262,7 +263,7 @@ class ModelBundle:
     u_index: dict
     v_index: dict
     alpha_index: dict = field(default_factory=dict)
-    beta_index: dict = field(default_factory=dict)
+    gamma_index: dict = field(default_factory=dict)
     epsilon: dict = field(default_factory=dict)
 
 
@@ -291,8 +292,9 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel):
       lies before succ's schedule the row holds by itself; past succ's
       last slot it reads y[pred, t] <= 0.
 
-    These rows make the relaxation integral on most instances, which
-    LinearModel.minimize then takes without branch and bound.
+    On random network days these rows kept the det relaxation integral
+    up to 300 flights, sp's and dr's at 14 flights but not from 60 on;
+    LinearModel.minimize takes an integral one without branch and bound.
     """
     total = instance.total_periods()
     u_index, v_index, waits = {}, {}, {}
@@ -451,21 +453,6 @@ def _diameter(marginals) -> float:
     return float(sum(max(atoms) - min(atoms) for atoms in marginals))
 
 
-def scenario_distance_matrix(tree: ScenarioTree) -> np.ndarray:
-    """Pairwise L1 distances between scenario vectors over the tree's
-    diameter D (left at zero when D is 0), summed one stage at a time
-    so memory stays O(n^2)."""
-    vectors = np.asarray(tree.vectors, dtype=float)
-    distances = np.zeros((len(vectors), len(vectors)))
-    for column in vectors.T:
-        step = np.subtract.outer(column, column)
-        distances += np.abs(step, out=step)
-    diameter = _diameter(stage_capacities(tree))
-    if diameter > 0.0:
-        distances /= diameter
-    return distances
-
-
 def _epsilon_by_op(epsilon) -> dict:
     """Radius per op type from one radius or a mapping per op type.
 
@@ -491,7 +478,8 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     written per stage atom.
 
     epsilon is a single radius or a mapping per op_type; the ground
-    metric is scenario_distance_matrix. Per capacity cell the model has
+    metric is L1 on stage-capacity vectors over the diameter D
+    (_diameter). Per capacity cell the model has
     a multiplier alpha >= 0 (objective weight epsilon), a free
     gamma[s, a] per stage s and capacity a (weight P_s(a), its stage
     probability), build_sp's overflow block unpriced, and for every pair
@@ -512,14 +500,14 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     model = LinearModel()
     u_index, v_index = _build_first_stage(instance, model)
     slots = _slot_terms(instance, u_index, v_index)
-    alpha_index, beta_index = {}, {}
+    alpha_index, gamma_index = {}, {}
     unit = instance.recourse_cost
     for key in keys:
         tree = instance.trees[key]
         marginals = stage_capacities(tree)
         diameter = _diameter(marginals)
         alpha = alpha_index[key] = model.add_variable(objective=radii[key[1]])
-        gammas = [
+        gammas = gamma_index[key] = [
             {a: model.add_variable(objective=prob, lower=-np.inf) for a, prob in atoms.items()}
             for atoms in marginals
         ]
@@ -532,11 +520,8 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
                         terms.append((alpha, abs(a - b) / diameter))
                     terms += [(z_index[t, b], -unit) for t in segment if (t, b) in z_index]
                     model.add_linear_constraint(terms, ">=", 0.0)
-        beta_index[key] = [
-            tuple(gamma[x] for gamma, x in zip(gammas, vector)) for vector in tree.vectors
-        ]
     return ModelBundle(
-        "dr", model, instance, u_index, v_index, alpha_index, beta_index, radii
+        "dr", model, instance, u_index, v_index, alpha_index, gamma_index, radii
     )
 
 
@@ -544,14 +529,13 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
     """Run the solver and read the solution back into domain terms.
 
     For dr, duals["alpha"] maps each cell to its multiplier and
-    duals["beta"] each cell to the list of its per-scenario duals, each
-    the sum of its beta_index variables. The reported objective is
-    recomputed from the policy, pricing recourse by overflow, and must
-    agree within 1e-6 relative, else SolverError. For dr that is, per
-    cell, epsilon * alpha + sum_i p_i * max_j (Q_j - alpha * dist(i, j))
-    at the solved alpha, Q_j the recourse of scenario j: a max over
-    every scenario pair computed from the policy alone, so it checks the
-    stagewise rows of build_dr independently.
+    duals["gamma"] each cell to one list per stage of [capacity, gamma]
+    pairs in ascending capacity. The reported objective is recomputed
+    from the policy and must agree within 1e-6 relative, else
+    SolverError: the first-stage cost plus, per cell, _stage_recourse of
+    the policy, for dr at the solved alpha and plus epsilon * alpha.
+    That reads neither the model's overflow variables nor its gammas, so
+    it checks the stagewise rows of build_sp and build_dr independently.
     """
     solution = bundle.model.minimize(time_limit=time_limit)
     if solution.status != "optimal":
@@ -578,24 +562,16 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
         duals["alpha"] = {
             key: float(values[var]) for key, var in bundle.alpha_index.items()
         }
-        duals["beta"] = {
-            key: values[np.asarray(terms)].sum(axis=1).tolist()
-            for key, terms in bundle.beta_index.items()
+        duals["gamma"] = {
+            key: [[[a, float(values[var])] for a, var in stage.items()] for stage in stages]
+            for key, stages in bundle.gamma_index.items()
         }
 
     recomputed = first_stage_cost(instance, policy)
-    if bundle.kind == "sp":
-        recomputed += expected_recourse_cost(policy, instance)
-    elif bundle.kind == "dr":
-        vectors = {key: instance.trees[key].vectors for key in duals["alpha"]}
-        for key, excess in overflow(instance, policy, vectors).items():
-            tree, alpha = instance.trees[key], duals["alpha"][key]
-            # regret[i, j] = Q_j - alpha * dist(i, j), built in place
-            regret = scenario_distance_matrix(tree)
-            regret *= -alpha
-            regret += instance.recourse_cost * excess
-            recomputed += bundle.epsilon[key[1]] * alpha
-            recomputed += float(np.dot(tree.probabilities, regret.max(axis=1)))
+    if bundle.kind != "det":
+        alphas = duals.get("alpha")
+        recomputed += math.fsum(_stage_recourse(instance, policy, alphas).values())
+        recomputed += math.fsum(bundle.epsilon[op] * a for (_, op), a in (alphas or {}).items())
     gap = abs(recomputed - solution.objective) / max(1.0, abs(solution.objective))
     if gap > 1e-6:
         raise SolverError(
@@ -649,9 +625,9 @@ def assigned_counts(instance: MaghpInstance, policy: GroundDelayPolicy) -> dict:
 
 
 def overflow(instance: MaghpInstance, policy: GroundDelayPolicy, capacities: dict) -> dict:
-    """Queue overflow of a frozen policy, the one closed form of the
-    recourse. capacities maps a cell to rows of stage capacities (its
-    tree.vectors, or samples drawn per stage); per cell, one value per
+    """Queue overflow of a frozen policy under given capacities, the
+    recourse the evaluator prices. capacities maps a cell to rows of
+    stage capacities (samples drawn per stage, say); per cell, one value per
     row: max(assigned_t - capacity_t, 0) summed over the horizon, which
     instance.recourse_cost turns into the recourse cost."""
     counts = assigned_counts(instance, policy)
@@ -663,19 +639,36 @@ def overflow(instance: MaghpInstance, policy: GroundDelayPolicy, capacities: dic
     return excess
 
 
-def expected_recourse_cost(policy: GroundDelayPolicy, instance: MaghpInstance) -> float:
-    """Probability-weighted recourse over every tree's scenarios.
+def _stage_recourse(instance: MaghpInstance, policy: GroundDelayPolicy, alphas=None) -> dict:
+    """Per constrained cell, a frozen policy's recourse per stage atom.
 
-    Sums each scenario's overflow at its probability, so it does not
-    repeat the stagewise form build_sp optimizes; for a policy solved by
-    the stochastic model it equals the model's objective minus its
-    first-stage cost.
+    With G_s(b) = unit * sum over t in stage s (interval 0 too, as in
+    overflow) of max(assigned_t - b, 0), a cell's value is the expected
+    recourse sum_s sum_a P_s(a) G_s(a); or, given alphas, a multiplier
+    per cell, sum_s sum_a P_s(a) max_b (G_s(b) - alpha * |a - b| / D),
+    the robust recourse at that alpha less epsilon * alpha (build_dr
+    gives the argument). Either equals its form over every scenario, or
+    scenario pair, for any joint probabilities on the product support.
     """
-    trees = dict(sorted(instance.trees.items()))
-    excess = overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
-    return instance.recourse_cost * math.fsum(
-        float(np.dot(tree.probabilities, excess[key])) for key, tree in trees.items()
-    )
+    counts = assigned_counts(instance, policy)
+    unit = instance.recourse_cost
+    values = {}
+    for key in instance.constrained_keys():
+        tree = instance.trees[key]
+        marginals = stage_capacities(tree)
+        diameter = _diameter(marginals) or 1.0  # D = 0 leaves every distance 0
+        total = 0.0
+        for segment, atoms in zip(tree.time_clusters.segments, marginals):
+            capacities = np.fromiter(atoms, dtype=float)
+            recourse = unit * np.maximum(
+                counts[key][list(segment)] - capacities[:, None], 0.0
+            ).sum(axis=1)
+            if alphas is not None:
+                distances = np.abs(np.subtract.outer(capacities, capacities)) / diameter
+                recourse = (recourse - alphas[key] * distances).max(axis=1)
+            total += float(np.dot(np.fromiter(atoms.values(), dtype=float), recourse))
+        values[key] = total
+    return values
 
 
 def support_worst_case(policy: GroundDelayPolicy, instance: MaghpInstance) -> float:
@@ -801,14 +794,8 @@ def result_to_dict(result: SolveResult, instance: MaghpInstance) -> dict:
         }
         if result.duals:
             body["duals"] = {
-                "alpha": {
-                    f"{a}/{o}": value
-                    for (a, o), value in sorted(result.duals["alpha"].items())
-                },
-                "beta": {
-                    f"{a}/{o}": list(betas)
-                    for (a, o), betas in sorted(result.duals["beta"].items())
-                },
+                name: {f"{a}/{o}": value for (a, o), value in sorted(values.items())}
+                for name, values in result.duals.items()
             }
     return body
 
@@ -823,7 +810,9 @@ def result_from_dict(body: dict) -> SolveResult:
     """Rebuild status, objective, policy and duals from a result file.
 
     The policy is read from the slots alone; a flight's ground_delay and
-    air_delay fields are derived from them and not read back."""
+    air_delay fields are derived from them and not read back. Of the
+    duals, alpha and gamma are read; the per-scenario beta an older file
+    carries instead of gamma is ignored."""
     status, objective = body["status"], body["objective"]
     policy = None
     duals = {}
@@ -833,15 +822,12 @@ def result_from_dict(body: dict) -> SolveResult:
             {fid: int(e["u_slot"]) for fid, e in entries.items()},
             {fid: int(e["v_slot"]) for fid, e in entries.items()},
         )
-        if "duals" in body:
-            duals["alpha"] = {
-                tuple(label.split("/")): value
-                for label, value in body["duals"]["alpha"].items()
-            }
-            duals["beta"] = {
-                tuple(label.split("/")): list(values)
-                for label, values in body["duals"]["beta"].items()
-            }
+        for name in ("alpha", "gamma"):
+            if name in body.get("duals", {}):
+                duals[name] = {
+                    tuple(label.split("/")): value
+                    for label, value in body["duals"][name].items()
+                }
     return SolveResult(
         status=status,
         objective=objective,

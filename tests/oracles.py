@@ -31,6 +31,10 @@ scanned_best_capacity_profiles and scanned_support_worst_case are the
 det profiles and the support worst case as first written, each a scan
 over every scenario, which the library's reads of each stage's largest
 and smallest capacity must reproduce exactly.
+expected_recourse_cost and pair_regret are the recourse of a frozen
+policy as solve() first checked it, over every scenario and every
+scenario pair under scenario_distance_matrix; the library's per-stage
+recomputation must match both.
 """
 
 from __future__ import annotations
@@ -45,12 +49,13 @@ from groundhold.maghp import (
     ModelBundle,
     MaghpInstance,
     _build_first_stage,
+    _diameter,
     _epsilon_by_op,
     _require_trees,
     assigned_counts,
     first_stage_cost,
     overflow,
-    scenario_distance_matrix,
+    stage_capacities,
 )
 from groundhold.pmf import Pmf
 from groundhold.prediction import _softmax, predict_pmf
@@ -152,7 +157,7 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     keys = _require_trees(instance)
     model = LinearModel()
     u_index, v_index = _build_first_stage(instance, model)
-    alpha_index, beta_index = {}, {}
+    alpha_index = {}
     unit = instance.recourse_cost
     for key in keys:
         tree = instance.trees[key]
@@ -162,7 +167,6 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
             model.add_variable(objective=prob, lower=-np.inf)
             for prob in tree.probabilities
         ]
-        beta_index[key] = [(beta,) for beta in betas]
         y_index = _scenario_overflow(
             model, instance, u_index, v_index, key, tree, lambda prob: 0.0
         )
@@ -181,7 +185,6 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         u_index,
         v_index,
         alpha_index=alpha_index,
-        beta_index=beta_index,
         epsilon=radii,
     )
 
@@ -384,3 +387,38 @@ def scanned_support_worst_case(policy, instance: MaghpInstance) -> float:
     return first_stage_cost(instance, policy) + instance.recourse_cost * math.fsum(
         float(excess[key].max()) for key in trees
     )
+
+
+def scenario_distance_matrix(tree) -> np.ndarray:
+    """Pairwise L1 distances between scenario vectors over the tree's
+    diameter D (left at zero when D is 0), summed one stage at a time
+    so memory stays O(n^2)."""
+    vectors = np.asarray(tree.vectors, dtype=float)
+    distances = np.zeros((len(vectors), len(vectors)))
+    for column in vectors.T:
+        step = np.subtract.outer(column, column)
+        distances += np.abs(step, out=step)
+    diameter = _diameter(stage_capacities(tree))
+    if diameter > 0.0:
+        distances /= diameter
+    return distances
+
+
+def expected_recourse_cost(policy, instance: MaghpInstance) -> float:
+    """Probability-weighted recourse over every tree's scenarios: each
+    scenario's overflow at its probability."""
+    trees = dict(sorted(instance.trees.items()))
+    excess = overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
+    return instance.recourse_cost * math.fsum(
+        float(np.dot(tree.probabilities, excess[key])) for key, tree in trees.items()
+    )
+
+
+def pair_regret(policy, instance: MaghpInstance, key, alpha: float) -> float:
+    """One cell's robust recourse at multiplier alpha, less epsilon *
+    alpha, over every scenario pair: sum_i p_i max_j (Q_j - alpha *
+    dist(i, j)), Q_j the recourse of scenario j."""
+    tree = instance.trees[key]
+    excess = overflow(instance, policy, {key: tree.vectors})[key]
+    regret = instance.recourse_cost * excess - alpha * scenario_distance_matrix(tree)
+    return float(np.dot(tree.probabilities, regret.max(axis=1)))

@@ -25,6 +25,7 @@ from groundhold.maghp import (
     first_stage_cost,
     load_result,
     save_instance,
+    stage_capacities,
 )
 from groundhold.pmf import make_pmf, save_pmf_series
 from groundhold.prediction import load_model
@@ -283,10 +284,12 @@ def test_solve_dr_result_recomputes_from_file(tmp_path):
     dual_part = 0.0
     for label, alpha in body["duals"]["alpha"].items():
         airport, op_type = label.split("/")
-        probs = instance.trees[(airport, op_type)].probabilities
-        betas = body["duals"]["beta"][label]
+        marginals = stage_capacities(instance.trees[(airport, op_type)])
+        gammas = body["duals"]["gamma"][label]
         dual_part += body["epsilon"][op_type] * alpha
-        dual_part += math.fsum(p * b for p, b in zip(probs, betas))
+        dual_part += math.fsum(
+            atoms[a] * g for atoms, stage in zip(marginals, gammas) for a, g in stage
+        )
     recomputed = base + dual_part
     assert abs(recomputed - body["objective"]) <= 1e-6 * max(
         1.0, abs(body["objective"])
@@ -775,6 +778,28 @@ MALFORMED = {
         "sample_count",
     ),
     "horizon not a number": ("solve", {"instance": "typo.json"}, 1, "typo.json"),
+    "cells not a list": (
+        "reduce-scenarios",
+        {"cells": 5, "change_points": 1, "clusters_per_stage": 1},
+        2,
+        "reduce-scenarios config 'cells': expected a list of objects, got 5",
+    ),
+    "cell not an object": (
+        "reduce-scenarios",
+        {"cells": [5], "change_points": 1, "clusters_per_stage": 1},
+        2,
+        "reduce-scenarios config 'cells': expected a list of objects, got [5]",
+    ),
+    "series not a path": (
+        "reduce-scenarios",
+        {
+            "cells": [{"series": 3, "airport": "A", "op_type": "departure"}],
+            "change_points": 1,
+            "clusters_per_stage": 1,
+        },
+        2,
+        "reduce-scenarios cell config 'series': expected a file path, got 3",
+    ),
     "series entry without weights": (
         "reduce-scenarios",
         {

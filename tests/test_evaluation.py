@@ -28,7 +28,6 @@ from groundhold.maghp import (
     MaghpInstance,
     build_dr,
     build_sp,
-    expected_recourse_cost,
     extract_policy,
     first_stage_cost,
     solve,
@@ -37,7 +36,12 @@ from groundhold.maghp import (
 from groundhold.fixtures import random_instance, stress_instance
 from groundhold.pmf import make_pmf, pmf_mean, point_mass, wasserstein_1d
 
-from oracles import inner_worst_case, lp_second_stage_cost, wasserstein_lp
+from oracles import (
+    expected_recourse_cost,
+    inner_worst_case,
+    lp_second_stage_cost,
+    wasserstein_lp,
+)
 from test_maghp import flight, single_stage_tree, two_airport_instance
 
 

@@ -450,14 +450,21 @@ def test_instance_file_round_trip(tmp_path):
 
 def test_result_files_carry_no_second_stage_grid():
     """Result files hold the policy and duals only; an older file with a
-    per-scenario "second_stage" grid still loads, the grid ignored."""
+    per-scenario "second_stage" grid or per-scenario "beta" duals still
+    loads, the grid and the betas ignored."""
     inst = two_airport_instance()
     result = solve(build_dr(inst, 0.1))
     body = result_to_dict(result, inst)
     assert "second_stage" not in body
+    assert set(body["duals"]) == {"alpha", "gamma"}
     older = dict(body, second_stage={"A/departure": [[0.0, 1.0], [0.0, 0.0]]})
+    older["duals"] = dict(body["duals"], beta={"A/departure": [1.0, 2.0]})
     loaded = result_from_dict(older)
     assert loaded.policy == result.policy
     assert loaded.objective == result.objective
     assert loaded.duals == result.duals
     assert not hasattr(loaded, "second_stage")
+    del older["duals"]["gamma"]
+    loaded = result_from_dict(older)
+    assert loaded.policy == result.policy
+    assert loaded.duals == {"alpha": result.duals["alpha"]}

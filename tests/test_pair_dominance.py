@@ -5,9 +5,10 @@ beta_i is the sum over stages of gamma[s, x_i^s], and gamma[s, a] covers
 every capacity b of its stage. On a product support that covers every
 pair (i, j), so at the robust optimum beta_i >= R_j - alpha * dist(i, j)
 must hold for all of them, R_j the closed-form recourse. These tests
-check that inequality directly, check the L1 distance matrix it rests
-on, and check that solve() rejects a model that lacks the rows moving
-mass between capacities.
+rebuild each beta_i from the reported gammas and check that inequality
+directly, check the L1 distance matrix it rests on, and check that
+solve() rejects a model that lacks the rows moving mass between
+capacities.
 """
 
 import numpy as np
@@ -21,9 +22,9 @@ from groundhold.maghp import (
     build_dr,
     extract_policy,
     overflow,
-    scenario_distance_matrix,
     solve,
 )
+from oracles import scenario_distance_matrix
 
 CASES = {f"random-{seed}": (random_instance, seed) for seed in range(20)}
 CASES.update(
@@ -43,15 +44,18 @@ def test_every_pair_holds_at_the_dr_optimum(case, radius):
         tree = instance.trees[key]
         distances = scenario_distance_matrix(tree)
         alpha = result.duals["alpha"][key]
-        betas = np.array(result.duals["beta"][key])
+        gammas = [dict(stage) for stage in result.duals["gamma"][key]]
+        betas = np.array(
+            [sum(gamma[x] for gamma, x in zip(gammas, vector)) for vector in tree.vectors]
+        )
         recourse = instance.recourse_cost * overflow(instance, policy, {key: tree.vectors})[key]
         slack = betas[:, None] - (recourse[None, :] - alpha * distances)
         assert slack.min() >= -1e-9, f"cell {key}"
 
 
 def test_solve_rejects_pruning_that_drops_needed_rows():
-    """solve() recomputes the robust objective as a max over every
-    scenario pair, so a model whose rows between two different
+    """solve() recomputes the robust objective per stage atom from the
+    policy and alpha alone, so a model whose rows between two different
     capacities (the ones carrying alpha) are switched off keeps only
     gamma[s, a] >= G_s(a), understates the worst case and fails the
     objective check."""

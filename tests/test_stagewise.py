@@ -6,7 +6,10 @@ the scenario-by-scenario expected recourse must equal the stage-atom
 form the stochastic model optimizes, the robust objective must equal
 the first stage plus the worst case found by the transportation LP at
 every positive radius, and the robust model at radius 0 must collapse
-to the stochastic one.
+to the stochastic one. The per-stage recourse that solve() checks
+objectives against must equal the sum over every scenario and the max
+over every scenario pair, and solve() must reject an sp model whose
+overflow is mispriced.
 """
 
 import importlib.util
@@ -16,14 +19,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_model_size import _product_tree
 
+from groundhold.errors import SolverError
 from groundhold.fixtures import random_instance, stress_instance
 from groundhold.maghp import (
+    _stage_recourse,
     assigned_counts,
     best_capacity_profiles,
+    build_det,
     build_dr,
     build_sp,
-    expected_recourse_cost,
     extract_policy,
     first_stage_cost,
     solve,
@@ -34,7 +40,9 @@ from groundhold.scenario import ReducedPmf, ScenarioTree
 from oracles import (
     enumerated_dr,
     enumerated_sp,
+    expected_recourse_cost,
     inner_worst_case,
+    pair_regret,
     scanned_best_capacity_profiles,
     scanned_support_worst_case,
 )
@@ -121,6 +129,66 @@ def test_stagewise_models_match_enumeration(case):
             for key in instance.constrained_keys()
         )
         assert _gap(dr.objective, worst) <= TOL, f"radius {epsilon}"
+
+
+def _product_instance(atoms, stages):
+    """random_instance(7) with every tree a product of stages stages of
+    atoms capacities each; one atom per stage makes the diameter D 0."""
+    instance = random_instance(7)
+    rng = np.random.default_rng(atoms * 10 + stages)
+    instance.trees = {
+        key: _product_tree(key, instance.horizon, atoms, stages, rng)
+        for key in sorted(instance.trees)
+    }
+    return instance
+
+
+RECOURSE_CASES = {
+    **CASES,
+    **{
+        f"product-{atoms}x{stages}": (lambda shape: _product_instance(*shape), (atoms, stages))
+        for atoms, stages in ((1, 1), (1, 4), (2, 3), (3, 2))
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOURSE_CASES))
+def test_stage_recourse_matches_scenario_and_pair_oracles(case):
+    """The per-stage recourse equals the scenario-weighted sum and, at
+    every alpha, the max over every scenario pair, for sp's policy and
+    dr's at three radii. The alphas are fixed ones, 0 among them, and
+    the solved ones; radius 5 lies past saturation, where alpha is 0."""
+    make, seed = RECOURSE_CASES[case]
+    instance = make(seed)
+    policies = [extract_policy(solve(build_sp(instance)))]
+    alphas = [0.0, 0.5, 4.0]
+    for epsilon in (0.05, 0.3, 5.0):
+        dr = solve(build_dr(instance, epsilon))
+        policies.append(extract_policy(dr))
+        alphas.extend(dr.duals["alpha"].values())
+    for policy in policies:
+        expected = _stage_recourse(instance, policy)
+        total = math.fsum(expected.values())
+        assert _gap(total, expected_recourse_cost(policy, instance)) <= 1e-12
+        for alpha in alphas:
+            worst = _stage_recourse(instance, policy, dict.fromkeys(expected, alpha))
+            for key, value in worst.items():
+                pairs = pair_regret(policy, instance, key, alpha)
+                assert _gap(value, pairs) <= 1e-12, f"cell {key}, alpha {alpha}"
+
+
+def test_solve_rejects_mispriced_overflow():
+    """solve() recomputes the sp objective per stage atom from the policy
+    alone, so a model whose overflow variables cost half their price
+    understates the recourse and fails the objective check."""
+    instance = stress_instance()
+    bundle = build_sp(instance)
+    first_stage = build_det(instance, {}).model.num_variables
+    objective = bundle.model._objective
+    for var in range(first_stage, len(objective)):
+        objective[var] *= 0.5
+    with pytest.raises(SolverError):
+        solve(bundle)
 
 
 def test_stage_capacities_sum_scenarios_per_capacity():
