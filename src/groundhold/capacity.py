@@ -268,17 +268,6 @@ def read_operation_records(
     return records
 
 
-def write_operation_records(path, records) -> None:
-    """Counterpart of read_operation_records with minute timestamps."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.airport, r.op_type, repr(r.scheduled_minute), repr(r.actual_minute)]
-            )
-
-
 def write_capacity_observations(path, observations) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

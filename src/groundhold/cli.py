@@ -166,6 +166,7 @@ def _path(value):
 
 
 def cmd_estimate(config, args):
+    """Estimate capacity observations from operation records."""
     section = section_for(config, "estimate")
     num_intervals = typed(section, "num_intervals", _count(1), "estimate")
     grid = _settings(section, "estimate", interval_minutes=_positive)
@@ -230,6 +231,7 @@ def _read_training_csv(path):
 
 
 def cmd_predict(config, args):
+    """Train a capacity predictor and score it on held-out rows."""
     section = section_for(config, "predict")
     train_frac = typed(section, "train_frac", _level, "predict", 10 / 12)
     val_frac = typed(section, "val_frac", _finite, "predict", 1 / 12)
@@ -279,11 +281,11 @@ def cmd_predict(config, args):
 
 
 def cmd_reduce_scenarios(config, args):
+    """Reduce forecast PMF series to scenario trees."""
     section = section_for(config, "reduce-scenarios")
     cells = typed(section, "cells", _cells, "reduce-scenarios")
     change_points = typed(section, "change_points", _count(0), "reduce-scenarios")
     clusters = typed(section, "clusters_per_stage", _count(1), "reduce-scenarios")
-    compression = _settings(section, "reduce-scenarios", clamp=bool)
     trees = []
     for cell in cells:
         series = load_pmf_series(typed(cell, "series", _path, "reduce-scenarios cell"))
@@ -294,7 +296,6 @@ def cmd_reduce_scenarios(config, args):
                 clusters,
                 airport=require(cell, "airport", "reduce-scenarios cell"),
                 op_type=require(cell, "op_type", "reduce-scenarios cell"),
-                **compression,
             )
         )
     out = _out_path(args, section, "reduce-scenarios")
@@ -328,6 +329,7 @@ def _det_capacities(raw, instance):
 
 
 def cmd_solve(config, args):
+    """Solve the det, sp or dr ground holding model of an instance."""
     section = section_for(config, "solve")
     instance = load_instance(require(section, "instance", "solve"))
     kind = args.model or section.get("model", "sp")
@@ -392,6 +394,7 @@ def _checked_policy(path, instance):
 
 
 def cmd_evaluate(config, args):
+    """Price a solved policy on resampled capacities."""
     section = section_for(config, "evaluate")
     reduction = typed(section, "reduction", float, "evaluate")
     spec = _shift_spec(config, section, "evaluate", reduction)
@@ -421,6 +424,7 @@ def cmd_evaluate(config, args):
 
 
 def cmd_sweep(config, args):
+    """Compare det, sp and dr policies over radii and reduction levels."""
     section = section_for(config, "sweep")
     if args.epsilons is not None:
         section = {**section, "epsilons": args.epsilons}

@@ -24,9 +24,10 @@ enumerating the tree. Overflow cost is separable per interval, and
 interval t's capacity depends only on the atom of its own stage, so per
 cell and interval t > 0 there is one variable z[t, c] >= assigned_t - c
 for each distinct capacity c of stage(t). The stochastic model prices
-z[t, c] at that capacity's stage probability. Stage probabilities are
-summed from the tree's scenarios, so the block is exact for any
-scenario list, including atoms that collide after rounding.
+z[t, c] at that capacity's stage probability. Stage probabilities come
+from ScenarioTree.stage_capacities, which sums them from the tree's
+scenarios, so the block is exact for any scenario list, including atoms
+that collide after rounding.
 
 The robust dual splits by stage too. A tree's support is the product of
 its stage capacities and the L1 metric sums over stages, so the worst
@@ -379,21 +380,6 @@ def _require_trees(instance: MaghpInstance) -> list:
     return keys
 
 
-def stage_capacities(tree: ScenarioTree) -> tuple[dict, ...]:
-    """Per stage, each distinct capacity mapped to its probability.
-
-    Probabilities are summed from tree.scenarios per (stage, capacity),
-    not read from stage_pmfs, so the marginals stay exact for trees
-    loaded from hand-written files and for atoms that collide after
-    rounding. Capacities come in ascending order.
-    """
-    marginals: list[dict] = [{} for _ in range(tree.time_clusters.num_stages)]
-    for vector, prob in tree.scenarios:
-        for stage, capacity in enumerate(vector):
-            marginals[stage][capacity] = marginals[stage].get(capacity, 0.0) + prob
-    return tuple(dict(sorted(m.items())) for m in marginals)
-
-
 def _overflow_block(
     model: LinearModel,
     instance: MaghpInstance,
@@ -410,7 +396,7 @@ def _overflow_block(
     as zero. With priced=True each z costs its stage probability times
     the recourse unit. Returns the z map keyed (t, c).
     """
-    marginals = stage_capacities(tree)
+    marginals = tree.stage_capacities
     stages = tree.time_clusters.stage_index
     unit = instance.recourse_cost
     z_index = {}
@@ -504,7 +490,7 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     unit = instance.recourse_cost
     for key in keys:
         tree = instance.trees[key]
-        marginals = stage_capacities(tree)
+        marginals = tree.stage_capacities
         diameter = _diameter(marginals)
         alpha = alpha_index[key] = model.add_variable(objective=radii[key[1]])
         gammas = gamma_index[key] = [
@@ -655,7 +641,7 @@ def _stage_recourse(instance: MaghpInstance, policy: GroundDelayPolicy, alphas=N
     values = {}
     for key in instance.constrained_keys():
         tree = instance.trees[key]
-        marginals = stage_capacities(tree)
+        marginals = tree.stage_capacities
         diameter = _diameter(marginals) or 1.0  # D = 0 leaves every distance 0
         total = 0.0
         for segment, atoms in zip(tree.time_clusters.segments, marginals):
@@ -683,7 +669,7 @@ def support_worst_case(policy: GroundDelayPolicy, instance: MaghpInstance) -> fl
     smallest capacity.
     """
     trees = dict(sorted(instance.trees.items()))
-    lowest = {key: [[min(m) for m in stage_capacities(t)]] for key, t in trees.items()}
+    lowest = {key: [[min(m) for m in t.stage_capacities]] for key, t in trees.items()}
     excess = overflow(instance, policy, lowest)
     return first_stage_cost(instance, policy) + instance.recourse_cost * math.fsum(
         float(excess[key][0]) for key in trees
@@ -696,7 +682,7 @@ def best_capacity_profiles(instance: MaghpInstance) -> dict:
     support that is each stage's largest capacity."""
     profiles = {}
     for key, tree in sorted(instance.trees.items()):
-        highest = [max(m) for m in stage_capacities(tree)]
+        highest = [max(m) for m in tree.stage_capacities]
         profiles[key] = [highest[k] for k in tree.time_clusters.stage_index]
     return profiles
 

@@ -7,10 +7,8 @@ between two of them has a closed form on the line.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -96,10 +94,6 @@ def pmf_mean(p: Pmf) -> float:
     return float(np.dot(p.support_array, p.weights_array))
 
 
-def point_mass(value: int) -> Pmf:
-    return Pmf((int(value),), (1.0,))
-
-
 def wasserstein_1d(p: Pmf, q: Pmf) -> float:
     """Order-1 Wasserstein distance between two PMFs on the line.
 
@@ -131,12 +125,6 @@ def pmf_to_dict(p: Pmf) -> dict:
 
 def pmf_from_dict(d: dict) -> Pmf:
     return make_pmf(d["support"], d["weights"])
-
-
-def save_pmf_series(path, series: list[Pmf]) -> None:
-    Path(path).write_text(
-        json.dumps([pmf_to_dict(p) for p in series], indent=1) + "\n"
-    )
 
 
 def load_pmf_series(path) -> list[Pmf]:

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 from .config import load_input
 from .pmf import MASS_TOL, Pmf, make_pmf, pmf_from_dict, pmf_to_dict, wasserstein_1d
@@ -109,9 +110,9 @@ class ScenarioTree:
     that order; the robust model relies on this product support. The
     joint probabilities are free, as long as they sum to 1.
 
-    probabilities and vectors are computed from scenarios once per tree
-    and kept; dataclasses.replace builds a new tree, which computes its
-    own."""
+    probabilities, vectors and stage_capacities are computed from
+    scenarios once per tree and kept; dataclasses.replace builds a new
+    tree, which computes its own."""
 
     airport: str
     op_type: str
@@ -120,6 +121,12 @@ class ScenarioTree:
     scenarios: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
+        segments = self.time_clusters.num_stages
+        if len(self.stage_pmfs) != segments:
+            raise ValueError(
+                f"stage count {len(self.stage_pmfs)} does not match the "
+                f"{segments} time segments"
+            )
         supports = [stage.supports for stage in self.stage_pmfs]
         # the count first, so a file with many stage atoms is not enumerated
         if math.prod(map(len, supports)) != len(self.vectors) or any(
@@ -144,6 +151,22 @@ class ScenarioTree:
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(v for v, _ in self.scenarios)
+
+    @cached_property
+    def stage_capacities(self) -> tuple[MappingProxyType, ...]:
+        """Per stage, a read-only map of each distinct capacity to its
+        probability.
+
+        Probabilities are summed from scenarios per (stage, capacity),
+        not read from stage_pmfs, so the marginals stay exact for trees
+        loaded from hand-written files and for atoms that collide after
+        rounding. Capacities come in ascending order.
+        """
+        marginals: list[dict] = [{} for _ in self.stage_pmfs]
+        for vector, prob in self.scenarios:
+            for stage, capacity in enumerate(vector):
+                marginals[stage][capacity] = marginals[stage].get(capacity, 0.0) + prob
+        return tuple(MappingProxyType(dict(sorted(m.items()))) for m in marginals)
 
 
 def cluster_time_series(pmfs: list[Pmf], n: int) -> TimeClustering:
@@ -281,23 +304,20 @@ def build_scenario_tree(
     k_per_stage: int,
     airport: str = "",
     op_type: str = "",
-    clamp: bool = False,
 ) -> ScenarioTree:
     """Compress each stage representative and enumerate all scenarios.
 
-    With clamp=True a stage whose representative has fewer than
-    k_per_stage positive atoms is compressed to what it has instead of
-    raising. Scenario probabilities are the products of their stage atom
-    probabilities; enumeration order varies the last stage fastest. More
-    than DEFAULT_SCENARIO_CAP scenarios raise ValueError before any is
-    enumerated.
+    Each stage keeps min(k_per_stage, its atoms that carry mass) atoms:
+    a representative with no more atoms than that is its own best
+    compression. Scenario probabilities are the products of their stage
+    atom probabilities; enumeration order varies the last stage fastest.
+    More than DEFAULT_SCENARIO_CAP scenarios raise ValueError before any
+    is enumerated.
     """
-    stage_pmfs = []
-    for rep in clustering.representatives:
-        k = k_per_stage
-        if clamp:
-            k = min(k, sum(1 for w in rep.weights if w > 0))
-        stage_pmfs.append(compress_pmf_kmeans(rep, k))
+    stage_pmfs = [
+        compress_pmf_kmeans(rep, min(k_per_stage, sum(1 for w in rep.weights if w > 0)))
+        for rep in clustering.representatives
+    ]
 
     count = 1
     for stage in stage_pmfs:
@@ -320,16 +340,6 @@ def build_scenario_tree(
         time_clusters=clustering,
         scenarios=tuple(scenarios),
     )
-
-
-def scenario_capacity_profile(tree: ScenarioTree, vector) -> list[int]:
-    """Expand a stage-capacity vector to one capacity per interval."""
-    clusters = tree.time_clusters
-    if len(vector) != clusters.num_stages:
-        raise ValueError(
-            f"vector has {len(vector)} stages, tree has {clusters.num_stages}"
-        )
-    return [int(vector[k]) for k in clusters.stage_index]
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,23 @@ deterministic 3-airport, 30-flight day whose capacity distributions
 put real weight on severe shortfalls, which is where the deterministic,
 stochastic and robust policies spread apart; synthetic_records and
 bucket_training_data feed the estimation and prediction demos.
+point_mass, save_pmf_series and write_operation_records build and
+write the inputs the command line reads.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 
-from .capacity import ARRIVAL, DEPARTURE, OperationRecord
-from .maghp import Flight, FlightConnection, MaghpInstance
-from .pmf import make_pmf
-from .scenario import (
+from groundhold.capacity import ARRIVAL, DEPARTURE, RECORD_COLUMNS, OperationRecord
+from groundhold.maghp import Flight, FlightConnection, MaghpInstance
+from groundhold.pmf import Pmf, make_pmf, pmf_to_dict
+from groundhold.scenario import (
     ReducedPmf,
     ScenarioTree,
     TimeClustering,
@@ -275,3 +280,24 @@ def bucket_training_data(seed: int, count: int, buckets: int = 5):
     offsets = rng.choice([1, 2, 3], size=count, p=[0.6, 0.3, 0.1])
     labels = assignment + offsets
     return features, labels.astype(int)
+
+
+def point_mass(value: int) -> Pmf:
+    return Pmf((int(value),), (1.0,))
+
+
+def save_pmf_series(path, series: list[Pmf]) -> None:
+    Path(path).write_text(
+        json.dumps([pmf_to_dict(p) for p in series], indent=1) + "\n"
+    )
+
+
+def write_operation_records(path, records) -> None:
+    """Counterpart of read_operation_records with minute timestamps."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_COLUMNS)
+        for r in records:
+            writer.writerow(
+                [r.airport, r.op_type, repr(r.scheduled_minute), repr(r.actual_minute)]
+            )

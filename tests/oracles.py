@@ -35,6 +35,8 @@ expected_recourse_cost and pair_regret are the recourse of a frozen
 policy as solve() first checked it, over every scenario and every
 scenario pair under scenario_distance_matrix; the library's per-stage
 recomputation must match both.
+scenario_capacity_profile expands one scenario to a capacity per
+interval, the form these scenario-by-scenario oracles price.
 """
 
 from __future__ import annotations
@@ -55,11 +57,9 @@ from groundhold.maghp import (
     assigned_counts,
     first_stage_cost,
     overflow,
-    stage_capacities,
 )
 from groundhold.pmf import Pmf
 from groundhold.prediction import _softmax, predict_pmf
-from groundhold.scenario import scenario_capacity_profile
 from groundhold.solver import BINARY, LinearModel
 
 
@@ -116,6 +116,16 @@ def _assigned_terms(instance, u_index, v_index, airport, op_type, t):
         for f in instance.flights
         if f.destination == airport and (f.id, t) in v_index
     ]
+
+
+def scenario_capacity_profile(tree, vector) -> list[int]:
+    """Expand a stage-capacity vector to one capacity per interval."""
+    clusters = tree.time_clusters
+    if len(vector) != clusters.num_stages:
+        raise ValueError(
+            f"vector has {len(vector)} stages, tree has {clusters.num_stages}"
+        )
+    return [int(vector[k]) for k in clusters.stage_index]
 
 
 def _scenario_overflow(model, instance, u_index, v_index, key, tree, weight):
@@ -398,7 +408,7 @@ def scenario_distance_matrix(tree) -> np.ndarray:
     for column in vectors.T:
         step = np.subtract.outer(column, column)
         distances += np.abs(step, out=step)
-    diameter = _diameter(stage_capacities(tree))
+    diameter = _diameter(tree.stage_capacities)
     if diameter > 0.0:
         distances /= diameter
     return distances

@@ -19,6 +19,11 @@ from handcase import (
 )
 from test_maghp import two_airport_instance
 
+from fixtures import (
+    bucket_training_data,
+    random_instance,
+    stress_instance,
+)
 from groundhold.capacity import (
     aggregate_intervals,
     estimate_capacities,
@@ -30,11 +35,6 @@ from groundhold.evaluation import (
     epsilon_sweep,
     evaluate_policy,
     reduce_distribution,
-)
-from groundhold.fixtures import (
-    bucket_training_data,
-    random_instance,
-    stress_instance,
 )
 from groundhold.maghp import (
     GroundDelayPolicy,
@@ -180,7 +180,7 @@ def test_scenario_tree_measures_are_consistent():
     for _ in range(20):
         series = [random_pmf(rng, max_atoms=5) for _ in range(8)]
         clustering = cluster_time_series(series, int(rng.integers(1, 3)))
-        tree = build_scenario_tree(clustering, 2, clamp=True)
+        tree = build_scenario_tree(clustering, 2)
         assert abs(math.fsum(tree.probabilities) - 1.0) <= 1e-8
         sizes = [len(stage) for stage in tree.stage_pmfs]
         for stage_index, stage in enumerate(tree.stage_pmfs):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line pipeline."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -11,23 +12,25 @@ from pathlib import Path
 import pytest
 from test_maghp import flight, single_stage_tree, two_airport_instance
 
-from groundhold.capacity import (
-    read_capacity_observations,
+from fixtures import (
+    bucket_training_data,
+    save_pmf_series,
+    stress_instance,
+    synthetic_records,
     write_operation_records,
 )
-from groundhold.cli import main
+from groundhold.capacity import read_capacity_observations
+from groundhold.cli import build_parser, main
 from groundhold.config import load_config
 from groundhold.errors import ConfigError
-from groundhold.fixtures import bucket_training_data, stress_instance, synthetic_records
 from groundhold.maghp import (
     FlightConnection,
     MaghpInstance,
     first_stage_cost,
     load_result,
     save_instance,
-    stage_capacities,
 )
-from groundhold.pmf import make_pmf, save_pmf_series
+from groundhold.pmf import make_pmf
 from groundhold.prediction import load_model
 from groundhold.scenario import load_trees
 
@@ -195,6 +198,32 @@ def test_reduce_scenarios_builds_trees(tmp_path):
         assert tree.time_clusters.boundaries == (4,)
 
 
+def test_reduce_scenarios_keeps_a_stage_with_fewer_atoms_than_k(tmp_path):
+    """A stage whose representative has fewer atoms than
+    clusters_per_stage keeps the atoms it has."""
+    early = make_pmf([3, 6, 9], [0.3, 0.4, 0.3])
+    late = make_pmf([4, 8], [0.5, 0.5])
+    series = tmp_path / "series.json"
+    save_pmf_series(series, [early] * 4 + [late] * 4)
+    out = tmp_path / "trees.json"
+    config = write_config(
+        tmp_path,
+        {
+            "reduce-scenarios": {
+                "cells": [{"airport": "A", "op_type": "departure", "series": str(series)}],
+                "change_points": 1,
+                "clusters_per_stage": 3,
+                "out": str(out),
+            },
+        },
+    )
+    assert main(["reduce-scenarios", "--config", config]) == 0
+    (tree,) = load_trees(out)
+    assert [len(stage) for stage in tree.stage_pmfs] == [3, 2]
+    assert tree.num_scenarios == 6
+    assert tree.stage_pmfs[1].supports == (4, 8)
+
+
 FORECAST_THEN_SOLVE = """
 import json, sys
 import groundhold
@@ -284,7 +313,7 @@ def test_solve_dr_result_recomputes_from_file(tmp_path):
     dual_part = 0.0
     for label, alpha in body["duals"]["alpha"].items():
         airport, op_type = label.split("/")
-        marginals = stage_capacities(instance.trees[(airport, op_type)])
+        marginals = instance.trees[(airport, op_type)].stage_capacities
         gammas = body["duals"]["gamma"][label]
         dual_part += body["epsilon"][op_type] * alpha
         dual_part += math.fsum(
@@ -829,6 +858,20 @@ MALFORMED = {
         1,
         "instance file negative-tree.json is malformed: negative weight in (1.2, -0.2)",
     ),
+    "tree with more stages than time segments": (
+        "solve",
+        {"instance": "extra-stage.json"},
+        1,
+        "instance file extra-stage.json is malformed: stage count 3 does not match "
+        "the 2 time segments",
+    ),
+    "tree with fewer stages than time segments": (
+        "solve",
+        {"instance": "missing-stage.json"},
+        1,
+        "instance file missing-stage.json is malformed: stage count 1 does not match "
+        "the 2 time segments",
+    ),
     "instance that sets cost_recourse": (
         "solve",
         {"instance": "recourse.json"},
@@ -966,12 +1009,6 @@ MALFORMED = {
         {"cells": [ABSENT_CELL], "change_points": -1, "clusters_per_stage": 1},
         2,
         "change_points",
-    ),
-    "clamp given as a string": (
-        "reduce-scenarios",
-        {"cells": [], "change_points": 1, "clusters_per_stage": 1, "clamp": "false"},
-        2,
-        "clamp",
     ),
     # the estimate grid and criteria are checked before the records
     # file, which is absent here, is read
@@ -1130,6 +1167,14 @@ MALFORMED = {
 }
 
 
+def _restaged(tree, stages):
+    """A tree body with its stage atoms replaced by stages and its
+    scenarios enumerated over them, so only the stage count is off."""
+    combos = itertools.product(*stages)
+    scenarios = [[[s for s, _ in c], math.prod(p for _, p in c)] for c in combos]
+    return {**tree, "stages": stages, "scenarios": scenarios}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     command, section, code, named = MALFORMED[case]
@@ -1143,6 +1188,15 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     Path("negative-tree.json").write_text(json.dumps({**body, "trees": trees}))
     del body["flights"]
     Path("bare.json").write_text(json.dumps(body))
+    save_instance("stress.json", stress_instance())
+    stress = json.loads(Path("stress.json").read_text())
+    first, *rest = stress["trees"]
+    for name, stages in (
+        ("extra-stage", first["stages"] + first["stages"][-1:]),
+        ("missing-stage", first["stages"][:1]),
+    ):
+        trees = [_restaged(first, stages), *rest]
+        Path(f"{name}.json").write_text(json.dumps({**stress, "trees": trees}))
     good = {"support": [0, 1], "weights": [0.5, 0.5]}
     Path("series.json").write_text(json.dumps([good, {"support": [0, 1]}]))
     for name, (weights, _) in BAD_SERIES.items():
@@ -1159,6 +1213,14 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+def test_help_describes_every_subcommand(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    lines = build_parser().format_help().splitlines()
+    for name in ("estimate", "predict", "reduce-scenarios", "solve", "evaluate", "sweep"):
+        (line,) = [line for line in lines if line.split()[:1] == [name]]
+        assert line.split()[1:], name
 
 
 def test_config_round_trips(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 import groundhold.evaluation as evaluation
 import groundhold.solver as solver
+from fixtures import point_mass, random_instance, stress_instance
 from groundhold.errors import InfeasibleReductionError
 from groundhold.evaluation import (
     ReductionRow,
@@ -33,8 +34,7 @@ from groundhold.maghp import (
     solve,
     support_worst_case,
 )
-from groundhold.fixtures import random_instance, stress_instance
-from groundhold.pmf import make_pmf, pmf_mean, point_mass, wasserstein_1d
+from groundhold.pmf import make_pmf, pmf_mean, wasserstein_1d
 
 from oracles import (
     expected_recourse_cost,

@@ -14,7 +14,7 @@ import pytest
 
 import groundhold.maghp as maghp
 import groundhold.solver as solver
-from groundhold.fixtures import random_instance, stress_instance
+from fixtures import random_instance, stress_instance
 from groundhold.maghp import (
     Flight,
     FlightConnection,

@@ -2,14 +2,14 @@
 
 import numpy as np
 
-from groundhold.capacity import aggregate_intervals, estimate_capacities
-from groundhold.evaluation import reduce_distribution
-from groundhold.fixtures import (
+from fixtures import (
     bucket_training_data,
     random_instance,
     stress_instance,
     synthetic_records,
 )
+from groundhold.capacity import aggregate_intervals, estimate_capacities
+from groundhold.evaluation import reduce_distribution
 from groundhold.maghp import build_sp, instance_to_dict, solve
 
 

@@ -15,14 +15,13 @@ import itertools
 import numpy as np
 import pytest
 
-from groundhold.fixtures import random_instance, stress_instance
+from fixtures import random_instance, stress_instance
 from groundhold.maghp import (
     best_capacity_profiles,
     build_det,
     build_dr,
     build_sp,
     solve,
-    stage_capacities,
 )
 from groundhold.pmf import make_pmf
 from groundhold.scenario import ReducedPmf, ScenarioTree, TimeClustering
@@ -119,7 +118,7 @@ def test_dr_rows_count_stage_atoms_not_scenarios(atoms, stages):
     pair_rows = sum(
         len(capacities) ** 2
         for tree in instance.trees.values()
-        for capacities in stage_capacities(tree)
+        for capacities in tree.stage_capacities
     )
     assert pair_rows == len(instance.trees) * stages * atoms**2
     extra = build_dr(instance, 0.1).model.num_constraints

@@ -16,8 +16,8 @@ import pytest
 from test_model_size import _product_tree
 from test_stagewise import _hand_written_instance
 
+from fixtures import random_instance, stress_instance
 from groundhold.errors import SolverError
-from groundhold.fixtures import random_instance, stress_instance
 from groundhold.maghp import (
     build_dr,
     extract_policy,

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from fixtures import point_mass
 from groundhold.pmf import (
     Pmf,
     make_pmf,
     pmf_from_dict,
     pmf_mean,
     pmf_to_dict,
-    point_mass,
     wasserstein_1d,
 )
 from oracles import wasserstein_lp

@@ -15,10 +15,10 @@ from groundhold.scenario import (
     compress_pmf_kmeans,
     load_trees,
     save_trees,
-    scenario_capacity_profile,
     tree_from_dict,
     tree_to_dict,
 )
+from oracles import scenario_capacity_profile
 
 EXAMPLE = make_pmf([0, 1, 2, 3, 4, 5], [0.05, 0.10, 0.70, 0.10, 0.03, 0.02])
 
@@ -220,6 +220,21 @@ def test_tree_vectors_must_be_the_product_of_stage_supports():
         )
 
 
+def test_stage_with_fewer_atoms_than_k_keeps_its_exact_atoms():
+    """A stage with fewer atoms that carry mass than k is already its best
+    k-atom compression, so the tree keeps it exactly."""
+    early = make_pmf([3, 6, 9], [0.2, 0.5, 0.3])
+    late = make_pmf([4, 5, 8], [0.6, 0.0, 0.4])
+    clustering = cluster_time_series([early] * 4 + [late] * 4, 1)
+    tree = build_scenario_tree(clustering, 3)
+    first, second = tree.stage_pmfs
+    assert first == compress_pmf_kmeans(clustering.representatives[0], 3)
+    assert second.supports == (4, 8)
+    assert second.probabilities == pytest.approx((0.6, 0.4), abs=1e-15)
+    assert tree.num_scenarios == 6
+    assert tree.stage_capacities[1] == pytest.approx({4: 0.6, 8: 0.4}, abs=1e-15)
+
+
 def test_simple_product_example():
     stage_a = ReducedPmf(((10, 0.5), (20, 0.5)))
     stage_b = ReducedPmf(((5, 0.4), (15, 0.6)))
@@ -235,7 +250,7 @@ def test_tree_marginalization_recovers_stages():
     for _ in range(10):
         series = [random_pmf(rng, max_atoms=5) for _ in range(8)]
         clustering = cluster_time_series(series, 2)
-        tree = build_scenario_tree(clustering, 2, clamp=True)
+        tree = build_scenario_tree(clustering, 2)
         for stage_index, stage in enumerate(tree.stage_pmfs):
             for atom_index, (_, p_atom) in enumerate(stage.atoms):
                 marginal = math.fsum(

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 from test_model_size import _product_tree
 
+from fixtures import random_instance, stress_instance
 from groundhold.errors import SolverError
-from groundhold.fixtures import random_instance, stress_instance
 from groundhold.maghp import (
     _stage_recourse,
     assigned_counts,
@@ -33,7 +33,6 @@ from groundhold.maghp import (
     extract_policy,
     first_stage_cost,
     solve,
-    stage_capacities,
     support_worst_case,
 )
 from groundhold.scenario import ReducedPmf, ScenarioTree
@@ -95,7 +94,7 @@ def _stagewise_recourse(policy, instance):
     counts = assigned_counts(instance, policy)
     total = 0.0
     for key, tree in sorted(instance.trees.items()):
-        stages = zip(tree.time_clusters.segments, stage_capacities(tree))
+        stages = zip(tree.time_clusters.segments, tree.stage_capacities)
         for segment, atoms in stages:
             for t in segment:
                 total += math.fsum(
@@ -193,7 +192,7 @@ def test_solve_rejects_mispriced_overflow():
 
 def test_stage_capacities_sum_scenarios_per_capacity():
     tree = _hand_written(stress_instance().trees["C", "arrival"], np.random.default_rng(0))
-    first, second = stage_capacities(tree)
+    first, second = tree.stage_capacities
     (only,) = first
     assert first[only] == pytest.approx(1.0)
     for capacity, prob in second.items():
