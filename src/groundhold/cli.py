@@ -39,8 +39,7 @@ from .evaluation import (
     write_sample_costs_csv,
 )
 from .maghp import (
-    DEFAULT_TIME_LIMIT,
-    _epsilon_by_op,
+    _radius,
     best_capacity_profiles,
     build_det,
     build_dr,
@@ -65,12 +64,6 @@ from .pmf import load_pmf_series
 from .scenario import build_scenario_tree, cluster_time_series, save_trees
 
 
-def _out_path(args, section, name):
-    if args.out:
-        return args.out
-    return require(section, "out", name)
-
-
 def _settings(section, context, **kinds):
     """The keys of kinds that the section sets, each read by typed with
     its kind; a key the section leaves out keeps the library's default."""
@@ -79,12 +72,12 @@ def _settings(section, context, **kinds):
     }
 
 
-def _shift_spec(config, section, context, reduction):
+def _shift_spec(seed, section, context, reduction):
     """The section's shift settings; a value ReductionSpec rejects is a
     config error."""
     shift = _settings(section, context, band=float, sample_count=int)
     try:
-        return ReductionSpec(reduction, seed=int(config.get("seed", 0)), **shift)
+        return ReductionSpec(reduction, seed=seed, **shift)
     except ValueError as exc:
         raise ConfigError(f"{context} config: {exc}") from exc
 
@@ -165,9 +158,10 @@ def _path(value):
     return value
 
 
-def cmd_estimate(config, args):
+def cmd_estimate(section, seed):
     """Estimate capacity observations from operation records."""
-    section = section_for(config, "estimate")
+    out = typed(section, "out", _path, "estimate")
+    stats_out = typed(section, "stats_out", _path, "estimate", None)
     num_intervals = typed(section, "num_intervals", _count(1), "estimate")
     grid = _settings(section, "estimate", interval_minutes=_positive)
     time_format = typed(
@@ -185,17 +179,16 @@ def cmd_estimate(config, args):
     if time_format == "iso8601":
         horizon_start = typed(section, "horizon_start", _timestamp, "estimate")
     records = read_operation_records(
-        require(section, "records", "estimate"),
+        typed(section, "records", _path, "estimate"),
         time_format=time_format,
         horizon_start=horizon_start,
     )
     stats = aggregate_intervals(records, num_intervals, **grid)
     observations = estimate_capacities(stats, **criteria)
-    out = _out_path(args, section, "estimate")
     with atomic_output(out) as temp:
         write_capacity_observations(temp, observations)
-    if "stats_out" in section:
-        with atomic_output(section["stats_out"]) as temp:
+    if stats_out is not None:
+        with atomic_output(stats_out) as temp:
             write_interval_stats(temp, stats)
     print(
         f"estimate: {len(observations)} capacity observations from "
@@ -230,9 +223,10 @@ def _read_training_csv(path):
     return np.asarray(features), np.asarray(labels)
 
 
-def cmd_predict(config, args):
+def cmd_predict(section, seed):
     """Train a capacity predictor and score it on held-out rows."""
-    section = section_for(config, "predict")
+    out = typed(section, "out", _path, "predict")
+    metrics_out = typed(section, "metrics_out", _path, "predict", None)
     train_frac = typed(section, "train_frac", _level, "predict", 10 / 12)
     val_frac = typed(section, "val_frac", _finite, "predict", 1 / 12)
     if not (val_frac >= 0 and train_frac + val_frac <= 1):
@@ -240,7 +234,7 @@ def cmd_predict(config, args):
             f"predict config 'val_frac': must be in [0, 1 - train_frac], got {val_frac!r}"
         )
     training = TrainingConfig(
-        seed=int(config.get("seed", 0)),
+        seed=seed,
         **_settings(
             section,
             "predict",
@@ -253,15 +247,14 @@ def cmd_predict(config, args):
         ),
     )
     coverage = _settings(section, "predict", level=_level)
-    features, labels = _read_training_csv(require(section, "training", "predict"))
+    features, labels = _read_training_csv(typed(section, "training", _path, "predict"))
     split_train, split_val, split_test = temporal_split(len(labels), train_frac, val_frac)
     held_out = split_test if len(split_test) else split_val
     model = train(features[split_train], labels[split_train], training)
     metrics = evaluate(model, features[held_out], labels[held_out], **coverage)
-    out = _out_path(args, section, "predict")
     with atomic_output(out) as temp:
         save_model(temp, model)
-    if "metrics_out" in section:
+    if metrics_out is not None:
         body = {
             "rmse": metrics.rmse,
             "mae": metrics.mae,
@@ -269,7 +262,7 @@ def cmd_predict(config, args):
             "mpiw": metrics.mpiw,
             "count": metrics.count,
         }
-        with atomic_output(section["metrics_out"]) as temp:
+        with atomic_output(metrics_out) as temp:
             with open(temp, "w") as fh:
                 json.dump(body, fh, indent=1)
                 fh.write("\n")
@@ -280,25 +273,19 @@ def cmd_predict(config, args):
     return 0
 
 
-def cmd_reduce_scenarios(config, args):
+def cmd_reduce_scenarios(section, seed):
     """Reduce forecast PMF series to scenario trees."""
-    section = section_for(config, "reduce-scenarios")
+    out = typed(section, "out", _path, "reduce-scenarios")
     cells = typed(section, "cells", _cells, "reduce-scenarios")
     change_points = typed(section, "change_points", _count(0), "reduce-scenarios")
     clusters = typed(section, "clusters_per_stage", _count(1), "reduce-scenarios")
+    context = "reduce-scenarios cell"
+    paths = [typed(c, "series", _path, context) for c in cells]
+    labels = [(require(c, "airport", context), require(c, "op_type", context)) for c in cells]
     trees = []
-    for cell in cells:
-        series = load_pmf_series(typed(cell, "series", _path, "reduce-scenarios cell"))
-        clustering = cluster_time_series(series, change_points)
-        trees.append(
-            build_scenario_tree(
-                clustering,
-                clusters,
-                airport=require(cell, "airport", "reduce-scenarios cell"),
-                op_type=require(cell, "op_type", "reduce-scenarios cell"),
-            )
-        )
-    out = _out_path(args, section, "reduce-scenarios")
+    for path, (airport, op_type) in zip(paths, labels):
+        clustering = cluster_time_series(load_pmf_series(path), change_points)
+        trees.append(build_scenario_tree(clustering, clusters, airport=airport, op_type=op_type))
     with atomic_output(out) as temp:
         save_trees(temp, trees)
     sizes = ", ".join(str(t.num_scenarios) for t in trees)
@@ -328,16 +315,14 @@ def _det_capacities(raw, instance):
     return fixed
 
 
-def cmd_solve(config, args):
+def cmd_solve(section, seed):
     """Solve the det, sp or dr ground holding model of an instance."""
-    section = section_for(config, "solve")
-    instance = load_instance(require(section, "instance", "solve"))
-    kind = args.model or section.get("model", "sp")
-    if kind not in ("det", "sp", "dr"):
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if args.time_limit is not None:
-        section = {**section, "time_limit": args.time_limit}
-    time_limit = typed(section, "time_limit", _time_limit, "solve", DEFAULT_TIME_LIMIT)
+    out = typed(section, "out", _path, "solve")
+    kind = typed(section, "model", _one_of("det", "sp", "dr"), "solve", "sp")
+    limit = _settings(section, "solve", time_limit=_time_limit)
+    if kind == "dr":
+        epsilon = typed(section, "epsilon", _radius, "solve")
+    instance = load_instance(typed(section, "instance", _path, "solve"))
     if kind == "det":
         if "capacities" in section:
             fixed = _det_capacities(section["capacities"], instance)
@@ -347,11 +332,8 @@ def cmd_solve(config, args):
     elif kind == "sp":
         bundle = build_sp(instance)
     else:
-        if args.epsilon is not None:
-            section = {**section, "epsilon": args.epsilon}
-        bundle = build_dr(instance, typed(section, "epsilon", _epsilon_by_op, "solve"))
-    result = solve(bundle, time_limit=time_limit)
-    out = _out_path(args, section, "solve")
+        bundle = build_dr(instance, epsilon)
+    result = solve(bundle, **limit)
     with atomic_output(out) as temp:
         save_result(temp, result, instance)
     objective = "none" if result.objective is None else f"{result.objective:.6f}"
@@ -393,13 +375,14 @@ def _checked_policy(path, instance):
     return policy
 
 
-def cmd_evaluate(config, args):
+def cmd_evaluate(section, seed):
     """Price a solved policy on resampled capacities."""
-    section = section_for(config, "evaluate")
+    result_path = typed(section, "result", _path, "evaluate")
+    out = typed(section, "out", _path, "evaluate")
     reduction = typed(section, "reduction", float, "evaluate")
-    spec = _shift_spec(config, section, "evaluate", reduction)
-    instance = load_instance(require(section, "instance", "evaluate"))
-    policy = _checked_policy(require(section, "result", "evaluate"), instance)
+    spec = _shift_spec(seed, section, "evaluate", reduction)
+    instance = load_instance(typed(section, "instance", _path, "evaluate"))
+    policy = _checked_policy(result_path, instance)
     samples = resample_capacities(instance.trees, spec)
     evaluation = evaluate_policy(policy, instance, samples)
     body = {
@@ -412,7 +395,6 @@ def cmd_evaluate(config, args):
         "total": evaluation.total,
         "overflow_by_op": dict(sorted(evaluation.overflow_by_op.items())),
     }
-    out = _out_path(args, section, "evaluate")
     with atomic_output(out) as temp:
         with open(temp, "w") as fh:
             json.dump(body, fh, indent=1)
@@ -423,35 +405,29 @@ def cmd_evaluate(config, args):
     return 0
 
 
-def cmd_sweep(config, args):
+def cmd_sweep(section, seed):
     """Compare det, sp and dr policies over radii and reduction levels."""
-    section = section_for(config, "sweep")
-    if args.epsilons is not None:
-        section = {**section, "epsilons": args.epsilons}
+    out = typed(section, "out", _path, "sweep")
+    samples_out = typed(section, "samples_out", _path, "sweep", None)
+    curve_out = typed(section, "curve_out", _path, "sweep", None)
+    day = _settings(section, "sweep", day=str)
     epsilons = typed(section, "epsilons", sweep_radii, "sweep")
-    spec = _shift_spec(config, section, "sweep", 0.0)
+    spec = _shift_spec(seed, section, "sweep", 0.0)
     reductions = typed(
         section,
         "reductions",
         lambda levels: [replace(spec, reduction=float(r)).reduction for r in levels],
         "sweep",
     )
-    instance = load_instance(require(section, "instance", "sweep"))
-    report = epsilon_sweep(
-        instance,
-        epsilons,
-        reductions,
-        spec,
-        day=str(section.get("day", "fixture")),
-    )
-    out = _out_path(args, section, "sweep")
+    instance = load_instance(typed(section, "instance", _path, "sweep"))
+    report = epsilon_sweep(instance, epsilons, reductions, spec, **day)
     with atomic_output(out) as temp:
         write_report_csv(temp, report)
-    if "samples_out" in section:
-        with atomic_output(section["samples_out"]) as temp:
+    if samples_out is not None:
+        with atomic_output(samples_out) as temp:
             write_sample_costs_csv(temp, report)
-    if "curve_out" in section:
-        with atomic_output(section["curve_out"]) as temp:
+    if curve_out is not None:
+        with atomic_output(curve_out) as temp:
             write_in_sample_csv(temp, report)
     print(
         f"sweep: {len(report.rows)} reduction levels x {len(report.epsilons)} "
@@ -469,6 +445,24 @@ COMMANDS = {
     "sweep": cmd_sweep,
 }
 
+#: the keys each command's section may set; main refuses any other
+KEYS = {
+    "estimate": (
+        "records num_intervals out interval_minutes time_format horizon_start alpha"
+        " delay_threshold_minutes min_delayed percentile stats_out"
+    ).split(),
+    "predict": (
+        "training out kind hidden_units learning_rate epochs batch_size max_capacity"
+        " train_frac val_frac level metrics_out"
+    ).split(),
+    "reduce-scenarios": "cells change_points clusters_per_stage out".split(),
+    "solve": "instance out model epsilon capacities time_limit".split(),
+    "evaluate": "instance result reduction out band sample_count".split(),
+    "sweep": (
+        "instance epsilons reductions out band sample_count day samples_out curve_out"
+    ).split(),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -477,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for name, handler in COMMANDS.items():
-        sub = commands.add_parser(name, help=handler.__doc__)
+        sub = commands.add_parser(name, help=handler.__doc__, argument_default=argparse.SUPPRESS)
         sub.add_argument("--config", required=True, help="JSON config file")
         sub.add_argument("--seed", type=int, help="override the config seed")
         sub.add_argument("--out", help="override the section's output path")
@@ -493,12 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. Each flag given, but --config and --seed, sets the
+    section key of its name, which is then read like one from the file."""
+    flags = vars(build_parser().parse_args(argv))
+    command = flags.pop("command")
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
-        return COMMANDS[args.command](config, args)
+        config = load_config(flags.pop("config"))
+        seed = flags.pop("seed", config.get("seed", 0))
+        section = {**section_for(config, command, KEYS[command]), **flags}
+        return COMMANDS[command](section, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

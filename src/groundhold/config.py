@@ -50,9 +50,15 @@ def load_config(path) -> dict:
     return body
 
 
-def section_for(config: dict, name: str) -> dict:
+def section_for(config: dict, name: str, keys) -> dict:
+    """The config's section name, which may set only the given keys."""
     if name not in config:
         raise ConfigError(f"config has no {name!r} section")
+    for key in config[name]:
+        if key not in keys:
+            raise ConfigError(
+                f"{name} config: unknown key {key!r}; expected one of {', '.join(keys)}"
+            )
     return config[name]
 
 
@@ -72,14 +78,14 @@ def _is_exactly(value, kind) -> bool:
 
 def typed(section: dict, key: str, kind, context: str, default=_REQUIRED):
     """section[key] converted by kind (float or a checking parser), or
-    checked to be a JSON int or bool as is, so 2.7 is not truncated to 2
-    nor "false" read as true; default when the key is absent. A required
-    key that is absent, or a value kind rejects, raises ConfigError
-    naming the key."""
+    checked to be a JSON int, bool or string as is, so 2.7 is not
+    truncated to 2, "false" not read as true, nor [1] as "[1]"; default
+    when the key is absent. A required key that is absent, or a value
+    kind rejects, raises ConfigError naming the key."""
     if key not in section and default is not _REQUIRED:
         return default
     raw = require(section, key, context)
-    if kind in (int, bool) and not _is_exactly(raw, kind):
+    if kind in (int, bool, str) and not _is_exactly(raw, kind):
         raise ConfigError(f"{context} config {key!r}: expected {kind.__name__}, got {raw!r}")
     try:
         return kind(raw)

@@ -28,7 +28,7 @@ from .maghp import (
     GroundDelayPolicy,
     MaghpInstance,
     SolveResult,
-    _epsilon_by_op,
+    _radius,
     best_capacity_profiles,
     build_det,
     build_dr,
@@ -209,15 +209,13 @@ def _pct_drop(base: float, value: float) -> float:
 def sweep_radii(values) -> tuple:
     """Distinct sweep radii in ascending order, with -0.0 read as 0.0.
 
-    Raises ValueError for an empty list or a radius _epsilon_by_op
+    Raises ValueError for an empty list or a radius maghp._radius
     rejects."""
-    values = list(values)
-    if not values:
-        raise ValueError("need at least one radius to sweep")
-    for value in values:
-        _epsilon_by_op(value)
     # adding 0.0 turns -0.0 into 0.0, so the reports never print "-0"
-    return tuple(sorted({float(value) + 0.0 for value in values}))
+    radii = {_radius(value) + 0.0 for value in values}
+    if not radii:
+        raise ValueError("need at least one radius to sweep")
+    return tuple(sorted(radii))
 
 
 def _saturated(result: SolveResult, instance: MaghpInstance) -> bool:

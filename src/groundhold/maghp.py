@@ -53,6 +53,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -245,7 +246,7 @@ class SolveResult:
     policy: GroundDelayPolicy | None
     duals: dict = field(default_factory=dict)
     kind: str = ""
-    epsilon: dict = field(default_factory=dict)
+    epsilon: float | None = None
 
 
 @dataclass
@@ -265,7 +266,7 @@ class ModelBundle:
     v_index: dict
     alpha_index: dict = field(default_factory=dict)
     gamma_index: dict = field(default_factory=dict)
-    epsilon: dict = field(default_factory=dict)
+    epsilon: float | None = None
 
 
 def _build_first_stage(instance: MaghpInstance, model: LinearModel):
@@ -439,31 +440,18 @@ def _diameter(marginals) -> float:
     return float(sum(max(atoms) - min(atoms) for atoms in marginals))
 
 
-def _epsilon_by_op(epsilon) -> dict:
-    """Radius per op type from one radius or a mapping per op type.
-
-    Raises ValueError naming the op type whose radius is missing, not a
-    number, negative or infinite.
-    """
-    radii = {}
-    for op in OP_TYPES:
-        if isinstance(epsilon, dict) and op not in epsilon:
-            raise ValueError(f"no radius for {op!r}")
-        raw = epsilon[op] if isinstance(epsilon, dict) else epsilon
-        try:
-            radii[op] = float(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"radius for {op!r} is not a number: {raw!r}") from None
-        if not 0 <= radii[op] < math.inf:
-            raise ValueError(f"radius for {op!r} must be finite and non-negative")
-    return radii
+def _radius(epsilon) -> float:
+    """epsilon as a Wasserstein radius, a finite non-negative number."""
+    if isinstance(epsilon, bool) or not (isinstance(epsilon, Real) and 0 <= epsilon < math.inf):
+        raise ValueError(f"radius must be a finite non-negative number, got {epsilon!r}")
+    return float(epsilon)
 
 
 def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     """Dual deterministic equivalent of the Wasserstein-robust model,
     written per stage atom.
 
-    epsilon is a single radius or a mapping per op_type; the ground
+    epsilon is the radius of every cell's ball; the ground
     metric is L1 on stage-capacity vectors over the diameter D
     (_diameter). Per capacity cell the model has
     a multiplier alpha >= 0 (objective weight epsilon), a free
@@ -481,7 +469,7 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     sum_s gamma[s, x_i^s]; and sum_i p_i beta_i = sum_s sum_a P_s(a)
     gamma[s, a] for any joint p.
     """
-    radii = _epsilon_by_op(epsilon)
+    radius = _radius(epsilon)
     keys = _require_trees(instance)
     model = LinearModel()
     u_index, v_index = _build_first_stage(instance, model)
@@ -492,7 +480,7 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         tree = instance.trees[key]
         marginals = tree.stage_capacities
         diameter = _diameter(marginals)
-        alpha = alpha_index[key] = model.add_variable(objective=radii[key[1]])
+        alpha = alpha_index[key] = model.add_variable(objective=radius)
         gammas = gamma_index[key] = [
             {a: model.add_variable(objective=prob, lower=-np.inf) for a, prob in atoms.items()}
             for atoms in marginals
@@ -507,7 +495,7 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
                     terms += [(z_index[t, b], -unit) for t in segment if (t, b) in z_index]
                     model.add_linear_constraint(terms, ">=", 0.0)
     return ModelBundle(
-        "dr", model, instance, u_index, v_index, alpha_index, gamma_index, radii
+        "dr", model, instance, u_index, v_index, alpha_index, gamma_index, radius
     )
 
 
@@ -530,7 +518,7 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
             solution.objective,
             None,
             kind=bundle.kind,
-            epsilon=dict(bundle.epsilon),
+            epsilon=bundle.epsilon,
         )
 
     values = solution.values
@@ -555,9 +543,9 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
 
     recomputed = first_stage_cost(instance, policy)
     if bundle.kind != "det":
-        alphas = duals.get("alpha")
-        recomputed += math.fsum(_stage_recourse(instance, policy, alphas).values())
-        recomputed += math.fsum(bundle.epsilon[op] * a for (_, op), a in (alphas or {}).items())
+        recomputed += math.fsum(_stage_recourse(instance, policy, duals.get("alpha")).values())
+    if bundle.kind == "dr":
+        recomputed += bundle.epsilon * math.fsum(duals["alpha"].values())
     gap = abs(recomputed - solution.objective) / max(1.0, abs(solution.objective))
     if gap > 1e-6:
         raise SolverError(
@@ -570,7 +558,7 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
         policy,
         duals,
         kind=bundle.kind,
-        epsilon=dict(bundle.epsilon),
+        epsilon=bundle.epsilon,
     )
 
 
@@ -765,7 +753,7 @@ def result_to_dict(result: SolveResult, instance: MaghpInstance) -> dict:
         "status": result.status,
         "objective": result.objective,
         "model": result.kind,
-        "epsilon": {op: e for op, e in sorted(result.epsilon.items())},
+        "epsilon": result.epsilon,
     }
     if result.policy is not None:
         delays = flight_delays(instance, result.policy)
@@ -798,7 +786,8 @@ def result_from_dict(body: dict) -> SolveResult:
     The policy is read from the slots alone; a flight's ground_delay and
     air_delay fields are derived from them and not read back. Of the
     duals, alpha and gamma are read; the per-scenario beta an older file
-    carries instead of gamma is ignored."""
+    carries instead of gamma is ignored, and of the radii an older file
+    keys by op type the largest is read."""
     status, objective = body["status"], body["objective"]
     policy = None
     duals = {}
@@ -814,13 +803,16 @@ def result_from_dict(body: dict) -> SolveResult:
                     tuple(label.split("/")): value
                     for label, value in body["duals"][name].items()
                 }
+    epsilon = body.get("epsilon")
+    if isinstance(epsilon, dict):
+        epsilon = max(epsilon.values(), default=None)
     return SolveResult(
         status=status,
         objective=objective,
         policy=policy,
         duals=duals,
         kind=body.get("model", ""),
-        epsilon={op: float(e) for op, e in body.get("epsilon", {}).items()},
+        epsilon=None if epsilon is None else float(epsilon),
     )
 
 

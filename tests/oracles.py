@@ -52,7 +52,7 @@ from groundhold.maghp import (
     MaghpInstance,
     _build_first_stage,
     _diameter,
-    _epsilon_by_op,
+    _radius,
     _require_trees,
     assigned_counts,
     first_stage_cost,
@@ -163,7 +163,7 @@ def enumerated_sp(instance: MaghpInstance) -> ModelBundle:
 def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     """Dual deterministic equivalent with every pair row carrying the
     support scenario's whole recourse sum."""
-    radii = _epsilon_by_op(epsilon)
+    radius = _radius(epsilon)
     keys = _require_trees(instance)
     model = LinearModel()
     u_index, v_index = _build_first_stage(instance, model)
@@ -172,7 +172,7 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     for key in keys:
         tree = instance.trees[key]
         distances = scenario_distance_matrix(tree)
-        alpha = alpha_index[key] = model.add_variable(objective=radii[key[1]])
+        alpha = alpha_index[key] = model.add_variable(objective=radius)
         betas = [
             model.add_variable(objective=prob, lower=-np.inf)
             for prob in tree.probabilities
@@ -195,7 +195,7 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         u_index,
         v_index,
         alpha_index=alpha_index,
-        epsilon=radii,
+        epsilon=radius,
     )
 
 

@@ -20,8 +20,8 @@ from fixtures import (
     write_operation_records,
 )
 from groundhold.capacity import read_capacity_observations
-from groundhold.cli import build_parser, main
-from groundhold.config import load_config
+from groundhold.cli import KEYS, build_parser, main
+from groundhold.config import load_config, section_for
 from groundhold.errors import ConfigError
 from groundhold.maghp import (
     FlightConnection,
@@ -315,7 +315,7 @@ def test_solve_dr_result_recomputes_from_file(tmp_path):
         airport, op_type = label.split("/")
         marginals = instance.trees[(airport, op_type)].stage_capacities
         gammas = body["duals"]["gamma"][label]
-        dual_part += body["epsilon"][op_type] * alpha
+        dual_part += body["epsilon"] * alpha
         dual_part += math.fsum(
             atoms[a] * g for atoms, stage in zip(marginals, gammas) for a, g in stage
         )
@@ -705,6 +705,22 @@ def test_evaluate_reads_the_slots_not_the_delay_fields(tmp_path):
     assert eval_path.read_bytes() == consistent
 
 
+def test_evaluate_reads_an_old_per_op_radius(tmp_path):
+    """An older dr result file keys its radius by op type. It loads, and
+    evaluates to the same bytes as the file that holds one number."""
+    config, result_path, eval_path = _solved_sp(tmp_path)
+    assert main(["solve", "--config", config, "--model", "dr", "--epsilon", "0.05"]) == 0
+    assert main(["evaluate", "--config", config]) == 0
+    current = eval_path.read_bytes()
+    body = json.loads(result_path.read_text())
+    assert body["epsilon"] == 0.05
+    body["epsilon"] = {"arrival": 0.05, "departure": 0.05}
+    result_path.write_text(json.dumps(body, indent=1) + "\n")
+    assert load_result(result_path).epsilon == 0.05
+    assert main(["evaluate", "--config", config]) == 0
+    assert eval_path.read_bytes() == current
+
+
 def _drop_f0(flights):
     del flights["f0"]
 
@@ -787,13 +803,48 @@ BAD_SERIES = {
 }
 
 MALFORMED = {
-    "epsilon without departure": (
+    "epsilon given as an object": (
         "solve",
-        {"model": "dr", "epsilon": {"arrival": 0.1}},
+        {"model": "dr", "epsilon": {"departure": 0.1, "arrival": 0.1}},
         2,
-        "departure",
+        "'epsilon'",
     ),
     "instance without flights": ("solve", {"instance": "bare.json"}, 1, "flights"),
+    # a key the command does not read is refused before any file is read
+    "misspelled sweep key": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [0.1], "sample_cont": 7},
+        2,
+        "unknown key 'sample_cont'",
+    ),
+    "misspelled estimate key": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "percentil": 0.5},
+        2,
+        "unknown key 'percentil'",
+    ),
+    "removed clamp key": (
+        "reduce-scenarios",
+        {"cells": [ABSENT_CELL], "change_points": 1, "clusters_per_stage": 1, "clamp": 2},
+        2,
+        "unknown key 'clamp'",
+    ),
+    # path keys and day must be strings, checked before any file is read
+    "samples_out not a path": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [0.1], "samples_out": 5},
+        2,
+        "'samples_out'",
+    ),
+    "out not a path": ("solve", {"out": 5}, 2, "'out'"),
+    "instance not a path": ("solve", {"instance": 5}, 2, "'instance'"),
+    "day not a string": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [0.1], "day": [1, 2]},
+        2,
+        "'day'",
+    ),
+    "unknown model kind": ("solve", {"model": "bogus"}, 2, "'model'"),
     "instance given as result": (
         "evaluate",
         {"result": "instance.json", "reduction": 0.1},
@@ -914,6 +965,7 @@ MALFORMED = {
         "labels.csv line 2, column 'label'",
     ),
     "negative epsilon": ("solve", {"model": "dr", "epsilon": -0.1}, 2, "epsilon"),
+    "epsilon given as a boolean": ("solve", {"model": "dr", "epsilon": True}, 2, "'epsilon'"),
     "epsilon not a number": ("solve", {"model": "dr", "epsilon": "nan"}, 2, "epsilon"),
     "band not finite": (
         "sweep",
@@ -1207,12 +1259,30 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
         "airport,op_type,scheduled_time,actual_time\nA,departure,0,zz\n"
     )
     Path("labels.csv").write_text("f0,label\n0.5,x\n")
-    section = {"instance": "instance.json", "out": "out", **section}
-    config = write_config(tmp_path, {command: section})
+    if command in ("solve", "evaluate", "sweep"):
+        section = {"instance": "instance.json", **section}
+    config = write_config(tmp_path, {command: {"out": "out", **section}})
     assert main([command, "--config", config]) == code
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+    assert not Path("out").exists()
+
+
+def test_readme_config_and_sections_match_the_declared_keys():
+    """README's example config passes the key check, and each command's
+    bullet under "Subcommand sections" names every key it reads."""
+    usage = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = usage.split("## CLI usage", 1)[1]
+    example = json.loads(usage.split("```json\n", 1)[1].split("```", 1)[0])
+    assert set(example) - {"seed"}
+    for command in set(example) - {"seed"}:
+        section_for(example, command, KEYS[command])
+    listing = usage.split("Subcommand sections:", 1)[1].split("\n## ", 1)[0]
+    bullets = {bullet.split("`", 2)[1]: bullet for bullet in listing.split("\n- ")[1:]}
+    assert set(bullets) == set(KEYS)
+    for command, keys in KEYS.items():
+        assert [k for k in keys if f"`{k}`" not in bullets[command]] == [], command
 
 
 def test_help_describes_every_subcommand(monkeypatch):

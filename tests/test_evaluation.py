@@ -263,7 +263,9 @@ def test_sweep_checks_every_radius_before_solving(radii, monkeypatch):
     """A bad radius anywhere in the grid fails before any model is
     solved, even where the sweep would not have solved that radius."""
     calls = _count_milp(monkeypatch)
-    with pytest.raises(ValueError, match="radius for"):
+    (bad,) = [r for r in radii if r not in (0.0, 0.02, 0.1)]
+    message = f"radius must be a finite non-negative number, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         epsilon_sweep(two_airport_instance(), radii, (0.0,), ReductionSpec(0.0))
     assert calls == []
 

@@ -269,14 +269,17 @@ def test_dr_duality_gap_closed_at_optimum():
     assert rel <= 1e-5
 
 
-def test_dr_per_op_radii_accepted():
-    """A mapping radius applies per op type; all-zero matches sp."""
+def test_dr_radius_is_one_number():
+    """The radius is one number for every cell: 0 matches sp, and a
+    negative radius or one keyed by op type is refused."""
     inst = two_airport_instance()
     sp = solve(build_sp(inst))
-    dr = solve(build_dr(inst, {"departure": 0.0, "arrival": 0.0}))
+    dr = solve(build_dr(inst, 0.0))
     assert dr.objective == pytest.approx(sp.objective, rel=1e-6)
     with pytest.raises(ValueError):
         build_dr(inst, -0.1)
+    with pytest.raises(ValueError):
+        build_dr(inst, {"departure": 0.1, "arrival": 0.1})
 
 
 def hand_policy(inst, slots):
