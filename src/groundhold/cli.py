@@ -75,16 +75,44 @@ def _settings(section, context, **kinds):
 def _shift_spec(seed, section, context, reduction):
     """The section's shift settings; a value ReductionSpec rejects is a
     config error."""
-    shift = _settings(section, context, band=float, sample_count=int)
+    shift = _settings(section, context, band=_number, sample_count=int)
     try:
         return ReductionSpec(reduction, seed=seed, **shift)
     except ValueError as exc:
         raise ConfigError(f"{context} config: {exc}") from exc
 
 
+def _number(value):
+    """A JSON number, an int or a float but not a bool or a string, as a
+    float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"must be finite, got {value!r}") from None
+
+
+def _numbers(value):
+    """A list of JSON numbers, each as a float."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return [_number(v) for v in value]
+
+
+def _refuse_unread(section, context, key, mode_key, mode, reader):
+    """Raise ConfigError when the section sets key but its mode_key is
+    mode rather than reader, the only mode that reads key."""
+    if key in section and mode != reader:
+        raise ConfigError(
+            f"{context} config {key!r}: read only when {mode_key!r} is {reader!r}, "
+            f"not {mode!r}"
+        )
+
+
 def _time_limit(value):
     """A solver time limit in seconds, which must be greater than 0."""
-    limit = float(value)
+    limit = _number(value)
     if not limit > 0:
         raise ValueError(f"must be greater than 0, got {value!r}")
     return limit
@@ -92,7 +120,7 @@ def _time_limit(value):
 
 def _finite(value):
     """A finite number."""
-    number = float(value)
+    number = _number(value)
     if not math.isfinite(number):
         raise ValueError(f"must be finite, got {value!r}")
     return number
@@ -108,7 +136,7 @@ def _positive(value):
 
 def _level(value):
     """A level or fraction in (0, 1]."""
-    level = float(value)
+    level = _number(value)
     if not 0 < level <= 1:
         raise ValueError(f"must be in (0, 1], got {value!r}")
     return level
@@ -167,6 +195,7 @@ def cmd_estimate(section, seed):
     time_format = typed(
         section, "time_format", _one_of("minutes", "iso8601"), "estimate", "minutes"
     )
+    _refuse_unread(section, "estimate", "horizon_start", "time_format", time_format, "iso8601")
     criteria = _settings(
         section,
         "estimate",
@@ -320,6 +349,8 @@ def cmd_solve(section, seed):
     out = typed(section, "out", _path, "solve")
     kind = typed(section, "model", _one_of("det", "sp", "dr"), "solve", "sp")
     limit = _settings(section, "solve", time_limit=_time_limit)
+    _refuse_unread(section, "solve", "epsilon", "model", kind, "dr")
+    _refuse_unread(section, "solve", "capacities", "model", kind, "det")
     if kind == "dr":
         epsilon = typed(section, "epsilon", _radius, "solve")
     instance = load_instance(typed(section, "instance", _path, "solve"))
@@ -379,7 +410,7 @@ def cmd_evaluate(section, seed):
     """Price a solved policy on resampled capacities."""
     result_path = typed(section, "result", _path, "evaluate")
     out = typed(section, "out", _path, "evaluate")
-    reduction = typed(section, "reduction", float, "evaluate")
+    reduction = typed(section, "reduction", _number, "evaluate")
     spec = _shift_spec(seed, section, "evaluate", reduction)
     instance = load_instance(typed(section, "instance", _path, "evaluate"))
     policy = _checked_policy(result_path, instance)
@@ -416,7 +447,7 @@ def cmd_sweep(section, seed):
     reductions = typed(
         section,
         "reductions",
-        lambda levels: [replace(spec, reduction=float(r)).reduction for r in levels],
+        lambda levels: [replace(spec, reduction=r).reduction for r in _numbers(levels)],
         "sweep",
     )
     instance = load_instance(typed(section, "instance", _path, "sweep"))

@@ -77,8 +77,8 @@ def _is_exactly(value, kind) -> bool:
 
 
 def typed(section: dict, key: str, kind, context: str, default=_REQUIRED):
-    """section[key] converted by kind (float or a checking parser), or
-    checked to be a JSON int, bool or string as is, so 2.7 is not
+    """section[key] converted by kind (a checking parser), or checked
+    to be a JSON int, bool or string as is, so 2.7 is not
     truncated to 2, "false" not read as true, nor [1] as "[1]"; default
     when the key is absent. A required key that is absent, or a value
     kind rejects, raises ConfigError naming the key."""

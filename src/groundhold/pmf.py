@@ -67,24 +67,16 @@ class Pmf:
 
 
 def make_pmf(support, weights) -> Pmf:
-    """Validate and build a Pmf, renormalizing near-unit mass.
+    """Build a Pmf, renormalizing near-unit mass.
 
-    Weight vectors whose sum deviates from 1 by at most RENORM_TOL are
-    rescaled. Larger deviations, a length mismatch or a negative weight
-    raise ValueError.
+    Weight vectors whose sum deviates from 1 by more than MASS_TOL but
+    at most RENORM_TOL are rescaled; Pmf itself rejects a length
+    mismatch, a negative weight or any larger deviation with ValueError.
     """
     support = tuple(int(s) for s in support)
     weights = tuple(float(w) for w in weights)
-    if len(support) != len(weights):
-        raise ValueError(
-            f"{len(support)} support points vs {len(weights)} weights"
-        )
-    if any(w < 0 for w in weights):
-        raise ValueError(f"negative weight in {weights}")
     total = math.fsum(weights)
-    if abs(total - 1.0) > RENORM_TOL:
-        raise ValueError(f"weights sum to {total!r}, not 1")
-    if abs(total - 1.0) > MASS_TOL:
+    if MASS_TOL < abs(total - 1.0) <= RENORM_TOL:
         weights = tuple(w / total for w in weights)
     return Pmf(support, weights)
 

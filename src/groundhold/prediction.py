@@ -4,14 +4,17 @@ Given a feature vector describing an interval (weather, demand, time of
 day), a predictor returns a full PMF over capacities 0..max_capacity
 instead of a single number. Two predictor kinds share one model type:
 
-* 'empirical' buckets the normalized features (rounded to one decimal)
-  and answers with the bucket's label histogram, falling back to the
-  global histogram for unseen buckets;
+* 'empirical' buckets the normalized features, each rounded to one
+  decimal exactly as Python's round(v, 1) rounds it, and answers with
+  the bucket's label histogram, falling back to the global histogram
+  for unseen buckets;
 * 'mlp' is a single-hidden-layer softmax network trained with plain
   minibatch gradient descent.
 
 Point predictions, central tolerance sets and the usual accuracy /
-coverage metrics are derived from the predicted PMFs.
+coverage metrics are derived from the predicted PMFs. Training,
+bucketing and scoring run on whole arrays, and every number they give
+is the one the plain per-row loops give.
 """
 
 from __future__ import annotations
@@ -19,15 +22,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .config import load_input
-from .pmf import Pmf, make_pmf
+from .pmf import MASS_TOL, Pmf, make_pmf
 
 EMPIRICAL = "empirical"
 MLP = "mlp"
+#: the MLP's parameter arrays, in the order they sit in one flat vector
+_LAYERS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
@@ -55,12 +61,19 @@ class PredictorModel:
     def feature_dim(self) -> int:
         return len(self.feature_lo)
 
+    @cached_property
+    def _scale(self):
+        """The span divided by, 1 where a column is constant, and the mask
+        of the columns that vary; the bounds are fixed once fitted."""
+        span = self.feature_hi - self.feature_lo
+        varies = span > 0
+        return np.where(varies, span, 1.0), varies
+
     def normalize(self, features: np.ndarray) -> np.ndarray:
         """Min-max scale with the training bounds; constant columns map to 0."""
-        span = self.feature_hi - self.feature_lo
-        safe = np.where(span > 0, span, 1.0)
+        safe, varies = self._scale
         scaled = (features - self.feature_lo) / safe
-        return np.where(span > 0, scaled, 0.0)
+        return np.where(varies, scaled, 0.0)
 
 
 @dataclass(frozen=True)
@@ -102,8 +115,27 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _bucket_key(row: np.ndarray) -> tuple:
-    return tuple(round(float(v), 1) for v in row)
+def _bucket_keys(z: np.ndarray) -> list[tuple]:
+    """Each row of the 2-D array z as a tuple of its entries rounded to
+    one decimal, each equal to Python's round(v, 1), signed zero included.
+
+    rint(10 v) / 10 is that value wherever the rounded product 10 v
+    lies on the same side of every half-integer as the exact one: the
+    quotient of an integer by 10 is rounded once, to the double nearest
+    the decimal round() picks. Entries within 1e-6 of a half-decimal,
+    where the product's rounding could cross the midpoint, non-finite
+    entries and entries of magnitude 1e14 or more (past 2**53 / 10,
+    about 9e14, the product no longer holds every half-integer) are
+    rounded by round() itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        tenths = 10.0 * z
+        keys = np.rint(tenths) / 10.0
+        exact = (np.abs(tenths - np.floor(tenths) - 0.5) > 1e-5) & (np.abs(z) < 1e14)
+    rows = keys.tolist()
+    for i, j in zip(*np.nonzero(~exact)):
+        rows[i][j] = round(float(z[i, j]), 1)
+    return [tuple(row) for row in rows]
 
 
 def train(features, labels, config: TrainingConfig) -> PredictorModel:
@@ -120,16 +152,15 @@ def train(features, labels, config: TrainingConfig) -> PredictorModel:
     classes = cap + 1
 
     if config.kind == EMPIRICAL:
-        buckets: dict[tuple, np.ndarray] = {}
-        overall = np.zeros(classes)
-        for row, label in zip(normalized, labels):
-            key = _bucket_key(row)
-            if key not in buckets:
-                buckets[key] = np.zeros(classes)
-            buckets[key][label] += 1
-            overall[label] += 1
+        # bucket ids in order of first appearance, then one label count
+        index: dict[tuple, int] = {}
+        ids = [index.setdefault(key, len(index)) for key in _bucket_keys(normalized)]
+        counts = np.bincount(
+            np.asarray(ids) * classes + labels, minlength=len(index) * classes
+        ).reshape(len(index), classes).astype(float)
+        overall = np.bincount(labels, minlength=classes).astype(float)
         model.params = {
-            "buckets": {k: v / v.sum() for k, v in buckets.items()},
+            "buckets": dict(zip(index, counts / counts.sum(axis=1, keepdims=True))),
             "overall": overall / overall.sum(),
         }
         return model
@@ -150,45 +181,96 @@ def train(features, labels, config: TrainingConfig) -> PredictorModel:
     return model
 
 
+def _layer_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive slices of flat, reshaped to shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 def _descend(params: dict, normalized, onehot, rng, config: TrainingConfig) -> None:
     """Minibatch gradient descent on the average cross-entropy, updating
     params in place.
 
-    Each epoch gathers the rows in a fresh random order once and slices
-    its batches from the gathered arrays. The softmax and the gradient
-    steps run in place, but every floating-point operation is the one,
-    and in the order, of the plain loop (tests/oracles.py keeps it), so
-    the trained weights are the same to the bit.
+    w1, b1, w2 and b2 are views of one flat parameter vector, and their
+    gradients views of one flat gradient vector of the same layout, so
+    one step is two vector updates. Each epoch gathers the rows in a
+    fresh random order into one buffer, and each batch size (the ragged
+    last batch is a second one) has its own set of work buffers, so a
+    step allocates no array. Every floating-point operation is still the
+    one, and in the order, of the plain loop (tests/oracles.py keeps
+    it): lr * g and g * lr round the same, so the trained weights are
+    the same to the bit.
     """
-    w1, b1, w2, b2 = (params[k] for k in ("w1", "b1", "w2", "b2"))
+    shapes = [params[k].shape for k in _LAYERS]
+    theta = np.concatenate([params[k].ravel() for k in _LAYERS])
+    grads = np.empty_like(theta)
+    w1, b1, w2, b2 = _layer_views(theta, shapes)
+    g_w1, g_b1, g_w2, g_b2 = _layer_views(grads, shapes)
+    w2_t = w2.T
+    hidden, classes = w2.shape
     lr, size, n = config.learning_rate, config.batch_size, len(onehot)
-    add, largest = np.add.reduce, np.maximum.reduce
+    xs, ys = np.empty_like(normalized), np.empty_like(onehot)
+    work, batches = {}, []
+    for start in range(0, n, size):
+        x, y = xs[start : start + size], ys[start : start + size]
+        rows = len(x)
+        if rows not in work:
+            hid = np.empty((rows, hidden))
+            work[rows] = (
+                np.empty((rows, hidden)),  # pre-activation
+                hid,
+                hid.T,
+                np.empty((rows, classes)),  # logits, then their gradient
+                np.empty((rows, 1)),  # a row maximum, then a row sum
+                np.empty((rows, hidden)),  # gradient of the hidden layer
+                np.empty((rows, hidden), dtype=bool),  # where pre > 0
+            )
+        batches.append((x, x.T, y, float(rows), work[rows]))
+    # the binary ufuncs take their output positionally: parsing an out=
+    # keyword costs about as much as some of these small operations
+    matmul, add, subtract, multiply, divide = np.matmul, np.add, np.subtract, np.multiply, np.divide
+    total, largest = np.add.reduce, np.maximum.reduce
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        xs, ys = normalized[order], onehot[order]
-        for start in range(0, n, size):
-            x, y = xs[start : start + size], ys[start : start + size]
-            pre = x @ w1
-            pre += b1
-            hid = np.maximum(pre, 0.0)
-            # softmax of the logits, then its gradient, both in place
-            g_logits = hid @ w2
-            g_logits += b2
-            g_logits -= largest(g_logits, axis=-1, keepdims=True)
-            np.exp(g_logits, out=g_logits)
-            g_logits /= add(g_logits, axis=-1, keepdims=True)
-            g_logits -= y
-            g_logits /= len(x)
-            g_w2 = hid.T @ g_logits
-            g_b2 = add(g_logits, axis=0)
-            g_hid = g_logits @ w2.T
-            g_hid *= pre > 0
-            g_w1 = x.T @ g_hid
-            g_b1 = add(g_hid, axis=0)
-            w1 -= lr * g_w1
-            b1 -= lr * g_b1
-            w2 -= lr * g_w2
-            b2 -= lr * g_b2
+        np.take(normalized, order, axis=0, out=xs)
+        np.take(onehot, order, axis=0, out=ys)
+        for x, x_t, y, rows, (pre, hid, hid_t, g_logits, row, g_hid, active) in batches:
+            matmul(x, w1, pre)
+            add(pre, b1, pre)
+            np.maximum(pre, 0.0, out=hid)
+            # softmax of the logits, then its gradient, all in place
+            matmul(hid, w2, g_logits)
+            add(g_logits, b2, g_logits)
+            subtract(g_logits, largest(g_logits, axis=-1, keepdims=True, out=row), g_logits)
+            np.exp(g_logits, g_logits)
+            divide(g_logits, total(g_logits, axis=-1, keepdims=True, out=row), g_logits)
+            subtract(g_logits, y, g_logits)
+            divide(g_logits, rows, g_logits)
+            matmul(hid_t, g_logits, g_w2)
+            total(g_logits, axis=0, out=g_b2)
+            matmul(g_logits, w2_t, g_hid)
+            multiply(g_hid, np.greater(pre, 0.0, active), g_hid)
+            matmul(x_t, g_hid, g_w1)
+            total(g_hid, axis=0, out=g_b1)
+            multiply(grads, lr, grads)
+            subtract(theta, grads, theta)
+    for key, trained in zip(_LAYERS, (w1, b1, w2, b2)):
+        params[key][...] = trained
+
+
+def _predicted_weights(model: PredictorModel, z: np.ndarray) -> list[np.ndarray]:
+    """The predicted weights over 0..max_capacity for each row of the
+    normalized 2-D array z. An MLP runs its forward pass one row at a
+    time, so a row's weights do not depend on the rows scored with it."""
+    if model.kind == EMPIRICAL:
+        buckets, overall = model.params["buckets"], model.params["overall"]
+        return [buckets.get(key, overall) for key in _bucket_keys(z)]
+    w1, b1, w2, b2 = (model.params[k] for k in _LAYERS)
+    return [_softmax(np.maximum(row @ w1 + b1, 0.0) @ w2 + b2) for row in z]
 
 
 def predict_pmf(model: PredictorModel, feature_vector) -> Pmf:
@@ -198,20 +280,30 @@ def predict_pmf(model: PredictorModel, feature_vector) -> Pmf:
         raise ValueError(
             f"feature vector has shape {x.shape}, model expects ({model.feature_dim},)"
         )
-    z = model.normalize(x)
-    if model.kind == EMPIRICAL:
-        weights = model.params["buckets"].get(
-            _bucket_key(z), model.params["overall"]
-        )
-    else:
-        hid = np.maximum(z @ model.params["w1"] + model.params["b1"], 0.0)
-        weights = _softmax(hid @ model.params["w2"] + model.params["b2"])
+    (weights,) = _predicted_weights(model, model.normalize(x)[None])
     return make_pmf(range(model.max_capacity + 1), weights)
+
+
+def _ranked(weights: np.ndarray, level: float = 1.0):
+    """For each row of the 2-D array weights, its column indices in
+    decreasing probability order (the smaller index first on ties), and
+    how many of them the tolerance set at level takes: the first count
+    whose accumulated mass reaches level, with a tiny slack so that sums
+    like 0.7 + 0.1 + 0.1 still count as 0.9, or every column if none
+    does."""
+    if not 0.0 < level <= 1.0:
+        raise ValueError("level must be in (0, 1]")
+    order = np.argsort(-weights, axis=1, kind="stable")
+    mass = np.cumsum(np.take_along_axis(weights, order, axis=1), axis=1)
+    reached = mass >= level - 1e-9
+    sizes = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, weights.shape[1])
+    return order, sizes
 
 
 def point_prediction(p: Pmf) -> int:
     """Most likely capacity, preferring the smaller value on ties."""
-    return int(p.support[int(np.argmax(p.weights_array))])
+    order, _ = _ranked(p.weights_array[None])
+    return p.support[order[0, 0]]
 
 
 def tolerance_interval(p: Pmf, level: float = 0.9) -> frozenset:
@@ -221,37 +313,42 @@ def tolerance_interval(p: Pmf, level: float = 0.9) -> frozenset:
     first on ties) until the accumulated mass reaches level, with a tiny
     slack so that sums like 0.7 + 0.1 + 0.1 still count as 0.9.
     """
-    if not 0.0 < level <= 1.0:
-        raise ValueError("level must be in (0, 1]")
-    order = sorted(zip(p.weights, p.support), key=lambda t: (-t[0], t[1]))
-    chosen, total = [], 0.0
-    for weight, value in order:
-        chosen.append(value)
-        total += weight
-        if total >= level - 1e-9:
-            break
-    return frozenset(chosen)
+    order, sizes = _ranked(p.weights_array[None], level)
+    return frozenset(p.support[i] for i in order[0, : sizes[0]])
 
 
 def evaluate(model: PredictorModel, features, truths, level: float = 0.9) -> PredictionMetrics:
-    """Point accuracy and tolerance-set coverage on labeled rows."""
+    """Point accuracy and tolerance-set coverage on labeled rows.
+
+    Each row's weights are the ones predict_pmf gives it, and its point
+    prediction and tolerance set those of point_prediction and
+    tolerance_interval, so the metrics are the ones a loop over those
+    three gives; a truth outside 0..max_capacity is never covered.
+    """
     features = np.asarray(features, dtype=float)
     truths = np.asarray(truths, dtype=int)
     if len(truths) == 0:
         raise ValueError("nothing to evaluate")
-    errors, covered, widths = [], 0, []
-    for x, truth in zip(features, truths):
-        pmf = predict_pmf(model, x)
-        errors.append(point_prediction(pmf) - truth)
-        interval = tolerance_interval(pmf, level)
-        covered += int(truth) in interval
-        widths.append(len(interval))
-    errors = np.asarray(errors, dtype=float)
+    if features.shape != (len(truths), model.feature_dim):
+        raise ValueError(
+            f"features have shape {features.shape}, expected "
+            f"({len(truths)}, {model.feature_dim})"
+        )
+    weights = np.array(_predicted_weights(model, model.normalize(features)))
+    # a row predict_pmf would renormalize or reject goes through make_pmf
+    for i in np.flatnonzero(
+        (np.abs(weights.sum(axis=1) - 1.0) > MASS_TOL / 2) | (weights < 0).any(axis=1)
+    ):
+        weights[i] = make_pmf(range(weights.shape[1]), weights[i]).weights
+    order, sizes = _ranked(weights, level)
+    errors = (order[:, 0] - truths).astype(float)
+    chosen = np.arange(weights.shape[1]) < sizes[:, None]
+    covered = int(np.count_nonzero(chosen & (order == truths[:, None])))
     return PredictionMetrics(
         rmse=float(np.sqrt(np.mean(errors**2))),
         mae=float(np.mean(np.abs(errors))),
         picp=covered / len(truths),
-        mpiw=float(np.mean(widths)),
+        mpiw=float(np.mean(sizes)),
         count=len(truths),
     )
 
@@ -281,9 +378,7 @@ def save_model(path, model: PredictorModel) -> None:
         ]
         body["overall"] = model.params["overall"].tolist()
     else:
-        body.update(
-            {name: model.params[name].tolist() for name in ("w1", "b1", "w2", "b2")}
-        )
+        body.update({name: model.params[name].tolist() for name in _LAYERS})
     Path(path).write_text(json.dumps(body) + "\n")
 
 
@@ -308,7 +403,5 @@ def _model_from_dict(body: dict) -> PredictorModel:
             "overall": np.asarray(body["overall"]),
         }
     else:
-        model.params = {
-            name: np.asarray(body[name]) for name in ("w1", "b1", "w2", "b2")
-        }
+        model.params = {name: np.asarray(body[name]) for name in _LAYERS}
     return model

@@ -23,7 +23,12 @@ dualizes.
 cross_entropy is the training loss, used to check that training lowers
 it. minibatch_descent is the MLP training loop as first written, one
 fancy-indexed batch and fresh arrays per step, whose weights the
-library's in-place loop must reproduce to the bit.
+library's loop over one flat parameter buffer must reproduce to the
+bit. looped_histograms is the empirical predictor's training as first
+written, one round() per feature and one count per row, whose buckets
+the library's array keys and bincount must reproduce exactly.
+sorted_tolerance_set is the tolerance set as first written, one Python
+sort per PMF, which the library's array ranking must reproduce.
 looped_aggregate_intervals is the interval binning as first written,
 one record at a time in Python, which the library's array version must
 reproduce exactly.
@@ -322,6 +327,36 @@ def minibatch_descent(params, normalized, onehot, rng, config) -> None:
             b1 -= config.learning_rate * g_b1
             w2 -= config.learning_rate * g_w2
             b2 -= config.learning_rate * g_b2
+
+
+def looped_histograms(normalized, labels, classes):
+    """The empirical model's params from its normalized training rows:
+    per one-decimal bucket, in order of first appearance, its label
+    histogram, and the histogram of all labels."""
+    buckets = {}
+    overall = np.zeros(classes)
+    for row, label in zip(normalized, labels):
+        key = tuple(round(float(v), 1) for v in row)
+        if key not in buckets:
+            buckets[key] = np.zeros(classes)
+        buckets[key][label] += 1
+        overall[label] += 1
+    return {
+        "buckets": {k: v / v.sum() for k, v in buckets.items()},
+        "overall": overall / overall.sum(),
+    }
+
+
+def sorted_tolerance_set(p: Pmf, level: float) -> frozenset:
+    """Support values by decreasing probability (the smaller value first
+    on ties), taken until their running sum reaches level - 1e-9."""
+    chosen, total = [], 0.0
+    for weight, value in sorted(zip(p.weights, p.support), key=lambda t: (-t[0], t[1])):
+        chosen.append(value)
+        total += weight
+        if total >= level - 1e-9:
+            break
+    return frozenset(chosen)
 
 
 def cross_entropy(model, features, labels) -> float:

@@ -1324,3 +1324,76 @@ def test_time_limit_flag_must_be_positive(tmp_path, monkeypatch, capsys, limit):
     assert main(["solve", "--config", config, "--time-limit", limit]) == 2
     assert "time_limit" in capsys.readouterr().err
     assert not Path("out").exists()
+
+
+#: one key of each number kind: (command, key, an accepted JSON int, the
+#: rest of a section whose input file is absent)
+NUMBER_KEYS = {
+    "finite": ("estimate", "alpha", 1, {"records": "missing.csv", "num_intervals": 4}),
+    "positive": (
+        "estimate", "interval_minutes", 15, {"records": "missing.csv", "num_intervals": 4}
+    ),
+    "level": ("predict", "level", 1, {"training": "missing.csv"}),
+    "time limit": ("solve", "time_limit", 5, {"instance": "missing.json"}),
+    "number": (
+        "evaluate", "reduction", 0, {"instance": "missing.json", "result": "missing.json"}
+    ),
+    "band": (
+        "sweep", "band", 1, {"instance": "missing.json", "epsilons": [0.1], "reductions": [0.1]}
+    ),
+    "list of numbers": (
+        "sweep", "reductions", [0], {"instance": "missing.json", "epsilons": [0.1]}
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NUMBER_KEYS))
+def test_number_keys_take_only_json_numbers(tmp_path, monkeypatch, capsys, kind):
+    """A string or a boolean is refused with exit 2 naming the key; a
+    JSON int gets past the config check to the absent input file."""
+    command, key, accepted, rest = NUMBER_KEYS[kind]
+    monkeypatch.chdir(tmp_path)
+    wrap = (lambda v: [v]) if isinstance(accepted, list) else (lambda v: v)
+    for value in ("0.1", True, False):
+        config = write_config(tmp_path, {command: {"out": "out", **rest, key: wrap(value)}})
+        assert main([command, "--config", config]) == 2, value
+        err = capsys.readouterr().err
+        assert f"{command} config {key!r}" in err, value
+        assert "Traceback" not in err
+    config = write_config(tmp_path, {command: {"out": "out", **rest, key: accepted}})
+    assert main([command, "--config", config]) == 1
+    assert "config error" not in capsys.readouterr().err
+    assert not Path("out").exists()
+
+
+#: a key set where the section's mode does not read it: (command,
+#: section, the flags that set the mode, the key)
+UNREAD_KEYS = {
+    "epsilon without dr": ("solve", {"model": "sp", "epsilon": 0.3}, [], "epsilon"),
+    "epsilon flag without dr": ("solve", {}, ["--model", "det", "--epsilon", "0.1"], "epsilon"),
+    "capacities without det": (
+        "solve", {"model": "dr", "epsilon": 0.1, "capacities": {"A/departure": [1, 1, 1]}}, [],
+        "capacities",
+    ),
+    "horizon_start without iso8601": (
+        "estimate",
+        {"records": "absent.csv", "num_intervals": 4, "horizon_start": "2024-01-01T00:00"},
+        [],
+        "horizon_start",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_KEYS))
+def test_a_key_the_mode_does_not_read_exits_2(tmp_path, monkeypatch, capsys, case):
+    command, section, flags, key = UNREAD_KEYS[case]
+    monkeypatch.chdir(tmp_path)
+    save_instance("instance.json", two_airport_instance())
+    if command == "solve":
+        section = {"instance": "instance.json", **section}
+    config = write_config(tmp_path, {command: {"out": "out", **section}})
+    assert main([command, "--config", config, *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} config {key!r}: read only when" in err
+    assert "Traceback" not in err
+    assert not Path("out").exists()

@@ -11,8 +11,10 @@ from groundhold.pmf import make_pmf
 from groundhold.prediction import (
     EMPIRICAL,
     MLP,
+    PredictionMetrics,
     PredictorModel,
     TrainingConfig,
+    _bucket_keys,
     evaluate,
     load_model,
     point_prediction,
@@ -23,7 +25,7 @@ from groundhold.prediction import (
     train,
 )
 import groundhold.prediction as prediction
-from oracles import cross_entropy, minibatch_descent
+from oracles import cross_entropy, looped_histograms, minibatch_descent, sorted_tolerance_set
 
 EXAMPLE = make_pmf([0, 1, 2, 3, 4, 5], [0.05, 0.10, 0.70, 0.10, 0.03, 0.02])
 
@@ -141,6 +143,108 @@ def test_training_weights_are_the_plain_loops_to_the_bit(monkeypatch, seed, rows
         assert fast.params[key].tobytes() == plain.params[key].tobytes(), key
     untrained = train(features, labels, replace(config, epochs=0))
     assert not np.array_equal(fast.params["w1"], untrained.params["w1"])
+
+
+def metrics_row_by_row(model, features, truths, level):
+    """The metrics of evaluate, recomputed one row at a time from
+    predict_pmf, point_prediction and tolerance_interval; each row's
+    tolerance set and mode are also checked against the plain sort."""
+    errors, covered, widths = [], 0, []
+    for x, truth in zip(features, truths):
+        pmf = predict_pmf(model, x)
+        interval = tolerance_interval(pmf, level)
+        assert interval == sorted_tolerance_set(pmf, level)
+        assert point_prediction(pmf) == pmf.support[int(np.argmax(pmf.weights))]
+        errors.append(point_prediction(pmf) - int(truth))
+        covered += int(truth) in interval
+        widths.append(len(interval))
+    errors = np.asarray(errors, dtype=float)
+    return PredictionMetrics(
+        rmse=float(np.sqrt(np.mean(errors**2))),
+        mae=float(np.mean(np.abs(errors))),
+        picp=covered / len(truths),
+        mpiw=float(np.mean(widths)),
+        count=len(truths),
+    )
+
+
+@pytest.mark.parametrize("level", [1.0, 0.9, 0.5, 0.05])
+@pytest.mark.parametrize("kind", [MLP, EMPIRICAL, "tied", "near-unit"])
+def test_evaluate_is_the_row_by_row_recomputation(kind, level):
+    """evaluate's array metrics equal the per-row recomputation exactly:
+    on tie-heavy PMFs, on weights predict_pmf renormalizes, and with a
+    truth above max_capacity or below 0, which counts as uncovered."""
+    rng = np.random.default_rng(40)
+    features = rng.normal(size=(120, 3)).round(1)
+    labels = rng.integers(0, 7, size=120)
+    rows = features[60:]
+    if kind == "tied":
+        # capacity c seen 1 + c % 3 times, so the pooled histogram has
+        # three long runs of tied weights, and rows far outside every
+        # training bucket that answer with it
+        tied = np.repeat(np.arange(40), 1 + np.arange(40) % 3)
+        model = train(rng.normal(size=(len(tied), 3)), tied, TrainingConfig(kind=EMPIRICAL))
+        rows = rows + 50.0
+    elif kind == "near-unit":
+        # predict_pmf rescales these weights, which moves where the
+        # running sum reaches 0.5 and 0.9
+        model = constant_model(np.array([0.5, 0.4, 0.05, 0.05, 0.0]) * (1 - 5e-8))
+        rows = rows[:, :2]
+    else:
+        model = train(features[:60], labels[:60], TrainingConfig(kind=kind, epochs=20, seed=3))
+    truths = labels[60:].copy()
+    truths[:3] = [model.max_capacity + 1, -1, 40]
+    got = evaluate(model, rows, truths, level)
+    assert repr(got) == repr(metrics_row_by_row(model, rows, truths, level))
+
+
+def test_bucket_keys_are_pythons_round(tmp_path):
+    """Every key entry has the repr of round(float(v), 1), on values
+    beside each half-decimal, signed zeros, non-finite and huge values;
+    an empirical model keyed by them has the plain loop's buckets and
+    survives its model file."""
+    halves = np.arange(-40, 40) / 10 + 0.05
+    values = np.concatenate([
+        halves,
+        np.nextafter(halves, np.inf),
+        np.nextafter(halves, -np.inf),
+        np.nextafter(np.nextafter(halves, np.inf), np.inf),
+        halves + 1e-7,
+        halves - 1e-7,
+        [0.25, 0.75, -0.25, 2.5, -0.0, 0.0, -0.04, 0.04, 5e-324, -5e-324],
+        [np.nan, np.inf, -np.inf, 1e300, -1e300, 1e14, 1e14 + 0.05, 99999999999999.95],
+        [1e13 + 0.05, 123456789.25, 123456789.35, 2.0**52 + 1, 1e-7, 0.95],
+        # past 2**53 / 10, where rint(10 v) / 10 is not round(v, 1)
+        [918964989811569.5, 946746492098451.9, 7371313876802823.0, 9.48804135905941e17],
+        np.random.default_rng(41).normal(size=400) * 3,
+        np.random.default_rng(42).uniform(-1e6, 1e6, size=400),
+    ])
+    z = values.reshape(-1, 4)
+    keys = _bucket_keys(z)
+    assert len(keys) == len(z)
+    for key, row in zip(keys, z):
+        assert [repr(v) for v in key] == [repr(round(float(v), 1)) for v in row]
+        assert all(type(v) is float for v in key)
+    (one,) = _bucket_keys(z[5:6])
+    assert repr(one) == repr(keys[5])
+
+    # with both bounds 0 and 1 present, rows in [0, 1] normalize to
+    # themselves, so the buckets see the half-decimal neighbours above
+    inside = values[(values >= 0) & (values <= 1)]
+    features = np.concatenate([[[0.0, 0.0], [1.0, 1.0]], np.column_stack([inside, inside[::-1]])])
+    labels = np.random.default_rng(43).integers(0, 5, size=len(features))
+    model = train(features, labels, TrainingConfig(kind=EMPIRICAL))
+    plain = looped_histograms(model.normalize(features), labels, model.max_capacity + 1)
+    assert list(map(repr, model.params["buckets"])) == list(map(repr, plain["buckets"]))
+    for key, weights in plain["buckets"].items():
+        assert model.params["buckets"][key].tobytes() == weights.tobytes()
+    assert model.params["overall"].tobytes() == plain["overall"].tobytes()
+    path = tmp_path / "empirical.json"
+    save_model(path, model)
+    loaded = load_model(path)
+    assert sorted(map(repr, loaded.params["buckets"])) == sorted(map(repr, model.params["buckets"]))
+    for x in np.concatenate([features, features[::7] + 0.1]):
+        assert predict_pmf(loaded, x).weights == predict_pmf(model, x).weights
 
 
 def test_predicted_pmf_is_valid():
