@@ -268,7 +268,7 @@ def cmd_predict(section, seed):
             section,
             "predict",
             kind=_one_of(MLP, EMPIRICAL),
-            max_capacity=int,
+            max_capacity=_count(0),
             hidden_units=_count(1),
             learning_rate=_positive,
             epochs=_count(0),

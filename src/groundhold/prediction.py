@@ -104,7 +104,7 @@ def _check_dataset(features, labels, max_capacity=None):
     cap = int(labels.max()) if max_capacity is None else int(max_capacity)
     if np.any(labels > cap):
         raise ValueError(
-            f"label {int(labels.max())} exceeds max capacity {cap}"
+            f"label {int(labels.max())} exceeds max capacity {cap} set by 'max_capacity'"
         )
     return features, labels, cap
 

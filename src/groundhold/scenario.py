@@ -7,7 +7,8 @@ directly, so it is reduced in two steps:
    interval-to-interval Wasserstein jumps, and each segment is
    represented by the average of its member PMFs;
 2. PMF compression: each segment representative is collapsed to K
-   atoms by one-dimensional K-means in support space, with cluster
+   atoms by exact one-dimensional K-means in support space, a dynamic
+   program over runs of consecutive support points, with cluster
    weights summed (never renormalized) and centroids rounded half-up
    to integer capacities.
 
@@ -26,7 +27,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .config import load_input
-from .pmf import MASS_TOL, Pmf, make_pmf, pmf_from_dict, pmf_to_dict, wasserstein_1d
+from .pmf import MASS_TOL, Pmf, as_capacity, make_pmf, pmf_from_dict, pmf_to_dict, wasserstein_1d
 
 #: refuse to enumerate trees beyond this many scenarios
 DEFAULT_SCENARIO_CAP = 4096
@@ -84,7 +85,7 @@ class ReducedPmf:
         if any(p < 0 for _, p in self.atoms):
             raise ValueError("atom probabilities must be non-negative")
         total = math.fsum(p for _, p in self.atoms)
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # a NaN fails too
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
 
     def __len__(self) -> int:
@@ -137,7 +138,7 @@ class ScenarioTree:
                 "last stage fastest"
             )
         total = math.fsum(p for _, p in self.scenarios)
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:  # a NaN fails too
             raise ValueError(f"scenario probabilities sum to {total!r}")
 
     @property
@@ -221,35 +222,60 @@ def average_pmfs(members: list[Pmf]) -> Pmf:
     return make_pmf(support, weights)
 
 
-def _quantile_centers(support, weights, k):
-    """Initial centers at the (j + 0.5)/k weighted quantiles, deduplicated."""
-    total = math.fsum(weights)
-    cumulative = list(itertools.accumulate(w / total for w in weights))
-    centers = []
-    for j in range(k):
-        level = (j + 0.5) / k
-        idx = next(i for i, c in enumerate(cumulative) if c >= level - 1e-12)
-        if support[idx] not in centers:
-            centers.append(float(support[idx]))
-    # a heavy atom can swallow several quantile levels; refill with the
-    # support points farthest from the centers picked so far
-    while len(centers) < k:
-        farthest = max(
-            (s for s in support if s not in centers),
-            key=lambda s: (min(abs(s - c) for c in centers), -s),
-        )
-        centers.append(float(farthest))
-    return sorted(centers)
+def _optimal_cuts(support, weights, k) -> list[int]:
+    """The cuts 0 = c_0 < c_1 < ... < c_k = m that split the m sorted
+    points into the k runs c_{j-1}..c_j - 1 of least total weighted sum
+    of squares about each run's mean.
+
+    sse[i][j] is the cost of the run i..j - 1, grown one point at a
+    time by the weighted mean update, which never divides by a mass
+    lost to rounding. best[j][i] is the least cost of j + 1 runs on the
+    points from i on. The cuts are read from the left: each is the
+    first position whose best completion exceeds the least by at most
+    1e-12 times the one-run cost, so a tie goes to the leftmost cut.
+    """
+    m = len(support)
+    sse = [[0.0] * (m + 1) for _ in range(m)]
+    for i in range(m):
+        mass = mean = cost = 0.0
+        for j in range(i, m):
+            mass += weights[j]
+            delta = support[j] - mean
+            mean += delta * weights[j] / mass
+            cost += weights[j] * delta * (support[j] - mean)
+            sse[i][j + 1] = cost
+    best = [[sse[i][m] for i in range(m)]]
+    for j in range(1, k):
+        best.append([
+            min(sse[i][c] + best[j - 1][c] for c in range(i + 1, m - j + 1))
+            for i in range(m - j)
+        ])
+    tolerance = 1e-12 * sse[0][m]
+    cuts = [0]
+    for j in range(k - 1, 0, -1):
+        i = cuts[-1]
+        cuts.append(next(
+            c for c in range(i + 1, m - j + 1)
+            if sse[i][c] + best[j - 1][c] <= best[j][i] + tolerance
+        ))
+    return cuts + [m]
 
 
 def compress_pmf_kmeans(p: Pmf, k: int) -> ReducedPmf:
-    """Collapse a PMF to k atoms by weighted 1-D K-means.
+    """Collapse a PMF to k atoms by exact weighted 1-D K-means.
 
-    Clusters live in support space; each output atom gets the summed
-    probability of its members and the probability-weighted mean
-    support rounded half-up. Zero-weight support points carry no mass
-    and are ignored. Initialization is by weighted quantiles, so the
-    result is deterministic.
+    The support points that carry mass are split into the k clusters
+    of least within-cluster weighted sum of squares. Optimal clusters on
+    the line are runs of consecutive points, so a dynamic program over
+    the cut positions finds them (Wang & Song, Ckmeans.1d.dp, 2011).
+    Ties go to the leftmost cuts: among partitions whose costs agree
+    within 1e-12 times the PMF's variance, the one with the
+    lexicographically smallest cuts wins, so support (0, 2, 4) with
+    equal weights splits into {0} and {2, 4} at k = 2.
+
+    Each output atom gets the summed probability of its members and the
+    probability-weighted mean support rounded half-up. Zero-weight
+    support points carry no mass and are ignored.
     """
     positive = [(s, w) for s, w in zip(p.support, p.weights) if w > 0]
     if k < 1:
@@ -261,41 +287,12 @@ def compress_pmf_kmeans(p: Pmf, k: int) -> ReducedPmf:
     support = [float(s) for s, _ in positive]
     weights = [w for _, w in positive]
 
-    centers = _quantile_centers(support, weights, k)
-    assignment = [-1] * len(support)
-    for _ in range(100):
-        new_assignment = [
-            min(range(k), key=lambda j: (abs(s - centers[j]), j))
-            for s in support
-        ]
-        if new_assignment == assignment:
-            break
-        assignment = new_assignment
-        for j in range(k):
-            members = [i for i, a in enumerate(assignment) if a == j]
-            if members:
-                mass = math.fsum(weights[i] for i in members)
-                centers[j] = (
-                    math.fsum(support[i] * weights[i] for i in members) / mass
-                )
-            else:
-                # revive an empty cluster at the worst-served point
-                stray = max(
-                    range(len(support)),
-                    key=lambda i: (abs(support[i] - centers[assignment[i]]),
-                                   -support[i]),
-                )
-                centers[j] = support[stray]
-
-    clusters: dict[int, list[int]] = {}
-    for i, a in enumerate(assignment):
-        clusters.setdefault(a, []).append(i)
+    cuts = _optimal_cuts(support, weights, k)
     atoms = []
-    for j, members in sorted(clusters.items()):
-        mass = math.fsum(weights[i] for i in members)
-        centroid = math.fsum(support[i] * weights[i] for i in members) / mass
+    for lo, hi in zip(cuts, cuts[1:]):
+        mass = math.fsum(weights[lo:hi])
+        centroid = math.fsum(s * w for s, w in zip(support[lo:hi], weights[lo:hi])) / mass
         atoms.append((math.floor(centroid + 0.5), mass))
-    atoms.sort(key=lambda sp: sp[0])
     return ReducedPmf(tuple(atoms))
 
 
@@ -368,12 +365,12 @@ def tree_from_dict(body: dict) -> ScenarioTree:
         airport=body["airport"],
         op_type=body["op_type"],
         stage_pmfs=tuple(
-            ReducedPmf(tuple((int(s), float(p)) for s, p in stage))
+            ReducedPmf(tuple((as_capacity(s), float(p)) for s, p in stage))
             for stage in body["stages"]
         ),
         time_clusters=clustering,
         scenarios=tuple(
-            (tuple(int(x) for x in v), float(p)) for v, p in body["scenarios"]
+            (tuple(map(as_capacity, v)), float(p)) for v, p in body["scenarios"]
         ),
     )
 

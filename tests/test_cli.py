@@ -795,11 +795,23 @@ def test_evaluate_rejects_a_result_that_breaks_a_connection(tmp_path, capsys):
 
 ABSENT_CELL = {"series": "missing.json", "airport": "A", "op_type": "departure"}
 
-#: weights of a PMF the library rejects, by series file, and the reason
+#: support and weights of a PMF the library rejects, by series file, and
+#: the reason
 BAD_SERIES = {
-    "negative-weight": ([1.2, -0.2], "negative weight in (1.2, -0.2)"),
-    "mass-of-1.1": ([0.5, 0.6], "weights sum to 1.1, not 1"),
-    "more-weights-than-support": ([0.5, 0.25, 0.25], "2 support points vs 3 weights"),
+    "negative-weight": ([0, 1], [1.2, -0.2], "negative weight in (1.2, -0.2)"),
+    "mass-of-1.1": ([0, 1], [0.5, 0.6], "weights sum to 1.1, not 1"),
+    "more-weights-than-support": ([0, 1], [0.5, 0.25, 0.25], "2 support points vs 3 weights"),
+    "NaN-weight": ([0, 1], [math.nan, 0.5], "non-finite weight in (nan, 0.5)"),
+    "fractional-capacity": (
+        [0.7, 1.9],
+        [0.5, 0.5],
+        "capacity must be a whole number of at least 0, got 0.7",
+    ),
+    "negative-capacity": (
+        [-3, 1],
+        [0.5, 0.5],
+        "capacity must be a whole number of at least 0, got -3",
+    ),
 }
 
 MALFORMED = {
@@ -901,13 +913,26 @@ MALFORMED = {
             1,
             f"PMF series file {name}.json is malformed: {reason}",
         )
-        for name, (_, reason) in BAD_SERIES.items()
+        for name, (_, _, reason) in BAD_SERIES.items()
     },
     "tree representative with a negative weight": (
         "solve",
         {"instance": "negative-tree.json"},
         1,
         "instance file negative-tree.json is malformed: negative weight in (1.2, -0.2)",
+    ),
+    "tree representative with a NaN weight": (
+        "solve",
+        {"instance": "nan-tree.json"},
+        1,
+        "instance file nan-tree.json is malformed: non-finite weight in (nan, 1.0)",
+    ),
+    "tree capacity not a whole number": (
+        "solve",
+        {"instance": "fractional-tree.json"},
+        1,
+        "instance file fractional-tree.json is malformed: capacity must be a whole "
+        "number of at least 0, got 0.6",
     ),
     "tree with more stages than time segments": (
         "solve",
@@ -1185,6 +1210,18 @@ MALFORMED = {
         2,
         "epochs",
     ),
+    "negative max capacity": (
+        "predict",
+        {"training": "missing.csv", "max_capacity": -2},
+        2,
+        "predict config 'max_capacity': expected an integer of at least 0, got -2",
+    ),
+    "label above max capacity": (
+        "predict",
+        {"training": "high.csv", "max_capacity": 2},
+        1,
+        "label 3 exceeds max capacity 2 set by 'max_capacity'",
+    ),
     # det capacities must name a constrained cell and cover the horizon
     "capacity label for an unused cell": (
         "solve",
@@ -1238,6 +1275,8 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     trees = json.loads(json.dumps(body["trees"]))
     trees[0]["representatives"][0] = {"support": [1, 2], "weights": [1.2, -0.2]}
     Path("negative-tree.json").write_text(json.dumps({**body, "trees": trees}))
+    trees[0]["representatives"][0] = {"support": [1, 2], "weights": [math.nan, 1.0]}
+    Path("nan-tree.json").write_text(json.dumps({**body, "trees": trees}))
     del body["flights"]
     Path("bare.json").write_text(json.dumps(body))
     save_instance("stress.json", stress_instance())
@@ -1249,16 +1288,26 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     ):
         trees = [_restaged(first, stages), *rest]
         Path(f"{name}.json").write_text(json.dumps({**stress, "trees": trees}))
+    # the A/departure tree's stage-one capacity 0, in its atom and every
+    # scenario, read as 0.6
+    fractional = json.loads(json.dumps(stress["trees"]))
+    stage = fractional[1]["stages"][0]
+    assert stage[0][0] == 0
+    stage[0][0] = 0.6
+    for vector, _ in fractional[1]["scenarios"]:
+        vector[0] = 0.6 if vector[0] == 0 else vector[0]
+    Path("fractional-tree.json").write_text(json.dumps({**stress, "trees": fractional}))
     good = {"support": [0, 1], "weights": [0.5, 0.5]}
     Path("series.json").write_text(json.dumps([good, {"support": [0, 1]}]))
-    for name, (weights, _) in BAD_SERIES.items():
-        bad = {"support": [0, 1], "weights": weights}
+    for name, (support, weights, _) in BAD_SERIES.items():
+        bad = {"support": support, "weights": weights}
         Path(f"{name}.json").write_text(json.dumps([good, bad, good]))
     Path("short.csv").write_text("airport,op_type,scheduled_time\nA,departure,0\n")
     Path("zz.csv").write_text(
         "airport,op_type,scheduled_time,actual_time\nA,departure,0,zz\n"
     )
     Path("labels.csv").write_text("f0,label\n0.5,x\n")
+    Path("high.csv").write_text("f0,label\n" + "0.5,3\n" * 12)
     if command in ("solve", "evaluate", "sweep"):
         section = {"instance": "instance.json", **section}
     config = write_config(tmp_path, {command: {"out": "out", **section}})

@@ -46,8 +46,29 @@ def test_make_pmf_rejects_bad_input():
         make_pmf([0, 1], [0.5, -0.1])
     with pytest.raises(ValueError, match="weights sum to 1.1, not 1"):
         make_pmf([0, 1], [0.5, 0.6])
+    # every comparison with NaN is false, so a mass check alone passes it
+    with pytest.raises(ValueError, match=r"non-finite weight in \(nan, 0.5\)"):
+        make_pmf([0, 1], [math.nan, 0.5])
+    with pytest.raises(ValueError, match=r"non-finite weight in \(0.5, inf\)"):
+        make_pmf([0, 1], [0.5, math.inf])
+    with pytest.raises(ValueError, match="non-finite weight"):
+        Pmf((0, 1), (math.nan, 1.0))
     with pytest.raises(ValueError):
         Pmf((1, 1), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("value", [0.7, 1.9, -3, -1.0, math.nan, math.inf, "3", True, None], ids=repr)
+def test_make_pmf_refuses_a_capacity_that_is_not_a_whole_number(value):
+    """A capacity is never truncated: 0.7 is refused, not read as 0."""
+    with pytest.raises(ValueError) as caught:
+        make_pmf([value, 5], [0.5, 0.5])
+    assert str(caught.value) == f"capacity must be a whole number of at least 0, got {value!r}"
+
+
+def test_make_pmf_accepts_integral_capacities():
+    p = make_pmf([np.int64(0), 3.0, np.float64(4.0), 7], [0.25] * 4)
+    assert p.support == (0, 3, 4, 7)
+    assert all(type(s) is int for s in p.support)
 
 
 def test_pmf_mean_example():

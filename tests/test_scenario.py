@@ -1,15 +1,20 @@
 """Time clustering, PMF compression and scenario tree assembly."""
 
+import itertools
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from groundhold.pmf import make_pmf, pmf_mean
+from groundhold.errors import MissingInputError
 from groundhold.scenario import (
     ReducedPmf,
     ScenarioTree,
+    _optimal_cuts,
     build_scenario_tree,
     cluster_time_series,
     compress_pmf_kmeans,
@@ -171,6 +176,102 @@ def test_compression_is_deterministic():
         assert compress_pmf_kmeans(p, k) == compress_pmf_kmeans(p, k)
 
 
+def sum_of_squares(support, weights, cuts):
+    """The within-run weighted sum of squares of the runs between cuts,
+    each about its own mean; exact when given Fractions."""
+    total = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        xs, ws = support[lo:hi], weights[lo:hi]
+        mean = sum(x * w for x, w in zip(xs, ws)) / sum(ws)
+        total += sum(w * (x - mean) ** 2 for x, w in zip(xs, ws))
+    return total
+
+
+def contiguous_partitions(m, k):
+    """The cuts of every split of m points into k runs, in lexicographic
+    order."""
+    return [[0, *inner, m] for inner in itertools.combinations(range(1, m), k - 1)]
+
+
+def assignment_minimum(support, weights, k):
+    """The least weighted sum of squares over all k**m assignments of
+    the points to k labels, contiguous or not."""
+    x, w = np.asarray(support), np.asarray(weights)
+    labels = np.array(list(itertools.product(range(k), repeat=len(x))))
+    total = np.zeros(len(labels))
+    for j in range(k):
+        member = (labels == j).astype(float)
+        mass, first, second = member @ w, member @ (w * x), member @ (w * x * x)
+        total += second - np.divide(first**2, mass, out=np.zeros_like(mass), where=mass > 0)
+    return total.min()
+
+
+def test_kmeans_cost_is_the_brute_force_minimum():
+    """On seeded PMFs with m <= 8 points and k <= min(m, 4), the cuts'
+    cost is the least over all contiguous partitions, and for m <= 7
+    no assignment of points to k labels does better."""
+    rng = np.random.default_rng(45)
+    for _ in range(150):
+        m = int(rng.integers(1, 9))
+        p = make_pmf(np.sort(rng.choice(20, size=m, replace=False)), rng.dirichlet(np.ones(m)))
+        support, weights = [float(s) for s in p.support], list(p.weights)
+        for k in range(1, min(m, 4) + 1):
+            cost = sum_of_squares(support, weights, _optimal_cuts(support, weights, k))
+            least = min(
+                sum_of_squares(support, weights, cuts) for cuts in contiguous_partitions(m, k)
+            )
+            assert cost == pytest.approx(least, rel=1e-9, abs=1e-15)
+            if m <= 7:
+                assert cost <= assignment_minimum(support, weights, k) * (1 + 1e-9) + 1e-12
+
+
+def test_kmeans_ties_go_to_the_leftmost_cuts():
+    """With weights in eighths and integer supports, partitions of
+    exactly equal cost are frequent; the cuts are the lexicographically
+    smallest of the exactly least-cost partitions."""
+    rng = np.random.default_rng(46)
+    ties = 0
+    for _ in range(200):
+        m = int(rng.integers(2, 9))
+        support = sorted(int(s) for s in rng.choice(10, size=m, replace=False))
+        eighths = [int(e) for e in rng.integers(1, 5, size=m)]
+        for k in range(2, min(m, 4) + 1):
+            exact = {
+                tuple(cuts): sum_of_squares(
+                    [Fraction(s) for s in support], [Fraction(e, 8) for e in eighths], cuts
+                )
+                for cuts in contiguous_partitions(m, k)
+            }
+            least = min(exact.values())
+            optimal = [list(cuts) for cuts, cost in exact.items() if cost == least]
+            ties += len(optimal) > 1
+            cuts = _optimal_cuts([float(s) for s in support], [e / 8 for e in eighths], k)
+            assert cuts == optimal[0]
+    assert ties >= 20
+
+
+def test_equal_weight_tie_splits_at_the_leftmost_cut():
+    """{0}, {2, 4} and {0, 2}, {4} cost 2/3 each; the left cut wins."""
+    reduced = compress_pmf_kmeans(make_pmf([0, 2, 4], [1 / 3] * 3), 2)
+    assert reduced.atoms == ((0, 1 / 3), (3, 2 / 3))
+
+
+def test_heavy_right_point_gets_its_own_pair():
+    """{0, 1}, {2, 3} costs 0.1 + 2/15 = 0.233, below the 0.400 of
+    {0, 1, 2}, {3}."""
+    reduced = compress_pmf_kmeans(make_pmf([0, 1, 2, 3], [0.2, 0.2, 0.2, 0.4]), 2)
+    assert reduced.supports == (1, 3)
+    assert reduced.probabilities == pytest.approx((0.4, 0.6), abs=1e-15)
+
+
+def test_points_too_light_for_a_running_total_keep_their_own_cluster():
+    """A weight below the rounding of a running total of the weights
+    before it still forms a cluster of its own."""
+    p = make_pmf([0, 1, 2, 3], [0.5, 0.5, 1e-17, 1e-17])
+    reduced = compress_pmf_kmeans(p, 3)
+    assert reduced.atoms == ((0, 0.5), (1, 0.5), (2, 2e-17))
+
+
 # ---------------------------------------------------------------------------
 # scenario trees
 
@@ -328,3 +429,54 @@ def test_tree_json_round_trip(tmp_path):
     (loaded,) = load_trees(path)
     assert loaded == tree
     assert tree_from_dict(json.loads(json.dumps(tree_to_dict(tree)))) == tree
+
+
+def _tree_body_with_first_capacity(value):
+    """The body of a two-stage tree whose first stage atom, capacity 0,
+    reads value in the stage and in every scenario vector."""
+    body = tree_to_dict(build_scenario_tree(two_stage_clustering(), 2))
+    assert body["stages"][0][0][0] == 0
+    body["stages"][0][0][0] = value
+    for vector, _ in body["scenarios"]:
+        if vector[0] == 0:
+            vector[0] = value
+    return body
+
+
+@pytest.mark.parametrize("value", [0.6, 1.5, -1, "0", None], ids=repr)
+def test_tree_refuses_a_capacity_that_is_not_a_whole_number(value):
+    """A stage atom or scenario capacity of 0.6 is refused, not loaded as 0."""
+    body = _tree_body_with_first_capacity(value)
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(value))}"):
+        tree_from_dict(body)
+    vector_only = _tree_body_with_first_capacity(value)
+    vector_only["stages"][0][0][0] = 0
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(value))}"):
+        tree_from_dict(vector_only)
+
+
+@pytest.mark.parametrize("value", [0.0, np.int64(0)], ids=["float", "numpy-int"])
+def test_tree_accepts_integral_capacities(value):
+    tree = build_scenario_tree(two_stage_clustering(), 2)
+    assert tree_from_dict(_tree_body_with_first_capacity(value)) == tree
+
+
+BAD_TREES = {
+    "representative weight NaN": "non-finite weight in (nan, 1.0)",
+    "stage capacity 0.6": "capacity must be a whole number of at least 0, got 0.6",
+    "stage probability NaN": "atom probabilities sum to nan, not 1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TREES))
+def test_load_trees_names_the_file_of_a_bad_tree(tmp_path, case):
+    body = _tree_body_with_first_capacity(0.6 if case == "stage capacity 0.6" else 0)
+    if case == "representative weight NaN":
+        body["representatives"][0]["weights"] = [math.nan, 1.0]
+    if case == "stage probability NaN":
+        body["stages"][0][0][1] = math.nan
+    path = tmp_path / "trees.json"
+    path.write_text(json.dumps([body]))
+    with pytest.raises(MissingInputError) as caught:
+        load_trees(path)
+    assert str(caught.value) == f"trees file {path} is malformed: {BAD_TREES[case]}"
