@@ -29,12 +29,12 @@ from ScenarioTree.stage_capacities, which sums them from the tree's
 scenarios, so the block is exact for any scenario list, including atoms
 that collide after rounding.
 
-The robust dual splits by stage too. A tree's support is the product of
-its stage capacities and the L1 metric sums over stages, so the worst
-case seen from scenario i is a sum of one max per stage; the model
-carries a multiplier alpha and one free dual gamma[s, a] per stage s and
-capacity a, tied to the unpriced z by one row per pair of capacities of
-a stage (build_dr gives the argument). Its size grows with stage atoms,
+The robust dual splits by stage too: a tree's support is the product of
+its stage capacities and the L1 metric, in units of the diameter D, sums
+over stages. A stage's overflow cost is convex and non-increasing in its
+capacity, so the robust model is the stochastic one plus a multiplier
+per cell and one premium and one row per stage capacity above the
+smallest (build_dr gives the argument). Its size grows with stage atoms,
 not with scenario pairs.
 
 Capacity applies to intervals 0..horizon-1; enough unconstrained
@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from pathlib import Path
 
@@ -61,6 +61,7 @@ import numpy as np
 from .capacity import ARRIVAL, DEPARTURE, OP_TYPES
 from .config import load_input
 from .errors import MissingInputError, SolverError
+from .pmf import as_whole
 from .scenario import ScenarioTree, tree_from_dict, tree_to_dict
 from .solver import BINARY, LinearModel
 
@@ -254,9 +255,8 @@ class ModelBundle:
     """A built model plus the variable maps needed to read it back.
 
     u_index and v_index map (flight id, interval) to the departure and
-    arrival slot binaries. For dr, alpha_index maps each cell to its
-    multiplier and gamma_index each cell to one {capacity: variable} map
-    per stage, its free duals in ascending capacity.
+    arrival slot binaries, z_index each cell to its overflow variables
+    keyed (t, c) and, for dr, alpha_index each cell to its multiplier.
     """
 
     kind: str
@@ -264,8 +264,8 @@ class ModelBundle:
     instance: MaghpInstance
     u_index: dict
     v_index: dict
+    z_index: dict = field(default_factory=dict)
     alpha_index: dict = field(default_factory=dict)
-    gamma_index: dict = field(default_factory=dict)
     epsilon: float | None = None
 
 
@@ -382,20 +382,16 @@ def _require_trees(instance: MaghpInstance) -> list:
 
 
 def _overflow_block(
-    model: LinearModel,
-    instance: MaghpInstance,
-    cell_slots: list,
-    tree: ScenarioTree,
-    priced: bool,
+    model: LinearModel, instance: MaghpInstance, cell_slots: list, tree: ScenarioTree
 ) -> dict:
     """Stagewise queue overflow for one capacity cell.
 
     Adds z[t, c] >= assigned_t - c, z >= 0, for every interval t > 0 and
-    every distinct capacity c of stage(t), and one hard row capping
+    every distinct capacity c of stage(t), each z costing its stage
+    probability times the recourse unit, and one hard row capping
     interval 0 at its stage's smallest capacity. A z that can never be
     positive (no more candidate flights than c) is left out and reads
-    as zero. With priced=True each z costs its stage probability times
-    the recourse unit. Returns the z map keyed (t, c).
+    as zero. Returns the z map keyed (t, c).
     """
     marginals = tree.stage_capacities
     stages = tree.time_clusters.stage_index
@@ -411,7 +407,7 @@ def _overflow_block(
         for capacity, prob in atoms.items():
             if len(terms) <= capacity:
                 continue
-            z = model.add_variable(objective=prob * unit if priced else 0.0)
+            z = model.add_variable(objective=prob * unit)
             z_index[t, capacity] = z
             model.add_linear_constraint(terms + [(z, -1.0)], "<=", float(capacity))
     return z_index
@@ -429,9 +425,10 @@ def build_sp(instance: MaghpInstance) -> ModelBundle:
     model = LinearModel()
     u_index, v_index = _build_first_stage(instance, model)
     slots = _slot_terms(instance, u_index, v_index)
-    for key in keys:
-        _overflow_block(model, instance, slots[key], instance.trees[key], True)
-    return ModelBundle("sp", model, instance, u_index, v_index)
+    z_index = {
+        key: _overflow_block(model, instance, slots[key], instance.trees[key]) for key in keys
+    }
+    return ModelBundle("sp", model, instance, u_index, v_index, z_index)
 
 
 def _diameter(marginals) -> float:
@@ -448,55 +445,47 @@ def _radius(epsilon) -> float:
 
 
 def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
-    """Dual deterministic equivalent of the Wasserstein-robust model,
-    written per stage atom.
+    """Dual deterministic equivalent of the Wasserstein-robust model:
+    build_sp's model plus one robustness premium per stage atom.
 
-    epsilon is the radius of every cell's ball; the ground
-    metric is L1 on stage-capacity vectors over the diameter D
-    (_diameter). Per capacity cell the model has
-    a multiplier alpha >= 0 (objective weight epsilon), a free
-    gamma[s, a] per stage s and capacity a (weight P_s(a), its stage
-    probability), build_sp's overflow block unpriced, and for every pair
-    of capacities a, b of stage s the row gamma[s, a] + alpha * |a - b|
-    / D - unit * sum z[t, b] >= 0, summing over t > 0 in stage s (a
-    missing z reads 0): sum_s k_s^2 rows for k_s capacities per stage.
+    epsilon is the radius of every cell's ball; the ground metric is L1
+    on stage-capacity vectors, in units of the diameter D (_diameter).
+    Each cell adds a multiplier alpha >= 0 (objective weight epsilon)
+    and, per capacity a of stage s above the stage's smallest lo_s, a
+    premium pi[s, a] >= 0 (weight P_s(a), its stage probability) and one
+    row pi[s, a] + alpha * (a - lo_s) / D >= unit * sum (z[t, lo_s] -
+    z[t, a]) over t > 0 in stage s (a missing z reads 0).
 
     That is the scenario-pair dual, beta_i >= Q_j - alpha * d(i, j) for
     all i, j, exactly. With G_s(b) = unit * sum z[t, b], Q_j =
-    sum_s G_s(x_j^s). On the product support every ScenarioTree has,
-    and with d summing over stages, max_j (Q_j - alpha * d(i, j)) =
-    sum_s max_b (G_s(b) - alpha * |x_i^s - b| / D), so beta_i =
-    sum_s gamma[s, x_i^s]; and sum_i p_i beta_i = sum_s sum_a P_s(a)
-    gamma[s, a] for any joint p.
+    sum_s G_s(x_j^s); on the product support every ScenarioTree has,
+    beta_i = sum_s gamma[s, x_i^s] with gamma[s, a] = max_b (G_s(b) -
+    alpha * |a - b| / D), and sum_i p_i beta_i = sum_s sum_a P_s(a)
+    gamma[s, a] for any joint p. At fixed slots, fractional ones
+    included, G_s is convex and non-increasing in b, so the max over
+    b >= a is G_s(a) and over [lo_s, a] sits at an end: gamma[s, a] =
+    max(G_s(a), G_s(lo_s) - alpha * (a - lo_s) / D) = G_s(a) + pi[s, a].
+    The objective, sp's plus epsilon * alpha + sum P_s(a) pi[s, a], does
+    not decrease in any z, so some optimum has every z at its bound.
     """
     radius = _radius(epsilon)
-    keys = _require_trees(instance)
-    model = LinearModel()
-    u_index, v_index = _build_first_stage(instance, model)
-    slots = _slot_terms(instance, u_index, v_index)
-    alpha_index, gamma_index = {}, {}
-    unit = instance.recourse_cost
-    for key in keys:
+    bundle = build_sp(instance)
+    model, unit = bundle.model, instance.recourse_cost
+    alphas = {}
+    for key, z in bundle.z_index.items():
         tree = instance.trees[key]
         marginals = tree.stage_capacities
         diameter = _diameter(marginals)
-        alpha = alpha_index[key] = model.add_variable(objective=radius)
-        gammas = gamma_index[key] = [
-            {a: model.add_variable(objective=prob, lower=-np.inf) for a, prob in atoms.items()}
-            for atoms in marginals
-        ]
-        z_index = _overflow_block(model, instance, slots[key], tree, False)
-        for segment, gamma in zip(tree.time_clusters.segments, gammas):
-            for a, g in gamma.items():
-                for b in gamma:
-                    terms = [(g, 1.0)]
-                    if a != b:
-                        terms.append((alpha, abs(a - b) / diameter))
-                    terms += [(z_index[t, b], -unit) for t in segment if (t, b) in z_index]
-                    model.add_linear_constraint(terms, ">=", 0.0)
-    return ModelBundle(
-        "dr", model, instance, u_index, v_index, alpha_index, gamma_index, radius
-    )
+        alpha = alphas[key] = model.add_variable(objective=radius)
+        for segment, atoms in zip(tree.time_clusters.segments, marginals):
+            lo, *above = atoms
+            for a in above:
+                premium = model.add_variable(objective=atoms[a])
+                terms = [(premium, 1.0), (alpha, (a - lo) / diameter)]
+                terms += [(z[t, lo], -unit) for t in segment if (t, lo) in z]
+                terms += [(z[t, a], unit) for t in segment if (t, a) in z]
+                model.add_linear_constraint(terms, ">=", 0.0)
+    return replace(bundle, kind="dr", alpha_index=alphas, epsilon=radius)
 
 
 def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
@@ -504,12 +493,13 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
 
     For dr, duals["alpha"] maps each cell to its multiplier and
     duals["gamma"] each cell to one list per stage of [capacity, gamma]
-    pairs in ascending capacity. The reported objective is recomputed
-    from the policy and must agree within 1e-6 relative, else
-    SolverError: the first-stage cost plus, per cell, _stage_recourse of
-    the policy, for dr at the solved alpha and plus epsilon * alpha.
-    That reads neither the model's overflow variables nor its gammas, so
-    it checks the stagewise rows of build_sp and build_dr independently.
+    pairs in ascending capacity, gamma from _stage_gammas at the solved
+    alpha. The reported objective is recomputed from the policy and must
+    agree within 1e-6 relative, else SolverError: the first-stage cost
+    plus, per cell, _stage_recourse of the policy, for dr at the solved
+    alpha and plus epsilon * alpha. That reads neither the model's
+    overflow variables nor its premiums, so it checks the stagewise rows
+    of build_sp and build_dr independently.
     """
     solution = bundle.model.minimize(time_limit=time_limit)
     if solution.status != "optimal":
@@ -533,12 +523,11 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
 
     duals = {}
     if bundle.kind == "dr":
-        duals["alpha"] = {
-            key: float(values[var]) for key, var in bundle.alpha_index.items()
-        }
+        alphas = {key: float(values[var]) for key, var in bundle.alpha_index.items()}
+        duals["alpha"] = alphas
         duals["gamma"] = {
-            key: [[[a, float(values[var])] for a, var in stage.items()] for stage in stages]
-            for key, stages in bundle.gamma_index.items()
+            key: [[[a, float(g)] for a, g in zip(atoms, gamma)] for atoms, gamma in stages]
+            for key, stages in _stage_gammas(instance, policy, alphas).items()
         }
 
     recomputed = first_stage_cost(instance, policy)
@@ -613,36 +602,42 @@ def overflow(instance: MaghpInstance, policy: GroundDelayPolicy, capacities: dic
     return excess
 
 
-def _stage_recourse(instance: MaghpInstance, policy: GroundDelayPolicy, alphas=None) -> dict:
-    """Per constrained cell, a frozen policy's recourse per stage atom.
-
-    With G_s(b) = unit * sum over t in stage s (interval 0 too, as in
-    overflow) of max(assigned_t - b, 0), a cell's value is the expected
-    recourse sum_s sum_a P_s(a) G_s(a); or, given alphas, a multiplier
-    per cell, sum_s sum_a P_s(a) max_b (G_s(b) - alpha * |a - b| / D),
-    the robust recourse at that alpha less epsilon * alpha (build_dr
-    gives the argument). Either equals its form over every scenario, or
-    scenario pair, for any joint probabilities on the product support.
-    """
+def _stage_gammas(instance: MaghpInstance, policy: GroundDelayPolicy, alphas=None) -> dict:
+    """Per constrained cell, one (capacities, values) pair per stage for
+    a frozen policy: per capacity a, G_s(a) = unit * sum over t in stage
+    s (interval 0 too, as in overflow) of max(assigned_t - a, 0); or,
+    given alphas, a multiplier per cell, gamma[s, a] = max_b (G_s(b) -
+    alpha * |a - b| / D) = max(G_s(a), G_s(lo_s) - alpha * (a - lo_s) /
+    D), G_s being convex and non-increasing (build_dr)."""
     counts = assigned_counts(instance, policy)
     unit = instance.recourse_cost
-    values = {}
+    gammas = {}
     for key in instance.constrained_keys():
         tree = instance.trees[key]
         marginals = tree.stage_capacities
         diameter = _diameter(marginals) or 1.0  # D = 0 leaves every distance 0
-        total = 0.0
+        stages = gammas[key] = []
         for segment, atoms in zip(tree.time_clusters.segments, marginals):
             capacities = np.fromiter(atoms, dtype=float)
             recourse = unit * np.maximum(
                 counts[key][list(segment)] - capacities[:, None], 0.0
             ).sum(axis=1)
             if alphas is not None:
-                distances = np.abs(np.subtract.outer(capacities, capacities)) / diameter
-                recourse = (recourse - alphas[key] * distances).max(axis=1)
-            total += float(np.dot(np.fromiter(atoms.values(), dtype=float), recourse))
-        values[key] = total
-    return values
+                rise = alphas[key] * (capacities - capacities[0]) / diameter
+                recourse = np.maximum(recourse, recourse[0] - rise)
+            stages.append((atoms, recourse))
+    return gammas
+
+
+def _stage_recourse(instance: MaghpInstance, policy: GroundDelayPolicy, alphas=None) -> dict:
+    """Per constrained cell, sum_s sum_a P_s(a) times _stage_gammas: the
+    expected recourse or, given alphas, the robust recourse less epsilon
+    * alpha, equal to their forms over every scenario or scenario pair."""
+    gammas = _stage_gammas(instance, policy, alphas)
+    return {
+        key: sum(float(np.dot(list(atoms.values()), values)) for atoms, values in stages)
+        for key, stages in gammas.items()
+    }
 
 
 def support_worst_case(policy: GroundDelayPolicy, instance: MaghpInstance) -> float:
@@ -717,8 +712,8 @@ def instance_from_dict(body: dict) -> MaghpInstance:
             id=f["id"],
             origin=f["origin"],
             destination=f["destination"],
-            sched_dep=int(f["sched_dep"]),
-            sched_arr=int(f["sched_arr"]),
+            sched_dep=as_whole(f["sched_dep"]),
+            sched_arr=as_whole(f["sched_arr"]),
         )
         for f in body["flights"]
     )
@@ -730,10 +725,10 @@ def instance_from_dict(body: dict) -> MaghpInstance:
         airports=tuple(body["airports"]),
         flights=flights,
         connections=tuple(
-            FlightConnection(c["predecessor"], c["successor"], int(c["slack"]))
+            FlightConnection(c["predecessor"], c["successor"], as_whole(c["slack"]))
             for c in body["connections"]
         ),
-        horizon=int(body["horizon"]),
+        horizon=as_whole(body["horizon"]),
         cost_ground=float(body["cost_ground"]),
         cost_air=float(body["cost_air"]),
         trees=trees,
@@ -794,8 +789,8 @@ def result_from_dict(body: dict) -> SolveResult:
     if "flights" in body:
         entries = body["flights"]
         policy = GroundDelayPolicy(
-            {fid: int(e["u_slot"]) for fid, e in entries.items()},
-            {fid: int(e["v_slot"]) for fid, e in entries.items()},
+            {fid: as_whole(e["u_slot"]) for fid, e in entries.items()},
+            {fid: as_whole(e["v_slot"]) for fid, e in entries.items()},
         )
         for name in ("alpha", "gamma"):
             if name in body.get("duals", {}):

@@ -68,29 +68,30 @@ class Pmf:
             return 0.0
 
 
-def as_capacity(value) -> int:
-    """value as a capacity: a whole number of at least 0, such as 3, 3.0
-    or a numpy integer. Anything else, a bool or a string included,
-    raises ValueError naming the value."""
+def as_whole(value) -> int:
+    """value as a whole number of at least 0, such as 3, 3.0 or a numpy
+    integer: a capacity, an interval index, a slot or a slack. Anything
+    else, a bool or a string included, raises ValueError naming the
+    value."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if isinstance(value, bool) or whole is None or whole != value or whole < 0:
-        raise ValueError(f"capacity must be a whole number of at least 0, got {value!r}")
+        raise ValueError(f"expected a whole number of at least 0, got {value!r}")
     return whole
 
 
 def make_pmf(support, weights) -> Pmf:
     """Build a Pmf, renormalizing near-unit mass.
 
-    Each support value must be a capacity (as_capacity). Weight vectors
-    whose sum deviates from 1 by more than MASS_TOL but at most
-    RENORM_TOL are rescaled; Pmf itself rejects a length mismatch, a
-    non-finite or negative weight or any larger deviation with
-    ValueError.
+    Each support value must be a capacity, a whole number (as_whole).
+    Weight vectors whose sum deviates from 1 by more than MASS_TOL but
+    at most RENORM_TOL are rescaled; Pmf itself rejects a length
+    mismatch, a non-finite or negative weight or any larger deviation
+    with ValueError.
     """
-    support = tuple(as_capacity(s) for s in support)
+    support = tuple(as_whole(s) for s in support)
     weights = tuple(float(w) for w in weights)
     total = math.fsum(weights)
     if MASS_TOL < abs(total - 1.0) <= RENORM_TOL:

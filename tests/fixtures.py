@@ -1,10 +1,11 @@
 """Seeded synthetic fixtures: no external data needed to run anything.
 
-Three generators live here. random_instance builds small solvable
+Four generators live here. random_instance builds small solvable
 network instances for property checks; stress_instance builds one
 deterministic 3-airport, 30-flight day whose capacity distributions
 put real weight on severe shortfalls, which is where the deterministic,
-stochastic and robust policies spread apart; synthetic_records and
+stochastic and robust policies spread apart; network_day loads the
+benchmark's generated day at its sweep size; synthetic_records and
 bucket_training_data feed the estimation and prediction demos.
 point_mass, save_pmf_series and write_operation_records build and
 write the inputs the command line reads.
@@ -13,6 +14,7 @@ write the inputs the command line reads.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -213,6 +215,15 @@ def stress_instance() -> MaghpInstance:
         cost_air=3.0,
         trees=trees,
     )
+
+
+def network_day(seed: int) -> MaghpInstance:
+    """bench/gen.py's network day at the benchmark sweep's size."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.network_day(seed, 14, 12, 3, 3)
 
 
 def synthetic_records(

@@ -805,14 +805,37 @@ BAD_SERIES = {
     "fractional-capacity": (
         [0.7, 1.9],
         [0.5, 0.5],
-        "capacity must be a whole number of at least 0, got 0.7",
+        "expected a whole number of at least 0, got 0.7",
     ),
     "negative-capacity": (
         [-3, 1],
         [0.5, 0.5],
-        "capacity must be a whole number of at least 0, got -3",
+        "expected a whole number of at least 0, got -3",
     ),
 }
+
+#: fields the instance and result loaders read as whole numbers, each
+#: with a value they refuse rather than truncate
+WHOLE_NUMBER_FIELDS = {
+    "instance": [("sched_dep", 0.9), ("sched_dep", "2"), ("slack", 1.5), ("horizon", 6.5)],
+    "result": [("u_slot", 6.7), ("v_slot", True)],
+}
+
+
+def _with_field(body: dict, field: str, value) -> dict:
+    """A copy of an instance or result body with field set to value: a
+    top-level key, or the field of the first flight or connection."""
+    body = json.loads(json.dumps(body))
+    if field in body:
+        body[field] = value
+    elif field == "slack":
+        body["connections"][0][field] = value
+    elif isinstance(body["flights"], list):
+        body["flights"][0][field] = value
+    else:
+        next(iter(body["flights"].values()))[field] = value
+    return body
+
 
 MALFORMED = {
     "epsilon given as an object": (
@@ -931,9 +954,29 @@ MALFORMED = {
         "solve",
         {"instance": "fractional-tree.json"},
         1,
-        "instance file fractional-tree.json is malformed: capacity must be a whole "
-        "number of at least 0, got 0.6",
+        "instance file fractional-tree.json is malformed: expected a whole number "
+        "of at least 0, got 0.6",
     ),
+    **{
+        f"{field} {value!r}": (
+            "solve",
+            {"instance": f"{field}-{value}.json"},
+            1,
+            f"instance file {field}-{value}.json is malformed: expected a whole number "
+            f"of at least 0, got {value!r}",
+        )
+        for field, value in WHOLE_NUMBER_FIELDS["instance"]
+    },
+    **{
+        f"{field} {value!r}": (
+            "evaluate",
+            {"result": f"{field}-{value}.json", "reduction": 0.1},
+            1,
+            f"result file {field}-{value}.json is malformed: expected a whole number "
+            f"of at least 0, got {value!r}",
+        )
+        for field, value in WHOLE_NUMBER_FIELDS["result"]
+    },
     "tree with more stages than time segments": (
         "solve",
         {"instance": "extra-stage.json"},
@@ -1297,6 +1340,17 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     for vector, _ in fractional[1]["scenarios"]:
         vector[0] = 0.6 if vector[0] == 0 else vector[0]
     Path("fractional-tree.json").write_text(json.dumps({**stress, "trees": fractional}))
+    schedule = {
+        f.id: {"u_slot": f.sched_dep, "v_slot": f.sched_arr} for f in stress_instance().flights
+    }
+    bodies = {
+        "instance": stress,
+        "result": {"status": "optimal", "objective": 0.0, "model": "det", "flights": schedule},
+    }
+    for kind, fields in WHOLE_NUMBER_FIELDS.items():
+        for field, value in fields:
+            bad = _with_field(bodies[kind], field, value)
+            Path(f"{field}-{value}.json").write_text(json.dumps(bad))
     good = {"support": [0, 1], "weights": [0.5, 0.5]}
     Path("series.json").write_text(json.dumps([good, {"support": [0, 1]}]))
     for name, (support, weights, _) in BAD_SERIES.items():

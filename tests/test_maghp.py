@@ -1,11 +1,13 @@
 """Ground holding model tests with hand-checked optima."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fixtures import random_instance
 from groundhold.errors import MissingInputError, SolverError
 from groundhold.maghp import (
     Flight,
@@ -449,6 +451,29 @@ def test_instance_file_round_trip(tmp_path):
     original = solve(build_sp(inst)).objective
     reloaded = solve(build_sp(loaded)).objective
     assert reloaded == pytest.approx(original, abs=1e-9)
+
+
+def test_loaders_read_whole_numbers_written_as_floats():
+    """An interval, slack, horizon or slot written as 3.0 loads as the
+    int 3; test_cli's malformed-input cases refuse 0.9, "2", 6.5, 6.7
+    and true instead of truncating them."""
+    inst = random_instance(0)
+    assert inst.connections
+    body = instance_to_dict(inst)
+    floated = json.loads(json.dumps(body))
+    floated["horizon"] = float(floated["horizon"])
+    for f in floated["flights"]:
+        f["sched_dep"], f["sched_arr"] = float(f["sched_dep"]), float(f["sched_arr"])
+    for c in floated["connections"]:
+        c["slack"] = float(c["slack"])
+    assert json.dumps(instance_to_dict(instance_from_dict(floated))) == json.dumps(body)
+
+    result = solve(build_sp(inst))
+    body = result_to_dict(result, inst)
+    floated = json.loads(json.dumps(body))
+    for entry in floated["flights"].values():
+        entry["u_slot"], entry["v_slot"] = float(entry["u_slot"]), float(entry["v_slot"])
+    assert json.dumps(result_to_dict(result_from_dict(floated), inst)) == json.dumps(body)
 
 
 def test_result_files_carry_no_second_stage_grid():

@@ -1,14 +1,18 @@
 """Every Wasserstein scenario pair holds at the robust optimum.
 
 build_dr writes the dual per stage atom, with no row per scenario pair:
-beta_i is the sum over stages of gamma[s, x_i^s], and gamma[s, a] covers
-every capacity b of its stage. On a product support that covers every
-pair (i, j), so at the robust optimum beta_i >= R_j - alpha * dist(i, j)
-must hold for all of them, R_j the closed-form recourse. These tests
-rebuild each beta_i from the reported gammas and check that inequality
-directly, check the L1 distance matrix it rests on, and check that
-solve() rejects a model that lacks the rows moving mass between
-capacities.
+beta_i is the sum over stages of gamma[s, x_i^s], with gamma[s, a] =
+max_b (G_s(b) - alpha * |a - b| / D) and D, the diameter, the unit of
+distance. G_s is convex and non-increasing in the capacity b, so that
+max sits at b = a or at the stage's smallest capacity, and the model
+needs one premium row per capacity above the smallest. On a product
+support the max over b covers every pair (i, j), so at the robust
+optimum beta_i >= R_j - alpha * dist(i, j) must hold for all of them,
+R_j the closed-form recourse. These tests rebuild each beta_i from the
+reported gammas, which solve() takes in that closed form at the solved
+alpha, and check that inequality directly, check the L1 distance matrix
+it rests on, and check that solve() rejects a model whose premium rows,
+the ones carrying alpha, are switched off.
 """
 
 import numpy as np

@@ -62,7 +62,7 @@ def test_make_pmf_refuses_a_capacity_that_is_not_a_whole_number(value):
     """A capacity is never truncated: 0.7 is refused, not read as 0."""
     with pytest.raises(ValueError) as caught:
         make_pmf([value, 5], [0.5, 0.5])
-    assert str(caught.value) == f"capacity must be a whole number of at least 0, got {value!r}"
+    assert str(caught.value) == f"expected a whole number of at least 0, got {value!r}"
 
 
 def test_make_pmf_accepts_integral_capacities():

@@ -463,7 +463,7 @@ def test_tree_accepts_integral_capacities(value):
 
 BAD_TREES = {
     "representative weight NaN": "non-finite weight in (nan, 1.0)",
-    "stage capacity 0.6": "capacity must be a whole number of at least 0, got 0.6",
+    "stage capacity 0.6": "expected a whole number of at least 0, got 0.6",
     "stage probability NaN": "atom probabilities sum to nan, not 1",
 }
 

@@ -12,16 +12,14 @@ over every scenario pair, and solve() must reject an sp model whose
 overflow is mispriced.
 """
 
-import importlib.util
 import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from test_model_size import _product_tree
 
-from fixtures import random_instance, stress_instance
+from fixtures import network_day, random_instance, stress_instance
 from groundhold.errors import SolverError
 from groundhold.maghp import (
     _stage_recourse,
@@ -201,16 +199,7 @@ def test_stage_capacities_sum_scenarios_per_capacity():
     assert list(second) == sorted(second)
 
 
-def _network_day(seed):
-    """bench/gen.py's network day at the benchmark sweep's size."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.network_day(seed, 14, 12, 3, 3)
-
-
-EXTREME_CASES = {**CASES, **{f"network-day-{seed}": (_network_day, seed) for seed in range(4)}}
+EXTREME_CASES = {**CASES, **{f"network-day-{seed}": (network_day, seed) for seed in range(4)}}
 
 
 @pytest.mark.parametrize("case", sorted(EXTREME_CASES))
