@@ -231,7 +231,7 @@ def _read_training_csv(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or "label" not in header:
-            raise ConfigError(f"training file {path} needs a 'label' column")
+            raise MissingInputError(f"training file {path} has no 'label' column")
         label_at = header.index("label")
         features, labels = [], []
         for row in reader:

@@ -23,11 +23,11 @@ Both scenario models share one stagewise overflow block instead of
 enumerating the tree. Overflow cost is separable per interval, and
 interval t's capacity depends only on the atom of its own stage, so per
 cell and interval t > 0 there is one variable z[t, c] >= assigned_t - c
-for each distinct capacity c of stage(t). The stochastic model prices
-z[t, c] at that capacity's stage probability. Stage probabilities come
-from ScenarioTree.stage_capacities, which sums them from the tree's
-scenarios, so the block is exact for any scenario list, including atoms
-that collide after rounding.
+for each distinct capacity c of stage(t), left out where it can never be
+positive. The stochastic model prices z[t, c] at that capacity's stage
+probability. Stage probabilities come from ScenarioTree.stage_capacities,
+which sums them from the tree's scenarios, so the block is exact for any
+scenario list, including atoms that collide after rounding.
 
 The robust dual splits by stage too: a tree's support is the product of
 its stage capacities and the L1 metric, in units of the diameter D, sums
@@ -61,7 +61,7 @@ import numpy as np
 from .capacity import ARRIVAL, DEPARTURE, OP_TYPES
 from .config import load_input
 from .errors import MissingInputError, SolverError
-from .pmf import as_whole
+from .pmf import as_real, as_whole
 from .scenario import ScenarioTree, tree_from_dict, tree_to_dict
 from .solver import BINARY, LinearModel
 
@@ -123,8 +123,8 @@ class MaghpInstance:
         self.airports = tuple(self.airports)
         self.flights = tuple(self.flights)
         self.connections = tuple(self.connections)
-        if not 0 < self.cost_ground <= self.cost_air:
-            raise ValueError("need cost_air >= cost_ground > 0")
+        if not 0 < self.cost_ground <= self.cost_air < math.inf:
+            raise ValueError("need finite cost_air >= cost_ground > 0")
         if self.horizon < 1:
             raise ValueError("horizon must be at least one interval")
         ids = [f.id for f in self.flights]
@@ -169,27 +169,17 @@ class MaghpInstance:
         Found by pushing every flight to the first unconstrained period
         and propagating turnaround needs along connections, so at least
         one assignment always satisfies every coupling constraint with
-        zero airborne delay.
+        zero airborne delay. One pass over the connections, in order of
+        the predecessor's scheduled departure, suffices: a connection
+        into a predecessor comes from a flight that lands by the time the
+        predecessor departs (__post_init__ refuses any other), so it
+        departed strictly earlier and its need was propagated first.
         """
         latest = {f.id: max(f.sched_dep, self.horizon) for f in self.flights}
-        for _ in range(len(self.flights)):
-            changed = False
-            for c in self.connections:
-                pred = self.flight(c.predecessor)
-                succ = self.flight(c.successor)
-                need = (
-                    latest[pred.id]
-                    + succ.sched_dep
-                    - pred.sched_dep
-                    - c.slack
-                )
-                if need > latest[succ.id]:
-                    latest[succ.id] = need
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise ValueError("connection graph contains a cycle")
+        for c in sorted(self.connections, key=lambda c: self.flight(c.predecessor).sched_dep):
+            pred, succ = self.flight(c.predecessor), self.flight(c.successor)
+            need = latest[pred.id] + succ.sched_dep - pred.sched_dep - c.slack
+            latest[succ.id] = max(latest[succ.id], need)
         return max(latest[f.id] + f.flight_time for f in self.flights) + 1
 
     def delay_connections(self) -> list[FlightConnection]:
@@ -729,8 +719,8 @@ def instance_from_dict(body: dict) -> MaghpInstance:
             for c in body["connections"]
         ),
         horizon=as_whole(body["horizon"]),
-        cost_ground=float(body["cost_ground"]),
-        cost_air=float(body["cost_air"]),
+        cost_ground=as_real(body["cost_ground"]),
+        cost_air=as_real(body["cost_air"]),
         trees=trees,
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -82,6 +83,17 @@ def as_whole(value) -> int:
     return whole
 
 
+def as_real(value) -> float:
+    """value as a real number, such as 3, 0.25 or a numpy float: a cost,
+    a weight or a probability read from a file. A bool, a string or
+    anything else that is not a number raises ValueError naming the
+    value; a NaN or an infinity passes, for the reader's own check to
+    refuse with its own message."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
 def make_pmf(support, weights) -> Pmf:
     """Build a Pmf, renormalizing near-unit mass.
 
@@ -134,7 +146,7 @@ def pmf_to_dict(p: Pmf) -> dict:
 
 
 def pmf_from_dict(d: dict) -> Pmf:
-    return make_pmf(d["support"], d["weights"])
+    return make_pmf(d["support"], [as_real(w) for w in d["weights"]])
 
 
 def load_pmf_series(path) -> list[Pmf]:

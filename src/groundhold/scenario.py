@@ -27,7 +27,16 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .config import load_input
-from .pmf import MASS_TOL, Pmf, as_whole, make_pmf, pmf_from_dict, pmf_to_dict, wasserstein_1d
+from .pmf import (
+    MASS_TOL,
+    Pmf,
+    as_real,
+    as_whole,
+    make_pmf,
+    pmf_from_dict,
+    pmf_to_dict,
+    wasserstein_1d,
+)
 
 #: refuse to enumerate trees beyond this many scenarios
 DEFAULT_SCENARIO_CAP = 4096
@@ -365,12 +374,12 @@ def tree_from_dict(body: dict) -> ScenarioTree:
         airport=body["airport"],
         op_type=body["op_type"],
         stage_pmfs=tuple(
-            ReducedPmf(tuple((as_whole(s), float(p)) for s, p in stage))
+            ReducedPmf(tuple((as_whole(s), as_real(p)) for s, p in stage))
             for stage in body["stages"]
         ),
         time_clusters=clustering,
         scenarios=tuple(
-            (tuple(map(as_whole, v)), float(p)) for v, p in body["scenarios"]
+            (tuple(map(as_whole, v)), as_real(p)) for v, p in body["scenarios"]
         ),
     )
 

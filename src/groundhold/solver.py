@@ -2,13 +2,15 @@
 
 Every optimization problem in the package (the ground holding MILPs and
 the robust deterministic equivalent) is built against the same three
-calls: add_variable, add_linear_constraint and minimize.
-add_linear_constraint appends one row's terms as (row, column, value)
-triplets. A model is built for one problem and solved once: each
-minimize call builds one sparse matrix from the triplets and hands the
-model to scipy.optimize.milp, first without integrality. A relaxation
-that comes out integral is the MILP's optimum and ends the solve; only
-a fractional one goes on to branch and bound.
+calls: add_variable, add_linear_constraint and minimize. Every variable
+is at least 0, and a binary at most 1. add_linear_constraint appends one
+row's terms as (row, column, value) triplets unchecked. A model is built
+for one problem and solved once: each minimize call builds one sparse
+matrix from the triplets, which refuses a variable index out of range
+with ValueError, and hands the model to scipy.optimize.milp, first
+without integrality. A relaxation that comes out integral is the MILP's
+optimum and ends the solve; only a fractional one goes on to branch and
+bound.
 
 scipy loads on the first solve, not on import, so the forecasting half
 of the package (capacity, prediction, pmf, scenario) never pays for the
@@ -64,8 +66,6 @@ class LinearModel:
 
     _objective: list[float] = field(default_factory=list)
     _integrality: list[int] = field(default_factory=list)
-    _lower: list[float] = field(default_factory=list)
-    _upper: list[float] = field(default_factory=list)
     # constraint matrix as COO triplets, one entry per term
     _row_ids: list[int] = field(default_factory=list)
     _cols: list[int] = field(default_factory=list)
@@ -85,28 +85,13 @@ class LinearModel:
     def num_nonzeros(self) -> int:
         return len(self._vals)
 
-    def add_variable(
-        self,
-        kind: str = CONTINUOUS,
-        objective: float = 0.0,
-        lower: float = 0.0,
-    ) -> int:
-        """Append a variable and return its index.
-
-        Continuous variables range over [lower, inf), lower defaulting
-        to 0; pass lower=-inf for a free variable. Binary variables
-        ignore lower.
-        """
-        if kind == BINARY:
-            lo, hi, integral = 0.0, 1.0, 1
-        elif kind == CONTINUOUS:
-            lo, hi, integral = float(lower), np.inf, 0
-        else:
+    def add_variable(self, kind: str = CONTINUOUS, objective: float = 0.0) -> int:
+        """Append a variable and return its index: a binary ranges over
+        {0, 1}, a continuous variable over [0, inf)."""
+        if kind not in (BINARY, CONTINUOUS):
             raise ValueError(f"unknown variable kind {kind!r}")
         self._objective.append(float(objective))
-        self._integrality.append(integral)
-        self._lower.append(lo)
-        self._upper.append(hi)
+        self._integrality.append(int(kind == BINARY))
         return len(self._objective) - 1
 
     def add_linear_constraint(
@@ -115,23 +100,18 @@ class LinearModel:
         sense: str,
         rhs: float,
     ) -> None:
-        """Add sum(coef * var) <sense> rhs with sense in {'<=', '=', '>='}."""
+        """Add sum(coef * var) <sense> rhs with sense in {'<=', '=', '>='}.
+        The variable indices are checked at minimize."""
         if sense not in _SENSES:
             raise ValueError(f"unknown constraint sense {sense!r}")
-        idx, coef = [], []
-        for i, c in terms:
-            if not 0 <= i < self.num_variables:
-                raise IndexError(f"variable index {i} out of range")
-            idx.append(i)
-            coef.append(float(c))
         rhs = float(rhs)
-        lb = rhs if sense in ("=", ">=") else -np.inf
-        ub = rhs if sense in ("=", "<=") else np.inf
-        self._row_ids.extend([self.num_constraints] * len(idx))
-        self._cols.extend(idx)
-        self._vals.extend(coef)
-        self._row_lb.append(lb)
-        self._row_ub.append(ub)
+        self._row_ids.extend([self.num_constraints] * len(terms))
+        cols, vals = self._cols, self._vals
+        for i, c in terms:
+            cols.append(i)
+            vals.append(c)
+        self._row_lb.append(rhs if sense in ("=", ">=") else -np.inf)
+        self._row_ub.append(rhs if sense in ("=", "<=") else np.inf)
 
     def minimize(self, time_limit: float | None = None) -> Solution:
         """Solve and return a Solution. Never raises for infeasibility.
@@ -146,7 +126,7 @@ class LinearModel:
         time_limit.
         """
         n = self.num_variables
-        if n == 0:
+        if n == 0 and not self._cols:
             return Solution("optimal", 0.0, np.zeros(0))
 
         from scipy import sparse
@@ -155,13 +135,15 @@ class LinearModel:
         start = time.perf_counter()
         c = np.asarray(self._objective)
         integrality = np.asarray(self._integrality)
-        bounds = Bounds(np.asarray(self._lower), np.asarray(self._upper))
+        bounds = Bounds(np.zeros(n), np.where(integrality, 1.0, np.inf))
 
         constraints = []
         if self._row_lb:
+            # refuses a negative or out-of-range index with ValueError
             a = sparse.csr_matrix(
                 (self._vals, (self._row_ids, self._cols)),
                 shape=(self.num_constraints, n),
+                dtype=float,
             )
             constraints.append(
                 LinearConstraint(a, np.asarray(self._row_lb), np.asarray(self._row_ub))

@@ -217,13 +217,14 @@ def stress_instance() -> MaghpInstance:
     )
 
 
-def network_day(seed: int) -> MaghpInstance:
-    """bench/gen.py's network day at the benchmark sweep's size."""
+def network_day(seed: int, flights: int = 14, horizon: int = 12) -> MaghpInstance:
+    """bench/gen.py's network day, by default at the benchmark sweep's
+    size."""
     path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
     spec = importlib.util.spec_from_file_location("bench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return gen.network_day(seed, 14, 12, 3, 3)
+    return gen.network_day(seed, flights, horizon, 3, 3)
 
 
 def synthetic_records(

@@ -42,6 +42,9 @@ scenario pair under scenario_distance_matrix; the library's per-stage
 recomputation must match both.
 scenario_capacity_profile expands one scenario to a capacity per
 interval, the form these scenario-by-scenario oracles price.
+fixpoint_total_periods is the overflow horizon as first written, every
+connection relaxed until nothing changes, which the library's single
+ordered pass must reproduce.
 """
 
 from __future__ import annotations
@@ -107,6 +110,26 @@ def aggregated_first_stage(instance: MaghpInstance, model: LinearModel):
             -float(c.slack),
         )
     return u_index, v_index
+
+
+def fixpoint_total_periods(instance: MaghpInstance) -> int:
+    """Horizon plus overflow periods, found by relaxing every connection
+    in file order until no flight's latest departure moves."""
+    latest = {f.id: max(f.sched_dep, instance.horizon) for f in instance.flights}
+    for _ in range(len(instance.flights)):
+        changed = False
+        for c in instance.connections:
+            pred = instance.flight(c.predecessor)
+            succ = instance.flight(c.successor)
+            need = latest[pred.id] + succ.sched_dep - pred.sched_dep - c.slack
+            if need > latest[succ.id]:
+                latest[succ.id] = need
+                changed = True
+        if not changed:
+            break
+    else:
+        raise ValueError("connection graph contains a cycle")
+    return max(latest[f.id] + f.flight_time for f in instance.flights) + 1
 
 
 def _assigned_terms(instance, u_index, v_index, airport, op_type, t):
@@ -178,10 +201,8 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         tree = instance.trees[key]
         distances = scenario_distance_matrix(tree)
         alpha = alpha_index[key] = model.add_variable(objective=radius)
-        betas = [
-            model.add_variable(objective=prob, lower=-np.inf)
-            for prob in tree.probabilities
-        ]
+        # beta_i >= 0 follows from the (i, i) pair row: beta_i >= unit * sum y
+        betas = [model.add_variable(objective=prob) for prob in tree.probabilities]
         y_index = _scenario_overflow(
             model, instance, u_index, v_index, key, tree, lambda prob: 0.0
         )

@@ -812,6 +812,8 @@ BAD_SERIES = {
         [0.5, 0.5],
         "expected a whole number of at least 0, got -3",
     ),
+    "boolean-weights": ([0, 1], [True, False], "expected a real number, got True"),
+    "string-weight": ([0, 1], ["0.5", 0.5], "expected a real number, got '0.5'"),
 }
 
 #: fields the instance and result loaders read as whole numbers, each
@@ -820,6 +822,16 @@ WHOLE_NUMBER_FIELDS = {
     "instance": [("sched_dep", 0.9), ("sched_dep", "2"), ("slack", 1.5), ("horizon", 6.5)],
     "result": [("u_slot", 6.7), ("v_slot", True)],
 }
+
+#: fields the instance loader reads as real numbers, each with a value
+#: it refuses rather than converts: a cost, or the probability of the
+#: first tree's first stage atom or first scenario
+REAL_NUMBER_FIELDS = [
+    ("cost_ground", True),
+    ("cost_air", "3.0"),
+    ("stage probability", "0.41"),
+    ("scenario probability", "0.41"),
+]
 
 
 def _with_field(body: dict, field: str, value) -> dict:
@@ -977,6 +989,16 @@ MALFORMED = {
         )
         for field, value in WHOLE_NUMBER_FIELDS["result"]
     },
+    **{
+        f"{field} {value!r}": (
+            "solve",
+            {"instance": f"{field}-{value}.json"},
+            1,
+            f"instance file {field}-{value}.json is malformed: expected a real number, "
+            f"got {value!r}",
+        )
+        for field, value in REAL_NUMBER_FIELDS
+    },
     "tree with more stages than time segments": (
         "solve",
         {"instance": "extra-stage.json"},
@@ -1031,6 +1053,18 @@ MALFORMED = {
         {"training": "labels.csv"},
         1,
         "labels.csv line 2, column 'label'",
+    ),
+    "training file without a header": (
+        "predict",
+        {"training": "empty.csv"},
+        1,
+        "training file empty.csv has no 'label' column",
+    ),
+    "training file without a label column": (
+        "predict",
+        {"training": "unlabelled.csv"},
+        1,
+        "training file unlabelled.csv has no 'label' column",
     ),
     "negative epsilon": ("solve", {"model": "dr", "epsilon": -0.1}, 2, "epsilon"),
     "epsilon given as a boolean": ("solve", {"model": "dr", "epsilon": True}, 2, "'epsilon'"),
@@ -1351,6 +1385,15 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
         for field, value in fields:
             bad = _with_field(bodies[kind], field, value)
             Path(f"{field}-{value}.json").write_text(json.dumps(bad))
+    for field, value in REAL_NUMBER_FIELDS:
+        bad = json.loads(json.dumps(stress))
+        if field == "stage probability":
+            bad["trees"][0]["stages"][0][0][1] = value
+        elif field == "scenario probability":
+            bad["trees"][0]["scenarios"][0][1] = value
+        else:
+            bad[field] = value
+        Path(f"{field}-{value}.json").write_text(json.dumps(bad))
     good = {"support": [0, 1], "weights": [0.5, 0.5]}
     Path("series.json").write_text(json.dumps([good, {"support": [0, 1]}]))
     for name, (support, weights, _) in BAD_SERIES.items():
@@ -1362,6 +1405,8 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     )
     Path("labels.csv").write_text("f0,label\n0.5,x\n")
     Path("high.csv").write_text("f0,label\n" + "0.5,3\n" * 12)
+    Path("empty.csv").write_text("")
+    Path("unlabelled.csv").write_text("f0,f1\n0.5,3\n")
     if command in ("solve", "evaluate", "sweep"):
         section = {"instance": "instance.json", **section}
     config = write_config(tmp_path, {command: {"out": "out", **section}})

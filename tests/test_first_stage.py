@@ -8,13 +8,14 @@ On seeded instances and every model kind, both first stages must reach
 the same optimum, and so must a solve forced through branch and bound.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 import groundhold.maghp as maghp
 import groundhold.solver as solver
-from fixtures import random_instance, stress_instance
+from fixtures import network_day, random_instance, stress_instance
 from groundhold.maghp import (
     Flight,
     FlightConnection,
@@ -25,7 +26,7 @@ from groundhold.maghp import (
     build_sp,
     solve,
 )
-from oracles import aggregated_first_stage
+from oracles import aggregated_first_stage, fixpoint_total_periods
 
 INSTANCES = {f"random-{seed}": (random_instance, seed) for seed in range(20)}
 INSTANCES["stress"] = (lambda _: stress_instance(), None)
@@ -119,3 +120,47 @@ def test_wait_rows_admit_exactly_the_feasible_slot_pairs():
         assert solution.ok == oracle.ok == feasible, pins
         if feasible:
             assert solution.objective == pytest.approx(oracle.objective, abs=1e-9), pins
+
+
+def _chained(instance: MaghpInstance) -> MaghpInstance:
+    """instance with its connections replaced by chains: in order of
+    departure, each flight continues on the first later leg from its
+    destination that has no predecessor yet. The connections are listed
+    last leg first, so relaxing them in file order moves a need one
+    link per round."""
+    flights = sorted(instance.flights, key=lambda f: (f.sched_dep, f.id))
+    connections, continued = [], set()
+    for pred in flights:
+        for succ in flights:
+            gap = succ.sched_dep - pred.sched_arr
+            if succ.id not in continued and succ.origin == pred.destination and gap >= 0:
+                connections.append(FlightConnection(pred.id, succ.id, gap % 2))
+                continued.add(succ.id)
+                break
+    return replace(instance, connections=tuple(reversed(connections)))
+
+
+def _longest_chain(instance: MaghpInstance) -> int:
+    """Connections on the longest predecessor-to-successor path."""
+    depth = {}
+    for c in sorted(instance.connections, key=lambda c: instance.flight(c.predecessor).sched_dep):
+        depth[c.successor] = max(depth.get(c.successor, 0), depth.get(c.predecessor, 0) + 1)
+    return max(depth.values(), default=0)
+
+
+OVERFLOW_CASES = {
+    "stress": stress_instance,
+    **{f"random-{seed}": (lambda seed=seed: random_instance(seed)) for seed in range(20)},
+    **{
+        f"chained-network-day-{seed}": (lambda seed=seed: _chained(network_day(seed, 60, 24)))
+        for seed in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_one_ordered_pass_finds_the_fixpoint_horizon(case):
+    instance = OVERFLOW_CASES[case]()
+    if case.startswith("chained"):
+        assert _longest_chain(instance) >= 3
+    assert instance.total_periods() == fixpoint_total_periods(instance)

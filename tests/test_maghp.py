@@ -373,6 +373,8 @@ def test_instance_validation_rejects_bad_data():
     with pytest.raises(ValueError):
         MaghpInstance(("A", "B"), (good,), (), 2, 3.0, 1.0)  # air < ground
     with pytest.raises(ValueError):
+        MaghpInstance(("A", "B"), (good,), (), 2, 1.0, math.inf)
+    with pytest.raises(ValueError):
         MaghpInstance(("A", "B"), (good, good), (), 2, 1.0, 3.0)
     with pytest.raises(ValueError):
         flight("f2", "A", "B", 3, 3)

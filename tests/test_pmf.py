@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from fixtures import point_mass
 from groundhold.pmf import (
     Pmf,
+    as_real,
     make_pmf,
     pmf_from_dict,
     pmf_mean,
@@ -140,3 +142,21 @@ def test_json_round_trip_is_exact():
         q = pmf_from_dict(json.loads(json.dumps(pmf_to_dict(p))))
         assert q.support == p.support
         assert q.weights == p.weights
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+def test_as_real_refuses_what_is_not_a_number(value):
+    with pytest.raises(ValueError, match=re.escape(f"expected a real number, got {value!r}")):
+        as_real(value)
+
+
+def test_as_real_reads_numbers_and_leaves_finiteness_to_the_reader():
+    for value in (3, 0.25, np.float32(0.5), np.int64(2), math.nan, math.inf):
+        got = as_real(value)
+        assert type(got) is float
+        assert got == value or math.isnan(value)
+    # a file PMF's weights go through as_real, a NaN on to Pmf's check
+    with pytest.raises(ValueError, match="expected a real number, got True"):
+        pmf_from_dict({"support": [0, 1], "weights": [True, False]})
+    with pytest.raises(ValueError, match="non-finite weight"):
+        pmf_from_dict({"support": [0, 1], "weights": [math.nan, 1.0]})

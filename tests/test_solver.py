@@ -9,12 +9,18 @@ from groundhold.solver import BINARY, LinearModel
 
 def _recording_milp(monkeypatch):
     """A list that gets the options of every groundhold.solver.milp
-    call, with the call's integrality added."""
+    call, with the call's integrality and bounds added."""
     calls = []
     milp = solver.milp
 
     def recording(*args, **kwargs):
-        calls.append({**kwargs["options"], "integrality": kwargs.get("integrality")})
+        calls.append(
+            {
+                **kwargs["options"],
+                "integrality": kwargs.get("integrality"),
+                "bounds": kwargs["bounds"],
+            }
+        )
         return milp(*args, **kwargs)
 
     monkeypatch.setattr(solver, "milp", recording)
@@ -146,15 +152,6 @@ def test_infeasible_model_reports_status():
     assert not solution.ok
 
 
-def test_free_variable_lower_bound():
-    model = LinearModel()
-    x = model.add_variable(objective=1.0, lower=-np.inf)
-    model.add_linear_constraint([(x, 1.0)], ">=", -4.0)
-    solution = model.minimize()
-    assert solution.ok
-    assert solution.objective == pytest.approx(-4.0)
-
-
 def test_rejects_unknown_kind_and_sense():
     model = LinearModel()
     with pytest.raises(ValueError):
@@ -162,8 +159,36 @@ def test_rejects_unknown_kind_and_sense():
     x = model.add_variable()
     with pytest.raises(ValueError):
         model.add_linear_constraint([(x, 1.0)], "<", 0.0)
-    with pytest.raises(IndexError):
-        model.add_linear_constraint([(99, 1.0)], "<=", 0.0)
+
+
+@pytest.mark.parametrize("variables, index", [(1, 99), (1, -1), (0, 0)])
+def test_bad_index_is_refused_at_minimize(monkeypatch, variables, index):
+    """add_linear_constraint takes any index; the sparse assembly in
+    minimize refuses one outside the model before HiGHS is called, in a
+    model without variables too."""
+    calls = _recording_milp(monkeypatch)
+    model = LinearModel()
+    for _ in range(variables):
+        model.add_variable(objective=1.0)
+    model.add_linear_constraint([(index, 1.0)], "<=", 0.0)
+    # scipy 1.10 names the axis ("column index exceeds matrix
+    # dimensions"), later releases the index itself
+    with pytest.raises(ValueError, match=rf"index:? {index}\b|column index"):
+        model.minimize()
+    assert calls == []
+
+
+def test_bounds_follow_from_the_variable_kind(monkeypatch):
+    """Every variable is at least 0; HiGHS gets 0/1 for a binary and
+    0/inf for a continuous variable, on both solves."""
+    calls = _recording_milp(monkeypatch)
+    model, _ = _knapsack()
+    z = model.add_variable(objective=1.0)
+    model.add_linear_constraint([(z, 1.0)], ">=", -4.0)
+    solution = model.minimize()
+    assert solution.ok and solution.values[z] == 0.0
+    bounds = [(call["bounds"].lb.tolist(), call["bounds"].ub.tolist()) for call in calls]
+    assert bounds == [([0.0] * 4, [1.0, 1.0, 1.0, np.inf])] * 2
 
 
 def test_milp_carries_highs_telemetry():
