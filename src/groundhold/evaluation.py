@@ -126,19 +126,27 @@ def resample_capacities(trees: dict, spec: ReductionSpec) -> dict:
     sample and one column per time segment. Draws are deterministic in
     (seed, reduction, cell index) so every policy faces the same samples
     at a given shift level while levels stay independent.
+
+    A cell draws all its stages' uniforms in one call, stage by stage,
+    and maps each through its stage's CDF: the arithmetic of
+    Generator.choice(support, size, p=weights), draw for draw, without
+    choice's checks of p, which a Pmf already passes (finite,
+    non-negative weights whose mass is within MASS_TOL of one, well
+    inside choice's tolerance of sqrt(eps)).
     """
     samples = {}
     for idx, key in enumerate(sorted(trees)):
-        tree = trees[key]
-        shifted = shifted_representatives(tree, spec)
+        shifted = shifted_representatives(trees[key], spec)
         rng = np.random.default_rng(
             [spec.seed, int(round(spec.reduction * 1e9)), idx]
         )
-        columns = [
-            rng.choice(pmf.support_array, size=spec.sample_count, p=pmf.weights_array)
-            for pmf in shifted
-        ]
-        samples[key] = np.column_stack(columns).astype(int)
+        uniforms = rng.random((len(shifted), spec.sample_count))
+        draws = np.empty(uniforms.shape, dtype=int)
+        for pmf, u, out in zip(shifted, uniforms, draws):
+            cdf = np.cumsum(pmf.weights)
+            cdf /= cdf[-1]
+            out[:] = np.asarray(pmf.support)[cdf.searchsorted(u, side="right")]
+        samples[key] = draws.T
     return samples
 
 

@@ -53,7 +53,6 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +61,8 @@ from .capacity import ARRIVAL, DEPARTURE, OP_TYPES
 from .config import load_input
 from .errors import MissingInputError, SolverError
 from .pmf import as_real, as_whole
-from .scenario import ScenarioTree, tree_from_dict, tree_to_dict
-from .solver import BINARY, LinearModel
+from .scenario import ScenarioTree, TimeClustering, tree_from_dict, tree_to_dict
+from .solver import LinearModel
 
 DEFAULT_TIME_LIMIT = 300.0
 
@@ -221,6 +220,14 @@ def _cell_loads(instance: MaghpInstance, departures, arrivals):
                 yield (getattr(instance.flight(fid), endpoint), op_type), t, item
 
 
+def _runs(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive runs of the given lengths, the run of every entry
+    and the entry's position within its run."""
+    lengths = np.asarray(lengths, dtype=int)
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
+
+
 @dataclass(frozen=True)
 class GroundDelayPolicy:
     """First-stage slot choices: per flight id, the departure (u_slot)
@@ -245,7 +252,8 @@ class ModelBundle:
     """A built model plus the variable maps needed to read it back.
 
     u_index and v_index map (flight id, interval) to the departure and
-    arrival slot binaries, z_index each cell to its overflow variables
+    arrival slot binaries, each flight's slots listed together in
+    interval order; z_index maps each cell to its overflow variables
     keyed (t, c) and, for dr, alpha_index each cell to its multiplier.
     """
 
@@ -284,63 +292,129 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel):
       lies before succ's schedule the row holds by itself; past succ's
       last slot it reads y[pred, t] <= 0.
 
+    Both sides of a flight have m = total - sched_arr slots. Flight by
+    flight, its variables are u (m), x (m - 1), v (m) and y (m - 1), and
+    its rows u's sum, x's chain, v's sum, y's chain and the precedence
+    rows; the connection rows follow, connection by connection. The
+    whole block goes to the model in two appends.
+
     On random network days these rows kept the det relaxation integral
     up to 300 flights, sp's and dr's at 14 flights but not from 60 on;
     LinearModel.minimize takes an integral one without branch and bound.
     """
     total = instance.total_periods()
-    u_index, v_index, waits = {}, {}, {}
-    ground_weight = instance.cost_ground - instance.cost_air
-    for f in instance.flights:
-        chains = []
-        for slots, first, last, weight in (
-            (u_index, f.sched_dep, total - f.flight_time, ground_weight),
-            (v_index, f.sched_arr, total, instance.cost_air),
-        ):
-            chosen = [model.add_variable(kind=BINARY) for _ in range(first, last)]
-            slots.update(((f.id, t), var) for t, var in zip(range(first, last), chosen))
-            model.add_linear_constraint([(var, 1.0) for var in chosen], "=", 1.0)
-            chains.append(_wait_chain(model, chosen, weight))
-        # x and y both have total - sched_arr - 1 entries, and entry k of
-        # y lies one flight time after entry k of x
-        for x, y in zip(*chains):
-            model.add_linear_constraint([(y, 1.0), (x, -1.0)], ">=", 0.0)
-        waits[f.id] = chains
+    flights = instance.flights
+    slots = total - np.array([f.sched_arr for f in flights], dtype=int)
 
-    for c in instance.delay_connections():
-        x = waits[c.successor][0]
-        y = waits[c.predecessor][1]
-        # entry k of the predecessor's y pairs with entry k - slack of
-        # the successor's x
-        for k in range(c.slack, len(y)):
-            if k - c.slack < len(x):
-                model.add_linear_constraint([(x[k - c.slack], 1.0), (y[k], -1.0)], ">=", 0.0)
-            else:
-                model.add_linear_constraint([(y[k], 1.0)], "<=", 0.0)
+    # entry k of a flight's block of 4m - 2 variables
+    run, k = _runs(4 * slots - 2)
+    m = slots[run]
+    is_x = (k >= m) & (k < 2 * m - 1)
+    is_y = k >= 3 * m - 1
+    ground_weight = instance.cost_ground - instance.cost_air
+    first = model.add_variables(
+        np.where(is_x, ground_weight, np.where(is_y, instance.cost_air, 0.0)),
+        ~(is_x | is_y),
+    )
+    u = first + np.cumsum(4 * slots - 2) - (4 * slots - 2)
+    x, v, y = u + slots, u + 2 * slots - 1, u + 3 * slots - 1
+
+    # row offsets within a flight's block of 3m - 1 rows
+    row = np.cumsum(3 * slots - 1) - (3 * slots - 1)
+    run, k = _runs(slots)
+    sums = (
+        np.concatenate([row[run], row[run] + slots[run]]),
+        np.concatenate([u[run] + k, v[run] + k]),
+        np.ones(2 * len(k)),
+    )
+    run, k = _runs(slots - 1)
+    precedence_rows = row[run] + 2 * slots[run] + k
+    precedence = (
+        np.concatenate([precedence_rows, precedence_rows]),
+        np.concatenate([y[run] + k, x[run] + k]),
+        np.repeat([1.0, -1.0], len(k)),
+    )
+    blocks = [
+        sums,
+        _wait_chain(u, x, row + 1, slots),
+        _wait_chain(v, y, row + slots + 1, slots),
+        precedence,
+    ]
+    lower = np.zeros(int(np.sum(3 * slots - 1)))
+    lower[np.concatenate([row, row + slots])] = 1.0
+    upper = lower.copy()
+    upper[precedence_rows] = np.inf
+    model.add_rows(*(np.concatenate(part) for part in zip(*blocks)), lower, upper)
+
+    # entry j of a connection pairs y[pred] entry slack + j with x[succ]
+    # entry j, or reads y <= 0 once succ's waits have run out
+    position = {f.id: i for i, f in enumerate(flights)}
+    connections = instance.delay_connections()
+    pred = np.array([position[c.predecessor] for c in connections], dtype=int)
+    succ = np.array([position[c.successor] for c in connections], dtype=int)
+    slack = np.array([c.slack for c in connections], dtype=int)
+    run, j = _runs(np.maximum(slots[pred] - 1 - slack, 0))
+    paired = j < (slots[succ] - 1)[run]
+    rows = np.arange(len(j))
+    model.add_rows(
+        np.concatenate([rows, rows[paired]]),
+        np.concatenate([y[pred][run] + slack[run] + j, (x[succ][run] + j)[paired]]),
+        np.concatenate([np.where(paired, -1.0, 1.0), np.ones(int(paired.sum()))]),
+        np.where(paired, 0.0, -np.inf),
+        np.where(paired, np.inf, 0.0),
+    )
+
+    run, k = _runs(slots)
+    ids = [flights[i].id for i in run.tolist()]
+    departures = np.array([f.sched_dep for f in flights], dtype=int)[run] + k
+    arrivals = np.array([f.sched_arr for f in flights], dtype=int)[run] + k
+    u_index = dict(zip(zip(ids, departures.tolist()), (u[run] + k).tolist()))
+    v_index = dict(zip(zip(ids, arrivals.tolist()), (v[run] + k).tolist()))
     return u_index, v_index
 
 
-def _wait_chain(model: LinearModel, chosen: list, weight: float) -> list:
-    """One wait variable per slot but the last, entry k the sum of the
-    slot binaries after slot k, each defined by one chain row; every
-    wait costs weight."""
-    waits = [model.add_variable(objective=weight) for _ in chosen[1:]]
-    for k, wait in enumerate(waits):
-        terms = [(wait, 1.0), (chosen[k + 1], -1.0)]
-        if k + 1 < len(waits):
-            terms.append((waits[k + 1], -1.0))
-        model.add_linear_constraint(terms, "=", 0.0)
-    return waits
+def _wait_chain(slots: np.ndarray, waits: np.ndarray, rows: np.ndarray, counts: np.ndarray):
+    """(rows, columns, values) of the chain rows defining each flight's
+    waits, one run per flight of counts slots: row rows + k reads
+    wait k - slot k + 1 - wait k + 1 = 0, wait k + 1 left out for the
+    last wait. slots, waits and rows give each flight's first slot
+    binary, first wait and first chain row."""
+    run, k = _runs(counts - 1)
+    row = rows[run] + k
+    wait = waits[run] + k
+    more = k + 1 < (counts - 1)[run]
+    return (
+        np.concatenate([row, row, row[more]]),
+        np.concatenate([wait, slots[run] + k + 1, wait[more] + 1]),
+        np.concatenate([np.ones(len(k)), -np.ones(len(k)), -np.ones(int(more.sum()))]),
+    )
 
 
 def _slot_terms(instance: MaghpInstance, u_index: dict, v_index: dict) -> dict:
-    """Per (airport, op_type), the slot binaries landing on each interval
-    of the horizon, in flight order; one pass over the slot maps. Cells
+    """Per (airport, op_type), the slot binaries landing on the horizon's
+    intervals as (binaries, counts): the binaries in interval order and
+    counts[t] of them on interval t; one pass over the slot maps. Cells
     no flight uses read as empty intervals."""
-    cells: dict = defaultdict(lambda: [[] for _ in range(instance.horizon)])
+    cells: dict = defaultdict(lambda: ([], []))
     for key, t, var in _cell_loads(instance, u_index.items(), v_index.items()):
-        cells[key][t].append((var, 1.0))
-    return cells
+        times, binaries = cells[key]
+        times.append(t)
+        binaries.append(var)
+    slots: dict = defaultdict(
+        lambda: (np.zeros(0, dtype=int), np.zeros(instance.horizon, dtype=int))
+    )
+    for key, (times, binaries) in cells.items():
+        order = np.argsort(times, kind="stable")
+        slots[key] = (np.array(binaries)[order], np.bincount(times, minlength=instance.horizon))
+    return slots
+
+
+def _interval_rows(loads: tuple, intervals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of one row per entry of intervals, each carrying
+    every slot binary on its interval: the terms of a capacity row."""
+    binaries, counts = loads
+    run, k = _runs(counts[intervals])
+    return run, binaries[(np.cumsum(counts) - counts)[intervals][run] + k]
 
 
 def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
@@ -357,9 +431,11 @@ def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
             raise ValueError(
                 f"capacity profile for {airport}/{op_type} must cover the horizon"
             )
-        for t, terms in enumerate(slots[airport, op_type]):
-            if terms:
-                model.add_linear_constraint(terms, "<=", float(profile[t]))
+        loads = slots[airport, op_type]
+        intervals = np.flatnonzero(loads[1])
+        rows, cols = _interval_rows(loads, intervals)
+        upper = np.asarray(profile, dtype=float)[intervals]
+        model.add_rows(rows, cols, np.ones(len(cols)), np.full(len(upper), -np.inf), upper)
     return ModelBundle("det", model, instance, u_index, v_index)
 
 
@@ -372,7 +448,7 @@ def _require_trees(instance: MaghpInstance) -> list:
 
 
 def _overflow_block(
-    model: LinearModel, instance: MaghpInstance, cell_slots: list, tree: ScenarioTree
+    model: LinearModel, instance: MaghpInstance, loads: tuple, tree: ScenarioTree
 ) -> dict:
     """Stagewise queue overflow for one capacity cell.
 
@@ -381,26 +457,41 @@ def _overflow_block(
     probability times the recourse unit, and one hard row capping
     interval 0 at its stage's smallest capacity. A z that can never be
     positive (no more candidate flights than c) is left out and reads
-    as zero. Returns the z map keyed (t, c).
+    as zero. The rows come in interval order, the z and their rows in
+    ascending capacity within an interval, in one append each. loads
+    is the cell's entry of _slot_terms. Returns the z map keyed (t, c).
     """
+    counts = loads[1]
     marginals = tree.stage_capacities
-    stages = tree.time_clusters.stage_index
-    unit = instance.recourse_cost
-    z_index = {}
-    for t, terms in enumerate(cell_slots):
-        atoms = marginals[stages[t]]
-        if t == 0:
-            floor = min(atoms)
-            if terms and len(terms) > floor:
-                model.add_linear_constraint(terms, "<=", float(floor))
-            continue
-        for capacity, prob in atoms.items():
-            if len(terms) <= capacity:
-                continue
-            z = model.add_variable(objective=prob * unit)
-            z_index[t, capacity] = z
-            model.add_linear_constraint(terms + [(z, -1.0)], "<=", float(capacity))
-    return z_index
+    stages = np.array(tree.time_clusters.stage_index, dtype=int)
+    sizes = np.array([len(atoms) for atoms in marginals], dtype=int)
+    capacities = np.array([c for atoms in marginals for c in atoms], dtype=int)
+    probabilities = np.array([p for atoms in marginals for p in atoms.values()])
+
+    # every (t, c) with t > 0, then the ones some flight can overflow
+    run, k = _runs(sizes[stages[1:]])
+    atom = (np.cumsum(sizes) - sizes)[stages[1:]][run] + k
+    t = 1 + run
+    kept = counts[t] > capacities[atom]
+    t, atom = t[kept], atom[kept]
+    first = model.add_variables(probabilities[atom] * instance.recourse_cost)
+    z = first + np.arange(len(t))
+
+    floor = min(marginals[stages[0]])
+    intervals, upper = t, capacities[atom]
+    if counts[0] > 0 and counts[0] > floor:
+        intervals = np.concatenate([[0], t])
+        upper = np.concatenate([[floor], upper])
+    rows, cols = _interval_rows(loads, intervals)
+    shift = len(intervals) - len(t)
+    model.add_rows(
+        np.concatenate([rows, np.arange(len(t)) + shift]),
+        np.concatenate([cols, z]),
+        np.concatenate([np.ones(len(cols)), -np.ones(len(t))]),
+        np.full(len(upper), -np.inf),
+        upper.astype(float),
+    )
+    return dict(zip(zip(t.tolist(), capacities[atom].tolist()), z.tolist()))
 
 
 def build_sp(instance: MaghpInstance) -> ModelBundle:
@@ -429,9 +520,13 @@ def _diameter(marginals) -> float:
 
 def _radius(epsilon) -> float:
     """epsilon as a Wasserstein radius, a finite non-negative number."""
-    if isinstance(epsilon, bool) or not (isinstance(epsilon, Real) and 0 <= epsilon < math.inf):
+    try:
+        radius = as_real(epsilon)
+    except ValueError:
+        radius = math.nan
+    if not 0 <= radius < math.inf:
         raise ValueError(f"radius must be a finite non-negative number, got {epsilon!r}")
-    return float(epsilon)
+    return radius
 
 
 def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
@@ -444,7 +539,9 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     and, per capacity a of stage s above the stage's smallest lo_s, a
     premium pi[s, a] >= 0 (weight P_s(a), its stage probability) and one
     row pi[s, a] + alpha * (a - lo_s) / D >= unit * sum (z[t, lo_s] -
-    z[t, a]) over t > 0 in stage s (a missing z reads 0).
+    z[t, a]) over t > 0 in stage s (a missing z reads 0). A cell's
+    multiplier and premiums go to the model in one append, its rows in
+    another.
 
     That is the scenario-pair dual, beta_i >= Q_j - alpha * d(i, j) for
     all i, j, exactly. With G_s(b) = unit * sum z[t, b], Q_j =
@@ -466,16 +563,37 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         tree = instance.trees[key]
         marginals = tree.stage_capacities
         diameter = _diameter(marginals)
-        alpha = alphas[key] = model.add_variable(objective=radius)
+        # the block's variables are alpha, then one premium per row
+        alpha = alphas[key] = model.num_variables
+        weights, rows, cols, vals = [radius], [], [], []
         for segment, atoms in zip(tree.time_clusters.segments, marginals):
             lo, *above = atoms
             for a in above:
-                premium = model.add_variable(objective=atoms[a])
-                terms = [(premium, 1.0), (alpha, (a - lo) / diameter)]
+                row = len(weights) - 1
+                weights.append(atoms[a])
+                terms = [(alpha + row + 1, 1.0), (alpha, (a - lo) / diameter)]
                 terms += [(z[t, lo], -unit) for t in segment if (t, lo) in z]
                 terms += [(z[t, a], unit) for t in segment if (t, a) in z]
-                model.add_linear_constraint(terms, ">=", 0.0)
+                rows += [row] * len(terms)
+                cols += [col for col, _ in terms]
+                vals += [val for _, val in terms]
+        model.add_variables(weights)
+        count = len(weights) - 1
+        model.add_rows(rows, cols, vals, np.zeros(count), np.full(count, np.inf))
     return replace(bundle, kind="dr", alpha_index=alphas, epsilon=radius)
+
+
+def _chosen_slots(index: dict, values: np.ndarray) -> dict:
+    """Per flight id, the interval whose slot binary is largest, the
+    first of a tie, as max() over the slots would pick. index lists each
+    flight's slots together, in interval order (ModelBundle)."""
+    ids, times = zip(*index)
+    chosen = values[np.fromiter(index.values(), dtype=int, count=len(times))]
+    starts = [k for k in range(len(ids)) if k == 0 or ids[k] != ids[k - 1]]
+    return {
+        ids[a]: times[a + int(np.argmax(chosen[a:b]))]
+        for a, b in zip(starts, starts[1:] + [len(ids)])
+    }
 
 
 def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
@@ -503,26 +621,24 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
 
     values = solution.values
     instance = bundle.instance
-    slots = ({}, {})
-    for index, chosen in zip((bundle.u_index, bundle.v_index), slots):
-        for (fid, t), var in index.items():
-            # first slot with the largest value, as max() over the slots would pick
-            if fid not in chosen or values[var] > values[index[fid, chosen[fid]]]:
-                chosen[fid] = t
-    policy = GroundDelayPolicy(*slots)
+    policy = GroundDelayPolicy(
+        _chosen_slots(bundle.u_index, values), _chosen_slots(bundle.v_index, values)
+    )
 
     duals = {}
-    if bundle.kind == "dr":
-        alphas = {key: float(values[var]) for key, var in bundle.alpha_index.items()}
-        duals["alpha"] = alphas
-        duals["gamma"] = {
-            key: [[[a, float(g)] for a, g in zip(atoms, gamma)] for atoms, gamma in stages]
-            for key, stages in _stage_gammas(instance, policy, alphas).items()
-        }
-
     recomputed = first_stage_cost(instance, policy)
     if bundle.kind != "det":
-        recomputed += math.fsum(_stage_recourse(instance, policy, duals.get("alpha")).values())
+        alphas = None
+        if bundle.kind == "dr":
+            alphas = {key: float(values[var]) for key, var in bundle.alpha_index.items()}
+            duals["alpha"] = alphas
+        gammas = _stage_gammas(instance, policy, alphas)
+        if alphas is not None:
+            duals["gamma"] = {
+                key: [[[a, float(g)] for a, g in zip(atoms, gamma)] for atoms, gamma in stages]
+                for key, stages in gammas.items()
+            }
+        recomputed += math.fsum(_stage_recourse(gammas).values())
     if bundle.kind == "dr":
         recomputed += bundle.epsilon * math.fsum(duals["alpha"].values())
     gap = abs(recomputed - solution.objective) / max(1.0, abs(solution.objective))
@@ -568,7 +684,7 @@ def first_stage_cost(instance: MaghpInstance, policy: GroundDelayPolicy) -> floa
 def assigned_counts(instance: MaghpInstance, policy: GroundDelayPolicy) -> dict:
     """Per (airport, op_type), the flights the policy puts on each
     interval of the horizon, in one pass over the flights; the same
-    shape _slot_terms has. Cells no flight loads read as zeros."""
+    cells _slot_terms has. Cells no flight loads read as zeros."""
     counts: dict = defaultdict(lambda: np.zeros(instance.horizon))
     departures = (((f.id, policy.u_slot[f.id]), None) for f in instance.flights)
     arrivals = (((f.id, policy.v_slot[f.id]), None) for f in instance.flights)
@@ -577,18 +693,42 @@ def assigned_counts(instance: MaghpInstance, policy: GroundDelayPolicy) -> dict:
     return counts
 
 
+def _stage_overflow(
+    counts: np.ndarray, clusters: TimeClustering, capacities: np.ndarray, stages
+) -> np.ndarray:
+    """G_s(c) = sum over t in segment s of max(counts[t] - c, 0) at each
+    whole capacity c of capacities, s its entry of stages (broadcast
+    against capacities): the recourse of a frozen policy in one stage,
+    before the unit cost. The evaluator, solve()'s check and the worst
+    case all price it here.
+
+    Each G_s is tabulated once, over every capacity from 0 to the
+    largest count, above which it is 0, and read at the capacities
+    asked. The counts are whole, so every value is an exact integer, in
+    whatever order its terms are summed. A negative capacity raises
+    ValueError."""
+    if capacities.min(initial=0) < 0:
+        raise ValueError("capacities must be whole numbers of at least 0")
+    top = int(counts.max(initial=0))
+    excess = np.maximum(counts[:, None] - np.arange(top + 1), 0.0)
+    member = np.equal.outer(np.arange(clusters.num_stages), clusters.stage_index)
+    table = (member[:, :, None] * excess).sum(axis=1)
+    return table.ravel()[np.minimum(capacities, top) + np.multiply(stages, top + 1)]
+
+
 def overflow(instance: MaghpInstance, policy: GroundDelayPolicy, capacities: dict) -> dict:
     """Queue overflow of a frozen policy under given capacities, the
     recourse the evaluator prices. capacities maps a cell to rows of
-    stage capacities (samples drawn per stage, say); per cell, one value per
-    row: max(assigned_t - capacity_t, 0) summed over the horizon, which
-    instance.recourse_cost turns into the recourse cost."""
+    whole stage capacities (samples drawn per stage, say); per cell, one
+    value per row: max(assigned_t - capacity_t, 0) summed over the
+    horizon, which instance.recourse_cost turns into the recourse cost."""
     counts = assigned_counts(instance, policy)
     excess = {}
     for key, rows in capacities.items():
-        stages = list(instance.trees[key].time_clusters.stage_index)
-        profiles = np.asarray(rows)[:, stages]
-        excess[key] = np.maximum(counts[key] - profiles, 0.0).sum(axis=1)
+        clusters = instance.trees[key].time_clusters
+        stages = np.arange(clusters.num_stages)[:, None]
+        by_stage = _stage_overflow(counts[key], clusters, np.asarray(rows).T, stages)
+        excess[key] = by_stage.sum(axis=0)
     return excess
 
 
@@ -606,24 +746,25 @@ def _stage_gammas(instance: MaghpInstance, policy: GroundDelayPolicy, alphas=Non
         tree = instance.trees[key]
         marginals = tree.stage_capacities
         diameter = _diameter(marginals) or 1.0  # D = 0 leaves every distance 0
-        stages = gammas[key] = []
-        for segment, atoms in zip(tree.time_clusters.segments, marginals):
-            capacities = np.fromiter(atoms, dtype=float)
-            recourse = unit * np.maximum(
-                counts[key][list(segment)] - capacities[:, None], 0.0
-            ).sum(axis=1)
+        sizes = [len(atoms) for atoms in marginals]
+        capacities = np.array([c for atoms in marginals for c in atoms], dtype=int)
+        stages = np.repeat(np.arange(len(sizes)), sizes)
+        excess = _stage_overflow(counts[key], tree.time_clusters, capacities, stages)
+        gammas[key] = []
+        for atoms, recourse in zip(marginals, np.split(unit * excess, np.cumsum(sizes)[:-1])):
             if alphas is not None:
-                rise = alphas[key] * (capacities - capacities[0]) / diameter
+                capacity = np.fromiter(atoms, dtype=float, count=len(atoms))
+                rise = alphas[key] * (capacity - capacity[0]) / diameter
                 recourse = np.maximum(recourse, recourse[0] - rise)
-            stages.append((atoms, recourse))
+            gammas[key].append((atoms, recourse))
     return gammas
 
 
-def _stage_recourse(instance: MaghpInstance, policy: GroundDelayPolicy, alphas=None) -> dict:
-    """Per constrained cell, sum_s sum_a P_s(a) times _stage_gammas: the
-    expected recourse or, given alphas, the robust recourse less epsilon
-    * alpha, equal to their forms over every scenario or scenario pair."""
-    gammas = _stage_gammas(instance, policy, alphas)
+def _stage_recourse(gammas: dict) -> dict:
+    """Per cell, sum_s sum_a P_s(a) times the values of _stage_gammas:
+    the expected recourse or, given alphas there, the robust recourse
+    less epsilon * alpha, equal to their forms over every scenario or
+    scenario pair."""
     return {
         key: sum(float(np.dot(list(atoms.values()), values)) for atoms, values in stages)
         for key, stages in gammas.items()

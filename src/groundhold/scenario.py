@@ -366,8 +366,8 @@ def tree_to_dict(tree: ScenarioTree) -> dict:
 
 def tree_from_dict(body: dict) -> ScenarioTree:
     clustering = TimeClustering(
-        tuple(body["boundaries"]),
-        tuple(tuple(seg) for seg in body["segments"]),
+        tuple(map(as_whole, body["boundaries"])),
+        tuple(tuple(map(as_whole, seg)) for seg in body["segments"]),
         tuple(pmf_from_dict(rep) for rep in body["representatives"]),
     )
     return ScenarioTree(

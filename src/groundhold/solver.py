@@ -1,16 +1,21 @@
 """Thin incremental model layer over scipy's HiGHS bindings.
 
 Every optimization problem in the package (the ground holding MILPs and
-the robust deterministic equivalent) is built against the same three
-calls: add_variable, add_linear_constraint and minimize. Every variable
-is at least 0, and a binary at most 1. add_linear_constraint appends one
-row's terms as (row, column, value) triplets unchecked. A model is built
-for one problem and solved once: each minimize call builds one sparse
-matrix from the triplets, which refuses a variable index out of range
-with ValueError, and hands the model to scipy.optimize.milp, first
-without integrality. A relaxation that comes out integral is the MILP's
-optimum and ends the solve; only a fractional one goes on to branch and
-bound.
+the robust deterministic equivalent) is built against the same calls:
+add_variables and add_rows append whole blocks, add_variable and
+add_linear_constraint one variable or row through them, and minimize
+solves. Every variable is at least 0, and a binary at most 1. A block
+of variables is one array of objective weights and one of binary flags,
+numbered in order from the model's next index. A block of rows is three
+index arrays of (row within the block, column, value) triplets plus one
+lower and one upper bound per row, numbered in order from the model's
+next row; the columns are not checked when they are added. A model is
+built for one problem and solved once: each minimize call joins the
+blocks into one sparse matrix, which refuses a variable index out of
+range with ValueError, and hands the model to scipy.optimize.milp,
+first without integrality. A relaxation that comes out integral is the
+MILP's optimum and ends the solve; only a fractional one goes on to
+branch and bound.
 
 scipy loads on the first solve, not on import, so the forecasting half
 of the package (capacity, prediction, pmf, scenario) never pays for the
@@ -20,7 +25,7 @@ optimizer stack.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,39 +65,57 @@ class Solution:
         return self.status == "optimal"
 
 
-@dataclass
 class LinearModel:
-    """A minimization MILP assembled one variable / constraint at a time."""
+    """A minimization MILP assembled in blocks of variables and rows.
 
-    _objective: list[float] = field(default_factory=list)
-    _integrality: list[int] = field(default_factory=list)
-    # constraint matrix as COO triplets, one entry per term
-    _row_ids: list[int] = field(default_factory=list)
-    _cols: list[int] = field(default_factory=list)
-    _vals: list[float] = field(default_factory=list)
-    _row_lb: list[float] = field(default_factory=list)
-    _row_ub: list[float] = field(default_factory=list)
+    Each block is kept as the arrays it was added with and joined once
+    per minimize call."""
 
-    @property
-    def num_variables(self) -> int:
-        return len(self._objective)
+    def __init__(self):
+        self._objective = [np.zeros(0)]
+        self._integrality = [np.zeros(0, dtype=int)]
+        # constraint matrix as COO triplets, one entry per term
+        self._row_ids = [np.zeros(0, dtype=int)]
+        self._cols = [np.zeros(0, dtype=int)]
+        self._vals = [np.zeros(0)]
+        self._row_lb = [np.zeros(0)]
+        self._row_ub = [np.zeros(0)]
+        self.num_variables = 0
+        self.num_constraints = 0
+        self.num_nonzeros = 0
 
-    @property
-    def num_constraints(self) -> int:
-        return len(self._row_lb)
+    def add_variables(self, objective, binary=False) -> int:
+        """Append one variable per objective weight and return the index
+        of the first; binary, one flag for the block or one per
+        variable, marks the binaries, which range over {0, 1}, and the
+        rest range over [0, inf)."""
+        objective = np.asarray(objective, dtype=float)
+        first = self.num_variables
+        self._objective.append(objective)
+        self._integrality.append(np.broadcast_to(np.asarray(binary, dtype=int), objective.shape))
+        self.num_variables += len(objective)
+        return first
 
-    @property
-    def num_nonzeros(self) -> int:
-        return len(self._vals)
+    def add_rows(self, rows, cols, vals, lower, upper) -> None:
+        """Append one row per entry of lower and upper. Term k adds
+        vals[k] times variable cols[k] to row rows[k] of the block,
+        counted from 0; row i reads lower[i] <= sum <= upper[i]. The
+        columns are checked at minimize."""
+        lower = np.asarray(lower, dtype=float)
+        self._row_ids.append(np.asarray(rows, dtype=int) + self.num_constraints)
+        self._cols.append(np.asarray(cols, dtype=int))
+        self._vals.append(np.asarray(vals, dtype=float))
+        self._row_lb.append(lower)
+        self._row_ub.append(np.asarray(upper, dtype=float))
+        self.num_constraints += len(lower)
+        self.num_nonzeros += len(self._vals[-1])
 
     def add_variable(self, kind: str = CONTINUOUS, objective: float = 0.0) -> int:
         """Append a variable and return its index: a binary ranges over
         {0, 1}, a continuous variable over [0, inf)."""
         if kind not in (BINARY, CONTINUOUS):
             raise ValueError(f"unknown variable kind {kind!r}")
-        self._objective.append(float(objective))
-        self._integrality.append(int(kind == BINARY))
-        return len(self._objective) - 1
+        return self.add_variables([objective], kind == BINARY)
 
     def add_linear_constraint(
         self,
@@ -105,13 +128,14 @@ class LinearModel:
         if sense not in _SENSES:
             raise ValueError(f"unknown constraint sense {sense!r}")
         rhs = float(rhs)
-        self._row_ids.extend([self.num_constraints] * len(terms))
-        cols, vals = self._cols, self._vals
-        for i, c in terms:
-            cols.append(i)
-            vals.append(c)
-        self._row_lb.append(rhs if sense in ("=", ">=") else -np.inf)
-        self._row_ub.append(rhs if sense in ("=", "<=") else np.inf)
+        cols, vals = zip(*terms) if terms else ((), ())
+        self.add_rows(
+            [0] * len(cols),
+            cols,
+            vals,
+            [rhs if sense in ("=", ">=") else -np.inf],
+            [rhs if sense in ("=", "<=") else np.inf],
+        )
 
     def minimize(self, time_limit: float | None = None) -> Solution:
         """Solve and return a Solution. Never raises for infeasibility.
@@ -126,30 +150,34 @@ class LinearModel:
         time_limit.
         """
         n = self.num_variables
-        if n == 0 and not self._cols:
+        if n == 0 and self.num_nonzeros == 0:
             return Solution("optimal", 0.0, np.zeros(0))
 
         from scipy import sparse
         from scipy.optimize import Bounds, LinearConstraint
 
         start = time.perf_counter()
-        c = np.asarray(self._objective)
-        integrality = np.asarray(self._integrality)
+        c = np.concatenate(self._objective)
+        integrality = np.concatenate(self._integrality)
         bounds = Bounds(np.zeros(n), np.where(integrality, 1.0, np.inf))
 
         constraints = []
-        if self._row_lb:
+        if self.num_constraints:
             # refuses a negative or out-of-range index with ValueError
             a = sparse.csr_matrix(
-                (self._vals, (self._row_ids, self._cols)),
+                (
+                    np.concatenate(self._vals),
+                    (np.concatenate(self._row_ids), np.concatenate(self._cols)),
+                ),
                 shape=(self.num_constraints, n),
                 dtype=float,
             )
             constraints.append(
-                LinearConstraint(a, np.asarray(self._row_lb), np.asarray(self._row_ub))
+                LinearConstraint(a, np.concatenate(self._row_lb), np.concatenate(self._row_ub))
             )
 
-        options: dict = {"mip_rel_gap": MIP_REL_GAP}
+        # the relaxation has no integer variables, so it gets no MIP gap
+        options: dict = {}
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
 
@@ -165,6 +193,7 @@ class LinearModel:
                 objective = float(relaxed.fun)
                 return Solution("optimal", objective, values, 0.0, objective, 0)
 
+        options["mip_rel_gap"] = MIP_REL_GAP
         if time_limit is not None:
             options["time_limit"] = max(time_limit - (time.perf_counter() - start), 0.0)
         return _solution(

@@ -45,6 +45,16 @@ interval, the form these scenario-by-scenario oracles price.
 fixpoint_total_periods is the overflow horizon as first written, every
 connection relaxed until nothing changes, which the library's single
 ordered pass must reproduce.
+choice_capacities is the out-of-sample draw as first written, one
+Generator.choice call per stage, whose samples the library's CDF
+lookups must reproduce draw for draw. broadcast_overflow is a frozen
+policy's queue overflow as first written, every interval's excess over
+its stage's capacity summed per sample; the library's per-stage tables
+must reproduce it to the bit, and the oracles here that price a policy
+scenario by scenario use it. rowwise_det, rowwise_sp and rowwise_dr are
+the builders as first written, one add_variable or
+add_linear_constraint call per variable or row; the library's block
+appends must hand HiGHS the same arrays.
 """
 
 from __future__ import annotations
@@ -59,13 +69,14 @@ from groundhold.maghp import (
     ModelBundle,
     MaghpInstance,
     _build_first_stage,
+    _cell_loads,
     _diameter,
     _radius,
     _require_trees,
     assigned_counts,
     first_stage_cost,
-    overflow,
 )
+from groundhold.evaluation import shifted_representatives
 from groundhold.pmf import Pmf
 from groundhold.prediction import _softmax, predict_pmf
 from groundhold.solver import BINARY, LinearModel
@@ -276,7 +287,8 @@ def inner_worst_case(policy, instance: MaghpInstance, tree, epsilon: float) -> f
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     key = (tree.airport, tree.op_type)
-    q_cost = overflow(instance, policy, {key: tree.vectors})[key] * instance.recourse_cost
+    excess = broadcast_overflow(instance, policy, {key: tree.vectors})[key]
+    q_cost = excess * instance.recourse_cost
     distances = scenario_distance_matrix(tree)
     n = tree.num_scenarios
     model = LinearModel()
@@ -449,7 +461,7 @@ def scanned_support_worst_case(policy, instance: MaghpInstance) -> float:
     """First-stage cost plus, per tree, the largest recourse over all of
     its scenarios."""
     trees = dict(sorted(instance.trees.items()))
-    excess = overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
+    excess = broadcast_overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
     return first_stage_cost(instance, policy) + instance.recourse_cost * math.fsum(
         float(excess[key].max()) for key in trees
     )
@@ -474,7 +486,7 @@ def expected_recourse_cost(policy, instance: MaghpInstance) -> float:
     """Probability-weighted recourse over every tree's scenarios: each
     scenario's overflow at its probability."""
     trees = dict(sorted(instance.trees.items()))
-    excess = overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
+    excess = broadcast_overflow(instance, policy, {key: t.vectors for key, t in trees.items()})
     return instance.recourse_cost * math.fsum(
         float(np.dot(tree.probabilities, excess[key])) for key, tree in trees.items()
     )
@@ -485,6 +497,141 @@ def pair_regret(policy, instance: MaghpInstance, key, alpha: float) -> float:
     alpha, over every scenario pair: sum_i p_i max_j (Q_j - alpha *
     dist(i, j)), Q_j the recourse of scenario j."""
     tree = instance.trees[key]
-    excess = overflow(instance, policy, {key: tree.vectors})[key]
+    excess = broadcast_overflow(instance, policy, {key: tree.vectors})[key]
     regret = instance.recourse_cost * excess - alpha * scenario_distance_matrix(tree)
     return float(np.dot(tree.probabilities, regret.max(axis=1)))
+
+
+def choice_capacities(trees: dict, spec) -> dict:
+    """Per-stage capacity samples drawn by Generator.choice, one call per
+    stage, from the same generator as evaluation.resample_capacities."""
+    samples = {}
+    for idx, key in enumerate(sorted(trees)):
+        rng = np.random.default_rng([spec.seed, int(round(spec.reduction * 1e9)), idx])
+        columns = [
+            rng.choice(pmf.support_array, size=spec.sample_count, p=pmf.weights_array)
+            for pmf in shifted_representatives(trees[key], spec)
+        ]
+        samples[key] = np.column_stack(columns).astype(int)
+    return samples
+
+
+def broadcast_overflow(instance: MaghpInstance, policy, capacities: dict) -> dict:
+    """Per cell, one value per row of stage capacities: max(assigned_t -
+    capacity_t, 0) summed over the horizon, each row expanded to one
+    capacity per interval."""
+    counts = assigned_counts(instance, policy)
+    excess = {}
+    for key, rows in capacities.items():
+        stages = list(instance.trees[key].time_clusters.stage_index)
+        profiles = np.asarray(rows)[:, stages]
+        excess[key] = np.maximum(counts[key] - profiles, 0.0).sum(axis=1)
+    return excess
+
+
+def _rowwise_first_stage(instance: MaghpInstance, model: LinearModel):
+    """maghp._build_first_stage one variable and one row at a time."""
+    total = instance.total_periods()
+    u_index, v_index, waits = {}, {}, {}
+    ground_weight = instance.cost_ground - instance.cost_air
+    for f in instance.flights:
+        chains = []
+        for slots, first, last, weight in (
+            (u_index, f.sched_dep, total - f.flight_time, ground_weight),
+            (v_index, f.sched_arr, total, instance.cost_air),
+        ):
+            chosen = [model.add_variable(kind=BINARY) for _ in range(first, last)]
+            slots.update(((f.id, t), var) for t, var in zip(range(first, last), chosen))
+            model.add_linear_constraint([(var, 1.0) for var in chosen], "=", 1.0)
+            chain = [model.add_variable(objective=weight) for _ in chosen[1:]]
+            for k, wait in enumerate(chain):
+                terms = [(wait, 1.0), (chosen[k + 1], -1.0)]
+                if k + 1 < len(chain):
+                    terms.append((chain[k + 1], -1.0))
+                model.add_linear_constraint(terms, "=", 0.0)
+            chains.append(chain)
+        for x, y in zip(*chains):
+            model.add_linear_constraint([(y, 1.0), (x, -1.0)], ">=", 0.0)
+        waits[f.id] = chains
+
+    for c in instance.delay_connections():
+        x = waits[c.successor][0]
+        y = waits[c.predecessor][1]
+        for k in range(c.slack, len(y)):
+            if k - c.slack < len(x):
+                model.add_linear_constraint([(x[k - c.slack], 1.0), (y[k], -1.0)], ">=", 0.0)
+            else:
+                model.add_linear_constraint([(y[k], 1.0)], "<=", 0.0)
+    return u_index, v_index
+
+
+def _rowwise_slot_terms(instance: MaghpInstance, u_index: dict, v_index: dict) -> dict:
+    cells: dict = {}
+    for key, t, var in _cell_loads(instance, u_index.items(), v_index.items()):
+        cells.setdefault(key, [[] for _ in range(instance.horizon)])[t].append((var, 1.0))
+    return cells
+
+
+def rowwise_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
+    """maghp.build_det one variable and one row at a time."""
+    model = LinearModel()
+    u_index, v_index = _rowwise_first_stage(instance, model)
+    slots = _rowwise_slot_terms(instance, u_index, v_index)
+    empty = [[] for _ in range(instance.horizon)]
+    for key, profile in sorted(fixed_capacities.items()):
+        for t, terms in enumerate(slots.get(key, empty)):
+            if terms:
+                model.add_linear_constraint(terms, "<=", float(profile[t]))
+    return ModelBundle("det", model, instance, u_index, v_index)
+
+
+def rowwise_sp(instance: MaghpInstance) -> ModelBundle:
+    """maghp.build_sp one variable and one row at a time."""
+    keys = _require_trees(instance)
+    model = LinearModel()
+    u_index, v_index = _rowwise_first_stage(instance, model)
+    slots = _rowwise_slot_terms(instance, u_index, v_index)
+    unit = instance.recourse_cost
+    z_index = {}
+    for key in keys:
+        tree = instance.trees[key]
+        marginals = tree.stage_capacities
+        stages = tree.time_clusters.stage_index
+        z = z_index[key] = {}
+        for t, terms in enumerate(slots.get(key, [[] for _ in range(instance.horizon)])):
+            atoms = marginals[stages[t]]
+            if t == 0:
+                floor = min(atoms)
+                if terms and len(terms) > floor:
+                    model.add_linear_constraint(terms, "<=", float(floor))
+                continue
+            for capacity, prob in atoms.items():
+                if len(terms) <= capacity:
+                    continue
+                var = z[t, capacity] = model.add_variable(objective=prob * unit)
+                model.add_linear_constraint(terms + [(var, -1.0)], "<=", float(capacity))
+    return ModelBundle("sp", model, instance, u_index, v_index, z_index)
+
+
+def rowwise_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
+    """maghp.build_dr one variable and one row at a time."""
+    radius = _radius(epsilon)
+    bundle = rowwise_sp(instance)
+    model, unit = bundle.model, instance.recourse_cost
+    alphas = {}
+    for key, z in bundle.z_index.items():
+        tree = instance.trees[key]
+        marginals = tree.stage_capacities
+        diameter = _diameter(marginals)
+        alpha = alphas[key] = model.add_variable(objective=radius)
+        for segment, atoms in zip(tree.time_clusters.segments, marginals):
+            lo, *above = atoms
+            for a in above:
+                premium = model.add_variable(objective=atoms[a])
+                terms = [(premium, 1.0), (alpha, (a - lo) / diameter)]
+                terms += [(z[t, lo], -unit) for t in segment if (t, lo) in z]
+                terms += [(z[t, a], unit) for t in segment if (t, a) in z]
+                model.add_linear_constraint(terms, ">=", 0.0)
+    return ModelBundle(
+        "dr", model, instance, bundle.u_index, bundle.v_index, bundle.z_index, alphas, radius
+    )

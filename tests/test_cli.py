@@ -603,6 +603,25 @@ def test_missing_input_file_exits_1(tmp_path):
     assert main(["solve", "--config", config]) == 1
 
 
+def test_tree_segment_entries_read_as_whole_numbers(tmp_path):
+    """A segment entry written 1.0 is interval 1: the tree loads and
+    solves as the one that writes 1."""
+    save_instance(tmp_path / "instance.json", stress_instance())
+    body = json.loads((tmp_path / "instance.json").read_text())
+    assert body["trees"][0]["segments"][0][1] == 1
+    body["trees"][0]["segments"][0][1] = 1.0
+    (tmp_path / "float.json").write_text(json.dumps(body))
+    for name in ("instance", "float"):
+        section = {
+            "instance": str(tmp_path / f"{name}.json"),
+            "model": "sp",
+            "out": str(tmp_path / f"{name}-out.json"),
+        }
+        assert main(["solve", "--config", write_config(tmp_path, {"solve": section})]) == 0
+    solved = (tmp_path / "float-out.json").read_bytes()
+    assert solved == (tmp_path / "instance-out.json").read_bytes()
+
+
 def test_tree_off_its_product_support_exits_1(tmp_path, capsys):
     """An instance file whose tree lists its scenario vectors in another
     order than the product of its stage supports is rejected, naming the
@@ -999,6 +1018,20 @@ MALFORMED = {
         )
         for field, value in REAL_NUMBER_FIELDS
     },
+    "tree segment entry not a whole number": (
+        "solve",
+        {"instance": "segment-1.5.json"},
+        1,
+        "instance file segment-1.5.json is malformed: expected a whole number "
+        "of at least 0, got 1.5",
+    ),
+    "tree boundary given as a boolean": (
+        "solve",
+        {"instance": "boundary-true.json"},
+        1,
+        "instance file boundary-true.json is malformed: expected a whole number "
+        "of at least 0, got True",
+    ),
     "tree with more stages than time segments": (
         "solve",
         {"instance": "extra-stage.json"},
@@ -1374,6 +1407,12 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     for vector, _ in fractional[1]["scenarios"]:
         vector[0] = 0.6 if vector[0] == 0 else vector[0]
     Path("fractional-tree.json").write_text(json.dumps({**stress, "trees": fractional}))
+    segment = json.loads(json.dumps(stress))
+    segment["trees"][0]["segments"][0][1] = 1.5
+    Path("segment-1.5.json").write_text(json.dumps(segment))
+    boundary = json.loads(json.dumps(stress))
+    boundary["trees"][0]["boundaries"][0] = True
+    Path("boundary-true.json").write_text(json.dumps(boundary))
     schedule = {
         f.id: {"u_slot": f.sched_dep, "v_slot": f.sched_arr} for f in stress_instance().flights
     }

@@ -64,11 +64,12 @@ def test_solve_rejects_pruning_that_drops_needed_rows():
     gamma[s, a] >= G_s(a), understates the worst case and fails the
     objective check."""
     bundle = build_dr(stress_instance(), 0.1)
-    alphas = set(bundle.alpha_index.values())
+    alphas = list(bundle.alpha_index.values())
     model = bundle.model
-    for row, col in zip(model._row_ids, model._cols):
-        if col in alphas:
-            model._row_lb[row] = -np.inf
+    rows, cols = np.concatenate(model._row_ids), np.concatenate(model._cols)
+    lower = np.concatenate(model._row_lb)
+    lower[rows[np.isin(cols, alphas)]] = -np.inf
+    model._row_lb = [lower]
     with pytest.raises(SolverError):
         solve(bundle)
 

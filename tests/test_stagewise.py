@@ -22,6 +22,7 @@ from test_model_size import _product_tree
 from fixtures import network_day, random_instance, stress_instance
 from groundhold.errors import SolverError
 from groundhold.maghp import (
+    _stage_gammas,
     _stage_recourse,
     assigned_counts,
     best_capacity_profiles,
@@ -164,11 +165,12 @@ def test_stage_recourse_matches_scenario_and_pair_oracles(case):
         policies.append(extract_policy(dr))
         alphas.extend(dr.duals["alpha"].values())
     for policy in policies:
-        expected = _stage_recourse(instance, policy)
+        expected = _stage_recourse(_stage_gammas(instance, policy))
         total = math.fsum(expected.values())
         assert _gap(total, expected_recourse_cost(policy, instance)) <= 1e-12
         for alpha in alphas:
-            worst = _stage_recourse(instance, policy, dict.fromkeys(expected, alpha))
+            gammas = _stage_gammas(instance, policy, dict.fromkeys(expected, alpha))
+            worst = _stage_recourse(gammas)
             for key, value in worst.items():
                 pairs = pair_regret(policy, instance, key, alpha)
                 assert _gap(value, pairs) <= 1e-12, f"cell {key}, alpha {alpha}"
@@ -181,9 +183,9 @@ def test_solve_rejects_mispriced_overflow():
     instance = stress_instance()
     bundle = build_sp(instance)
     first_stage = build_det(instance, {}).model.num_variables
-    objective = bundle.model._objective
-    for var in range(first_stage, len(objective)):
-        objective[var] *= 0.5
+    objective = np.concatenate(bundle.model._objective)
+    objective[first_stage:] *= 0.5
+    bundle.model._objective = [objective]
     with pytest.raises(SolverError):
         solve(bundle)
 
