@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 
 import numpy as np
@@ -40,7 +40,17 @@ RECORD_COLUMNS = ("airport", "op_type", "scheduled_time", "actual_time")
 DELAYED_FLIGHT_MINUTES = 5.0
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls) -> tuple:
+    """The __set__ of each of cls's field slots, in field order.
+
+    The record types fill their slots through these: the __init__ that
+    dataclass generates for a frozen class calls object.__setattr__ once
+    per field, which nearly doubles the cost of building a record.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class OperationRecord:
     """One arrival or departure: where, when planned, when flown."""
 
@@ -49,16 +59,23 @@ class OperationRecord:
     scheduled_minute: float
     actual_minute: float
 
-    def __post_init__(self):
-        if self.op_type not in OP_TYPES:
+    def __init__(
+        self, airport: str, op_type: str, scheduled_minute: float, actual_minute: float
+    ):
+        if op_type not in OP_TYPES:
             raise ValueError(f"op_type must be one of {OP_TYPES}")
+        set_airport, set_op_type, set_scheduled, set_actual = _RECORD_SETTERS
+        set_airport(self, airport)
+        set_op_type(self, op_type)
+        set_scheduled(self, scheduled_minute)
+        set_actual(self, actual_minute)
 
     @property
     def delay_minutes(self) -> float:
         return self.actual_minute - self.scheduled_minute
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntervalStats:
     """Aggregates for one (airport, op_type, interval) cell."""
 
@@ -70,8 +87,30 @@ class IntervalStats:
     avg_delay: float
     delayed_count: int
 
+    def __init__(
+        self,
+        airport: str,
+        op_type: str,
+        interval: int,
+        throughput: int,
+        scheduled_demand: int,
+        avg_delay: float,
+        delayed_count: int,
+    ):
+        (
+            set_airport, set_op_type, set_interval, set_throughput,
+            set_demand, set_avg_delay, set_delayed,
+        ) = _STATS_SETTERS
+        set_airport(self, airport)
+        set_op_type(self, op_type)
+        set_interval(self, interval)
+        set_throughput(self, throughput)
+        set_demand(self, scheduled_demand)
+        set_avg_delay(self, avg_delay)
+        set_delayed(self, delayed_count)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class CapacityObservation:
     """A saturated interval whose throughput is taken as capacity."""
 
@@ -80,6 +119,23 @@ class CapacityObservation:
     interval: int
     capacity: int
     criteria: frozenset
+
+    def __init__(
+        self, airport: str, op_type: str, interval: int, capacity: int, criteria: frozenset
+    ):
+        set_airport, set_op_type, set_interval, set_capacity, set_criteria = (
+            _OBSERVATION_SETTERS
+        )
+        set_airport(self, airport)
+        set_op_type(self, op_type)
+        set_interval(self, interval)
+        set_capacity(self, capacity)
+        set_criteria(self, criteria)
+
+
+_RECORD_SETTERS = _slot_setters(OperationRecord)
+_STATS_SETTERS = _slot_setters(IntervalStats)
+_OBSERVATION_SETTERS = _slot_setters(CapacityObservation)
 
 
 def aggregate_intervals(
@@ -229,9 +285,11 @@ def read_operation_records(
 
     time_format 'minutes' reads the time columns as minutes from the
     horizon start; 'iso8601' parses timestamps and measures minutes from
-    horizon_start, which is then required. A missing column or a time
-    that does not parse raises MissingInputError naming the file and
-    the column.
+    horizon_start, which is then required. A missing column, a row whose
+    field count differs from the header's, an op_type other than
+    'arrival' or 'departure' or a time that does not parse raises
+    MissingInputError naming the file, and the line and column of a bad
+    cell.
     """
     if time_format not in ("minutes", "iso8601"):
         raise ValueError(f"unknown time format {time_format!r}")
@@ -248,24 +306,37 @@ def read_operation_records(
 
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
         for column in RECORD_COLUMNS:
-            if column not in (reader.fieldnames or ()):
+            if column not in header:
                 raise MissingInputError(f"records file {path} has no {column!r} column")
         for row in reader:
-            scheduled, actual = (
-                parse_cell(minutes, row[column], path, "records", reader.line_num, column)
-                for column in ("scheduled_time", "actual_time")
-            )
-            records.append(
-                OperationRecord(
-                    airport=row["airport"],
-                    op_type=row["op_type"],
-                    scheduled_minute=scheduled,
-                    actual_minute=actual,
+            if not row:  # a blank line holds no record
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise MissingInputError(
+                    f"records file {path} line {line} has {len(row)} fields, "
+                    f"its header {len(header)}"
+                )
+            cells = dict(zip(header, row))
+            op_type, scheduled, actual = (
+                parse_cell(parse, cells[column], path, "records", line, column)
+                for parse, column in (
+                    (_op_type, "op_type"),
+                    (minutes, "scheduled_time"),
+                    (minutes, "actual_time"),
                 )
             )
+            records.append(OperationRecord(cells["airport"], op_type, scheduled, actual))
     return records
+
+
+def _op_type(text: str) -> str:
+    if text not in OP_TYPES:
+        raise ValueError(f"op_type must be one of {OP_TYPES}, got {text!r}")
+    return text
 
 
 def write_capacity_observations(path, observations) -> None:

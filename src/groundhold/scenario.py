@@ -71,7 +71,7 @@ class TimeClustering:
     def num_stages(self) -> int:
         return len(self.segments)
 
-    @property
+    @cached_property
     def stage_index(self) -> tuple[int, ...]:
         """The stage (segment index) of every interval, in interval order."""
         return tuple(k for k, seg in enumerate(self.segments) for _ in seg)

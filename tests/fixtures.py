@@ -217,14 +217,16 @@ def stress_instance() -> MaghpInstance:
     )
 
 
-def network_day(seed: int, flights: int = 14, horizon: int = 12) -> MaghpInstance:
+def network_day(
+    seed: int, flights: int = 14, horizon: int = 12, stages: int = 3, atoms: int = 3
+) -> MaghpInstance:
     """bench/gen.py's network day, by default at the benchmark sweep's
-    size."""
+    size: stages stages of atoms atoms per capacity cell."""
     path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
     spec = importlib.util.spec_from_file_location("bench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return gen.network_day(seed, flights, horizon, 3, 3)
+    return gen.network_day(seed, flights, horizon, stages, atoms)
 
 
 def synthetic_records(

@@ -1,6 +1,9 @@
 """Capacity observation rules, from binning to criteria."""
 
+import copy
 import dataclasses
+import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -213,6 +216,20 @@ def test_record_csv_minutes_and_iso(tmp_path):
     assert rec.scheduled_minute == 15.0 and rec.actual_minute == 30.0
 
 
+def test_record_csv_reads_columns_by_name_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(
+        "actual_time,tail,airport,scheduled_time,op_type\n"
+        "30.0,N1,AAA,15.0,departure\n"
+        "\n"
+        "50.0,N2,BBB,45.0,arrival\n"
+    )
+    assert read_operation_records(path) == [
+        OperationRecord("AAA", DEPARTURE, 15.0, 30.0),
+        OperationRecord("BBB", ARRIVAL, 45.0, 50.0),
+    ]
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -231,3 +248,67 @@ def test_record_types_are_slotted_and_frozen(record):
     moved = dataclasses.replace(record, airport="Y")
     assert (moved.airport, record.airport) == ("Y", "X")
     assert dataclasses.astuple(moved)[1:] == dataclasses.astuple(record)[1:]
+
+
+#: per record type, its field values in order
+FIELD_VALUES = {
+    OperationRecord: ("X", DEPARTURE, 10.0, 25.0),
+    IntervalStats: ("X", DEPARTURE, 3, 4, 5, 2.5, 1),
+    CapacityObservation: ("X", ARRIVAL, 3, 4, frozenset({"throughput"})),
+}
+RECORD_TYPES = pytest.mark.parametrize(
+    "cls", list(FIELD_VALUES), ids=lambda cls: cls.__name__
+)
+
+
+def _names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+@RECORD_TYPES
+def test_record_constructors_take_positions_and_keywords_alike(cls):
+    values = FIELD_VALUES[cls]
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(_names(cls), values)))
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert repr(by_position) == repr(by_keyword)
+    assert dataclasses.astuple(by_position) == values
+    assert cls.__match_args__ == tuple(_names(cls))
+
+
+@RECORD_TYPES
+def test_record_constructors_refuse_a_missing_or_an_extra_argument(cls):
+    values = FIELD_VALUES[cls]
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
+
+
+@RECORD_TYPES
+def test_records_round_trip_through_pickle_and_deepcopy(cls):
+    record = cls(*FIELD_VALUES[cls])
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(clone) is cls
+        assert clone == record and hash(clone) == hash(record)
+        assert not hasattr(clone, "__dict__")
+
+
+@RECORD_TYPES
+def test_record_signature_lists_the_fields_in_order(cls):
+    assert list(inspect.signature(cls).parameters) == _names(cls)
+
+
+def test_bad_op_type_is_refused_however_the_record_is_built():
+    message = r"^op_type must be one of \('arrival', 'departure'\)$"
+    with pytest.raises(ValueError, match=message):
+        OperationRecord("X", "arival", 10.0, 25.0)
+    with pytest.raises(ValueError, match=message):
+        OperationRecord(
+            airport="X", op_type="arival", scheduled_minute=10.0, actual_minute=25.0
+        )
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(OperationRecord("X", DEPARTURE, 10.0, 25.0), op_type="arival")

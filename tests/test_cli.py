@@ -1081,6 +1081,25 @@ MALFORMED = {
         1,
         "zz.csv line 2, column 'actual_time'",
     ),
+    "records op_type misspelled": (
+        "estimate",
+        {"records": "arival.csv", "num_intervals": 4},
+        1,
+        "records file arival.csv line 3, column 'op_type': "
+        "op_type must be one of ('arrival', 'departure'), got 'arival'",
+    ),
+    "records row longer than the header": (
+        "estimate",
+        {"records": "long-row.csv", "num_intervals": 4},
+        1,
+        "records file long-row.csv line 3 has 5 fields, its header 4",
+    ),
+    "records row shorter than the header": (
+        "estimate",
+        {"records": "short-row.csv", "num_intervals": 4},
+        1,
+        "records file short-row.csv line 2 has 3 fields, its header 4",
+    ),
     "label not an integer": (
         "predict",
         {"training": "labels.csv"},
@@ -1439,9 +1458,11 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
         bad = {"support": support, "weights": weights}
         Path(f"{name}.json").write_text(json.dumps([good, bad, good]))
     Path("short.csv").write_text("airport,op_type,scheduled_time\nA,departure,0\n")
-    Path("zz.csv").write_text(
-        "airport,op_type,scheduled_time,actual_time\nA,departure,0,zz\n"
-    )
+    records_header = "airport,op_type,scheduled_time,actual_time\n"
+    Path("zz.csv").write_text(records_header + "A,departure,0,zz\n")
+    Path("arival.csv").write_text(records_header + "A,departure,0,1\nA,arival,2,3\n")
+    Path("long-row.csv").write_text(records_header + "A,departure,0,1\nB,departure,5,6,99\n")
+    Path("short-row.csv").write_text(records_header + "A,departure,0\n")
     Path("labels.csv").write_text("f0,label\n0.5,x\n")
     Path("high.csv").write_text("f0,label\n" + "0.5,3\n" * 12)
     Path("empty.csv").write_text("")

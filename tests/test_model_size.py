@@ -84,6 +84,32 @@ def test_model_size_and_objective_are_pinned(bundles, case):
     assert solve(bundles[case]).objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
 
+#: kind: (variables, rows, nonzeros, objective) on network_day(0, 30, 16)
+#: with 3 stages of 4 atoms, 64 scenarios per cell
+PINS_AT_64 = {
+    "sp": (1896, 1581, 6153, 55.041877210830656),
+    "dr": (1956, 1635, 6651, 68.12662555416112),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINS_AT_64))
+def test_model_size_and_objective_are_pinned_at_64_scenarios(kind):
+    """At n = 64 dr's relaxation is fractional, so its solve goes to
+    branch and bound, which stops within solver.MIP_REL_GAP of the
+    optimum: the objectives are pinned to that relative gap."""
+    variables, rows, nonzeros, objective = PINS_AT_64[kind]
+    instance = network_day(0, 30, 16, stages=3, atoms=4)
+    assert {tree.num_scenarios for tree in instance.trees.values()} == {64}
+    bundle = build_sp(instance) if kind == "sp" else build_dr(instance, 0.1)
+    model = bundle.model
+    assert (model.num_variables, model.num_constraints, model.num_nonzeros) == (
+        variables,
+        rows,
+        nonzeros,
+    )
+    assert solve(bundle).objective == pytest.approx(objective, rel=solver.MIP_REL_GAP)
+
+
 @pytest.mark.parametrize("kind", ["sp", "dr"])
 def test_stress_relaxation_is_integral(bundles, kind):
     """The wait rows make the stress day's sp and dr relaxations

@@ -1,5 +1,6 @@
 """Time clustering, PMF compression and scenario tree assembly."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -403,6 +404,18 @@ def test_capacity_at_boundary_and_lookup():
         scenario_capacity_profile(tree, (1,))
     with pytest.raises(ValueError):
         scenario_capacity_profile(tree, (1, 2, 3))
+
+
+def test_stage_index_is_computed_once_per_clustering():
+    """stage_index is cached: two reads give the same tuple, which is
+    the segments' expansion, and dataclasses.replace computes it anew."""
+    clustering = two_stage_clustering()
+    first = clustering.stage_index
+    assert clustering.stage_index is first
+    assert first == tuple(k for k, seg in enumerate(clustering.segments) for _ in seg)
+    regrouped = dataclasses.replace(clustering, boundaries=(0,), segments=((0,), (1, 2, 3)))
+    assert regrouped.stage_index == (0, 1, 1, 1)
+    assert clustering.stage_index is first
 
 
 def test_single_stage_tree_is_flat():
