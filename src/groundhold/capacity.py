@@ -20,10 +20,11 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime
+from operator import itemgetter
 
 import numpy as np
 
-from .config import parse_cell
+from .config import csv_rows, parse_cell
 from .errors import MissingInputError
 
 ARRIVAL = "arrival"
@@ -63,7 +64,7 @@ class OperationRecord:
         self, airport: str, op_type: str, scheduled_minute: float, actual_minute: float
     ):
         if op_type not in OP_TYPES:
-            raise ValueError(f"op_type must be one of {OP_TYPES}")
+            raise ValueError(f"op_type must be one of {OP_TYPES}, got {op_type!r}")
         set_airport, set_op_type, set_scheduled, set_actual = _RECORD_SETTERS
         set_airport(self, airport)
         set_op_type(self, op_type)
@@ -311,32 +312,19 @@ def read_operation_records(
         for column in RECORD_COLUMNS:
             if column not in header:
                 raise MissingInputError(f"records file {path} has no {column!r} column")
-        for row in reader:
-            if not row:  # a blank line holds no record
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                raise MissingInputError(
-                    f"records file {path} line {line} has {len(row)} fields, "
-                    f"its header {len(header)}"
-                )
-            cells = dict(zip(header, row))
-            op_type, scheduled, actual = (
-                parse_cell(parse, cells[column], path, "records", line, column)
-                for parse, column in (
-                    (_op_type, "op_type"),
-                    (minutes, "scheduled_time"),
-                    (minutes, "actual_time"),
+        at = {column: i for i, column in enumerate(header)}
+        pick = itemgetter(*(at[column] for column in RECORD_COLUMNS))
+        for line, row in csv_rows(reader, header, path, "records", skip_blank=True):
+            airport, op_type, scheduled, actual = pick(row)
+            scheduled = parse_cell(minutes, scheduled, path, "records", line, "scheduled_time")
+            actual = parse_cell(minutes, actual, path, "records", line, "actual_time")
+            records.append(  # the record refuses an unknown op_type
+                parse_cell(
+                    lambda text: OperationRecord(airport, text, scheduled, actual),
+                    op_type, path, "records", line, "op_type",
                 )
             )
-            records.append(OperationRecord(cells["airport"], op_type, scheduled, actual))
     return records
-
-
-def _op_type(text: str) -> str:
-    if text not in OP_TYPES:
-        raise ValueError(f"op_type must be one of {OP_TYPES}, got {text!r}")
-    return text
 
 
 def write_capacity_observations(path, observations) -> None:

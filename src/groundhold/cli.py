@@ -26,7 +26,7 @@ from .capacity import (
     write_capacity_observations,
     write_interval_stats,
 )
-from .config import atomic_output, load_config, parse_cell, require, section_for, typed
+from .config import atomic_output, csv_rows, load_config, parse_cell, require, section_for, typed
 from .errors import ConfigError, GroundholdError, MissingInputError
 from .evaluation import (
     ReductionSpec,
@@ -234,13 +234,7 @@ def _read_training_csv(path):
             raise MissingInputError(f"training file {path} has no 'label' column")
         label_at = header.index("label")
         features, labels = [], []
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(header):
-                raise MissingInputError(
-                    f"training file {path} line {line} has {len(row)} fields, "
-                    f"its header {len(header)}"
-                )
+        for line, row in csv_rows(reader, header, path, "training"):
             labels.append(parse_cell(int, row[label_at], path, "training", line, "label"))
             features.append(
                 [

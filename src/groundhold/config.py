@@ -119,6 +119,22 @@ def parse_cell(parse, text, path, what: str, line: int, column: str):
         ) from exc
 
 
+def csv_rows(reader, header, path, what: str, skip_blank: bool = False):
+    """Yield (line, row) for each row of a csv.reader past its header.
+    A row whose field count differs from the header's raises
+    MissingInputError naming the file and line; skip_blank passes over
+    empty lines."""
+    for row in reader:
+        if skip_blank and not row:
+            continue
+        if len(row) != len(header):
+            raise MissingInputError(
+                f"{what} file {path} line {reader.line_num} has {len(row)} fields, "
+                f"its header {len(header)}"
+            )
+        yield reader.line_num, row
+
+
 @contextmanager
 def atomic_output(path):
     """Yield a temp path that replaces `path` only on clean exit."""

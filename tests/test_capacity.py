@@ -303,7 +303,7 @@ def test_record_signature_lists_the_fields_in_order(cls):
 
 
 def test_bad_op_type_is_refused_however_the_record_is_built():
-    message = r"^op_type must be one of \('arrival', 'departure'\)$"
+    message = r"^op_type must be one of \('arrival', 'departure'\), got 'arival'$"
     with pytest.raises(ValueError, match=message):
         OperationRecord("X", "arival", 10.0, 25.0)
     with pytest.raises(ValueError, match=message):
