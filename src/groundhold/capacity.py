@@ -26,6 +26,7 @@ import numpy as np
 
 from .config import csv_rows, parse_cell
 from .errors import MissingInputError
+from .pmf import as_whole
 
 ARRIVAL = "arrival"
 DEPARTURE = "departure"
@@ -34,8 +35,10 @@ OP_TYPES = (ARRIVAL, DEPARTURE)
 CRITERION_THROUGHPUT = "throughput"
 CRITERION_DEMAND = "demand"
 CRITERION_DELAY = "delay"
+CRITERIA = (CRITERION_THROUGHPUT, CRITERION_DEMAND, CRITERION_DELAY)
 
 RECORD_COLUMNS = ("airport", "op_type", "scheduled_time", "actual_time")
+OBSERVATION_COLUMNS = ("airport", "op_type", "interval", "capacity", "criteria")
 
 #: a flight counts as delayed once it runs more than this many minutes late
 DELAYED_FLIGHT_MINUTES = 5.0
@@ -51,6 +54,10 @@ def _slot_setters(cls) -> tuple:
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
+def _op_type_error(op_type) -> ValueError:
+    return ValueError(f"op_type must be one of {OP_TYPES}, got {op_type!r}")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class OperationRecord:
     """One arrival or departure: where, when planned, when flown."""
@@ -64,7 +71,7 @@ class OperationRecord:
         self, airport: str, op_type: str, scheduled_minute: float, actual_minute: float
     ):
         if op_type not in OP_TYPES:
-            raise ValueError(f"op_type must be one of {OP_TYPES}, got {op_type!r}")
+            raise _op_type_error(op_type)
         set_airport, set_op_type, set_scheduled, set_actual = _RECORD_SETTERS
         set_airport(self, airport)
         set_op_type(self, op_type)
@@ -124,6 +131,8 @@ class CapacityObservation:
     def __init__(
         self, airport: str, op_type: str, interval: int, capacity: int, criteria: frozenset
     ):
+        if op_type not in OP_TYPES:
+            raise _op_type_error(op_type)
         set_airport, set_op_type, set_interval, set_capacity, set_criteria = (
             _OBSERVATION_SETTERS
         )
@@ -276,6 +285,18 @@ def estimate_capacities(
 # CSV interfaces
 
 
+def _read_header(reader, path, what: str, columns) -> tuple:
+    """The header of a csv.reader's file and an itemgetter that picks
+    columns from a row, in order. A missing column raises
+    MissingInputError naming the file."""
+    header = next(reader, None) or []
+    for column in columns:
+        if column not in header:
+            raise MissingInputError(f"{what} file {path} has no {column!r} column")
+    at = {column: i for i, column in enumerate(header)}
+    return header, itemgetter(*(at[column] for column in columns))
+
+
 def read_operation_records(
     path,
     time_format: str = "minutes",
@@ -308,12 +329,7 @@ def read_operation_records(
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None) or []
-        for column in RECORD_COLUMNS:
-            if column not in header:
-                raise MissingInputError(f"records file {path} has no {column!r} column")
-        at = {column: i for i, column in enumerate(header)}
-        pick = itemgetter(*(at[column] for column in RECORD_COLUMNS))
+        header, pick = _read_header(reader, path, "records", RECORD_COLUMNS)
         for line, row in csv_rows(reader, header, path, "records", skip_blank=True):
             airport, op_type, scheduled, actual = pick(row)
             scheduled = parse_cell(minutes, scheduled, path, "records", line, "scheduled_time")
@@ -330,7 +346,7 @@ def read_operation_records(
 def write_capacity_observations(path, observations) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["airport", "op_type", "interval", "capacity", "criteria"])
+        writer.writerow(OBSERVATION_COLUMNS)
         for o in observations:
             writer.writerow(
                 [o.airport, o.op_type, o.interval, o.capacity,
@@ -338,19 +354,43 @@ def write_capacity_observations(path, observations) -> None:
             )
 
 
+def _whole(text: str) -> int:
+    """A CSV cell such as "3" as a whole number of at least 0."""
+    return as_whole(int(text))
+
+
+def _criteria(text: str) -> frozenset:
+    """The criteria of a "+"-joined list such as "demand+throughput"."""
+    criteria = text.split("+")
+    for criterion in criteria:
+        if criterion not in CRITERIA:
+            raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    return frozenset(criteria)
+
+
 def read_capacity_observations(path) -> list[CapacityObservation]:
+    """Load observations from a CSV written by write_capacity_observations.
+
+    A missing column, a row whose field count differs from the header's,
+    an interval or capacity that is not a whole number of at least 0, an
+    op_type other than 'arrival' or 'departure' or an empty or unknown
+    criterion raises MissingInputError naming the file, and the line and
+    column of a bad cell.
+    """
+    what = "capacity observations"
     observations = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            observations.append(
-                CapacityObservation(
-                    airport=row["airport"],
-                    op_type=row["op_type"],
-                    interval=int(row["interval"]),
-                    capacity=int(row["capacity"]),
-                    criteria=frozenset(
-                        c for c in row["criteria"].split("+") if c
-                    ),
+        reader = csv.reader(fh)
+        header, pick = _read_header(reader, path, what, OBSERVATION_COLUMNS)
+        for line, row in csv_rows(reader, header, path, what, skip_blank=True):
+            airport, op_type, interval, capacity, criteria = pick(row)
+            interval = parse_cell(_whole, interval, path, what, line, "interval")
+            capacity = parse_cell(_whole, capacity, path, what, line, "capacity")
+            criteria = parse_cell(_criteria, criteria, path, what, line, "criteria")
+            observations.append(  # the observation refuses an unknown op_type
+                parse_cell(
+                    lambda text: CapacityObservation(airport, text, interval, capacity, criteria),
+                    op_type, path, what, line, "op_type",
                 )
             )
     return observations

@@ -3,6 +3,8 @@ evaluate, sweep.
 
 Every subcommand reads one JSON config (its own section plus the shared
 seed), writes its outputs atomically, and prints a one-line summary.
+main parses the section once, through the command's entries in KEYS,
+and hands the command the parsed values.
 Exit codes: 0 on success, 1 when the domain rejects the inputs or a
 solve fails, 2 for configuration problems.
 """
@@ -14,25 +16,42 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
-from datetime import datetime
 
 import numpy as np
 
 from .capacity import (
+    OP_TYPES,
     aggregate_intervals,
     estimate_capacities,
     read_operation_records,
     write_capacity_observations,
     write_interval_stats,
 )
-from .config import atomic_output, csv_rows, load_config, parse_cell, require, section_for, typed
+from .config import (
+    OPTIONAL,
+    Key,
+    atomic_output,
+    count,
+    csv_rows,
+    file_path,
+    finite,
+    fraction,
+    json_object,
+    load_config,
+    number,
+    one_of,
+    parse_cell,
+    parse_section,
+    positive,
+    timestamp,
+)
 from .errors import ConfigError, GroundholdError, MissingInputError
 from .evaluation import (
     ReductionSpec,
     epsilon_sweep,
     evaluate_policy,
     resample_capacities,
+    sweep_levels,
     sweep_radii,
     write_in_sample_csv,
     write_report_csv,
@@ -64,112 +83,27 @@ from .pmf import load_pmf_series
 from .scenario import build_scenario_tree, cluster_time_series, save_trees
 
 
-def _settings(section, context, **kinds):
-    """The keys of kinds that the section sets, each read by typed with
-    its kind; a key the section leaves out keeps the library's default."""
-    return {
-        key: typed(section, key, kind, context) for key, kind in kinds.items() if key in section
-    }
+def _given(values, *keys):
+    """The values of those keys the section set, for a library call whose
+    own defaults stand in for the rest."""
+    return {key: values[key] for key in keys if key in values}
 
 
-def _shift_spec(seed, section, context, reduction):
+def _shift_spec(values, seed, context, reduction):
     """The section's shift settings; a value ReductionSpec rejects is a
     config error."""
-    shift = _settings(section, context, band=_number, sample_count=int)
     try:
-        return ReductionSpec(reduction, seed=seed, **shift)
+        return ReductionSpec(reduction, seed=seed, **_given(values, "band", "sample_count"))
     except ValueError as exc:
         raise ConfigError(f"{context} config: {exc}") from exc
 
 
-def _number(value):
-    """A JSON number, an int or a float but not a bool or a string, as a
-    float."""
-    if type(value) not in (int, float):
-        raise ValueError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"must be finite, got {value!r}") from None
-
-
-def _numbers(value):
-    """A list of JSON numbers, each as a float."""
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list of numbers, got {value!r}")
-    return [_number(v) for v in value]
-
-
-def _refuse_unread(section, context, key, mode_key, mode, reader):
-    """Raise ConfigError when the section sets key but its mode_key is
-    mode rather than reader, the only mode that reads key."""
-    if key in section and mode != reader:
-        raise ConfigError(
-            f"{context} config {key!r}: read only when {mode_key!r} is {reader!r}, "
-            f"not {mode!r}"
-        )
-
-
 def _time_limit(value):
     """A solver time limit in seconds, which must be greater than 0."""
-    limit = _number(value)
+    limit = number(value)
     if not limit > 0:
         raise ValueError(f"must be greater than 0, got {value!r}")
     return limit
-
-
-def _finite(value):
-    """A finite number."""
-    number = _number(value)
-    if not math.isfinite(number):
-        raise ValueError(f"must be finite, got {value!r}")
-    return number
-
-
-def _positive(value):
-    """A finite number greater than 0."""
-    number = _finite(value)
-    if not number > 0:
-        raise ValueError(f"must be greater than 0, got {value!r}")
-    return number
-
-
-def _level(value):
-    """A level or fraction in (0, 1]."""
-    level = _number(value)
-    if not 0 < level <= 1:
-        raise ValueError(f"must be in (0, 1], got {value!r}")
-    return level
-
-
-def _timestamp(value):
-    """An ISO 8601 timestamp, passed on as written."""
-    datetime.fromisoformat(value)
-    return value
-
-
-def _one_of(*choices):
-    """A parser accepting exactly one of choices."""
-
-    def parse(value):
-        if value not in choices:
-            expected = ", ".join(repr(c) for c in choices)
-            raise ValueError(f"expected one of {expected}, got {value!r}")
-        return value
-
-    return parse
-
-
-def _count(minimum):
-    """A parser for a count: a JSON integer (not a bool) of at least
-    minimum."""
-
-    def parse(value):
-        if type(value) is not int or value < minimum:
-            raise ValueError(f"expected an integer of at least {minimum}, got {value!r}")
-        return value
-
-    return parse
 
 
 def _cells(value):
@@ -179,41 +113,28 @@ def _cells(value):
     return value
 
 
-def _path(value):
-    """A file path, written as a string."""
-    if not isinstance(value, str):
-        raise ValueError(f"expected a file path, got {value!r}")
-    return value
+def _levels(value):
+    """Reduction levels: a non-empty list of JSON numbers in [0, 1)."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return sweep_levels(number(v) for v in value)
 
 
-def cmd_estimate(section, seed):
+def cmd_estimate(values, seed):
     """Estimate capacity observations from operation records."""
-    out = typed(section, "out", _path, "estimate")
-    stats_out = typed(section, "stats_out", _path, "estimate", None)
-    num_intervals = typed(section, "num_intervals", _count(1), "estimate")
-    grid = _settings(section, "estimate", interval_minutes=_positive)
-    time_format = typed(
-        section, "time_format", _one_of("minutes", "iso8601"), "estimate", "minutes"
-    )
-    _refuse_unread(section, "estimate", "horizon_start", "time_format", time_format, "iso8601")
-    criteria = _settings(
-        section,
-        "estimate",
-        alpha=_finite,
-        delay_threshold_minutes=_finite,
-        min_delayed=int,
-        percentile=_level,
-    )
-    horizon_start = None
-    if time_format == "iso8601":
-        horizon_start = typed(section, "horizon_start", _timestamp, "estimate")
+    out, stats_out = values["out"], values["stats_out"]
     records = read_operation_records(
-        typed(section, "records", _path, "estimate"),
-        time_format=time_format,
-        horizon_start=horizon_start,
+        values["records"],
+        time_format=values["time_format"],
+        horizon_start=values.get("horizon_start"),
     )
-    stats = aggregate_intervals(records, num_intervals, **grid)
-    observations = estimate_capacities(stats, **criteria)
+    stats = aggregate_intervals(
+        records, values["num_intervals"], **_given(values, "interval_minutes")
+    )
+    observations = estimate_capacities(
+        stats,
+        **_given(values, "alpha", "delay_threshold_minutes", "min_delayed", "percentile"),
+    )
     with atomic_output(out) as temp:
         write_capacity_observations(temp, observations)
     if stats_out is not None:
@@ -246,35 +167,25 @@ def _read_training_csv(path):
     return np.asarray(features), np.asarray(labels)
 
 
-def cmd_predict(section, seed):
+def cmd_predict(values, seed):
     """Train a capacity predictor and score it on held-out rows."""
-    out = typed(section, "out", _path, "predict")
-    metrics_out = typed(section, "metrics_out", _path, "predict", None)
-    train_frac = typed(section, "train_frac", _level, "predict", 10 / 12)
-    val_frac = typed(section, "val_frac", _finite, "predict", 1 / 12)
+    out, metrics_out = values["out"], values["metrics_out"]
+    train_frac, val_frac = values["train_frac"], values["val_frac"]
     if not (val_frac >= 0 and train_frac + val_frac <= 1):
         raise ConfigError(
             f"predict config 'val_frac': must be in [0, 1 - train_frac], got {val_frac!r}"
         )
     training = TrainingConfig(
         seed=seed,
-        **_settings(
-            section,
-            "predict",
-            kind=_one_of(MLP, EMPIRICAL),
-            max_capacity=_count(0),
-            hidden_units=_count(1),
-            learning_rate=_positive,
-            epochs=_count(0),
-            batch_size=_count(1),
+        **_given(
+            values, "kind", "max_capacity", "hidden_units", "learning_rate", "epochs", "batch_size"
         ),
     )
-    coverage = _settings(section, "predict", level=_level)
-    features, labels = _read_training_csv(typed(section, "training", _path, "predict"))
+    features, labels = _read_training_csv(values["training"])
     split_train, split_val, split_test = temporal_split(len(labels), train_frac, val_frac)
     held_out = split_test if len(split_test) else split_val
     model = train(features[split_train], labels[split_train], training)
-    metrics = evaluate(model, features[held_out], labels[held_out], **coverage)
+    metrics = evaluate(model, features[held_out], labels[held_out], **_given(values, "level"))
     with atomic_output(out) as temp:
         save_model(temp, model)
     if metrics_out is not None:
@@ -296,19 +207,24 @@ def cmd_predict(section, seed):
     return 0
 
 
-def cmd_reduce_scenarios(section, seed):
+def cmd_reduce_scenarios(values, seed):
     """Reduce forecast PMF series to scenario trees."""
-    out = typed(section, "out", _path, "reduce-scenarios")
-    cells = typed(section, "cells", _cells, "reduce-scenarios")
-    change_points = typed(section, "change_points", _count(0), "reduce-scenarios")
-    clusters = typed(section, "clusters_per_stage", _count(1), "reduce-scenarios")
-    context = "reduce-scenarios cell"
-    paths = [typed(c, "series", _path, context) for c in cells]
-    labels = [(require(c, "airport", context), require(c, "op_type", context)) for c in cells]
+    out = values["out"]
+    cells = {}
+    for body in values["cells"]:
+        cell = parse_section(body, CELL_KEYS, "reduce-scenarios cell")
+        label = (cell["airport"], cell["op_type"])
+        if label in cells:
+            raise ConfigError(f"reduce-scenarios config 'cells': two cells for {'/'.join(label)}")
+        cells[label] = cell["series"]
     trees = []
-    for path, (airport, op_type) in zip(paths, labels):
-        clustering = cluster_time_series(load_pmf_series(path), change_points)
-        trees.append(build_scenario_tree(clustering, clusters, airport=airport, op_type=op_type))
+    for (airport, op_type), series in cells.items():
+        clustering = cluster_time_series(load_pmf_series(series), values["change_points"])
+        trees.append(
+            build_scenario_tree(
+                clustering, values["clusters_per_stage"], airport=airport, op_type=op_type
+            )
+        )
     with atomic_output(out) as temp:
         save_trees(temp, trees)
     sizes = ", ".join(str(t.num_scenarios) for t in trees)
@@ -321,8 +237,6 @@ def _det_capacities(raw, instance):
     label must name a constrained cell "airport/op_type" and each profile
     be a list of horizon-many finite numbers, else ConfigError."""
     cells = {f"{airport}/{op}": (airport, op) for airport, op in instance.constrained_keys()}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"solve config 'capacities': expected an object, got {raw!r}")
     fixed = {}
     for label, profile in raw.items():
         context = f"solve config 'capacities' {label!r}"
@@ -338,27 +252,21 @@ def _det_capacities(raw, instance):
     return fixed
 
 
-def cmd_solve(section, seed):
+def cmd_solve(values, seed):
     """Solve the det, sp or dr ground holding model of an instance."""
-    out = typed(section, "out", _path, "solve")
-    kind = typed(section, "model", _one_of("det", "sp", "dr"), "solve", "sp")
-    limit = _settings(section, "solve", time_limit=_time_limit)
-    _refuse_unread(section, "solve", "epsilon", "model", kind, "dr")
-    _refuse_unread(section, "solve", "capacities", "model", kind, "det")
-    if kind == "dr":
-        epsilon = typed(section, "epsilon", _radius, "solve")
-    instance = load_instance(typed(section, "instance", _path, "solve"))
+    out, kind = values["out"], values["model"]
+    instance = load_instance(values["instance"])
     if kind == "det":
-        if "capacities" in section:
-            fixed = _det_capacities(section["capacities"], instance)
+        if "capacities" in values:
+            fixed = _det_capacities(values["capacities"], instance)
         else:
             fixed = best_capacity_profiles(instance)
         bundle = build_det(instance, fixed)
     elif kind == "sp":
         bundle = build_sp(instance)
     else:
-        bundle = build_dr(instance, epsilon)
-    result = solve(bundle, **limit)
+        bundle = build_dr(instance, values["epsilon"])
+    result = solve(bundle, **_given(values, "time_limit"))
     with atomic_output(out) as temp:
         save_result(temp, result, instance)
     objective = "none" if result.objective is None else f"{result.objective:.6f}"
@@ -400,14 +308,12 @@ def _checked_policy(path, instance):
     return policy
 
 
-def cmd_evaluate(section, seed):
+def cmd_evaluate(values, seed):
     """Price a solved policy on resampled capacities."""
-    result_path = typed(section, "result", _path, "evaluate")
-    out = typed(section, "out", _path, "evaluate")
-    reduction = typed(section, "reduction", _number, "evaluate")
-    spec = _shift_spec(seed, section, "evaluate", reduction)
-    instance = load_instance(typed(section, "instance", _path, "evaluate"))
-    policy = _checked_policy(result_path, instance)
+    out = values["out"]
+    spec = _shift_spec(values, seed, "evaluate", values["reduction"])
+    instance = load_instance(values["instance"])
+    policy = _checked_policy(values["result"], instance)
     samples = resample_capacities(instance.trees, spec)
     evaluation = evaluate_policy(policy, instance, samples)
     body = {
@@ -430,22 +336,14 @@ def cmd_evaluate(section, seed):
     return 0
 
 
-def cmd_sweep(section, seed):
+def cmd_sweep(values, seed):
     """Compare det, sp and dr policies over radii and reduction levels."""
-    out = typed(section, "out", _path, "sweep")
-    samples_out = typed(section, "samples_out", _path, "sweep", None)
-    curve_out = typed(section, "curve_out", _path, "sweep", None)
-    day = _settings(section, "sweep", day=str)
-    epsilons = typed(section, "epsilons", sweep_radii, "sweep")
-    spec = _shift_spec(seed, section, "sweep", 0.0)
-    reductions = typed(
-        section,
-        "reductions",
-        lambda levels: [replace(spec, reduction=r).reduction for r in _numbers(levels)],
-        "sweep",
+    out, samples_out, curve_out = values["out"], values["samples_out"], values["curve_out"]
+    spec = _shift_spec(values, seed, "sweep", 0.0)
+    instance = load_instance(values["instance"])
+    report = epsilon_sweep(
+        instance, values["epsilons"], values["reductions"], spec, **_given(values, "day")
     )
-    instance = load_instance(typed(section, "instance", _path, "sweep"))
-    report = epsilon_sweep(instance, epsilons, reductions, spec, **day)
     with atomic_output(out) as temp:
         write_report_csv(temp, report)
     if samples_out is not None:
@@ -470,23 +368,82 @@ COMMANDS = {
     "sweep": cmd_sweep,
 }
 
-#: the keys each command's section may set; main refuses any other
+MODELS = ("det", "sp", "dr")
+_OUT = Key("out", file_path, flag={"help": "override the section's output path"})
+
+#: each command's section keys in the order they are checked; main
+#: refuses any other key
 KEYS = {
     "estimate": (
-        "records num_intervals out interval_minutes time_format horizon_start alpha"
-        " delay_threshold_minutes min_delayed percentile stats_out"
-    ).split(),
+        _OUT,
+        Key("stats_out", file_path, None),
+        Key("num_intervals", count(1)),
+        Key("interval_minutes", positive, OPTIONAL),
+        Key("time_format", one_of("minutes", "iso8601"), "minutes"),
+        Key("alpha", finite, OPTIONAL),
+        Key("delay_threshold_minutes", finite, OPTIONAL),
+        Key("min_delayed", int, OPTIONAL),
+        Key("percentile", fraction, OPTIONAL),
+        Key("horizon_start", timestamp, mode=("time_format", "iso8601")),
+        Key("records", file_path),
+    ),
     "predict": (
-        "training out kind hidden_units learning_rate epochs batch_size max_capacity"
-        " train_frac val_frac level metrics_out"
-    ).split(),
-    "reduce-scenarios": "cells change_points clusters_per_stage out".split(),
-    "solve": "instance out model epsilon capacities time_limit".split(),
-    "evaluate": "instance result reduction out band sample_count".split(),
+        _OUT,
+        Key("metrics_out", file_path, None),
+        Key("train_frac", fraction, 10 / 12),
+        Key("val_frac", finite, 1 / 12),
+        Key("kind", one_of(MLP, EMPIRICAL), OPTIONAL),
+        Key("max_capacity", count(0), OPTIONAL),
+        Key("hidden_units", count(1), OPTIONAL),
+        Key("learning_rate", positive, OPTIONAL),
+        Key("epochs", count(0), OPTIONAL),
+        Key("batch_size", count(1), OPTIONAL),
+        Key("level", fraction, OPTIONAL),
+        Key("training", file_path),
+    ),
+    "reduce-scenarios": (
+        _OUT,
+        Key("cells", _cells),
+        Key("change_points", count(0)),
+        Key("clusters_per_stage", count(1)),
+    ),
+    "solve": (
+        _OUT,
+        Key("model", one_of(*MODELS), "sp", flag={"choices": MODELS}),
+        Key("time_limit", _time_limit, OPTIONAL, flag={"type": float}),
+        Key("epsilon", _radius, mode=("model", "dr"),
+            flag={"type": float, "help": "ambiguity radius"}),
+        Key("capacities", json_object, OPTIONAL, mode=("model", "det")),
+        Key("instance", file_path),
+    ),
+    "evaluate": (
+        Key("result", file_path),
+        _OUT,
+        Key("reduction", number),
+        Key("band", number, OPTIONAL),
+        Key("sample_count", int, OPTIONAL),
+        Key("instance", file_path),
+    ),
     "sweep": (
-        "instance epsilons reductions out band sample_count day samples_out curve_out"
-    ).split(),
+        _OUT,
+        Key("samples_out", file_path, None),
+        Key("curve_out", file_path, None),
+        Key("day", str, OPTIONAL),
+        Key("epsilons", sweep_radii,
+            flag={"type": float, "nargs": "+", "help": "radius grid override"}),
+        Key("band", number, OPTIONAL),
+        Key("sample_count", int, OPTIONAL),
+        Key("reductions", _levels),
+        Key("instance", file_path),
+    ),
 }
+
+#: the keys of each reduce-scenarios cell
+CELL_KEYS = (
+    Key("series", file_path),
+    Key("airport", str),
+    Key("op_type", one_of(*OP_TYPES)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,15 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=handler.__doc__, argument_default=argparse.SUPPRESS)
         sub.add_argument("--config", required=True, help="JSON config file")
         sub.add_argument("--seed", type=int, help="override the config seed")
-        sub.add_argument("--out", help="override the section's output path")
-        if name == "solve":
-            sub.add_argument("--model", choices=("det", "sp", "dr"))
-            sub.add_argument("--epsilon", type=float, help="ambiguity radius")
-            sub.add_argument("--time-limit", type=float, dest="time_limit")
-        if name == "sweep":
-            sub.add_argument(
-                "--epsilons", type=float, nargs="+", help="radius grid override"
-            )
+        for key in KEYS[name]:
+            if key.flag is not None:
+                flag = "--" + key.name.replace("_", "-")
+                sub.add_argument(flag, dest=key.name, **key.flag)
     return parser
 
 
@@ -519,8 +471,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(flags.pop("config"))
         seed = flags.pop("seed", config.get("seed", 0))
-        section = {**section_for(config, command, KEYS[command]), **flags}
-        return COMMANDS[command](section, seed)
+        if command not in config:
+            raise ConfigError(f"config has no {command!r} section")
+        values = parse_section({**config[command], **flags}, KEYS[command], command)
+        return COMMANDS[command](values, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -2,21 +2,26 @@
 
 One config file drives every subcommand: a top-level seed plus one
 section per subcommand. Sections are plain objects so the whole file
-round-trips through json without loss. load_input is the one reader of
-the JSON input files (instances, results, scenario trees, PMF series)
-and names the file in every error about its content; parse_cell does
-the same for one cell of a CSV input file. atomic_output
-hands out a temp name that is renamed into place on success, so readers
-never see a half-written file.
+round-trips through json without loss. parse_section reads a section
+through a table of Key entries, whose parsers are the checking parsers
+below (number, finite, count, ...) or the library's own. load_input is
+the one reader of the JSON input files (instances, results, scenario
+trees, PMF series) and names the file in every error about its
+content; parse_cell does the same for one cell of a CSV input file.
+atomic_output hands out a temp name that is renamed into place on
+success, so readers never see a half-written file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
+from datetime import datetime
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, MissingInputError
 
@@ -50,25 +55,27 @@ def load_config(path) -> dict:
     return body
 
 
-def section_for(config: dict, name: str, keys) -> dict:
-    """The config's section name, which may set only the given keys."""
-    if name not in config:
-        raise ConfigError(f"config has no {name!r} section")
-    for key in config[name]:
-        if key not in keys:
-            raise ConfigError(
-                f"{name} config: unknown key {key!r}; expected one of {', '.join(keys)}"
-            )
-    return config[name]
+#: the default of a key the section must set
+REQUIRED = object()
+#: the default of a key whose absence leaves the library's default
+OPTIONAL = object()
 
 
-def require(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigError(f"{context} config needs {key!r}")
-    return section[key]
+class Key(NamedTuple):
+    """One key a config section may set.
 
+    parse is a checking parser, or int, bool or str for a JSON value of
+    exactly that type. default is the value of an absent key, REQUIRED
+    or OPTIONAL. A key with a mode (mode key, value) is read only when
+    the section's mode key holds that value. flag holds the
+    argparse.add_argument keywords of the command-line flag that sets
+    the key, if it has one."""
 
-_REQUIRED = object()
+    name: str
+    parse: Callable
+    default: object = REQUIRED
+    mode: tuple | None = None
+    flag: dict | None = None
 
 
 def _is_exactly(value, kind) -> bool:
@@ -76,21 +83,128 @@ def _is_exactly(value, kind) -> bool:
     return isinstance(value, kind) and (kind is bool) == isinstance(value, bool)
 
 
-def typed(section: dict, key: str, kind, context: str, default=_REQUIRED):
-    """section[key] converted by kind (a checking parser), or checked
-    to be a JSON int, bool or string as is, so 2.7 is not
-    truncated to 2, "false" not read as true, nor [1] as "[1]"; default
-    when the key is absent. A required key that is absent, or a value
-    kind rejects, raises ConfigError naming the key."""
-    if key not in section and default is not _REQUIRED:
-        return default
-    raw = require(section, key, context)
+def _parse(kind, raw, key: str, context: str):
+    """raw converted by kind, or checked to be a JSON int, bool or string
+    as is, so 2.7 is not truncated to 2, "false" not read as true, nor
+    [1] as "[1]". A value kind rejects raises ConfigError naming the
+    key."""
     if kind in (int, bool, str) and not _is_exactly(raw, kind):
         raise ConfigError(f"{context} config {key!r}: expected {kind.__name__}, got {raw!r}")
     try:
         return kind(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context} config {key!r}: {exc}") from exc
+
+
+def number(value) -> float:
+    """A JSON number, an int or a float but not a bool or a string, as a
+    float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"must be finite, got {value!r}") from None
+
+
+def finite(value) -> float:
+    """A finite number."""
+    x = number(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
+def positive(value) -> float:
+    """A finite number greater than 0."""
+    x = finite(value)
+    if not x > 0:
+        raise ValueError(f"must be greater than 0, got {value!r}")
+    return x
+
+
+def fraction(value) -> float:
+    """A level or fraction in (0, 1]."""
+    x = number(value)
+    if not 0 < x <= 1:
+        raise ValueError(f"must be in (0, 1], got {value!r}")
+    return x
+
+
+def timestamp(value):
+    """An ISO 8601 timestamp, passed on as written."""
+    datetime.fromisoformat(value)
+    return value
+
+
+def file_path(value):
+    """A file path, written as a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a file path, got {value!r}")
+    return value
+
+
+def json_object(value):
+    """A JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {value!r}")
+    return value
+
+
+def one_of(*choices):
+    """A parser accepting exactly one of choices."""
+
+    def parse(value):
+        if value not in choices:
+            expected = ", ".join(repr(c) for c in choices)
+            raise ValueError(f"expected one of {expected}, got {value!r}")
+        return value
+
+    return parse
+
+
+def count(minimum):
+    """A parser for a count: a JSON integer (not a bool) of at least
+    minimum."""
+
+    def parse(value):
+        if type(value) is not int or value < minimum:
+            raise ValueError(f"expected an integer of at least {minimum}, got {value!r}")
+        return value
+
+    return parse
+
+
+def parse_section(section: dict, keys, context: str) -> dict:
+    """The section's values parsed by keys, in their order, with the
+    defaults of the keys it leaves out; an OPTIONAL key left out, or a
+    key its mode does not read, is absent from the result. A key keys
+    do not name, a missing REQUIRED key, a value its parser rejects or a
+    key set where its mode does not read it raises ConfigError."""
+    names = [key.name for key in keys]
+    for name in section:
+        if name not in names:
+            raise ConfigError(
+                f"{context} config: unknown key {name!r}; expected one of {', '.join(names)}"
+            )
+    values = {}
+    for key in keys:
+        if key.mode is not None:
+            mode_key, reader = key.mode
+            if values[mode_key] != reader:
+                if key.name in section:
+                    raise ConfigError(
+                        f"{context} config {key.name!r}: read only when {mode_key!r} is "
+                        f"{reader!r}, not {values[mode_key]!r}"
+                    )
+                continue
+        if key.name in section:
+            values[key.name] = _parse(key.parse, section[key.name], key.name, context)
+        elif key.default is REQUIRED:
+            raise ConfigError(f"{context} config needs {key.name!r}")
+        elif key.default is not OPTIONAL:
+            values[key.name] = key.default
+    return values
 
 
 def load_input(path, what: str, from_body):

@@ -42,9 +42,13 @@ from .maghp import (
 from .pmf import MASS_TOL, Pmf, pmf_mean
 
 
-def _check_shift(reduction: float, band: float) -> None:
+def _check_reduction(reduction: float) -> None:
     if not 0.0 <= reduction < 1.0:
         raise ValueError("reduction must lie in [0, 1)")
+
+
+def _check_shift(reduction: float, band: float) -> None:
+    _check_reduction(reduction)
     if not 0.0 <= band < math.inf:
         raise ValueError("band must be finite and non-negative")
 
@@ -226,6 +230,19 @@ def sweep_radii(values) -> tuple:
     return tuple(sorted(radii))
 
 
+def sweep_levels(values) -> list:
+    """Distinct reduction levels in ascending order, with -0.0 read as
+    0.0, as sweep_radii reads radii.
+
+    Raises ValueError for an empty list or a level outside [0, 1)."""
+    levels = sorted({float(value) + 0.0 for value in values})
+    if not levels:
+        raise ValueError("need at least one reduction level")
+    for level in levels:
+        _check_reduction(level)
+    return levels
+
+
 def _saturated(result: SolveResult, instance: MaghpInstance) -> bool:
     """True when an optimal robust objective already reaches its policy's
     support worst case, within solve()'s own 1e-6 guard."""
@@ -263,8 +280,11 @@ def epsilon_sweep(
     scenario. Every policy at a given shift level is priced on identical
     samples, once per distinct policy; the reported robust cost per
     level is the best radius's cost, ties going to the smaller radius.
+    An empty or bad list of radii or levels raises ValueError before
+    any model is solved.
     """
     epsilons = sweep_radii(epsilons)
+    reductions = sweep_levels(reductions)
 
     det_result = solve(build_det(instance, best_capacity_profiles(instance)))
     sp_result = solve(build_sp(instance))
@@ -285,7 +305,7 @@ def epsilon_sweep(
             certified = result
 
     rows = []
-    for r in sorted(set(float(r) for r in reductions)):
+    for r in reductions:
         level_spec = replace(spec, reduction=r)
         samples = resample_capacities(instance.trees, level_spec)
         scored = {}

@@ -832,7 +832,8 @@ def instance_to_dict(instance: MaghpInstance) -> dict:
 def instance_from_dict(body: dict) -> MaghpInstance:
     """Rebuild an instance. Overflow is priced at cost_air, so a file
     that sets cost_recourse to anything but null is refused rather than
-    priced at another rate."""
+    priced at another rate; a second tree for one (airport, op_type)
+    cell is refused rather than taken in place of the first."""
     if body.get("cost_recourse") is not None:
         raise ValueError(
             "'cost_recourse' must be absent or null, since overflow is priced "
@@ -851,6 +852,8 @@ def instance_from_dict(body: dict) -> MaghpInstance:
     trees = {}
     for tree_body in body.get("trees", []):
         tree = tree_from_dict(tree_body)
+        if (tree.airport, tree.op_type) in trees:
+            raise ValueError(f"two trees for cell {tree.airport}/{tree.op_type}")
         trees[tree.airport, tree.op_type] = tree
     return MaghpInstance(
         airports=tuple(body["airports"]),

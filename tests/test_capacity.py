@@ -12,6 +12,7 @@ import handcase
 from oracles import looped_aggregate_intervals
 from groundhold.capacity import (
     ARRIVAL,
+    CRITERIA,
     DEPARTURE,
     CapacityObservation,
     IntervalStats,
@@ -23,6 +24,7 @@ from groundhold.capacity import (
     saturation_threshold,
     write_capacity_observations,
 )
+from groundhold.errors import MissingInputError
 
 
 def test_nearest_rank_percentile():
@@ -193,6 +195,79 @@ def test_observation_csv_round_trip(tmp_path):
     stats = aggregate_intervals(handcase.records(), handcase.NUM_INTERVALS)
     observations = estimate_capacities(stats)
     path = tmp_path / "observations.csv"
+    write_capacity_observations(path, observations)
+    assert read_capacity_observations(path) == observations
+
+
+OBSERVATIONS_HEADER = "airport,op_type,interval,capacity,criteria\n"
+
+
+@pytest.mark.parametrize(
+    "text,fault",
+    [
+        (
+            OBSERVATIONS_HEADER + "A,arrival,x,4,throughput\n",
+            "line 2, column 'interval': invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            OBSERVATIONS_HEADER + "A,arrival,3,2.5,throughput\n",
+            "line 2, column 'capacity': invalid literal for int() with base 10: '2.5'",
+        ),
+        (
+            OBSERVATIONS_HEADER + "A,arrival,3,-4,throughput\n",
+            "line 2, column 'capacity': expected a whole number of at least 0, got -4",
+        ),
+        ("airport,op_type,interval,capacity\nA,arrival,3,4\n", "has no 'criteria' column"),
+        (
+            OBSERVATIONS_HEADER + "A,arrival,3,4,throughput\nA,arival,5,6,delay,9\n",
+            "line 3 has 6 fields, its header 5",
+        ),
+        (
+            OBSERVATIONS_HEADER + "A,arival,5,6,delay\n",
+            "line 2, column 'op_type': op_type must be one of ('arrival', 'departure'), "
+            "got 'arival'",
+        ),
+        (
+            OBSERVATIONS_HEADER + "A,arrival,3,4,throughput+\n",
+            "line 2, column 'criteria': criterion must be one of ('throughput', 'demand', "
+            "'delay'), got ''",
+        ),
+        (
+            OBSERVATIONS_HEADER + "A,arrival,3,4,\n",
+            "line 2, column 'criteria': criterion must be one of ('throughput', 'demand', "
+            "'delay'), got ''",
+        ),
+        (
+            OBSERVATIONS_HEADER + "A,arrival,3,4,demand+speed\n",
+            "line 2, column 'criteria': criterion must be one of ('throughput', 'demand', "
+            "'delay'), got 'speed'",
+        ),
+    ],
+    ids=[
+        "interval not a number",
+        "capacity not whole",
+        "negative capacity",
+        "no criteria column",
+        "extra field and misspelled op_type",
+        "misspelled op_type",
+        "empty criterion",
+        "no criterion",
+        "unknown criterion",
+    ],
+)
+def test_observation_csv_refuses_a_bad_file_naming_where(tmp_path, text, fault):
+    """A malformed observations file raises MissingInputError naming the
+    file and the fault; the same rows written by
+    write_capacity_observations read back equal."""
+    path = tmp_path / "observations.csv"
+    path.write_text(text)
+    with pytest.raises(MissingInputError) as refused:
+        read_capacity_observations(path)
+    assert str(refused.value) == f"capacity observations file {path} {fault}"
+    observations = [
+        CapacityObservation("A", ARRIVAL, 3, 4, frozenset(CRITERIA)),
+        CapacityObservation("B", DEPARTURE, 5, 0, frozenset({"delay"})),
+    ]
     write_capacity_observations(path, observations)
     assert read_capacity_observations(path) == observations
 

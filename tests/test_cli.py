@@ -21,7 +21,7 @@ from fixtures import (
 )
 from groundhold.capacity import read_capacity_observations
 from groundhold.cli import KEYS, build_parser, main
-from groundhold.config import load_config, section_for
+from groundhold.config import REQUIRED, load_config, parse_section
 from groundhold.errors import ConfigError
 from groundhold.maghp import (
     FlightConnection,
@@ -1382,6 +1382,60 @@ MALFORMED = {
         2,
         "'capacities' 'B/arrival'",
     ),
+    "empty reduction list": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": []},
+        2,
+        "sweep config 'reductions': need at least one reduction level",
+    ),
+    "instance with two trees for one cell": (
+        "solve",
+        {"instance": "two-trees.json"},
+        1,
+        "instance file two-trees.json is malformed: two trees for cell A/departure",
+    ),
+    # the cells are checked before any series file, absent here, is read
+    "cell airport not a string": (
+        "reduce-scenarios",
+        {
+            "cells": [{**ABSENT_CELL, "airport": 5}],
+            "change_points": 1,
+            "clusters_per_stage": 1,
+        },
+        2,
+        "reduce-scenarios cell config 'airport': expected str, got 5",
+    ),
+    "cell op_type misspelled": (
+        "reduce-scenarios",
+        {
+            "cells": [{**ABSENT_CELL, "op_type": "arival"}],
+            "change_points": 1,
+            "clusters_per_stage": 1,
+        },
+        2,
+        "reduce-scenarios cell config 'op_type': expected one of 'arrival', 'departure', "
+        "got 'arival'",
+    ),
+    "unknown cell key": (
+        "reduce-scenarios",
+        {
+            "cells": [{**ABSENT_CELL, "weight": 1}],
+            "change_points": 1,
+            "clusters_per_stage": 1,
+        },
+        2,
+        "reduce-scenarios cell config: unknown key 'weight'",
+    ),
+    "two cells for one airport and op_type": (
+        "reduce-scenarios",
+        {
+            "cells": [ABSENT_CELL, {**ABSENT_CELL, "series": "other.json"}],
+            "change_points": 1,
+            "clusters_per_stage": 1,
+        },
+        2,
+        "reduce-scenarios config 'cells': two cells for A/departure",
+    ),
 }
 
 
@@ -1429,6 +1483,8 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     segment = json.loads(json.dumps(stress))
     segment["trees"][0]["segments"][0][1] = 1.5
     Path("segment-1.5.json").write_text(json.dumps(segment))
+    twice = {**stress, "trees": [*stress["trees"], stress["trees"][1]]}
+    Path("two-trees.json").write_text(json.dumps(twice))
     boundary = json.loads(json.dumps(stress))
     boundary["trees"][0]["boundaries"][0] = True
     Path("boundary-true.json").write_text(json.dumps(boundary))
@@ -1478,19 +1534,25 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
 
 
 def test_readme_config_and_sections_match_the_declared_keys():
-    """README's example config passes the key check, and each command's
-    bullet under "Subcommand sections" names every key it reads."""
+    """README's example config passes the section check, and each
+    command's bullet under "Subcommand sections" names every key it
+    reads: the keys it always needs before "; optional", the others
+    after it."""
     usage = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     usage = usage.split("## CLI usage", 1)[1]
     example = json.loads(usage.split("```json\n", 1)[1].split("```", 1)[0])
     assert set(example) - {"seed"}
     for command in set(example) - {"seed"}:
-        section_for(example, command, KEYS[command])
+        parse_section(example[command], KEYS[command], command)
     listing = usage.split("Subcommand sections:", 1)[1].split("\n## ", 1)[0]
     bullets = {bullet.split("`", 2)[1]: bullet for bullet in listing.split("\n- ")[1:]}
     assert set(bullets) == set(KEYS)
     for command, keys in KEYS.items():
-        assert [k for k in keys if f"`{k}`" not in bullets[command]] == [], command
+        required, _, optional = bullets[command].split(":", 1)[1].partition("; optional")
+        for key in keys:
+            always = key.default is REQUIRED and key.mode is None
+            listed = (f"`{key.name}`" in required, f"`{key.name}`" in optional)
+            assert listed == (always, not always), (command, key.name)
 
 
 def test_help_describes_every_subcommand(monkeypatch):

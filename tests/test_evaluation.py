@@ -409,3 +409,25 @@ def test_sweep_rejects_empty_radius_list():
     inst = two_airport_instance()
     with pytest.raises(ValueError):
         epsilon_sweep(inst, (), (0.0,), ReductionSpec(0.0))
+
+
+def test_sweep_reads_a_negative_zero_level_as_zero():
+    spec = ReductionSpec(reduction=0.0, band=1.0, sample_count=10, seed=0)
+    report = epsilon_sweep(two_airport_instance(), (0.1,), (-0.0, 0.1), spec)
+    assert [row.reduction for row in report.rows] == [0.0, 0.1]
+    assert math.copysign(1.0, report.rows[0].reduction) == 1.0
+
+
+@pytest.mark.parametrize(
+    "levels,message",
+    [
+        ((), "need at least one reduction level"),
+        ((0.1, 1.5), "reduction must lie in [0, 1)"),
+        ((-0.1, 0.2), "reduction must lie in [0, 1)"),
+    ],
+)
+def test_sweep_checks_every_reduction_level_before_solving(levels, message, monkeypatch):
+    calls = _count_milp(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        epsilon_sweep(two_airport_instance(), (0.1,), levels, ReductionSpec(0.0))
+    assert calls == []
