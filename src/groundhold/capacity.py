@@ -58,6 +58,13 @@ def _op_type_error(op_type) -> ValueError:
     return ValueError(f"op_type must be one of {OP_TYPES}, got {op_type!r}")
 
 
+def _op_type(text: str) -> str:
+    """text, which must be 'arrival' or 'departure'."""
+    if text not in OP_TYPES:
+        raise _op_type_error(text)
+    return text
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class OperationRecord:
     """One arrival or departure: where, when planned, when flown."""
@@ -131,8 +138,6 @@ class CapacityObservation:
     def __init__(
         self, airport: str, op_type: str, interval: int, capacity: int, criteria: frozenset
     ):
-        if op_type not in OP_TYPES:
-            raise _op_type_error(op_type)
         set_airport, set_op_type, set_interval, set_capacity, set_criteria = (
             _OBSERVATION_SETTERS
         )
@@ -384,13 +389,13 @@ def read_capacity_observations(path) -> list[CapacityObservation]:
         header, pick = _read_header(reader, path, what, OBSERVATION_COLUMNS)
         for line, row in csv_rows(reader, header, path, what, skip_blank=True):
             airport, op_type, interval, capacity, criteria = pick(row)
-            interval = parse_cell(_whole, interval, path, what, line, "interval")
-            capacity = parse_cell(_whole, capacity, path, what, line, "capacity")
-            criteria = parse_cell(_criteria, criteria, path, what, line, "criteria")
-            observations.append(  # the observation refuses an unknown op_type
-                parse_cell(
-                    lambda text: CapacityObservation(airport, text, interval, capacity, criteria),
-                    op_type, path, what, line, "op_type",
+            observations.append(
+                CapacityObservation(
+                    airport,
+                    parse_cell(_op_type, op_type, path, what, line, "op_type"),
+                    parse_cell(_whole, interval, path, what, line, "interval"),
+                    parse_cell(_whole, capacity, path, what, line, "capacity"),
+                    parse_cell(_criteria, criteria, path, what, line, "criteria"),
                 )
             )
     return observations
