@@ -85,10 +85,6 @@ class OperationRecord:
         set_scheduled(self, scheduled_minute)
         set_actual(self, actual_minute)
 
-    @property
-    def delay_minutes(self) -> float:
-        return self.actual_minute - self.scheduled_minute
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class IntervalStats:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -79,7 +78,7 @@ from .prediction import (
     temporal_split,
     train,
 )
-from .pmf import load_pmf_series
+from .pmf import as_whole, load_pmf_series
 from .scenario import build_scenario_tree, cluster_time_series, save_trees
 
 
@@ -235,20 +234,23 @@ def cmd_reduce_scenarios(values, seed):
 def _det_capacities(raw, instance):
     """The solve section's det profiles keyed (airport, op_type). Each
     label must name a constrained cell "airport/op_type" and each profile
-    be a list of horizon-many finite numbers, else ConfigError."""
+    be a list of horizon-many capacities, whole numbers of at least 0
+    (as_whole), else ConfigError."""
     cells = {f"{airport}/{op}": (airport, op) for airport, op in instance.constrained_keys()}
     fixed = {}
     for label, profile in raw.items():
         context = f"solve config 'capacities' {label!r}"
         if label not in cells:
             raise ConfigError(f"{context}: expected one of {', '.join(cells)}")
-        if not (
-            isinstance(profile, list)
-            and len(profile) == instance.horizon
-            and all(type(c) in (int, float) and math.isfinite(c) for c in profile)
-        ):
-            raise ConfigError(f"{context}: expected {instance.horizon} finite numbers")
-        fixed[cells[label]] = profile
+        refusal = ConfigError(
+            f"{context}: expected {instance.horizon} whole numbers of at least 0"
+        )
+        if not isinstance(profile, list) or len(profile) != instance.horizon:
+            raise refusal
+        try:
+            fixed[cells[label]] = [as_whole(c) for c in profile]
+        except ValueError:
+            raise refusal from None
     return fixed
 
 
@@ -382,7 +384,7 @@ KEYS = {
         Key("time_format", one_of("minutes", "iso8601"), "minutes"),
         Key("alpha", finite, OPTIONAL),
         Key("delay_threshold_minutes", finite, OPTIONAL),
-        Key("min_delayed", int, OPTIONAL),
+        Key("min_delayed", count(0), OPTIONAL),
         Key("percentile", fraction, OPTIONAL),
         Key("horizon_start", timestamp, mode=("time_format", "iso8601")),
         Key("records", file_path),

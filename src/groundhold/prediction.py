@@ -11,10 +11,11 @@ instead of a single number. Two predictor kinds share one model type:
 * 'mlp' is a single-hidden-layer softmax network trained with plain
   minibatch gradient descent.
 
-Point predictions, central tolerance sets and the usual accuracy /
-coverage metrics are derived from the predicted PMFs. Training,
+evaluate derives point predictions, tolerance sets and the usual
+accuracy / coverage metrics from the predicted PMFs. Training,
 bucketing and scoring run on whole arrays, and every number they give
-is the one the plain per-row loops give.
+is the one the plain per-row loops give; the MLP scores each row as its
+own 1 x d product, so its weights are those of scoring it alone.
 """
 
 from __future__ import annotations
@@ -262,15 +263,16 @@ def _descend(params: dict, normalized, onehot, rng, config: TrainingConfig) -> N
         params[key][...] = trained
 
 
-def _predicted_weights(model: PredictorModel, z: np.ndarray) -> list[np.ndarray]:
+def _predicted_weights(model: PredictorModel, z: np.ndarray) -> np.ndarray:
     """The predicted weights over 0..max_capacity for each row of the
-    normalized 2-D array z. An MLP runs its forward pass one row at a
-    time, so a row's weights do not depend on the rows scored with it."""
+    normalized 2-D array z, one row each. The MLP multiplies each row
+    as its own 1 x d matrix, so a row's weights do not depend on the
+    rows scored with it."""
     if model.kind == EMPIRICAL:
         buckets, overall = model.params["buckets"], model.params["overall"]
-        return [buckets.get(key, overall) for key in _bucket_keys(z)]
+        return np.array([buckets.get(key, overall) for key in _bucket_keys(z)])
     w1, b1, w2, b2 = (model.params[k] for k in _LAYERS)
-    return [_softmax(np.maximum(row @ w1 + b1, 0.0) @ w2 + b2) for row in z]
+    return _softmax(np.maximum(z[:, None, :] @ w1 + b1, 0.0) @ w2 + b2)[:, 0]
 
 
 def predict_pmf(model: PredictorModel, feature_vector) -> Pmf:
@@ -280,7 +282,7 @@ def predict_pmf(model: PredictorModel, feature_vector) -> Pmf:
         raise ValueError(
             f"feature vector has shape {x.shape}, model expects ({model.feature_dim},)"
         )
-    (weights,) = _predicted_weights(model, model.normalize(x)[None])
+    weights = _predicted_weights(model, model.normalize(x)[None])[0]
     return make_pmf(range(model.max_capacity + 1), weights)
 
 
@@ -300,30 +302,13 @@ def _ranked(weights: np.ndarray, level: float = 1.0):
     return order, sizes
 
 
-def point_prediction(p: Pmf) -> int:
-    """Most likely capacity, preferring the smaller value on ties."""
-    order, _ = _ranked(p.weights_array[None])
-    return p.support[order[0, 0]]
-
-
-def tolerance_interval(p: Pmf, level: float = 0.9) -> frozenset:
-    """Smallest support set reaching the coverage level.
-
-    Values are added in decreasing probability order (smaller capacity
-    first on ties) until the accumulated mass reaches level, with a tiny
-    slack so that sums like 0.7 + 0.1 + 0.1 still count as 0.9.
-    """
-    order, sizes = _ranked(p.weights_array[None], level)
-    return frozenset(p.support[i] for i in order[0, : sizes[0]])
-
-
 def evaluate(model: PredictorModel, features, truths, level: float = 0.9) -> PredictionMetrics:
     """Point accuracy and tolerance-set coverage on labeled rows.
 
-    Each row's weights are the ones predict_pmf gives it, and its point
-    prediction and tolerance set those of point_prediction and
-    tolerance_interval, so the metrics are the ones a loop over those
-    three gives; a truth outside 0..max_capacity is never covered.
+    Each row's weights are the ones predict_pmf gives it; its point
+    prediction is the most likely capacity (the smaller on ties) and its
+    tolerance set the fewest capacities, taken in that order, whose mass
+    reaches level. A truth outside 0..max_capacity is never covered.
     """
     features = np.asarray(features, dtype=float)
     truths = np.asarray(truths, dtype=int)
@@ -334,7 +319,7 @@ def evaluate(model: PredictorModel, features, truths, level: float = 0.9) -> Pre
             f"features have shape {features.shape}, expected "
             f"({len(truths)}, {model.feature_dim})"
         )
-    weights = np.array(_predicted_weights(model, model.normalize(features)))
+    weights = _predicted_weights(model, model.normalize(features))
     # a row predict_pmf would renormalize or reject goes through make_pmf
     for i in np.flatnonzero(
         (np.abs(weights.sum(axis=1) - 1.0) > MASS_TOL / 2) | (weights < 0).any(axis=1)

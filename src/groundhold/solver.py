@@ -2,10 +2,9 @@
 
 Every optimization problem in the package (the ground holding MILPs and
 the robust deterministic equivalent) is built against the same calls:
-add_variables and add_rows append whole blocks, add_variable and
-add_linear_constraint one variable or row through them, and minimize
-solves. Every variable is at least 0, and a binary at most 1. A block
-of variables is one array of objective weights and one of binary flags,
+add_variables and add_rows append whole blocks, and minimize solves.
+Every variable is at least 0, and a binary at most 1. A block of
+variables is one array of objective weights and one of binary flags,
 numbered in order from the model's next index. A block of rows is three
 index arrays of (row within the block, column, value) triplets plus one
 lower and one upper bound per row, numbered in order from the model's
@@ -34,11 +33,6 @@ MIP_REL_GAP = 1e-6
 #: largest distance from 0 or 1 at which a relaxed binary counts as integral
 INTEGRALITY_TOL = 1e-9
 
-CONTINUOUS = "continuous"
-BINARY = "binary"
-
-_SENSES = ("<=", "=", ">=")
-
 
 @dataclass
 class Solution:
@@ -59,10 +53,6 @@ class Solution:
     mip_gap: float | None = None
     dual_bound: float | None = None
     node_count: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "optimal"
 
 
 class LinearModel:
@@ -109,33 +99,6 @@ class LinearModel:
         self._row_ub.append(np.asarray(upper, dtype=float))
         self.num_constraints += len(lower)
         self.num_nonzeros += len(self._vals[-1])
-
-    def add_variable(self, kind: str = CONTINUOUS, objective: float = 0.0) -> int:
-        """Append a variable and return its index: a binary ranges over
-        {0, 1}, a continuous variable over [0, inf)."""
-        if kind not in (BINARY, CONTINUOUS):
-            raise ValueError(f"unknown variable kind {kind!r}")
-        return self.add_variables([objective], kind == BINARY)
-
-    def add_linear_constraint(
-        self,
-        terms: list[tuple[int, float]],
-        sense: str,
-        rhs: float,
-    ) -> None:
-        """Add sum(coef * var) <sense> rhs with sense in {'<=', '=', '>='}.
-        The variable indices are checked at minimize."""
-        if sense not in _SENSES:
-            raise ValueError(f"unknown constraint sense {sense!r}")
-        rhs = float(rhs)
-        cols, vals = zip(*terms) if terms else ((), ())
-        self.add_rows(
-            [0] * len(cols),
-            cols,
-            vals,
-            [rhs if sense in ("=", ">=") else -np.inf],
-            [rhs if sense in ("=", "<=") else np.inf],
-        )
 
     def minimize(self, time_limit: float | None = None) -> Solution:
         """Solve and return a Solution. Never raises for infeasibility.

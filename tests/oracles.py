@@ -27,8 +27,9 @@ library's loop over one flat parameter buffer must reproduce to the
 bit. looped_histograms is the empirical predictor's training as first
 written, one round() per feature and one count per row, whose buckets
 the library's array keys and bincount must reproduce exactly.
-sorted_tolerance_set is the tolerance set as first written, one Python
-sort per PMF, which the library's array ranking must reproduce.
+point_prediction and tolerance_interval are one PMF's mode and
+tolerance set as first written, one Python sort per PMF, which the
+library's array ranking in prediction.evaluate must reproduce.
 looped_aggregate_intervals is the interval binning as first written,
 one record at a time in Python, which the library's array version must
 reproduce exactly.
@@ -52,9 +53,10 @@ policy's queue overflow as first written, every interval's excess over
 its stage's capacity summed per sample; the library's per-stage tables
 must reproduce it to the bit, and the oracles here that price a policy
 scenario by scenario use it. rowwise_det, rowwise_sp and rowwise_dr are
-the builders as first written, one add_variable or
-add_linear_constraint call per variable or row; the library's block
-appends must hand HiGHS the same arrays.
+the builders as first written, one add_variables call per variable and
+one add_row per row; the library's block appends must hand HiGHS the
+same arrays. add_row appends one row given as (variable, coefficient)
+terms, a sense and a right-hand side, as every oracle model here does.
 """
 
 from __future__ import annotations
@@ -79,7 +81,23 @@ from groundhold.maghp import (
 from groundhold.evaluation import shifted_representatives
 from groundhold.pmf import Pmf
 from groundhold.prediction import _softmax, predict_pmf
-from groundhold.solver import BINARY, LinearModel
+from groundhold.solver import LinearModel
+
+
+def add_row(model: LinearModel, terms, sense: str, rhs: float) -> None:
+    """Append the row sum(coef * var) <sense> rhs, sense one of '<=',
+    '=' and '>=', through model.add_rows."""
+    if sense not in ("<=", "=", ">="):
+        raise ValueError(f"unknown constraint sense {sense!r}")
+    rhs = float(rhs)
+    cols, vals = zip(*terms) if terms else ((), ())
+    model.add_rows(
+        [0] * len(cols),
+        cols,
+        vals,
+        [rhs if sense in ("=", ">=") else -np.inf],
+        [rhs if sense in ("=", "<=") else np.inf],
+    )
 
 
 def aggregated_first_stage(instance: MaghpInstance, model: LinearModel):
@@ -91,15 +109,16 @@ def aggregated_first_stage(instance: MaghpInstance, model: LinearModel):
         departures = range(f.sched_dep, total - f.flight_time)
         arrivals = range(f.sched_arr, total)
         for t in departures:
-            u_index[f.id, t] = model.add_variable(kind=BINARY)
+            u_index[f.id, t] = model.add_variables([0.0], True)
         for t in arrivals:
-            v_index[f.id, t] = model.add_variable(kind=BINARY)
-        ground[f.id] = model.add_variable(objective=instance.cost_ground)
-        air[f.id] = model.add_variable(objective=instance.cost_air)
-        model.add_linear_constraint([(u_index[f.id, t], 1.0) for t in departures], "=", 1.0)
-        model.add_linear_constraint([(v_index[f.id, t], 1.0) for t in arrivals], "=", 1.0)
+            v_index[f.id, t] = model.add_variables([0.0], True)
+        ground[f.id] = model.add_variables([instance.cost_ground])
+        air[f.id] = model.add_variables([instance.cost_air])
+        add_row(model, [(u_index[f.id, t], 1.0) for t in departures], "=", 1.0)
+        add_row(model, [(v_index[f.id, t], 1.0) for t in arrivals], "=", 1.0)
         # ground delay is the chosen departure slot minus schedule
-        model.add_linear_constraint(
+        add_row(
+            model,
             [(ground[f.id], 1.0)] + [(u_index[f.id, t], -float(t)) for t in departures],
             "=",
             -float(f.sched_dep),
@@ -108,10 +127,11 @@ def aggregated_first_stage(instance: MaghpInstance, model: LinearModel):
         terms = [(air[f.id], 1.0)]
         terms += [(v_index[f.id, t], -float(t)) for t in arrivals]
         terms += [(u_index[f.id, t], float(t)) for t in departures]
-        model.add_linear_constraint(terms, "=", float(f.sched_dep - f.sched_arr))
+        add_row(model, terms, "=", float(f.sched_dep - f.sched_arr))
 
     for c in instance.delay_connections():
-        model.add_linear_constraint(
+        add_row(
+            model,
             [
                 (ground[c.successor], 1.0),
                 (ground[c.predecessor], -1.0),
@@ -177,11 +197,11 @@ def _scenario_overflow(model, instance, u_index, v_index, key, tree, weight):
         for t in range(instance.horizon):
             terms = _assigned_terms(instance, u_index, v_index, airport, op_type, t)
             if t > 0:
-                y = model.add_variable(objective=weight(prob))
+                y = model.add_variables([weight(prob)])
                 y_index[s, t] = y
                 terms = terms + [(y, -1.0)]
             if terms:
-                model.add_linear_constraint(terms, "<=", float(profile[t]))
+                add_row(model, terms, "<=", float(profile[t]))
     return y_index
 
 
@@ -211,9 +231,9 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     for key in keys:
         tree = instance.trees[key]
         distances = scenario_distance_matrix(tree)
-        alpha = alpha_index[key] = model.add_variable(objective=radius)
+        alpha = alpha_index[key] = model.add_variables([radius])
         # beta_i >= 0 follows from the (i, i) pair row: beta_i >= unit * sum y
-        betas = [model.add_variable(objective=prob) for prob in tree.probabilities]
+        betas = [model.add_variables([prob]) for prob in tree.probabilities]
         y_index = _scenario_overflow(
             model, instance, u_index, v_index, key, tree, lambda prob: 0.0
         )
@@ -224,7 +244,7 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
                 terms += [
                     (y_index[j, t], -unit) for t in range(1, instance.horizon)
                 ]
-                model.add_linear_constraint(terms, ">=", 0.0)
+                add_row(model, terms, ">=", 0.0)
     return ModelBundle(
         "dr",
         model,
@@ -259,17 +279,13 @@ def wasserstein_lp(p, q, cost) -> tuple[float, np.ndarray]:
     index = np.arange(m * n).reshape(m, n)
     for i in range(m):
         for j in range(n):
-            model.add_variable(objective=c[i, j])
+            model.add_variables([c[i, j]])
     for i in range(m):
-        model.add_linear_constraint(
-            [(int(index[i, j]), 1.0) for j in range(n)], "=", mu[i]
-        )
+        add_row(model, [(int(index[i, j]), 1.0) for j in range(n)], "=", mu[i])
     for j in range(n):
-        model.add_linear_constraint(
-            [(int(index[i, j]), 1.0) for i in range(m)], "=", nu[j]
-        )
+        add_row(model, [(int(index[i, j]), 1.0) for i in range(m)], "=", nu[j])
     solution = model.minimize()
-    if not solution.ok:
+    if solution.status != "optimal":
         raise SolverError(f"transportation LP ended with status {solution.status}")
     coupling = np.maximum(solution.values.reshape(m, n), 0.0)
     return float(solution.objective), coupling
@@ -293,21 +309,20 @@ def inner_worst_case(policy, instance: MaghpInstance, tree, epsilon: float) -> f
     n = tree.num_scenarios
     model = LinearModel()
     plan = {
-        (i, j): model.add_variable(objective=-q_cost[j])
+        (i, j): model.add_variables([-q_cost[j]])
         for i in range(n)
         for j in range(n)
     }
     for i, prob in enumerate(tree.probabilities):
-        model.add_linear_constraint(
-            [(plan[i, j], 1.0) for j in range(n)], "=", prob
-        )
-    model.add_linear_constraint(
+        add_row(model, [(plan[i, j], 1.0) for j in range(n)], "=", prob)
+    add_row(
+        model,
         [(plan[i, j], float(distances[i, j])) for i in range(n) for j in range(n)],
         "<=",
         float(epsilon),
     )
     solution = model.minimize()
-    if not solution.ok:
+    if solution.status != "optimal":
         raise SolverError(
             f"worst-case LP ended with status {solution.status}"
         )
@@ -326,12 +341,10 @@ def lp_second_stage_cost(policy, instance: MaghpInstance, sample: dict) -> float
         profile = np.array(sample[key])[stages]
         assigned = assigned_counts(instance, policy)[key]
         for t in range(instance.horizon):
-            y = model.add_variable(objective=instance.recourse_cost)
-            model.add_linear_constraint(
-                [(y, 1.0)], ">=", float(assigned[t] - profile[t])
-            )
+            y = model.add_variables([instance.recourse_cost])
+            add_row(model, [(y, 1.0)], ">=", float(assigned[t] - profile[t]))
     solution = model.minimize()
-    if not solution.ok:
+    if solution.status != "optimal":
         raise SolverError(f"evaluation LP ended with status {solution.status}")
     return float(solution.objective)
 
@@ -380,11 +393,23 @@ def looped_histograms(normalized, labels, classes):
     }
 
 
-def sorted_tolerance_set(p: Pmf, level: float) -> frozenset:
+def _by_likelihood(p: Pmf) -> list:
+    """p's (weight, value) pairs by decreasing weight, the smaller value
+    first on ties."""
+    return sorted(zip(p.weights, p.support), key=lambda t: (-t[0], t[1]))
+
+
+def point_prediction(p: Pmf) -> int:
+    """The most likely capacity, the smaller one on ties."""
+    return _by_likelihood(p)[0][1]
+
+
+def tolerance_interval(p: Pmf, level: float = 0.9) -> frozenset:
     """Support values by decreasing probability (the smaller value first
-    on ties), taken until their running sum reaches level - 1e-9."""
+    on ties), taken until their running sum reaches level - 1e-9, or all
+    of them if it never does."""
     chosen, total = [], 0.0
-    for weight, value in sorted(zip(p.weights, p.support), key=lambda t: (-t[0], t[1])):
+    for weight, value in _by_likelihood(p):
         chosen.append(value)
         total += weight
         if total >= level - 1e-9:
@@ -429,7 +454,7 @@ def looped_aggregate_intervals(records, num_intervals, interval_minutes=15.0):
             demand[bin_of(rec.scheduled_minute, "scheduled", rec)] += 1
             b = bin_of(rec.actual_minute, "actual", rec)
             throughput[b] += 1
-            delay = rec.delay_minutes
+            delay = rec.actual_minute - rec.scheduled_minute
             delays[b].append(max(0.0, delay))
             if delay > DELAYED_FLIGHT_MINUTES:
                 delayed[b] += 1
@@ -540,18 +565,18 @@ def _rowwise_first_stage(instance: MaghpInstance, model: LinearModel):
             (u_index, f.sched_dep, total - f.flight_time, ground_weight),
             (v_index, f.sched_arr, total, instance.cost_air),
         ):
-            chosen = [model.add_variable(kind=BINARY) for _ in range(first, last)]
+            chosen = [model.add_variables([0.0], True) for _ in range(first, last)]
             slots.update(((f.id, t), var) for t, var in zip(range(first, last), chosen))
-            model.add_linear_constraint([(var, 1.0) for var in chosen], "=", 1.0)
-            chain = [model.add_variable(objective=weight) for _ in chosen[1:]]
+            add_row(model, [(var, 1.0) for var in chosen], "=", 1.0)
+            chain = [model.add_variables([weight]) for _ in chosen[1:]]
             for k, wait in enumerate(chain):
                 terms = [(wait, 1.0), (chosen[k + 1], -1.0)]
                 if k + 1 < len(chain):
                     terms.append((chain[k + 1], -1.0))
-                model.add_linear_constraint(terms, "=", 0.0)
+                add_row(model, terms, "=", 0.0)
             chains.append(chain)
         for x, y in zip(*chains):
-            model.add_linear_constraint([(y, 1.0), (x, -1.0)], ">=", 0.0)
+            add_row(model, [(y, 1.0), (x, -1.0)], ">=", 0.0)
         waits[f.id] = chains
 
     for c in instance.delay_connections():
@@ -559,9 +584,9 @@ def _rowwise_first_stage(instance: MaghpInstance, model: LinearModel):
         y = waits[c.predecessor][1]
         for k in range(c.slack, len(y)):
             if k - c.slack < len(x):
-                model.add_linear_constraint([(x[k - c.slack], 1.0), (y[k], -1.0)], ">=", 0.0)
+                add_row(model, [(x[k - c.slack], 1.0), (y[k], -1.0)], ">=", 0.0)
             else:
-                model.add_linear_constraint([(y[k], 1.0)], "<=", 0.0)
+                add_row(model, [(y[k], 1.0)], "<=", 0.0)
     return u_index, v_index
 
 
@@ -581,7 +606,7 @@ def rowwise_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
     for key, profile in sorted(fixed_capacities.items()):
         for t, terms in enumerate(slots.get(key, empty)):
             if terms:
-                model.add_linear_constraint(terms, "<=", float(profile[t]))
+                add_row(model, terms, "<=", float(profile[t]))
     return ModelBundle("det", model, instance, u_index, v_index)
 
 
@@ -603,13 +628,13 @@ def rowwise_sp(instance: MaghpInstance) -> ModelBundle:
             if t == 0:
                 floor = min(atoms)
                 if terms and len(terms) > floor:
-                    model.add_linear_constraint(terms, "<=", float(floor))
+                    add_row(model, terms, "<=", float(floor))
                 continue
             for capacity, prob in atoms.items():
                 if len(terms) <= capacity:
                     continue
-                var = z[t, capacity] = model.add_variable(objective=prob * unit)
-                model.add_linear_constraint(terms + [(var, -1.0)], "<=", float(capacity))
+                var = z[t, capacity] = model.add_variables([prob * unit])
+                add_row(model, terms + [(var, -1.0)], "<=", float(capacity))
     return ModelBundle("sp", model, instance, u_index, v_index, z_index)
 
 
@@ -623,15 +648,15 @@ def rowwise_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
         tree = instance.trees[key]
         marginals = tree.stage_capacities
         diameter = _diameter(marginals)
-        alpha = alphas[key] = model.add_variable(objective=radius)
+        alpha = alphas[key] = model.add_variables([radius])
         for segment, atoms in zip(tree.time_clusters.segments, marginals):
             lo, *above = atoms
             for a in above:
-                premium = model.add_variable(objective=atoms[a])
+                premium = model.add_variables([atoms[a]])
                 terms = [(premium, 1.0), (alpha, (a - lo) / diameter)]
                 terms += [(z[t, lo], -unit) for t in segment if (t, lo) in z]
                 terms += [(z[t, a], unit) for t in segment if (t, a) in z]
-                model.add_linear_constraint(terms, ">=", 0.0)
+                add_row(model, terms, ">=", 0.0)
     return ModelBundle(
         "dr", model, instance, bundle.u_index, bundle.v_index, bundle.z_index, alphas, radius
     )

@@ -1277,7 +1277,14 @@ MALFORMED = {
         {"records": "missing.csv", "num_intervals": 4, "delay_threshold_minutes": "nan"},
         2,
         "delay_threshold_minutes",
-    ),    "unknown time format": (
+    ),
+    "negative min delayed": (
+        "estimate",
+        {"records": "missing.csv", "num_intervals": 4, "min_delayed": -1},
+        2,
+        "estimate config 'min_delayed': expected an integer of at least 0, got -1",
+    ),
+    "unknown time format": (
         "estimate",
         {"records": "missing.csv", "num_intervals": 4, "time_format": "hours"},
         2,
@@ -1381,6 +1388,18 @@ MALFORMED = {
         {"model": "det", "capacities": {"B/arrival": [1, 1, float("inf")]}},
         2,
         "'capacities' 'B/arrival'",
+    ),
+    "fractional capacity entry": (
+        "solve",
+        {"model": "det", "capacities": {"A/departure": [2, 2.5, 2]}},
+        2,
+        "solve config 'capacities' 'A/departure'",
+    ),
+    "negative capacity entry": (
+        "solve",
+        {"model": "det", "capacities": {"B/arrival": [3, -1, 3]}},
+        2,
+        "solve config 'capacities' 'B/arrival'",
     ),
     "empty reduction list": (
         "sweep",

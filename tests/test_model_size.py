@@ -115,7 +115,7 @@ def test_stress_relaxation_is_integral(bundles, kind):
     """The wait rows make the stress day's sp and dr relaxations
     integral, so both solve without a branch and bound node."""
     solution = bundles["stress_instance()", kind].model.minimize()
-    assert solution.ok
+    assert solution.status == "optimal"
     assert solution.node_count == 0
 
 

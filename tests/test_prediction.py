@@ -17,15 +17,19 @@ from groundhold.prediction import (
     _bucket_keys,
     evaluate,
     load_model,
-    point_prediction,
     predict_pmf,
     save_model,
     temporal_split,
-    tolerance_interval,
     train,
 )
 import groundhold.prediction as prediction
-from oracles import cross_entropy, looped_histograms, minibatch_descent, sorted_tolerance_set
+from oracles import (
+    cross_entropy,
+    looped_histograms,
+    minibatch_descent,
+    point_prediction,
+    tolerance_interval,
+)
 
 EXAMPLE = make_pmf([0, 1, 2, 3, 4, 5], [0.05, 0.10, 0.70, 0.10, 0.03, 0.02])
 
@@ -147,13 +151,12 @@ def test_training_weights_are_the_plain_loops_to_the_bit(monkeypatch, seed, rows
 
 def metrics_row_by_row(model, features, truths, level):
     """The metrics of evaluate, recomputed one row at a time from
-    predict_pmf, point_prediction and tolerance_interval; each row's
-    tolerance set and mode are also checked against the plain sort."""
+    predict_pmf and the per-PMF sorts point_prediction and
+    tolerance_interval; each row's mode is also checked against argmax."""
     errors, covered, widths = [], 0, []
     for x, truth in zip(features, truths):
         pmf = predict_pmf(model, x)
         interval = tolerance_interval(pmf, level)
-        assert interval == sorted_tolerance_set(pmf, level)
         assert point_prediction(pmf) == pmf.support[int(np.argmax(pmf.weights))]
         errors.append(point_prediction(pmf) - int(truth))
         covered += int(truth) in interval
@@ -196,6 +199,34 @@ def test_evaluate_is_the_row_by_row_recomputation(kind, level):
     truths[:3] = [model.max_capacity + 1, -1, 40]
     got = evaluate(model, rows, truths, level)
     assert repr(got) == repr(metrics_row_by_row(model, rows, truths, level))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17, 600])
+def test_mlp_scores_each_row_as_the_per_row_forward_pass(monkeypatch, rows):
+    """The stacked forward pass gives each row the bytes of its own
+    softmax(max(row @ w1 + b1, 0) @ w2 + b2), at the benchmark's layer
+    sizes; evaluate ranks exactly the weights predict_pmf gives."""
+    rng = np.random.default_rng(44)
+    features = rng.normal(size=(300 + rows, 6)) * [1.0, 5.0, 0.1, 30.0, 2.0, 0.5]
+    labels = rng.integers(0, 15, size=300 + rows)
+    config = TrainingConfig(kind=MLP, max_capacity=14, learning_rate=0.02, epochs=2, seed=rows)
+    model = train(features[:300], labels[:300], config)
+    z = model.normalize(features[300:])
+    w1, b1, w2, b2 = (model.params[k] for k in ("w1", "b1", "w2", "b2"))
+    looped = [prediction._softmax(np.maximum(row @ w1 + b1, 0.0) @ w2 + b2) for row in z]
+    assert prediction._predicted_weights(model, z).tobytes() == np.array(looped).tobytes()
+
+    ranked = []
+    real_ranked = prediction._ranked
+
+    def recording(weights, level=1.0):
+        ranked.append(weights.copy())
+        return real_ranked(weights, level)
+
+    monkeypatch.setattr(prediction, "_ranked", recording)
+    evaluate(model, features[300:], labels[300:])
+    pmfs = [predict_pmf(model, x).weights for x in features[300:]]
+    assert ranked[0].tobytes() == np.array(pmfs).tobytes()
 
 
 def test_bucket_keys_are_pythons_round(tmp_path):
