@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime
-from operator import itemgetter
 
 import numpy as np
 
-from .config import csv_rows, parse_cell
+from .config import csv_header, csv_rows, parse_cell
 from .errors import MissingInputError
 from .pmf import as_whole
 
@@ -286,18 +285,6 @@ def estimate_capacities(
 # CSV interfaces
 
 
-def _read_header(reader, path, what: str, columns) -> tuple:
-    """The header of a csv.reader's file and an itemgetter that picks
-    columns from a row, in order. A missing column raises
-    MissingInputError naming the file."""
-    header = next(reader, None) or []
-    for column in columns:
-        if column not in header:
-            raise MissingInputError(f"{what} file {path} has no {column!r} column")
-    at = {column: i for i, column in enumerate(header)}
-    return header, itemgetter(*(at[column] for column in columns))
-
-
 def read_operation_records(
     path,
     time_format: str = "minutes",
@@ -330,8 +317,8 @@ def read_operation_records(
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header, pick = _read_header(reader, path, "records", RECORD_COLUMNS)
-        for line, row in csv_rows(reader, header, path, "records", skip_blank=True):
+        header, pick = csv_header(reader, path, "records", RECORD_COLUMNS)
+        for line, row in csv_rows(reader, header, path, "records"):
             airport, op_type, scheduled, actual = pick(row)
             scheduled = parse_cell(minutes, scheduled, path, "records", line, "scheduled_time")
             actual = parse_cell(minutes, actual, path, "records", line, "actual_time")
@@ -348,11 +335,10 @@ def write_capacity_observations(path, observations) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(OBSERVATION_COLUMNS)
-        for o in observations:
-            writer.writerow(
-                [o.airport, o.op_type, o.interval, o.capacity,
-                 "+".join(sorted(o.criteria))]
-            )
+        writer.writerows(
+            [o.airport, o.op_type, o.interval, o.capacity, "+".join(sorted(o.criteria))]
+            for o in observations
+        )
 
 
 def _whole(text: str) -> int:
@@ -382,8 +368,8 @@ def read_capacity_observations(path) -> list[CapacityObservation]:
     observations = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header, pick = _read_header(reader, path, what, OBSERVATION_COLUMNS)
-        for line, row in csv_rows(reader, header, path, what, skip_blank=True):
+        header, pick = csv_header(reader, path, what, OBSERVATION_COLUMNS)
+        for line, row in csv_rows(reader, header, path, what):
             airport, op_type, interval, capacity, criteria = pick(row)
             observations.append(
                 CapacityObservation(
@@ -400,12 +386,5 @@ def read_capacity_observations(path) -> list[CapacityObservation]:
 def write_interval_stats(path, stats) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["airport", "op_type", "interval", "throughput",
-             "scheduled_demand", "avg_delay", "delayed_count"]
-        )
-        for s in stats:
-            writer.writerow(
-                [s.airport, s.op_type, s.interval, s.throughput,
-                 s.scheduled_demand, s.avg_delay, s.delayed_count]
-            )
+        writer.writerow(f.name for f in fields(IntervalStats))
+        writer.writerows(astuple(s) for s in stats)

@@ -2,9 +2,11 @@
 evaluate, sweep.
 
 Every subcommand reads one JSON config (its own section plus the shared
-seed), writes its outputs atomically, and prints a one-line summary.
-main parses the section once, through the command's entries in KEYS,
-and hands the command the parsed values.
+seed). main parses the section once, through the command's entries in
+KEYS, and hands the command the parsed values. The command returns its
+outputs as (path, writer, *args) entries, a one-line summary and its
+exit code; main writes, in order and atomically, each output whose path
+is set, then prints the summary and the out path.
 Exit codes: 0 on success, 1 when the domain rejects the inputs or a
 solve fails, 2 for configuration problems.
 """
@@ -13,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,7 +32,9 @@ from .config import (
     OPTIONAL,
     Key,
     atomic_output,
+    check_seed,
     count,
+    csv_header,
     csv_rows,
     file_path,
     finite,
@@ -43,6 +47,7 @@ from .config import (
     parse_section,
     positive,
     timestamp,
+    write_json,
 )
 from .errors import ConfigError, GroundholdError, MissingInputError
 from .evaluation import (
@@ -121,7 +126,6 @@ def _levels(value):
 
 def cmd_estimate(values, seed):
     """Estimate capacity observations from operation records."""
-    out, stats_out = values["out"], values["stats_out"]
     records = read_operation_records(
         values["records"],
         time_format=values["time_format"],
@@ -134,41 +138,29 @@ def cmd_estimate(values, seed):
         stats,
         **_given(values, "alpha", "delay_threshold_minutes", "min_delayed", "percentile"),
     )
-    with atomic_output(out) as temp:
-        write_capacity_observations(temp, observations)
-    if stats_out is not None:
-        with atomic_output(stats_out) as temp:
-            write_interval_stats(temp, stats)
-    print(
-        f"estimate: {len(observations)} capacity observations from "
-        f"{len(records)} records -> {out}"
-    )
-    return 0
+    summary = f"estimate: {len(observations)} capacity observations from {len(records)} records"
+    return [
+        (values["out"], write_capacity_observations, observations),
+        (values["stats_out"], write_interval_stats, stats),
+    ], summary, 0
 
 
 def _read_training_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or "label" not in header:
-            raise MissingInputError(f"training file {path} has no 'label' column")
-        label_at = header.index("label")
+        header, label = csv_header(reader, path, "training", ("label",))
         features, labels = [], []
         for line, row in csv_rows(reader, header, path, "training"):
-            labels.append(parse_cell(int, row[label_at], path, "training", line, "label"))
+            labels.append(parse_cell(int, label(row), path, "training", line, "label"))
             features.append(
-                [
-                    parse_cell(float, v, path, "training", line, header[i])
-                    for i, v in enumerate(row)
-                    if i != label_at
-                ]
+                [parse_cell(float, v, path, "training", line, column)
+                 for column, v in zip(header, row) if column != "label"]
             )
     return np.asarray(features), np.asarray(labels)
 
 
 def cmd_predict(values, seed):
     """Train a capacity predictor and score it on held-out rows."""
-    out, metrics_out = values["out"], values["metrics_out"]
     train_frac, val_frac = values["train_frac"], values["val_frac"]
     if not (val_frac >= 0 and train_frac + val_frac <= 1):
         raise ConfigError(
@@ -185,30 +177,18 @@ def cmd_predict(values, seed):
     held_out = split_test if len(split_test) else split_val
     model = train(features[split_train], labels[split_train], training)
     metrics = evaluate(model, features[held_out], labels[held_out], **_given(values, "level"))
-    with atomic_output(out) as temp:
-        save_model(temp, model)
-    if metrics_out is not None:
-        body = {
-            "rmse": metrics.rmse,
-            "mae": metrics.mae,
-            "picp": metrics.picp,
-            "mpiw": metrics.mpiw,
-            "count": metrics.count,
-        }
-        with atomic_output(metrics_out) as temp:
-            with open(temp, "w") as fh:
-                json.dump(body, fh, indent=1)
-                fh.write("\n")
-    print(
+    summary = (
         f"predict: {training.kind} model on {len(split_train)} rows, "
-        f"held-out rmse {metrics.rmse:.3f} picp {metrics.picp:.3f} -> {out}"
+        f"held-out rmse {metrics.rmse:.3f} picp {metrics.picp:.3f}"
     )
-    return 0
+    return [
+        (values["out"], save_model, model),
+        (values["metrics_out"], write_json, asdict(metrics)),
+    ], summary, 0
 
 
 def cmd_reduce_scenarios(values, seed):
     """Reduce forecast PMF series to scenario trees."""
-    out = values["out"]
     cells = {}
     for body in values["cells"]:
         cell = parse_section(body, CELL_KEYS, "reduce-scenarios cell")
@@ -224,11 +204,9 @@ def cmd_reduce_scenarios(values, seed):
                 clustering, values["clusters_per_stage"], airport=airport, op_type=op_type
             )
         )
-    with atomic_output(out) as temp:
-        save_trees(temp, trees)
     sizes = ", ".join(str(t.num_scenarios) for t in trees)
-    print(f"reduce-scenarios: {len(trees)} trees ({sizes} scenarios) -> {out}")
-    return 0
+    summary = f"reduce-scenarios: {len(trees)} trees ({sizes} scenarios)"
+    return [(values["out"], save_trees, trees)], summary, 0
 
 
 def _det_capacities(raw, instance):
@@ -256,7 +234,7 @@ def _det_capacities(raw, instance):
 
 def cmd_solve(values, seed):
     """Solve the det, sp or dr ground holding model of an instance."""
-    out, kind = values["out"], values["model"]
+    kind = values["model"]
     instance = load_instance(values["instance"])
     if kind == "det":
         if "capacities" in values:
@@ -269,11 +247,10 @@ def cmd_solve(values, seed):
     else:
         bundle = build_dr(instance, values["epsilon"])
     result = solve(bundle, **_given(values, "time_limit"))
-    with atomic_output(out) as temp:
-        save_result(temp, result, instance)
     objective = "none" if result.objective is None else f"{result.objective:.6f}"
-    print(f"solve: {kind} status {result.status} objective {objective} -> {out}")
-    return 0 if result.status == "optimal" else 1
+    summary = f"solve: {kind} status {result.status} objective {objective}"
+    code = 0 if result.status == "optimal" else 1
+    return [(values["out"], save_result, result, instance)], summary, code
 
 
 def _checked_policy(path, instance):
@@ -312,53 +289,35 @@ def _checked_policy(path, instance):
 
 def cmd_evaluate(values, seed):
     """Price a solved policy on resampled capacities."""
-    out = values["out"]
     spec = _shift_spec(values, seed, "evaluate", values["reduction"])
     instance = load_instance(values["instance"])
     policy = _checked_policy(values["result"], instance)
     samples = resample_capacities(instance.trees, spec)
     evaluation = evaluate_policy(policy, instance, samples)
     body = {
-        "reduction": spec.reduction,
-        "band": spec.band,
-        "sample_count": spec.sample_count,
-        "seed": spec.seed,
+        **asdict(spec),
         "first_stage": evaluation.first_stage,
         "mean_second_stage": evaluation.mean_second_stage,
         "total": evaluation.total,
         "overflow_by_op": dict(sorted(evaluation.overflow_by_op.items())),
     }
-    with atomic_output(out) as temp:
-        with open(temp, "w") as fh:
-            json.dump(body, fh, indent=1)
-            fh.write("\n")
-    print(
-        f"evaluate: reduction {spec.reduction:g} total {evaluation.total:.6f} -> {out}"
-    )
-    return 0
+    summary = f"evaluate: reduction {spec.reduction:g} total {evaluation.total:.6f}"
+    return [(values["out"], write_json, body)], summary, 0
 
 
 def cmd_sweep(values, seed):
     """Compare det, sp and dr policies over radii and reduction levels."""
-    out, samples_out, curve_out = values["out"], values["samples_out"], values["curve_out"]
     spec = _shift_spec(values, seed, "sweep", 0.0)
     instance = load_instance(values["instance"])
     report = epsilon_sweep(
         instance, values["epsilons"], values["reductions"], spec, **_given(values, "day")
     )
-    with atomic_output(out) as temp:
-        write_report_csv(temp, report)
-    if samples_out is not None:
-        with atomic_output(samples_out) as temp:
-            write_sample_costs_csv(temp, report)
-    if curve_out is not None:
-        with atomic_output(curve_out) as temp:
-            write_in_sample_csv(temp, report)
-    print(
-        f"sweep: {len(report.rows)} reduction levels x {len(report.epsilons)} "
-        f"radii -> {out}"
-    )
-    return 0
+    summary = f"sweep: {len(report.rows)} reduction levels x {len(report.epsilons)} radii"
+    return [
+        (values["out"], write_report_csv, report),
+        (values["samples_out"], write_sample_costs_csv, report),
+        (values["curve_out"], write_in_sample_csv, report),
+    ], summary, 0
 
 
 COMMANDS = {
@@ -466,17 +425,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. Each flag given, but --config and --seed, sets the
-    section key of its name, which is then read like one from the file."""
+    """Run one command and write its outputs. Each flag given, but
+    --config and --seed, sets the section key of its name, which is then
+    read like one from the file. The summary is printed only once every
+    output is written."""
     flags = vars(build_parser().parse_args(argv))
     command = flags.pop("command")
     try:
         config = load_config(flags.pop("config"))
-        seed = flags.pop("seed", config.get("seed", 0))
+        for name in config:
+            if name not in COMMANDS and name != "seed":
+                raise ConfigError(
+                    f"unknown config section {name!r}; expected one of "
+                    f"{', '.join(COMMANDS)} or seed"
+                )
+        seed = check_seed(flags.pop("seed", config.get("seed", 0)))
         if command not in config:
             raise ConfigError(f"config has no {command!r} section")
         values = parse_section({**config[command], **flags}, KEYS[command], command)
-        return COMMANDS[command](values, seed)
+        outputs, summary, code = COMMANDS[command](values, seed)
+        for path, write, *args in outputs:
+            if path is not None:
+                with atomic_output(path) as temp:
+                    write(temp, *args)
+        print(f"{summary} -> {values['out']}")
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

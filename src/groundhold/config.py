@@ -1,4 +1,4 @@
-"""JSON run configuration, JSON input files and atomic output files.
+"""JSON run configuration, JSON files and atomic output files.
 
 One config file drives every subcommand: a top-level seed plus one
 section per subcommand. Sections are plain objects so the whole file
@@ -6,10 +6,12 @@ round-trips through json without loss. parse_section reads a section
 through a table of Key entries, whose parsers are the checking parsers
 below (number, finite, count, ...) or the library's own. load_input is
 the one reader of the JSON input files (instances, results, scenario
-trees, PMF series) and names the file in every error about its
-content; parse_cell does the same for one cell of a CSV input file.
-atomic_output hands out a temp name that is renamed into place on
-success, so readers never see a half-written file.
+trees, PMF series) and names the file in every error about its content;
+csv_header, csv_rows and parse_cell do the same for a CSV input file.
+write_json writes every indented JSON output. Commands return their
+outputs and cli.main writes each through atomic_output, which hands out
+a temp name that is renamed into place on success, so readers never see
+a half-written file.
 """
 
 from __future__ import annotations
@@ -20,16 +22,16 @@ import os
 import tempfile
 from contextlib import contextmanager
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, MissingInputError
 
-SECTIONS = ("estimate", "predict", "reduce-scenarios", "solve", "evaluate", "sweep")
-
 
 def load_config(path) -> dict:
-    """Parse and structurally validate a config file."""
+    """Parse a config file and check its seed and that its sections are
+    objects; cli.main checks their names."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -42,17 +44,17 @@ def load_config(path) -> dict:
         raise ConfigError("config root must be an object")
     for name, section in body.items():
         if name == "seed":
-            if not _is_exactly(section, int):
-                raise ConfigError("seed must be an integer")
-            continue
-        if name not in SECTIONS:
-            raise ConfigError(
-                f"unknown config section {name!r}; expected one of "
-                f"{', '.join(SECTIONS)} or seed"
-            )
-        if not isinstance(section, dict):
+            check_seed(section)
+        elif not isinstance(section, dict):
             raise ConfigError(f"section {name!r} must be an object")
     return body
+
+
+def check_seed(seed) -> int:
+    """seed if it is an integer of at least 0, else ConfigError."""
+    if not (_is_exactly(seed, int) and seed >= 0):
+        raise ConfigError(f"seed must be an integer of at least 0, got {seed!r}")
+    return seed
 
 
 #: the default of a key the section must set
@@ -233,13 +235,24 @@ def parse_cell(parse, text, path, what: str, line: int, column: str):
         ) from exc
 
 
-def csv_rows(reader, header, path, what: str, skip_blank: bool = False):
-    """Yield (line, row) for each row of a csv.reader past its header.
-    A row whose field count differs from the header's raises
-    MissingInputError naming the file and line; skip_blank passes over
-    empty lines."""
+def csv_header(reader, path, what: str, columns) -> tuple:
+    """The header of a csv.reader's file and an itemgetter that picks
+    columns from a row, in order. A missing column raises
+    MissingInputError naming the file."""
+    header = next(reader, None) or []
+    for column in columns:
+        if column not in header:
+            raise MissingInputError(f"{what} file {path} has no {column!r} column")
+    at = {column: i for i, column in enumerate(header)}
+    return header, itemgetter(*(at[column] for column in columns))
+
+
+def csv_rows(reader, header, path, what: str):
+    """Yield (line, row) for each row of a csv.reader past its header,
+    passing over blank lines. A row whose field count differs from the
+    header's raises MissingInputError naming the file and line."""
     for row in reader:
-        if skip_blank and not row:
+        if not row:
             continue
         if len(row) != len(header):
             raise MissingInputError(
@@ -247,6 +260,11 @@ def csv_rows(reader, header, path, what: str, skip_blank: bool = False):
                 f"its header {len(header)}"
             )
         yield reader.line_num, row
+
+
+def write_json(path, body) -> None:
+    """Write body as JSON, one-space indented with a final newline."""
+    Path(path).write_text(json.dumps(body, indent=1) + "\n")
 
 
 @contextmanager

@@ -49,16 +49,14 @@ flight's ground and airborne delay from the slots.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .capacity import ARRIVAL, DEPARTURE, OP_TYPES
-from .config import load_input
+from .config import load_input, write_json
 from .errors import MissingInputError, SolverError
 from .pmf import as_real, as_whole
 from .scenario import ScenarioTree, TimeClustering, tree_from_dict, tree_to_dict
@@ -131,6 +129,8 @@ class MaghpInstance:
             raise ValueError("flight ids must be unique")
         self._by_id = {f.id: f for f in self.flights}
         for c in self.connections:
+            if not {c.predecessor, c.successor} <= self._by_id.keys():
+                raise ValueError(f"connection {c.predecessor}->{c.successor} names no flight")
             pred, succ = self.flight(c.predecessor), self.flight(c.successor)
             if pred.destination != succ.origin:
                 raise ValueError(
@@ -829,6 +829,14 @@ def instance_to_dict(instance: MaghpInstance) -> dict:
     }
 
 
+def _name(body: dict, key: str) -> str:
+    """body[key], a flight or airport name, which must be a string, as the
+    keys of a result file are."""
+    if not isinstance(body[key], str):
+        raise ValueError(f"{key!r} must be a string, got {body[key]!r}")
+    return body[key]
+
+
 def instance_from_dict(body: dict) -> MaghpInstance:
     """Rebuild an instance. Overflow is priced at cost_air, so a file
     that sets cost_recourse to anything but null is refused rather than
@@ -839,11 +847,14 @@ def instance_from_dict(body: dict) -> MaghpInstance:
             "'cost_recourse' must be absent or null, since overflow is priced "
             f"at cost_air; got {body['cost_recourse']!r}"
         )
+    airports = body["airports"]
+    if not (isinstance(airports, list) and all(isinstance(a, str) for a in airports)):
+        raise ValueError(f"'airports' must be a list of strings, got {airports!r}")
     flights = tuple(
         Flight(
-            id=f["id"],
-            origin=f["origin"],
-            destination=f["destination"],
+            id=_name(f, "id"),
+            origin=_name(f, "origin"),
+            destination=_name(f, "destination"),
             sched_dep=as_whole(f["sched_dep"]),
             sched_arr=as_whole(f["sched_arr"]),
         )
@@ -856,10 +867,10 @@ def instance_from_dict(body: dict) -> MaghpInstance:
             raise ValueError(f"two trees for cell {tree.airport}/{tree.op_type}")
         trees[tree.airport, tree.op_type] = tree
     return MaghpInstance(
-        airports=tuple(body["airports"]),
+        airports=airports,
         flights=flights,
         connections=tuple(
-            FlightConnection(c["predecessor"], c["successor"], as_whole(c["slack"]))
+            FlightConnection(_name(c, "predecessor"), _name(c, "successor"), as_whole(c["slack"]))
             for c in body["connections"]
         ),
         horizon=as_whole(body["horizon"]),
@@ -870,7 +881,7 @@ def instance_from_dict(body: dict) -> MaghpInstance:
 
 
 def save_instance(path, instance: MaghpInstance) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(instance), indent=1) + "\n")
+    write_json(path, instance_to_dict(instance))
 
 
 def load_instance(path) -> MaghpInstance:
@@ -904,9 +915,7 @@ def result_to_dict(result: SolveResult, instance: MaghpInstance) -> dict:
 
 
 def save_result(path, result: SolveResult, instance: MaghpInstance) -> None:
-    Path(path).write_text(
-        json.dumps(result_to_dict(result, instance), indent=1) + "\n"
-    )
+    write_json(path, result_to_dict(result, instance))
 
 
 def result_from_dict(body: dict) -> SolveResult:

@@ -19,14 +19,12 @@ carry product probabilities, one tree per (airport, op_type).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from types import MappingProxyType
 
-from .config import load_input
+from .config import load_input, write_json
 from .pmf import (
     MASS_TOL,
     Pmf,
@@ -385,9 +383,7 @@ def tree_from_dict(body: dict) -> ScenarioTree:
 
 
 def save_trees(path, trees: list[ScenarioTree]) -> None:
-    Path(path).write_text(
-        json.dumps([tree_to_dict(t) for t in trees], indent=1) + "\n"
-    )
+    write_json(path, [tree_to_dict(t) for t in trees])
 
 
 def load_trees(path) -> list[ScenarioTree]:

@@ -14,6 +14,7 @@ from test_maghp import flight, single_stage_tree, two_airport_instance
 
 from fixtures import (
     bucket_training_data,
+    network_day,
     save_pmf_series,
     stress_instance,
     synthetic_records,
@@ -153,6 +154,27 @@ def test_predict_writes_model_and_metrics(tmp_path):
     assert set(metrics) == {"rmse", "mae", "picp", "mpiw", "count"}
     assert metrics["count"] == 20
     assert 0.0 <= metrics["picp"] <= 1.0
+
+
+def test_training_reader_skips_blank_lines(tmp_path):
+    """A blank line in a training file is passed over, as in the records
+    and observations files: the model and metrics are those of the file
+    without it."""
+    features, labels = bucket_training_data(seed=1, count=240)
+    lines = ["f0,f1,f2,label", *(",".join(map(str, [*r, y])) for r, y in zip(features, labels))]
+    (tmp_path / "plain.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "blank.csv").write_text("\n".join([*lines[:2], "", *lines[2:]]) + "\n")
+    written = []
+    for name in ("plain", "blank"):
+        section = {
+            "training": str(tmp_path / f"{name}.csv"),
+            "kind": "empirical",
+            "out": str(tmp_path / f"{name}-model.json"),
+            "metrics_out": str(tmp_path / f"{name}-metrics.json"),
+        }
+        assert main(["predict", "--config", write_config(tmp_path, {"predict": section})]) == 0
+        written.append([Path(section[key]).read_bytes() for key in ("out", "metrics_out")])
+    assert written[0] == written[1]
 
 
 def test_reduce_scenarios_builds_trees(tmp_path):
@@ -514,6 +536,108 @@ def test_outputs_are_idempotent(tmp_path):
     assert report_path.read_bytes() == first_report
 
 
+#: each command's optional outputs
+OPTIONAL_OUTPUTS = {
+    "estimate": ("stats_out",),
+    "predict": ("metrics_out",),
+    "sweep": ("samples_out", "curve_out"),
+}
+
+
+def _pipeline_sections():
+    """One section per command, with no output set, reading the inputs
+    that _write_pipeline_inputs writes in the working directory; evaluate
+    prices solve's result, solve.out."""
+    return {
+        "estimate": {"records": "records.csv", "num_intervals": 48},
+        "predict": {"training": "training.csv", "kind": "empirical"},
+        "reduce-scenarios": {
+            "cells": [{"series": "series.json", "airport": "A", "op_type": "departure"}],
+            "change_points": 1,
+            "clusters_per_stage": 2,
+        },
+        "solve": {"instance": "instance.json", "model": "sp"},
+        "evaluate": {
+            "instance": "instance.json",
+            "result": "solve.out",
+            "reduction": 0.1,
+            "sample_count": 20,
+        },
+        "sweep": {
+            "instance": "instance.json",
+            "epsilons": [0.0, 0.1],
+            "reductions": [0.1],
+            "sample_count": 20,
+        },
+    }
+
+
+def _write_pipeline_inputs():
+    """Records, training rows, a PMF series and the benchmark's sweep day."""
+    write_operation_records("records.csv", synthetic_records(seed=0))
+    features, labels = bucket_training_data(seed=1, count=240)
+    with open("training.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "f2", "label"])
+        writer.writerows([*row, label] for row, label in zip(features, labels))
+    early, late = make_pmf([4, 8], [0.5, 0.5]), make_pmf([2, 5], [0.6, 0.4])
+    save_pmf_series("series.json", [early] * 4 + [late] * 4)
+    save_instance("instance.json", network_day(0))
+
+
+def _run_pipeline(config, capsys):
+    """Run the six commands on config in pipeline order; each one's exit
+    code and standard output."""
+    capsys.readouterr()
+    runs = {}
+    for command in KEYS:
+        code = main([command, "--config", config])
+        runs[command] = code, capsys.readouterr().out
+    return runs
+
+
+def test_main_writes_every_output_then_the_summary(tmp_path, monkeypatch, capsys):
+    """The write loop in main. All six commands, run twice with every
+    optional output set, write the same bytes and print the same summary.
+    With the optional outputs unset, each writes its out file and nothing
+    else. A solve stopped by its time limit still writes its result and
+    exits 1. An output that cannot be written leaves the summary
+    unprinted."""
+    monkeypatch.chdir(tmp_path)
+    _write_pipeline_inputs()
+    full, bare = _pipeline_sections(), _pipeline_sections()
+    for command in KEYS:
+        full[command]["out"] = f"{command}.out"
+        optional = OPTIONAL_OUTPUTS.get(command, ())
+        full[command].update({key: f"{command}.{key}" for key in optional})
+        bare[command]["out"] = f"bare-{command}.out"
+    config = write_config(tmp_path, {"seed": 3, **full})
+    outputs = [path for section in full.values() for key, path in section.items()
+               if key.endswith("out")]
+    runs = []
+    for _ in range(2):
+        summaries = _run_pipeline(config, capsys)
+        runs.append((summaries, {path: Path(path).read_bytes() for path in outputs}))
+    assert runs[0] == runs[1]
+    for command, (code, summary) in runs[0][0].items():
+        assert (code, summary.split(" -> ")[1]) == (0, f"{command}.out\n")
+
+    bare_config = write_config(tmp_path, {"seed": 3, **bare}, "bare.json")
+    before = set(os.listdir())
+    assert {code for code, _ in _run_pipeline(bare_config, capsys).values()} == {0}
+    assert set(os.listdir()) - before == {f"bare-{command}.out" for command in KEYS}
+
+    limited = ["--model", "dr", "--epsilon", "0.1", "--time-limit", "1e-9", "--out", "limit.json"]
+    assert main(["solve", "--config", config, *limited]) == 1
+    assert capsys.readouterr().out == "solve: dr status time_limit objective none -> limit.json\n"
+    assert load_result("limit.json").status == "time_limit"
+
+    # the curve, written last, under a parent that is a file
+    blocked = {**full["sweep"], "curve_out": "records.csv/curve.csv"}
+    assert main(["sweep", "--config", write_config(tmp_path, {"sweep": blocked}, "x.json")]) == 1
+    assert capsys.readouterr().out == ""
+
+
 #: every setting the CLI leaves to a library default, written out at it
 DEFAULTS_WRITTEN_OUT = {
     "estimate": {
@@ -842,6 +966,16 @@ WHOLE_NUMBER_FIELDS = {
     "result": [("u_slot", 6.7), ("v_slot", True)],
 }
 
+#: fields that name a flight or an airport, each with a value the
+#: instance loader refuses because it is not a string
+NAME_FIELDS = [
+    ("id", 0),
+    ("origin", 1),
+    ("destination", True),
+    ("predecessor", 0),
+    ("successor", None),
+]
+
 #: fields the instance loader reads as real numbers, each with a value
 #: it refuses rather than converts: a cost, or the probability of the
 #: first tree's first stage atom or first scenario
@@ -859,7 +993,7 @@ def _with_field(body: dict, field: str, value) -> dict:
     body = json.loads(json.dumps(body))
     if field in body:
         body[field] = value
-    elif field == "slack":
+    elif field in ("slack", "predecessor", "successor"):
         body["connections"][0][field] = value
     elif isinstance(body["flights"], list):
         body["flights"][0][field] = value
@@ -1018,6 +1152,36 @@ MALFORMED = {
         )
         for field, value in REAL_NUMBER_FIELDS
     },
+    **{
+        f"{field} {value!r}": (
+            "solve",
+            {"instance": f"{field}-{value}.json"},
+            1,
+            f"instance file {field}-{value}.json is malformed: {field!r} must be a string, "
+            f"got {value!r}",
+        )
+        for field, value in NAME_FIELDS
+    },
+    "airports given as one string": (
+        "solve",
+        {"instance": "airports-string.json"},
+        1,
+        "instance file airports-string.json is malformed: 'airports' must be a list of "
+        "strings, got 'ABC'",
+    ),
+    "airports entry not a string": (
+        "solve",
+        {"instance": "airports-entry.json"},
+        1,
+        "instance file airports-entry.json is malformed: 'airports' must be a list of "
+        "strings, got ['A', 'B', 3]",
+    ),
+    "connection that names no flight": (
+        "solve",
+        {"instance": "no-flight.json"},
+        1,
+        "instance file no-flight.json is malformed: connection NOPE->ca0 names no flight",
+    ),
     "tree segment entry not a whole number": (
         "solve",
         {"instance": "segment-1.5.json"},
@@ -1518,6 +1682,12 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
         for field, value in fields:
             bad = _with_field(bodies[kind], field, value)
             Path(f"{field}-{value}.json").write_text(json.dumps(bad))
+    for field, value in NAME_FIELDS:
+        Path(f"{field}-{value}.json").write_text(json.dumps(_with_field(stress, field, value)))
+    Path("airports-string.json").write_text(json.dumps({**stress, "airports": "ABC"}))
+    Path("airports-entry.json").write_text(json.dumps({**stress, "airports": ["A", "B", 3]}))
+    no_flight = _with_field(stress, "predecessor", "NOPE")
+    Path("no-flight.json").write_text(json.dumps(no_flight))
     for field, value in REAL_NUMBER_FIELDS:
         bad = json.loads(json.dumps(stress))
         if field == "stage probability":
@@ -1598,11 +1768,23 @@ def test_config_round_trips(tmp_path):
 
 
 def test_seed_must_be_integer(tmp_path):
-    for seed in ("zero", True):
+    for seed in ("zero", True, -1):
         config = write_config(tmp_path, {"seed": seed, "solve": {}})
         with pytest.raises(ConfigError):
             load_config(config)
         assert main(["solve", "--config", config]) == 2
+
+
+def test_seed_flag_must_be_at_least_0(tmp_path, monkeypatch, capsys):
+    """A negative seed is a config error, not numpy's error from the
+    first draw."""
+    monkeypatch.chdir(tmp_path)
+    save_instance("instance.json", two_airport_instance())
+    section = {"instance": "instance.json", "epsilons": [0.0], "reductions": [0.1], "out": "out"}
+    config = write_config(tmp_path, {"sweep": section})
+    assert main(["sweep", "--config", config, "--seed", "-1"]) == 2
+    assert "config error: seed must be an integer of at least 0" in capsys.readouterr().err
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("limit", ["-1", "nan", "0"])
