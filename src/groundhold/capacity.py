@@ -23,7 +23,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .config import csv_header, csv_rows, parse_cell
+from .config import csv_header, csv_rows, parse_cell, write_csv
 from .errors import MissingInputError
 from .pmf import as_whole
 
@@ -332,13 +332,10 @@ def read_operation_records(
 
 
 def write_capacity_observations(path, observations) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBSERVATION_COLUMNS)
-        writer.writerows(
-            [o.airport, o.op_type, o.interval, o.capacity, "+".join(sorted(o.criteria))]
-            for o in observations
-        )
+    write_csv(path, OBSERVATION_COLUMNS, (
+        [o.airport, o.op_type, o.interval, o.capacity, "+".join(sorted(o.criteria))]
+        for o in observations
+    ))
 
 
 def _whole(text: str) -> int:
@@ -384,7 +381,4 @@ def read_capacity_observations(path) -> list[CapacityObservation]:
 
 
 def write_interval_stats(path, stats) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(IntervalStats))
-        writer.writerows(astuple(s) for s in stats)
+    write_csv(path, [f.name for f in fields(IntervalStats)], map(astuple, stats))

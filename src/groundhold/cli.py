@@ -5,10 +5,11 @@ Every subcommand reads one JSON config (its own section plus the shared
 seed). main parses the section once, through the command's entries in
 KEYS, and hands the command the parsed values. The command returns its
 outputs as (path, writer, *args) entries, a one-line summary and its
-exit code; main writes, in order and atomically, each output whose path
-is set, then prints the summary and the out path.
+exit code; main commits every output whose path is set in one step
+(config.write_outputs), then prints the summary and the out path.
 Exit codes: 0 on success, 1 when the domain rejects the inputs or a
-solve fails, 2 for configuration problems.
+solve fails, 2 for configuration problems, two outputs on one file
+among them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .capacity import (
 from .config import (
     OPTIONAL,
     Key,
-    atomic_output,
     check_seed,
     count,
     csv_header,
@@ -48,6 +48,7 @@ from .config import (
     positive,
     timestamp,
     write_json,
+    write_outputs,
 )
 from .errors import ConfigError, GroundholdError, MissingInputError
 from .evaluation import (
@@ -145,6 +146,11 @@ def cmd_estimate(values, seed):
     ], summary, 0
 
 
+def _feature(text):
+    """A training feature cell: a finite number."""
+    return finite(float(text))
+
+
 def _read_training_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -153,7 +159,7 @@ def _read_training_csv(path):
         for line, row in csv_rows(reader, header, path, "training"):
             labels.append(parse_cell(int, label(row), path, "training", line, "label"))
             features.append(
-                [parse_cell(float, v, path, "training", line, column)
+                [parse_cell(_feature, v, path, "training", line, column)
                  for column, v in zip(header, row) if column != "label"]
             )
     return np.asarray(features), np.asarray(labels)
@@ -444,10 +450,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"config has no {command!r} section")
         values = parse_section({**config[command], **flags}, KEYS[command], command)
         outputs, summary, code = COMMANDS[command](values, seed)
-        for path, write, *args in outputs:
-            if path is not None:
-                with atomic_output(path) as temp:
-                    write(temp, *args)
+        write_outputs(outputs)
         print(f"{summary} -> {values['out']}")
         return code
     except ConfigError as exc:

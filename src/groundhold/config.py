@@ -1,4 +1,4 @@
-"""JSON run configuration, JSON files and atomic output files.
+"""JSON run configuration, input files and output files.
 
 One config file drives every subcommand: a top-level seed plus one
 section per subcommand. Sections are plain objects so the whole file
@@ -8,19 +8,19 @@ below (number, finite, count, ...) or the library's own. load_input is
 the one reader of the JSON input files (instances, results, scenario
 trees, PMF series) and names the file in every error about its content;
 csv_header, csv_rows and parse_cell do the same for a CSV input file.
-write_json writes every indented JSON output. Commands return their
-outputs and cli.main writes each through atomic_output, which hands out
-a temp name that is renamed into place on success, so readers never see
-a half-written file.
+write_json writes every indented JSON output, write_csv every CSV
+output but the per-sample costs. Commands return their outputs and
+cli.main commits them through write_outputs: every file is written
+beside its path and all are moved into place together, so readers
+never see a half-written file nor a failed run's partial outputs.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
-import tempfile
-from contextlib import contextmanager
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
@@ -237,14 +237,15 @@ def parse_cell(parse, text, path, what: str, line: int, column: str):
 
 def csv_header(reader, path, what: str, columns) -> tuple:
     """The header of a csv.reader's file and an itemgetter that picks
-    columns from a row, in order. A missing column raises
-    MissingInputError naming the file."""
+    columns from a row, in order. A column the header lacks or repeats
+    raises MissingInputError naming the file."""
     header = next(reader, None) or []
     for column in columns:
         if column not in header:
             raise MissingInputError(f"{what} file {path} has no {column!r} column")
-    at = {column: i for i, column in enumerate(header)}
-    return header, itemgetter(*(at[column] for column in columns))
+        if header.count(column) > 1:
+            raise MissingInputError(f"{what} file {path} repeats the {column!r} column")
+    return header, itemgetter(*(header.index(column) for column in columns))
 
 
 def csv_rows(reader, header, path, what: str):
@@ -267,16 +268,32 @@ def write_json(path, body) -> None:
     Path(path).write_text(json.dumps(body, indent=1) + "\n")
 
 
-@contextmanager
-def atomic_output(path):
-    """Yield a temp path that replaces `path` only on clean exit."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each of rows, as CSV lines."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_outputs(outputs) -> None:
+    """Call each (path, writer, *args) entry whose path is set on a temp
+    file beside path, which the writer's open() makes with the umask's
+    mode, and move them all into place once every one is written. Two
+    entries on one file raise ConfigError before any is written."""
+    outputs = [(Path(path), *rest) for path, *rest in outputs if path is not None]
+    files = [path.resolve() for path, *_ in outputs]
+    for i, file in enumerate(files):
+        if file in files[:i]:
+            raise ConfigError(f"two outputs go to one file, {outputs[i][0]}")
+    temps = []
     try:
-        yield temp
-        os.replace(temp, path)
+        for path, write, *args in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.{len(temps)}"))
+            write(temps[-1], *args)
+        for temp, (path, *_) in zip(temps, outputs):
+            os.replace(temp, path)
     finally:
-        if os.path.exists(temp):
-            os.unlink(temp)
+        for temp in temps:
+            temp.unlink(missing_ok=True)

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import ARRIVAL, DEPARTURE
+from .config import write_csv
 from .errors import InfeasibleReductionError
 from .maghp import (
     GroundDelayPolicy,
@@ -370,27 +371,14 @@ _REPORT_COLUMNS = [
 
 
 def write_report_csv(path, report: SensitivityReport) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_REPORT_COLUMNS)
-        for row in report.rows:
-            writer.writerow(
-                [
-                    report.day,
-                    f"{row.reduction:g}",
-                    f"{row.det_cost:.6f}",
-                    f"{row.sp_cost:.6f}",
-                    f"{row.dr_cost:.6f}",
-                    f"{row.pct_vs_det:.3f}",
-                    f"{row.pct_vs_sp:.3f}",
-                    f"{row.eps_star:g}",
-                ]
-                + [
-                    f"{row.overflow[model, op]:.6f}"
-                    for model in ("det", "sp", "dr")
-                    for op in (DEPARTURE, ARRIVAL)
-                ]
-            )
+    write_csv(path, _REPORT_COLUMNS, (
+        [report.day, f"{row.reduction:g}"]
+        + [f"{cost:.6f}" for cost in (row.det_cost, row.sp_cost, row.dr_cost)]
+        + [f"{row.pct_vs_det:.3f}", f"{row.pct_vs_sp:.3f}", f"{row.eps_star:g}"]
+        + [f"{row.overflow[model, op]:.6f}"
+           for model in ("det", "sp", "dr") for op in (DEPARTURE, ARRIVAL)]
+        for row in report.rows
+    ))
 
 
 def write_sample_costs_csv(path, report: SensitivityReport) -> None:
@@ -426,10 +414,8 @@ def write_sample_costs_csv(path, report: SensitivityReport) -> None:
 def write_in_sample_csv(path, report: SensitivityReport) -> None:
     """The robust in-sample objective per radius, with sp at radius zero
     as the reference row."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["model", "epsilon", "objective"])
-        writer.writerow(["det", "", f"{report.det_objective:.6f}"])
-        writer.writerow(["sp", "", f"{report.sp_objective:.6f}"])
-        for eps in report.epsilons:
-            writer.writerow(["dr", f"{eps:g}", f"{report.in_sample[eps]:.6f}"])
+    write_csv(path, ["model", "epsilon", "objective"], [
+        ["det", "", f"{report.det_objective:.6f}"],
+        ["sp", "", f"{report.sp_objective:.6f}"],
+        *(["dr", f"{eps:g}", f"{report.in_sample[eps]:.6f}"] for eps in report.epsilons),
+    ])

@@ -89,6 +89,8 @@ class PredictionMetrics:
 def _check_dataset(features, labels, max_capacity=None):
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
     if features.ndim != 2:
         raise ValueError("features must be a 2-D array")
     if features.shape[0] == 0:
@@ -144,6 +146,7 @@ def train(features, labels, config: TrainingConfig) -> PredictorModel:
 
     Normalization bounds come from the training rows only, so a model
     applied to later data scales it exactly as it scaled its own.
+    Non-finite features raise ValueError.
     """
     features, labels, cap = _check_dataset(features, labels, config.max_capacity)
     lo = features.min(axis=0)
@@ -309,8 +312,11 @@ def evaluate(model: PredictorModel, features, truths, level: float = 0.9) -> Pre
     prediction is the most likely capacity (the smaller on ties) and its
     tolerance set the fewest capacities, taken in that order, whose mass
     reaches level. A truth outside 0..max_capacity is never covered.
+    Non-finite features raise ValueError.
     """
     features = np.asarray(features, dtype=float)
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
     truths = np.asarray(truths, dtype=int)
     if len(truths) == 0:
         raise ValueError("nothing to evaluate")

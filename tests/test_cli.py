@@ -596,6 +596,18 @@ def _run_pipeline(config, capsys):
     return runs
 
 
+def _sections_with_every_output():
+    """_pipeline_sections with every output set, each to
+    <command>.<key>, and the list of those paths."""
+    sections = _pipeline_sections()
+    for command, section in sections.items():
+        section["out"] = f"{command}.out"
+        section.update({key: f"{command}.{key}" for key in OPTIONAL_OUTPUTS.get(command, ())})
+    outputs = [path for section in sections.values() for key, path in section.items()
+               if key.endswith("out")]
+    return sections, outputs
+
+
 def test_main_writes_every_output_then_the_summary(tmp_path, monkeypatch, capsys):
     """The write loop in main. All six commands, run twice with every
     optional output set, write the same bytes and print the same summary.
@@ -605,15 +617,10 @@ def test_main_writes_every_output_then_the_summary(tmp_path, monkeypatch, capsys
     unprinted."""
     monkeypatch.chdir(tmp_path)
     _write_pipeline_inputs()
-    full, bare = _pipeline_sections(), _pipeline_sections()
+    (full, outputs), bare = _sections_with_every_output(), _pipeline_sections()
     for command in KEYS:
-        full[command]["out"] = f"{command}.out"
-        optional = OPTIONAL_OUTPUTS.get(command, ())
-        full[command].update({key: f"{command}.{key}" for key in optional})
         bare[command]["out"] = f"bare-{command}.out"
     config = write_config(tmp_path, {"seed": 3, **full})
-    outputs = [path for section in full.values() for key, path in section.items()
-               if key.endswith("out")]
     runs = []
     for _ in range(2):
         summaries = _run_pipeline(config, capsys)
@@ -632,10 +639,32 @@ def test_main_writes_every_output_then_the_summary(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out == "solve: dr status time_limit objective none -> limit.json\n"
     assert load_result("limit.json").status == "time_limit"
 
-    # the curve, written last, under a parent that is a file
+    # the curve, written last, under a parent that is a file: the run
+    # replaces none of its outputs and leaves no temp file behind
+    kept = {path: Path(path).read_bytes() for path in ("sweep.out", "sweep.samples_out")}
     blocked = {**full["sweep"], "curve_out": "records.csv/curve.csv"}
     assert main(["sweep", "--config", write_config(tmp_path, {"sweep": blocked}, "x.json")]) == 1
     assert capsys.readouterr().out == ""
+    assert {path: Path(path).read_bytes() for path in kept} == kept
+    assert not [name for name in os.listdir() if name.startswith(".")]
+
+
+def test_outputs_get_the_mode_of_a_new_file(tmp_path, monkeypatch, capsys):
+    """Under umask 022 every output of the six commands is mode 0644,
+    readable by all, as a file the writer made in place would be."""
+    monkeypatch.chdir(tmp_path)
+    _write_pipeline_inputs()
+    sections, outputs = _sections_with_every_output()
+    config = write_config(tmp_path, {"seed": 3, **sections})
+    umask = os.umask(0o022)
+    try:
+        assert {code for code, _ in _run_pipeline(config, capsys).values()} == {0}
+    finally:
+        os.umask(umask)
+    assert len(outputs) == 10
+    assert {path: os.stat(path).st_mode & 0o777 for path in outputs} == dict.fromkeys(
+        outputs, 0o644
+    )
 
 
 #: every setting the CLI leaves to a library default, written out at it
@@ -1282,6 +1311,36 @@ MALFORMED = {
         1,
         "training file unlabelled.csv has no 'label' column",
     ),
+    "training file with two label columns": (
+        "predict",
+        {"training": "two-labels.csv"},
+        1,
+        "training file two-labels.csv repeats the 'label' column",
+    ),
+    "records header repeating a column": (
+        "estimate",
+        {"records": "r.csv", "num_intervals": 4},
+        1,
+        "records file r.csv repeats the 'airport' column",
+    ),
+    "training feature nan": (
+        "predict",
+        {"training": "t.csv"},
+        1,
+        "training file t.csv line 7, column 'f0': must be finite, got nan",
+    ),
+    "training feature minus infinity": (
+        "predict",
+        {"training": "minus-inf.csv"},
+        1,
+        "training file minus-inf.csv line 3, column 'f1': must be finite, got -inf",
+    ),
+    "two outputs on one file": (
+        "sweep",
+        {"epsilons": [0.0], "reductions": [0.1], "sample_count": 5, "samples_out": "./out"},
+        2,
+        "config error: two outputs go to one file, out",
+    ),
     "negative epsilon": ("solve", {"model": "dr", "epsilon": -0.1}, 2, "epsilon"),
     "epsilon given as a boolean": ("solve", {"model": "dr", "epsilon": True}, 2, "'epsilon'"),
     "epsilon not a number": ("solve", {"model": "dr", "epsilon": "nan"}, 2, "epsilon"),
@@ -1712,6 +1771,12 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     Path("high.csv").write_text("f0,label\n" + "0.5,3\n" * 12)
     Path("empty.csv").write_text("")
     Path("unlabelled.csv").write_text("f0,f1\n0.5,3\n")
+    Path("two-labels.csv").write_text("f0,label,label\n0.5,1,2\n")
+    Path("r.csv").write_text(records_header.replace("\n", ",airport\n") + "A,departure,0,1,B\n")
+    rows = [f"{i / 10},{i % 3}\n" for i in range(60)]
+    rows[5] = "nan,1\n"
+    Path("t.csv").write_text("f0,label\n" + "".join(rows))
+    Path("minus-inf.csv").write_text("f0,f1,label\n0.5,1,2\n0.5,-inf,2\n")
     if command in ("solve", "evaluate", "sweep"):
         section = {"instance": "instance.json", **section}
     config = write_config(tmp_path, {command: {"out": "out", **section}})

@@ -311,6 +311,20 @@ def test_training_validation_errors():
         predict_pmf(model, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [EMPIRICAL, MLP])
+def test_non_finite_features_are_refused(kind, value):
+    """A non-finite feature would give the model NaN bounds and a column
+    normalized to 0; train and evaluate refuse it instead."""
+    features = np.arange(12.0).reshape(4, 3)
+    features[2, 1] = value
+    with pytest.raises(ValueError, match="features must be finite"):
+        train(features, [0, 1, 2, 1], TrainingConfig(kind=kind, epochs=1))
+    model = train(np.arange(12.0).reshape(4, 3), [0, 1, 2, 1], TrainingConfig(kind=kind, epochs=1))
+    with pytest.raises(ValueError, match="features must be finite"):
+        evaluate(model, features, [0, 1, 2, 1])
+
+
 def test_model_file_round_trip(tmp_path):
     rng = np.random.default_rng(34)
     features = rng.normal(size=(30, 4))
