@@ -16,14 +16,13 @@ For intervals that qualify, observed capacity := observed throughput.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import astuple, dataclass, fields
 from datetime import datetime
 
 import numpy as np
 
-from .config import csv_header, csv_rows, parse_cell, write_csv
+from .config import read_csv, write_csv
 from .errors import MissingInputError
 from .pmf import as_whole
 
@@ -295,40 +294,31 @@ def read_operation_records(
 
     time_format 'minutes' reads the time columns as minutes from the
     horizon start; 'iso8601' parses timestamps and measures minutes from
-    horizon_start, which is then required. A missing column, a row whose
-    field count differs from the header's, an op_type other than
-    'arrival' or 'departure' or a time that does not parse raises
-    MissingInputError naming the file, and the line and column of a bad
-    cell.
+    horizon_start, which is then required. A missing or repeated column,
+    a row whose field count differs from the header's, an op_type other
+    than 'arrival' or 'departure' or a time that does not parse raises
+    MissingInputError naming the file, and the line and column of the
+    first bad cell: a row's scheduled_time, then its actual_time, then
+    its op_type.
     """
     if time_format not in ("minutes", "iso8601"):
         raise ValueError(f"unknown time format {time_format!r}")
-    origin = None
+    minutes = float
     if time_format == "iso8601":
         if horizon_start is None:
             raise MissingInputError("iso8601 records need a horizon_start")
         origin = datetime.fromisoformat(horizon_start)
 
-    def minutes(text: str) -> float:
-        if origin is None:
-            return float(text)
-        return (datetime.fromisoformat(text) - origin).total_seconds() / 60.0
+        def minutes(text: str) -> float:
+            return (datetime.fromisoformat(text) - origin).total_seconds() / 60.0
 
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header, pick = csv_header(reader, path, "records", RECORD_COLUMNS)
-        for line, row in csv_rows(reader, header, path, "records"):
-            airport, op_type, scheduled, actual = pick(row)
-            scheduled = parse_cell(minutes, scheduled, path, "records", line, "scheduled_time")
-            actual = parse_cell(minutes, actual, path, "records", line, "actual_time")
-            records.append(  # the record refuses an unknown op_type
-                parse_cell(
-                    lambda text: OperationRecord(airport, text, scheduled, actual),
-                    op_type, path, "records", line, "op_type",
-                )
-            )
-    return records
+    parsers = {
+        "airport": str, "scheduled_time": minutes, "actual_time": minutes, "op_type": _op_type,
+    }
+    return [
+        OperationRecord(airport, op_type, scheduled, actual)
+        for airport, scheduled, actual, op_type in read_csv(path, "records", parsers)
+    ]
 
 
 def write_capacity_observations(path, observations) -> None:
@@ -355,29 +345,15 @@ def _criteria(text: str) -> frozenset:
 def read_capacity_observations(path) -> list[CapacityObservation]:
     """Load observations from a CSV written by write_capacity_observations.
 
-    A missing column, a row whose field count differs from the header's,
-    an interval or capacity that is not a whole number of at least 0, an
-    op_type other than 'arrival' or 'departure' or an empty or unknown
-    criterion raises MissingInputError naming the file, and the line and
-    column of a bad cell.
+    A missing or repeated column, a row whose field count differs from
+    the header's, an interval or capacity that is not a whole number of
+    at least 0, an op_type other than 'arrival' or 'departure' or an
+    empty or unknown criterion raises MissingInputError naming the file,
+    and the line and column of the first bad cell, a row's cells taken
+    in column order.
     """
-    what = "capacity observations"
-    observations = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header, pick = csv_header(reader, path, what, OBSERVATION_COLUMNS)
-        for line, row in csv_rows(reader, header, path, what):
-            airport, op_type, interval, capacity, criteria = pick(row)
-            observations.append(
-                CapacityObservation(
-                    airport,
-                    parse_cell(_op_type, op_type, path, what, line, "op_type"),
-                    parse_cell(_whole, interval, path, what, line, "interval"),
-                    parse_cell(_whole, capacity, path, what, line, "capacity"),
-                    parse_cell(_criteria, criteria, path, what, line, "criteria"),
-                )
-            )
-    return observations
+    parsers = dict(zip(OBSERVATION_COLUMNS, (str, _op_type, _whole, _whole, _criteria)))
+    return [CapacityObservation(*row) for row in read_csv(path, "capacity observations", parsers)]
 
 
 def write_interval_stats(path, stats) -> None:

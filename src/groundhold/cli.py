@@ -7,15 +7,15 @@ KEYS, and hands the command the parsed values. The command returns its
 outputs as (path, writer, *args) entries, a one-line summary and its
 exit code; main commits every output whose path is set in one step
 (config.write_outputs), then prints the summary and the out path.
-Exit codes: 0 on success, 1 when the domain rejects the inputs or a
-solve fails, 2 for configuration problems, two outputs on one file
-among them.
+The CSV inputs (records, training rows) are read through
+config.read_csv. Exit codes: 0 on success, 1 when the domain rejects
+the inputs, an output cannot be written or a solve fails, 2 for
+configuration problems, two outputs on one file among them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import asdict
 
@@ -34,8 +34,6 @@ from .config import (
     Key,
     check_seed,
     count,
-    csv_header,
-    csv_rows,
     file_path,
     finite,
     fraction,
@@ -43,9 +41,9 @@ from .config import (
     load_config,
     number,
     one_of,
-    parse_cell,
     parse_section,
     positive,
+    read_csv,
     timestamp,
     write_json,
     write_outputs,
@@ -152,17 +150,15 @@ def _feature(text):
 
 
 def _read_training_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header, label = csv_header(reader, path, "training", ("label",))
-        features, labels = [], []
-        for line, row in csv_rows(reader, header, path, "training"):
-            labels.append(parse_cell(int, label(row), path, "training", line, "label"))
-            features.append(
-                [parse_cell(_feature, v, path, "training", line, column)
-                 for column, v in zip(header, row) if column != "label"]
-            )
-    return np.asarray(features), np.asarray(labels)
+    """The feature and label arrays of a training file: its label column
+    and every other column, a feature, in header order. A file with no
+    rows or no feature column raises MissingInputError naming it."""
+    rows = list(read_csv(path, "training", {"label": int}, _feature))
+    if not rows:
+        raise MissingInputError(f"training file {path} has no rows")
+    if len(rows[0]) == 1:
+        raise MissingInputError(f"training file {path} has no feature columns")
+    return np.asarray([row[1:] for row in rows]), np.asarray([row[0] for row in rows])
 
 
 def cmd_predict(values, seed):

@@ -7,22 +7,24 @@ through a table of Key entries, whose parsers are the checking parsers
 below (number, finite, count, ...) or the library's own. load_input is
 the one reader of the JSON input files (instances, results, scenario
 trees, PMF series) and names the file in every error about its content;
-csv_header, csv_rows and parse_cell do the same for a CSV input file.
+read_csv does the same for the CSV input files (records, observations,
+training rows), streaming their rows through per-column parsers.
 write_json writes every indented JSON output, write_csv every CSV
 output but the per-sample costs. Commands return their outputs and
 cli.main commits them through write_outputs: every file is written
 beside its path and all are moved into place together, so readers
-never see a half-written file nor a failed run's partial outputs.
+never see a half-written file nor a failed run's partial outputs. An
+output's directory must exist; none is created.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
 from datetime import datetime
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -224,43 +226,46 @@ def load_input(path, what: str, from_body):
         raise MissingInputError(f"{what} file {path} is malformed: {exc}") from exc
 
 
-def parse_cell(parse, text, path, what: str, line: int, column: str):
-    """parse(text) for one cell of a CSV input file. A value parse
-    rejects raises MissingInputError naming the file, line and column."""
-    try:
-        return parse(text)
-    except (TypeError, ValueError) as exc:
-        raise MissingInputError(
-            f"{what} file {path} line {line}, column {column!r}: {exc}"
-        ) from exc
+def read_csv(path, what: str, parsers: dict, rest=None):
+    """Yield each row of a CSV input file past its header as a list: the
+    cells of the columns of parsers, each run through its column's
+    parser, then, given rest, every other header column's, in header
+    order, run through rest. Blank lines are passed over.
 
-
-def csv_header(reader, path, what: str, columns) -> tuple:
-    """The header of a csv.reader's file and an itemgetter that picks
-    columns from a row, in order. A column the header lacks or repeats
-    raises MissingInputError naming the file."""
-    header = next(reader, None) or []
-    for column in columns:
-        if column not in header:
-            raise MissingInputError(f"{what} file {path} has no {column!r} column")
-        if header.count(column) > 1:
-            raise MissingInputError(f"{what} file {path} repeats the {column!r} column")
-    return header, itemgetter(*(header.index(column) for column in columns))
-
-
-def csv_rows(reader, header, path, what: str):
-    """Yield (line, row) for each row of a csv.reader past its header,
-    passing over blank lines. A row whose field count differs from the
-    header's raises MissingInputError naming the file and line."""
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MissingInputError(
-                f"{what} file {path} line {reader.line_num} has {len(row)} fields, "
-                f"its header {len(header)}"
-            )
-        yield reader.line_num, row
+    A column of parsers the header lacks or repeats, a row whose field
+    count differs from the header's, or a cell its parser rejects raises
+    MissingInputError naming the file, and the line and column of a bad
+    row or cell; a row's cells are parsed, and the first bad one named,
+    in the order above.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        for column in parsers:
+            if column not in header:
+                raise MissingInputError(f"{what} file {path} has no {column!r} column")
+            if header.count(column) > 1:
+                raise MissingInputError(f"{what} file {path} repeats the {column!r} column")
+        columns = [(header.index(column), parse) for column, parse in parsers.items()]
+        if rest is not None:
+            columns += [(i, rest) for i, column in enumerate(header) if column not in parsers]
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MissingInputError(
+                    f"{what} file {path} line {reader.line_num} has {len(row)} fields, "
+                    f"its header {len(header)}"
+                )
+            cells = []
+            for i, parse in columns:
+                try:
+                    cells.append(parse(row[i]))
+                except (TypeError, ValueError) as exc:
+                    raise MissingInputError(
+                        f"{what} file {path} line {reader.line_num}, column {header[i]!r}: {exc}"
+                    ) from exc
+            yield cells
 
 
 def write_json(path, body) -> None:
@@ -280,7 +285,9 @@ def write_outputs(outputs) -> None:
     """Call each (path, writer, *args) entry whose path is set on a temp
     file beside path, which the writer's open() makes with the umask's
     mode, and move them all into place once every one is written. Two
-    entries on one file raise ConfigError before any is written."""
+    entries on one file raise ConfigError before any is written; a
+    writer's OSError, such as one for a missing directory, is raised
+    again as an OSError naming path."""
     outputs = [(Path(path), *rest) for path, *rest in outputs if path is not None]
     files = [path.resolve() for path, *_ in outputs]
     for i, file in enumerate(files):
@@ -289,11 +296,15 @@ def write_outputs(outputs) -> None:
     temps = []
     try:
         for path, write, *args in outputs:
-            path.parent.mkdir(parents=True, exist_ok=True)
             temps.append(path.with_name(f".{path.name}.{os.getpid()}.{len(temps)}"))
-            write(temps[-1], *args)
+            try:
+                write(temps[-1], *args)
+            except OSError as exc:
+                raise OSError(f"cannot write {path}: {exc.strerror}") from exc
         for temp, (path, *_) in zip(temps, outputs):
             os.replace(temp, path)
     finally:
         for temp in temps:
-            temp.unlink(missing_ok=True)
+            # a temp under a missing directory or a file was never made
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+                temp.unlink()

@@ -71,7 +71,10 @@ class PredictorModel:
         return np.where(varies, span, 1.0), varies
 
     def normalize(self, features: np.ndarray) -> np.ndarray:
-        """Min-max scale with the training bounds; constant columns map to 0."""
+        """Min-max scale with the training bounds; constant columns map to
+        0. Non-finite features raise ValueError."""
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
         safe, varies = self._scale
         scaled = (features - self.feature_lo) / safe
         return np.where(varies, scaled, 0.0)
@@ -89,12 +92,12 @@ class PredictionMetrics:
 def _check_dataset(features, labels, max_capacity=None):
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
-    if not np.isfinite(features).all():
-        raise ValueError("features must be finite")
     if features.ndim != 2:
         raise ValueError("features must be a 2-D array")
     if features.shape[0] == 0:
         raise ValueError("no training rows")
+    if features.shape[1] == 0:
+        raise ValueError("no feature columns")
     if features.shape[0] != labels.shape[0]:
         raise ValueError(
             f"{features.shape[0]} feature rows vs {labels.shape[0]} labels"
@@ -315,8 +318,6 @@ def evaluate(model: PredictorModel, features, truths, level: float = 0.9) -> Pre
     Non-finite features raise ValueError.
     """
     features = np.asarray(features, dtype=float)
-    if not np.isfinite(features).all():
-        raise ValueError("features must be finite")
     truths = np.asarray(truths, dtype=int)
     if len(truths) == 0:
         raise ValueError("nothing to evaluate")

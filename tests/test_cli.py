@@ -20,10 +20,10 @@ from fixtures import (
     synthetic_records,
     write_operation_records,
 )
-from groundhold.capacity import read_capacity_observations
-from groundhold.cli import KEYS, build_parser, main
+from groundhold.capacity import read_capacity_observations, read_operation_records
+from groundhold.cli import KEYS, _read_training_csv, build_parser, main
 from groundhold.config import REQUIRED, load_config, parse_section
-from groundhold.errors import ConfigError
+from groundhold.errors import ConfigError, MissingInputError
 from groundhold.maghp import (
     FlightConnection,
     MaghpInstance,
@@ -175,6 +175,39 @@ def test_training_reader_skips_blank_lines(tmp_path):
         assert main(["predict", "--config", write_config(tmp_path, {"predict": section})]) == 0
         written.append([Path(section[key]).read_bytes() for key in ("out", "metrics_out")])
     assert written[0] == written[1]
+
+
+#: for each CSV reader, a file whose line 2 has a bad cell in the column
+#: it parses last and whose line 3 has one in the column it parses first
+BAD_CELLS_IN_TWO_ROWS = {
+    "records": (
+        read_operation_records,
+        "airport,op_type,scheduled_time,actual_time\nA,arival,0,1\nA,departure,x,1\n",
+        "records file {} line 2, column 'op_type'",
+    ),
+    "observations": (
+        read_capacity_observations,
+        "airport,op_type,interval,capacity,criteria\nA,arrival,3,4,fog\nA,arival,3,4,demand\n",
+        "capacity observations file {} line 2, column 'criteria'",
+    ),
+    "training": (
+        _read_training_csv,
+        "f0,f1,label\n0.5,nan,1\n0.5,1,x\n",
+        "training file {} line 2, column 'f1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BAD_CELLS_IN_TWO_ROWS))
+def test_csv_readers_name_the_first_bad_row(tmp_path, reader):
+    """A bad cell is reported in row order before column order: the
+    earlier row's is named, though it lies in a later column."""
+    read, text, named = BAD_CELLS_IN_TWO_ROWS[reader]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MissingInputError) as refusal:
+        read(path)
+    assert str(refusal.value).startswith(named.format(path))
 
 
 def test_reduce_scenarios_builds_trees(tmp_path):
@@ -639,14 +672,22 @@ def test_main_writes_every_output_then_the_summary(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out == "solve: dr status time_limit objective none -> limit.json\n"
     assert load_result("limit.json").status == "time_limit"
 
-    # the curve, written last, under a parent that is a file: the run
-    # replaces none of its outputs and leaves no temp file behind
+    # the curve, written last, under a parent that is a file, then the
+    # report, written first, under a missing directory: each run names
+    # the output, not its temp file, replaces none of its outputs,
+    # creates no directory and leaves no temp file behind
     kept = {path: Path(path).read_bytes() for path in ("sweep.out", "sweep.samples_out")}
-    blocked = {**full["sweep"], "curve_out": "records.csv/curve.csv"}
-    assert main(["sweep", "--config", write_config(tmp_path, {"sweep": blocked}, "x.json")]) == 1
-    assert capsys.readouterr().out == ""
-    assert {path: Path(path).read_bytes() for path in kept} == kept
-    assert not [name for name in os.listdir() if name.startswith(".")]
+    blocked = dict(full["sweep"])
+    before = sorted(os.listdir())
+    for key, target in (("curve_out", "records.csv/curve.csv"), ("out", "newdir/report.csv")):
+        blocked[key] = target
+        config = write_config(tmp_path, {"sweep": blocked}, "x.json")
+        assert main(["sweep", "--config", config]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert {path: Path(path).read_bytes() for path in kept} == kept
+        assert sorted(os.listdir()) == sorted({*before, "x.json"})
 
 
 def test_outputs_get_the_mode_of_a_new_file(tmp_path, monkeypatch, capsys):
@@ -1335,6 +1376,24 @@ MALFORMED = {
         1,
         "training file minus-inf.csv line 3, column 'f1': must be finite, got -inf",
     ),
+    "training file with only a label column": (
+        "predict",
+        {"training": "l.csv"},
+        1,
+        "training file l.csv has no feature columns",
+    ),
+    "training file with only a label column, empirical": (
+        "predict",
+        {"training": "l.csv", "kind": "empirical"},
+        1,
+        "training file l.csv has no feature columns",
+    ),
+    "training file with a header and no rows": (
+        "predict",
+        {"training": "e.csv"},
+        1,
+        "training file e.csv has no rows",
+    ),
     "two outputs on one file": (
         "sweep",
         {"epsilons": [0.0], "reductions": [0.1], "sample_count": 5, "samples_out": "./out"},
@@ -1777,6 +1836,8 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     rows[5] = "nan,1\n"
     Path("t.csv").write_text("f0,label\n" + "".join(rows))
     Path("minus-inf.csv").write_text("f0,f1,label\n0.5,1,2\n0.5,-inf,2\n")
+    Path("l.csv").write_text("label\n" + "1\n" * 12)
+    Path("e.csv").write_text("f0,f1,label\n")
     if command in ("solve", "evaluate", "sweep"):
         section = {"instance": "instance.json", **section}
     config = write_config(tmp_path, {command: {"out": "out", **section}})

@@ -300,6 +300,8 @@ def test_normalization_bounds_come_from_training_rows():
 def test_training_validation_errors():
     with pytest.raises(ValueError, match="no training rows"):
         train(np.zeros((0, 3)), [], TrainingConfig())
+    with pytest.raises(ValueError, match="no feature columns"):
+        train(np.zeros((3, 0)), [0, 1, 2], TrainingConfig())
     with pytest.raises(ValueError, match="label 9 exceeds max capacity 5"):
         train(np.zeros((2, 3)), [0, 9], TrainingConfig(max_capacity=5))
     with pytest.raises(ValueError, match="labels must be non-negative"):
@@ -315,7 +317,9 @@ def test_training_validation_errors():
 @pytest.mark.parametrize("kind", [EMPIRICAL, MLP])
 def test_non_finite_features_are_refused(kind, value):
     """A non-finite feature would give the model NaN bounds and a column
-    normalized to 0; train and evaluate refuse it instead."""
+    normalized to 0, and a trained empirical model would answer it with
+    its global histogram and an MLP with non-finite weights; train,
+    evaluate and predict_pmf refuse it instead."""
     features = np.arange(12.0).reshape(4, 3)
     features[2, 1] = value
     with pytest.raises(ValueError, match="features must be finite"):
@@ -323,6 +327,9 @@ def test_non_finite_features_are_refused(kind, value):
     model = train(np.arange(12.0).reshape(4, 3), [0, 1, 2, 1], TrainingConfig(kind=kind, epochs=1))
     with pytest.raises(ValueError, match="features must be finite"):
         evaluate(model, features, [0, 1, 2, 1])
+    with pytest.raises(ValueError, match="features must be finite"):
+        predict_pmf(model, features[2])
+
 
 
 def test_model_file_round_trip(tmp_path):
