@@ -62,6 +62,7 @@ from .evaluation import (
 )
 from .maghp import (
     _radius,
+    _require_trees,
     best_capacity_profiles,
     build_det,
     build_dr,
@@ -114,13 +115,6 @@ def _cells(value):
     if not (isinstance(value, list) and all(isinstance(c, dict) for c in value)):
         raise ValueError(f"expected a list of objects, got {value!r}")
     return value
-
-
-def _levels(value):
-    """Reduction levels: a non-empty list of JSON numbers in [0, 1)."""
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list of numbers, got {value!r}")
-    return sweep_levels(number(v) for v in value)
 
 
 def cmd_estimate(values, seed):
@@ -177,6 +171,12 @@ def cmd_predict(values, seed):
     features, labels = _read_training_csv(values["training"])
     split_train, split_val, split_test = temporal_split(len(labels), train_frac, val_frac)
     held_out = split_test if len(split_test) else split_val
+    for part, rows in (("training", split_train), ("held-out", held_out)):
+        if not len(rows):
+            raise MissingInputError(
+                f"training file {values['training']} has {len(labels)} rows: train_frac "
+                f"{train_frac:g} and val_frac {val_frac:g} leave no {part} rows"
+            )
     model = train(features[split_train], labels[split_train], training)
     metrics = evaluate(model, features[held_out], labels[held_out], **_given(values, "level"))
     summary = (
@@ -293,6 +293,7 @@ def cmd_evaluate(values, seed):
     """Price a solved policy on resampled capacities."""
     spec = _shift_spec(values, seed, "evaluate", values["reduction"])
     instance = load_instance(values["instance"])
+    _require_trees(instance)
     policy = _checked_policy(values["result"], instance)
     samples = resample_capacities(instance.trees, spec)
     evaluation = evaluate_policy(policy, instance, samples)
@@ -355,12 +356,12 @@ KEYS = {
         Key("metrics_out", file_path, None),
         Key("train_frac", fraction, 10 / 12),
         Key("val_frac", finite, 1 / 12),
-        Key("kind", one_of(MLP, EMPIRICAL), OPTIONAL),
+        Key("kind", one_of(MLP, EMPIRICAL), MLP),
         Key("max_capacity", count(0), OPTIONAL),
-        Key("hidden_units", count(1), OPTIONAL),
-        Key("learning_rate", positive, OPTIONAL),
-        Key("epochs", count(0), OPTIONAL),
-        Key("batch_size", count(1), OPTIONAL),
+        Key("hidden_units", count(1), OPTIONAL, mode=("kind", MLP)),
+        Key("learning_rate", positive, OPTIONAL, mode=("kind", MLP)),
+        Key("epochs", count(0), OPTIONAL, mode=("kind", MLP)),
+        Key("batch_size", count(1), OPTIONAL, mode=("kind", MLP)),
         Key("level", fraction, OPTIONAL),
         Key("training", file_path),
     ),
@@ -396,7 +397,7 @@ KEYS = {
             flag={"type": float, "nargs": "+", "help": "radius grid override"}),
         Key("band", number, OPTIONAL),
         Key("sample_count", int, OPTIONAL),
-        Key("reductions", _levels),
+        Key("reductions", sweep_levels),
         Key("instance", file_path),
     ),
 }

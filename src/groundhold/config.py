@@ -227,45 +227,50 @@ def load_input(path, what: str, from_body):
 
 
 def read_csv(path, what: str, parsers: dict, rest=None):
-    """Yield each row of a CSV input file past its header as a list: the
-    cells of the columns of parsers, each run through its column's
-    parser, then, given rest, every other header column's, in header
-    order, run through rest. Blank lines are passed over.
+    """Yield each row of a UTF-8 CSV input file past its header as a
+    list: the cells of the columns of parsers, each run through its
+    column's parser, then, given rest, every other header column's, in
+    header order, run through rest. Blank lines are passed over.
 
     A column of parsers the header lacks or repeats, a row whose field
     count differs from the header's, or a cell its parser rejects raises
     MissingInputError naming the file, and the line and column of a bad
     row or cell; a row's cells are parsed, and the first bad one named,
-    in the order above.
+    in the order above. A file that is not UTF-8 text raises
+    MissingInputError naming the file.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None) or []
-        for column in parsers:
-            if column not in header:
-                raise MissingInputError(f"{what} file {path} has no {column!r} column")
-            if header.count(column) > 1:
-                raise MissingInputError(f"{what} file {path} repeats the {column!r} column")
-        columns = [(header.index(column), parse) for column, parse in parsers.items()]
-        if rest is not None:
-            columns += [(i, rest) for i, column in enumerate(header) if column not in parsers]
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MissingInputError(
-                    f"{what} file {path} line {reader.line_num} has {len(row)} fields, "
-                    f"its header {len(header)}"
-                )
-            cells = []
-            for i, parse in columns:
-                try:
-                    cells.append(parse(row[i]))
-                except (TypeError, ValueError) as exc:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None) or []
+            for column in parsers:
+                if column not in header:
+                    raise MissingInputError(f"{what} file {path} has no {column!r} column")
+                if header.count(column) > 1:
+                    raise MissingInputError(f"{what} file {path} repeats the {column!r} column")
+            columns = [(header.index(column), parse) for column, parse in parsers.items()]
+            if rest is not None:
+                columns += [(i, rest) for i, column in enumerate(header) if column not in parsers]
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
                     raise MissingInputError(
-                        f"{what} file {path} line {reader.line_num}, column {header[i]!r}: {exc}"
-                    ) from exc
-            yield cells
+                        f"{what} file {path} line {reader.line_num} has {len(row)} fields, "
+                        f"its header {len(header)}"
+                    )
+                cells = []
+                for i, parse in columns:
+                    try:
+                        cells.append(parse(row[i]))
+                    except (TypeError, ValueError) as exc:
+                        raise MissingInputError(
+                            f"{what} file {path} line {reader.line_num}, "
+                            f"column {header[i]!r}: {exc}"
+                        ) from exc
+                yield cells
+    except UnicodeDecodeError:
+        raise MissingInputError(f"{what} file {path} is not UTF-8 text") from None
 
 
 def write_json(path, body) -> None:

@@ -6,10 +6,10 @@ highest capacities to the lowest, each weight staying within a
 multiplicative band of its original value, until the mean has dropped
 by the requested fraction. Mass only moves downward, so the order-1
 Wasserstein distance of the shift equals its mean drop. Capacity
-samples drawn from the shifted representatives then price a frozen
-first-stage policy by the same queue-overflow recourse the stochastic
-model uses, and a radius sweep reports how the deterministic,
-stochastic and robust policies compare per shift level.
+samples drawn from the shifted representatives by Generator.choice
+then price a frozen first-stage policy by the same queue-overflow
+recourse the stochastic model uses, and a radius sweep reports how the
+deterministic, stochastic and robust policies compare per shift level.
 """
 
 from __future__ import annotations
@@ -40,16 +40,19 @@ from .maghp import (
     solve,
     support_worst_case,
 )
-from .pmf import MASS_TOL, Pmf, pmf_mean
+from .pmf import MASS_TOL, Pmf, as_real, pmf_mean
 
 
-def _check_reduction(reduction: float) -> None:
-    if not 0.0 <= reduction < 1.0:
+def _level(reduction) -> float:
+    """reduction as a shift level: a real number (pmf.as_real) in [0, 1)."""
+    level = as_real(reduction)
+    if not 0.0 <= level < 1.0:
         raise ValueError("reduction must lie in [0, 1)")
+    return level
 
 
-def _check_shift(reduction: float, band: float) -> None:
-    _check_reduction(reduction)
+def _check_shift(reduction, band: float) -> None:
+    _level(reduction)
     if not 0.0 <= band < math.inf:
         raise ValueError("band must be finite and non-negative")
 
@@ -128,30 +131,19 @@ def resample_capacities(trees: dict, spec: ReductionSpec) -> dict:
     """Draw per-stage capacity samples from the shifted representatives.
 
     Returns, per (airport, op_type), an integer array with one row per
-    sample and one column per time segment. Draws are deterministic in
-    (seed, reduction, cell index) so every policy faces the same samples
-    at a given shift level while levels stay independent.
-
-    A cell draws all its stages' uniforms in one call, stage by stage,
-    and maps each through its stage's CDF: the arithmetic of
-    Generator.choice(support, size, p=weights), draw for draw, without
-    choice's checks of p, which a Pmf already passes (finite,
-    non-negative weights whose mass is within MASS_TOL of one, well
-    inside choice's tolerance of sqrt(eps)).
+    sample and one column per time segment: the transpose of the cell's
+    stage-major draws, each stage drawing in turn by Generator.choice
+    from one generator. Draws are deterministic in (seed, reduction,
+    cell index) so every policy faces the same samples at a given shift
+    level while levels stay independent.
     """
     samples = {}
     for idx, key in enumerate(sorted(trees)):
-        shifted = shifted_representatives(trees[key], spec)
-        rng = np.random.default_rng(
-            [spec.seed, int(round(spec.reduction * 1e9)), idx]
-        )
-        uniforms = rng.random((len(shifted), spec.sample_count))
-        draws = np.empty(uniforms.shape, dtype=int)
-        for pmf, u, out in zip(shifted, uniforms, draws):
-            cdf = np.cumsum(pmf.weights)
-            cdf /= cdf[-1]
-            out[:] = np.asarray(pmf.support)[cdf.searchsorted(u, side="right")]
-        samples[key] = draws.T
+        rng = np.random.default_rng([spec.seed, int(round(spec.reduction * 1e9)), idx])
+        samples[key] = np.array([
+            rng.choice(pmf.support, spec.sample_count, p=pmf.weights)
+            for pmf in shifted_representatives(trees[key], spec)
+        ]).T
     return samples
 
 
@@ -176,8 +168,13 @@ def evaluate_policy(
     """Price a frozen policy against drawn capacity samples.
 
     Second-stage cost is the closed-form overflow beyond the sampled
-    capacities (maghp.overflow) at the recourse unit cost.
+    capacities (maghp.overflow) at the recourse unit cost. Samples that
+    leave out a constrained cell, or whose cells disagree on the sample
+    count, raise ValueError.
     """
+    missing = [key for key in instance.constrained_keys() if key not in samples]
+    if missing:
+        raise ValueError(f"no capacity samples for {missing}")
     sizes = {m.shape[0] for m in samples.values()}
     if len(sizes) != 1:
         raise ValueError("sample sets disagree on sample count")
@@ -219,29 +216,32 @@ def _pct_drop(base: float, value: float) -> float:
     return 100.0 * (base - value) / base
 
 
+def _ascending(values, parse, empty: str) -> tuple:
+    """The distinct values parse reads, in ascending order. No values
+    raise ValueError(empty); a string is refused, not read by letter."""
+    if isinstance(values, str):
+        raise ValueError(f"expected a list of numbers, got {values!r}")
+    # adding 0.0 turns -0.0 into 0.0, so the reports never print "-0"
+    distinct = {parse(value) + 0.0 for value in values}
+    if not distinct:
+        raise ValueError(empty)
+    return tuple(sorted(distinct))
+
+
 def sweep_radii(values) -> tuple:
     """Distinct sweep radii in ascending order, with -0.0 read as 0.0.
 
     Raises ValueError for an empty list or a radius maghp._radius
     rejects."""
-    # adding 0.0 turns -0.0 into 0.0, so the reports never print "-0"
-    radii = {_radius(value) + 0.0 for value in values}
-    if not radii:
-        raise ValueError("need at least one radius to sweep")
-    return tuple(sorted(radii))
+    return _ascending(values, _radius, "need at least one radius to sweep")
 
 
-def sweep_levels(values) -> list:
+def sweep_levels(values) -> tuple:
     """Distinct reduction levels in ascending order, with -0.0 read as
     0.0, as sweep_radii reads radii.
 
-    Raises ValueError for an empty list or a level outside [0, 1)."""
-    levels = sorted({float(value) + 0.0 for value in values})
-    if not levels:
-        raise ValueError("need at least one reduction level")
-    for level in levels:
-        _check_reduction(level)
-    return levels
+    Raises ValueError for an empty list or a level _level rejects."""
+    return _ascending(values, _level, "need at least one reduction level")
 
 
 def _saturated(result: SolveResult, instance: MaghpInstance) -> bool:
@@ -307,38 +307,25 @@ def epsilon_sweep(
 
     rows = []
     for r in reductions:
-        level_spec = replace(spec, reduction=r)
-        samples = resample_capacities(instance.trees, level_spec)
+        samples = resample_capacities(instance.trees, replace(spec, reduction=r))
         scored = {}
-        for policy in (*policies.values(), *dr_policies.values()):
+
+        def score(policy):
             if id(policy) not in scored:
                 scored[id(policy)] = evaluate_policy(policy, instance, samples)
-        det_eval = scored[id(policies["det"])]
-        sp_eval = scored[id(policies["sp"])]
-        dr_evals = {eps: scored[id(dr_policies[eps])] for eps in epsilons}
-        dr_costs = {eps: ev.total for eps, ev in dr_evals.items()}
+            return scored[id(policy)]
+
+        dr_costs = {eps: score(dr_policies[eps]).total for eps in epsilons}
         eps_star = min(epsilons, key=lambda e: (dr_costs[e], e))
-        best = dr_evals[eps_star]
-        overflow_means = {}
-        per_sample = {}
-        for label, ev in (("det", det_eval), ("sp", sp_eval), ("dr", best)):
-            per_sample[label] = ev.per_sample
-            for op, value in ev.overflow_by_op.items():
-                overflow_means[label, op] = value
-        rows.append(
-            ReductionRow(
-                reduction=r,
-                det_cost=det_eval.total,
-                sp_cost=sp_eval.total,
-                dr_costs=dr_costs,
-                eps_star=eps_star,
-                dr_cost=best.total,
-                pct_vs_det=_pct_drop(det_eval.total, best.total),
-                pct_vs_sp=_pct_drop(sp_eval.total, best.total),
-                overflow=overflow_means,
-                per_sample=per_sample,
-            )
-        )
+        evals = {label: score(p) for label, p in {**policies, "dr": dr_policies[eps_star]}.items()}
+        det, sp, dr = (ev.total for ev in evals.values())
+        rows.append(ReductionRow(
+            reduction=r, det_cost=det, sp_cost=sp, dr_costs=dr_costs, eps_star=eps_star,
+            dr_cost=dr, pct_vs_det=_pct_drop(det, dr), pct_vs_sp=_pct_drop(sp, dr),
+            overflow={(label, op): value for label, ev in evals.items()
+                      for op, value in ev.overflow_by_op.items()},
+            per_sample={label: ev.per_sample for label, ev in evals.items()},
+        ))
     return SensitivityReport(
         day=day,
         epsilons=epsilons,

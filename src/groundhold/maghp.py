@@ -124,6 +124,8 @@ class MaghpInstance:
             raise ValueError("need finite cost_air >= cost_ground > 0")
         if self.horizon < 1:
             raise ValueError("horizon must be at least one interval")
+        if not self.flights:
+            raise ValueError("an instance needs at least one flight")
         ids = [f.id for f in self.flights]
         if len(set(ids)) != len(ids):
             raise ValueError("flight ids must be unique")

@@ -88,10 +88,14 @@ def as_real(value) -> float:
     a weight or a probability read from a file. A bool, a string or
     anything else that is not a number raises ValueError naming the
     value; a NaN or an infinity passes, for the reader's own check to
-    refuse with its own message."""
+    refuse with its own message, as does an integer too large for a
+    float, read as an infinity of its sign."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"expected a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def make_pmf(support, weights) -> Pmf:

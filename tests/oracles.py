@@ -47,8 +47,8 @@ fixpoint_total_periods is the overflow horizon as first written, every
 connection relaxed until nothing changes, which the library's single
 ordered pass must reproduce.
 choice_capacities is the out-of-sample draw as first written, one
-Generator.choice call per stage, whose samples the library's CDF
-lookups must reproduce draw for draw. broadcast_overflow is a frozen
+Generator.choice call per stage and the cells' columns stacked, whose
+samples and dtype the library's draws must reproduce. broadcast_overflow is a frozen
 policy's queue overflow as first written, every interval's excess over
 its stage's capacity summed per sample; the library's per-stage tables
 must reproduce it to the bit, and the oracles here that price a policy

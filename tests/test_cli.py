@@ -968,6 +968,23 @@ def test_evaluate_rejects_a_result_that_does_not_fit(tmp_path, capsys, fault, na
     assert not eval_path.exists()
 
 
+@pytest.mark.parametrize("kept", [slice(1, None), slice(0, 0)], ids=["one tree out", "no trees"])
+def test_evaluate_refuses_an_instance_without_every_tree(tmp_path, capsys, kept):
+    """evaluate prices every constrained cell, so an instance that lacks
+    a cell's tree exits 1 naming the cells, as sweep and sp's solve do,
+    rather than pricing the cell at zero."""
+    config, result_path, eval_path = _solved_sp(tmp_path)
+    instance_path = tmp_path / "instance.json"
+    body = json.loads(instance_path.read_text())
+    trees, body["trees"] = body["trees"], body["trees"][kept]
+    left_out = sorted((t["airport"], t["op_type"]) for t in trees if t not in body["trees"])
+    instance_path.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config]) == 1
+    assert f"error: no scenario tree for {left_out}" in capsys.readouterr().err
+    assert not eval_path.exists()
+
+
 def test_evaluate_rejects_a_result_that_breaks_a_connection(tmp_path, capsys):
     """Holding a00 five more intervals while its successor ca0 (slack 1,
     departing from network airport C) goes back on schedule is a policy
@@ -1080,6 +1097,18 @@ MALFORMED = {
         "'epsilon'",
     ),
     "instance without flights": ("solve", {"instance": "bare.json"}, 1, "flights"),
+    "instance with an empty flight list": (
+        "solve",
+        {"instance": "no-flights.json"},
+        1,
+        "instance file no-flights.json is malformed: an instance needs at least one flight",
+    ),
+    "sweep of an instance with an empty flight list": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [0.1], "instance": "no-flights.json"},
+        1,
+        "instance file no-flights.json is malformed: an instance needs at least one flight",
+    ),
     # a key the command does not read is refused before any file is read
     "misspelled sweep key": (
         "sweep",
@@ -1394,6 +1423,32 @@ MALFORMED = {
         1,
         "training file e.csv has no rows",
     ),
+    "training file too short for train_frac": (
+        "predict",
+        {"training": "one-row.csv"},
+        1,
+        "training file one-row.csv has 1 rows: train_frac 0.833333 and val_frac 0.0833333 "
+        "leave no training rows",
+    ),
+    "training split with no held-out rows": (
+        "predict",
+        {"training": "twelve.csv", "train_frac": 1, "val_frac": 0},
+        1,
+        "training file twelve.csv has 12 rows: train_frac 1 and val_frac 0 leave no "
+        "held-out rows",
+    ),
+    "records file not UTF-8": (
+        "estimate",
+        {"records": "latin-1.csv", "num_intervals": 4},
+        1,
+        "error: records file latin-1.csv is not UTF-8 text",
+    ),
+    "training header not UTF-8": (
+        "predict",
+        {"training": "latin-1-header.csv"},
+        1,
+        "error: training file latin-1-header.csv is not UTF-8 text",
+    ),
     "two outputs on one file": (
         "sweep",
         {"epsilons": [0.0], "reductions": [0.1], "sample_count": 5, "samples_out": "./out"},
@@ -1450,6 +1505,30 @@ MALFORMED = {
         {"epsilons": [0.1, "inf"], "reductions": [0.1]},
         2,
         "'epsilons'",
+    ),
+    "sweep radius too large for a float": (
+        "sweep",
+        {"epsilons": [10**400], "reductions": [0.1]},
+        2,
+        "sweep config 'epsilons': radius must be a finite non-negative number",
+    ),
+    "reductions given as a string": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": "0.1"},
+        2,
+        "sweep config 'reductions': expected a list of numbers, got '0.1'",
+    ),
+    "epsilons given as a string": (
+        "sweep",
+        {"epsilons": "0.1", "reductions": [0.1]},
+        2,
+        "sweep config 'epsilons': expected a list of numbers, got '0.1'",
+    ),
+    "reduction entry too large for a float": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": [10**400]},
+        2,
+        "sweep config 'reductions': reduction must lie in [0, 1)",
     ),
     "empty sweep radius list": (
         "sweep",
@@ -1761,6 +1840,7 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     Path("negative-tree.json").write_text(json.dumps({**body, "trees": trees}))
     trees[0]["representatives"][0] = {"support": [1, 2], "weights": [math.nan, 1.0]}
     Path("nan-tree.json").write_text(json.dumps({**body, "trees": trees}))
+    Path("no-flights.json").write_text(json.dumps({**body, "flights": [], "connections": []}))
     del body["flights"]
     Path("bare.json").write_text(json.dumps(body))
     save_instance("stress.json", stress_instance())
@@ -1838,6 +1918,11 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     Path("minus-inf.csv").write_text("f0,f1,label\n0.5,1,2\n0.5,-inf,2\n")
     Path("l.csv").write_text("label\n" + "1\n" * 12)
     Path("e.csv").write_text("f0,f1,label\n")
+    Path("one-row.csv").write_text("f0,label\n0.5,1\n")
+    Path("twelve.csv").write_text("f0,label\n" + "0.5,1\n" * 12)
+    latin_1 = records_header + "Orl\xe9,departure,0,1\n"
+    Path("latin-1.csv").write_bytes(latin_1.encode("latin-1"))
+    Path("latin-1-header.csv").write_bytes("f\xe9,label\n0.5,1\n".encode("latin-1"))
     if command in ("solve", "evaluate", "sweep"):
         section = {"instance": "instance.json", **section}
     config = write_config(tmp_path, {command: {"out": "out", **section}})
@@ -1978,6 +2063,14 @@ UNREAD_KEYS = {
         [],
         "horizon_start",
     ),
+    **{
+        f"{key} without mlp": (
+            "predict", {"training": "absent.csv", "kind": "empirical", key: value}, [], key
+        )
+        for key, value in (
+            ("hidden_units", 8), ("learning_rate", 0.1), ("epochs", 3), ("batch_size", 4)
+        )
+    },
 }
 
 

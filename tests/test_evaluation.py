@@ -20,6 +20,7 @@ from groundhold.evaluation import (
     reduce_distribution,
     resample_capacities,
     shifted_representatives,
+    sweep_levels,
     write_in_sample_csv,
     write_report_csv,
     write_sample_costs_csv,
@@ -431,3 +432,34 @@ def test_sweep_checks_every_reduction_level_before_solving(levels, message, monk
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         epsilon_sweep(two_airport_instance(), (0.1,), levels, ReductionSpec(0.0))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "level,message",
+    [
+        ("0.1", "expected a real number, got '0.1'"),
+        (False, "expected a real number, got False"),
+        (10**400, "reduction must lie in [0, 1)"),
+    ],
+    ids=["string", "boolean", "huge"],
+)
+def test_sweep_levels_take_only_real_numbers(level, message):
+    """A string or a boolean is no number, and an integer too large for
+    a float reads as infinity, outside [0, 1)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_levels([level])
+
+
+def test_sweep_levels_are_distinct_and_ascending():
+    assert sweep_levels([0.3, np.float64(0.1), 0, -0.0, 0.3]) == (0.0, 0.1, 0.3)
+
+
+def test_evaluate_policy_refuses_samples_without_a_constrained_cell():
+    """A cell left out of the samples is refused, not priced at zero."""
+    inst = two_airport_instance()
+    policy = extract_policy(solve(build_sp(inst)))
+    samples = resample_capacities(inst.trees, ReductionSpec(0.1, sample_count=5))
+    left_out = sorted(samples)[0]
+    del samples[left_out]
+    with pytest.raises(ValueError, match=re.escape(f"no capacity samples for {[left_out]}")):
+        evaluate_policy(policy, inst, samples)
