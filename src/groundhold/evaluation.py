@@ -218,11 +218,16 @@ def _pct_drop(base: float, value: float) -> float:
 
 def _ascending(values, parse, empty: str) -> tuple:
     """The distinct values parse reads, in ascending order. No values
-    raise ValueError(empty); a string is refused, not read by letter."""
-    if isinstance(values, str):
+    raise ValueError(empty); a string is refused, not read by letter,
+    and so is a single number or anything else that is not iterable."""
+    try:
+        items = None if isinstance(values, str) else iter(values)
+    except TypeError:
+        items = None
+    if items is None:
         raise ValueError(f"expected a list of numbers, got {values!r}")
     # adding 0.0 turns -0.0 into 0.0, so the reports never print "-0"
-    distinct = {parse(value) + 0.0 for value in values}
+    distinct = {parse(value) + 0.0 for value in items}
     if not distinct:
         raise ValueError(empty)
     return tuple(sorted(distinct))

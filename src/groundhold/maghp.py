@@ -4,16 +4,20 @@ Flights get exactly one departure slot and one arrival slot. Ground
 delay (slot minus scheduled departure) costs cost_ground per interval,
 airborne delay costs cost_air per interval, and connected flights pass
 their delay downstream minus the schedule's built-in slack. The first
-stage prices delay through wait variables, one per flight and interval,
-that read 1 while the flight has not yet departed (or arrived); one
-precedence or connection row per interval ties them together. That
-keeps the deterministic relaxation integral on the days measured, the
-stochastic and robust ones only at small sizes (_build_first_stage).
-Three model flavors share this first stage:
+stage is built one side at a time, departures and arrivals: it prices
+delay through wait variables, one per flight and interval, that read 1
+while the flight has not yet departed (or arrived); one precedence or
+connection row per interval ties them together. That keeps the
+deterministic relaxation integral on the days measured, the stochastic
+and robust ones only at small sizes (_build_first_stage). Three model
+flavors:
 
-* deterministic: hard per-interval airport capacities;
-* stochastic: queue overflow charged at the recourse unit cost and
-  weighted by probability;
+* deterministic: hard per-interval airport capacities; the only one
+  that plans airborne delay, through the arrival side;
+* stochastic: ground holding only, each flight landing a flight time
+  after it leaves, and queue overflow, the airborne delay, charged at
+  the recourse unit cost and weighted by probability; planned airborne
+  delay could never pay (_build_first_stage gives the argument);
 * robust: the stochastic model's expectation replaced by the worst
   distribution within a Wasserstein ball of radius epsilon around the
   tree's scenario probabilities, under an L1 ground metric on
@@ -269,36 +273,41 @@ class ModelBundle:
     epsilon: float | None = None
 
 
-def _build_first_stage(instance: MaghpInstance, model: LinearModel):
-    """Shared slot binaries, wait variables and coupling rows; returns
-    the departure and arrival slot maps.
+def _build_first_stage(instance: MaghpInstance, model: LinearModel, airborne: bool):
+    """Slot binaries, wait variables and coupling rows; returns the
+    departure and arrival slot maps.
 
-    Flight f departs in one slot u[f, t], t from sched_dep, and arrives
-    in one slot v[f, t], t from sched_arr. The wait x[f, t] = sum over
-    tau > t of u[f, tau] is 1 while f has not yet departed at t, and
-    y[f, t] likewise for arrival. Each is defined by one chain row
-    x[f, t] - x[f, t+1] - u[f, t+1] = 0 for t from the schedule up to
-    the last slot but one; a wait reads 1 before the schedule and 0 from
-    the last slot on. Ground delay is sum_t x[f, t] and airborne delay
-    sum_t y[f, t] - sum_t x[f, t], so the waits carry the whole delay
-    cost, (cost_ground - cost_air) on x and cost_air on y.
+    Flight f departs in one slot u[f, t], t from sched_dep; the wait
+    x[f, t] = sum over tau > t of u[f, tau] reads 1 while f has not yet
+    departed at t (_slot_block), so its ground delay is sum_t x[f, t].
+    With airborne (build_det), f also lands in one slot v[f, t], t from
+    sched_arr, with waits y[f, t] likewise, and its airborne delay is
+    sum_t y[f, t] - sum_t x[f, t]: x costs cost_ground - cost_air, y
+    cost_air, and one precedence row per interval, y[f, t + flight_time]
+    >= x[f, t], has f land at least a flight time after it leaves
+    (Bertsimas & Stock Patterson, Oper. Res. 1998). Without (build_sp,
+    build_dr), f lands a flight time after it leaves: v[f, t +
+    flight_time] is u[f, t], y likewise x, and x costs cost_ground.
 
-    The coupling holds one row per interval (Bertsimas & Stock Patterson,
-    Oper. Res. 1998):
+    That loses no optimum of sp or dr. In one with airborne delay, land
+    each late flight a >= 1 slots earlier, a flight time after it
+    leaves, which saves cost_air * a. Its new slot, at least 1, meets no
+    interval 0 hard row; it adds one flight to one interval, which
+    raises each scenario's overflow by at most one unit, priced at
+    cost_air (instance_from_dict refuses any other recourse price), and
+    so the expected or worst expected recourse by at most cost_air.
+    Landing earlier only loosens the connection rows.
 
-    * precedence: y[f, t + flight_time] >= x[f, t], so f lands at least a
-      flight time after it leaves;
-    * connection: x[succ, t + lag] >= y[pred, t] with lag =
-      succ.sched_dep - pred.sched_arr - slack, so the successor leaves
-      at least lag after the predecessor lands. Where x[succ, t + lag]
-      lies before succ's schedule the row holds by itself; past succ's
-      last slot it reads y[pred, t] <= 0.
+    One connection row per interval, x[succ, t + lag] >= y[pred, t] with
+    lag = succ.sched_dep - pred.sched_arr - slack, has the successor
+    leave at least lag after the predecessor lands. Where x[succ, t +
+    lag] lies before succ's schedule the row holds by itself; past
+    succ's last slot it reads y[pred, t] <= 0.
 
-    Both sides of a flight have m = total - sched_arr slots. Flight by
-    flight, its variables are u (m), x (m - 1), v (m) and y (m - 1), and
-    its rows u's sum, x's chain, v's sum, y's chain and the precedence
-    rows; the connection rows follow, connection by connection. The
-    whole block goes to the model in two appends.
+    Both sides of a flight have m = total - sched_arr slots. The
+    departure side comes first; with airborne, the arrival side and the
+    precedence rows, flight by flight, follow; the connection rows come
+    last, connection by connection.
 
     On random network days these rows kept the det relaxation integral
     up to 300 flights, sp's and dr's at 14 flights but not from 60 on;
@@ -307,46 +316,20 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel):
     total = instance.total_periods()
     flights = instance.flights
     slots = total - np.array([f.sched_arr for f in flights], dtype=int)
-
-    # entry k of a flight's block of 4m - 2 variables
-    run, k = _runs(4 * slots - 2)
-    m = slots[run]
-    is_x = (k >= m) & (k < 2 * m - 1)
-    is_y = k >= 3 * m - 1
-    ground_weight = instance.cost_ground - instance.cost_air
-    first = model.add_variables(
-        np.where(is_x, ground_weight, np.where(is_y, instance.cost_air, 0.0)),
-        ~(is_x | is_y),
-    )
-    u = first + np.cumsum(4 * slots - 2) - (4 * slots - 2)
-    x, v, y = u + slots, u + 2 * slots - 1, u + 3 * slots - 1
-
-    # row offsets within a flight's block of 3m - 1 rows
-    row = np.cumsum(3 * slots - 1) - (3 * slots - 1)
-    run, k = _runs(slots)
-    sums = (
-        np.concatenate([row[run], row[run] + slots[run]]),
-        np.concatenate([u[run] + k, v[run] + k]),
-        np.ones(2 * len(k)),
-    )
-    run, k = _runs(slots - 1)
-    precedence_rows = row[run] + 2 * slots[run] + k
-    precedence = (
-        np.concatenate([precedence_rows, precedence_rows]),
-        np.concatenate([y[run] + k, x[run] + k]),
-        np.repeat([1.0, -1.0], len(k)),
-    )
-    blocks = [
-        sums,
-        _wait_chain(u, x, row + 1, slots),
-        _wait_chain(v, y, row + slots + 1, slots),
-        precedence,
-    ]
-    lower = np.zeros(int(np.sum(3 * slots - 1)))
-    lower[np.concatenate([row, row + slots])] = 1.0
-    upper = lower.copy()
-    upper[precedence_rows] = np.inf
-    model.add_rows(*(np.concatenate(part) for part in zip(*blocks)), lower, upper)
+    if airborne:
+        u, x = _slot_block(model, slots, instance.cost_ground - instance.cost_air)
+        v, y = _slot_block(model, slots, instance.cost_air)
+        run, k = _runs(slots - 1)
+        rows = np.arange(len(k))
+        model.add_rows(
+            np.concatenate([rows, rows]),
+            np.concatenate([y[run] + k, x[run] + k]),
+            np.repeat([1.0, -1.0], len(k)),
+            np.zeros(len(k)),
+            np.full(len(k), np.inf),
+        )
+    else:
+        u, x = v, y = _slot_block(model, slots, instance.cost_ground)
 
     # entry j of a connection pairs y[pred] entry slack + j with x[succ]
     # entry j, or reads y <= 0 once succ's waits have run out
@@ -375,21 +358,37 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel):
     return u_index, v_index
 
 
-def _wait_chain(slots: np.ndarray, waits: np.ndarray, rows: np.ndarray, counts: np.ndarray):
-    """(rows, columns, values) of the chain rows defining each flight's
-    waits, one run per flight of counts slots: row rows + k reads
-    wait k - slot k + 1 - wait k + 1 = 0, wait k + 1 left out for the
-    last wait. slots, waits and rows give each flight's first slot
-    binary, first wait and first chain row."""
-    run, k = _runs(counts - 1)
-    row = rows[run] + k
-    wait = waits[run] + k
-    more = k + 1 < (counts - 1)[run]
-    return (
-        np.concatenate([row, row, row[more]]),
-        np.concatenate([wait, slots[run] + k + 1, wait[more] + 1]),
-        np.concatenate([np.ones(len(k)), -np.ones(len(k)), -np.ones(int(more.sum()))]),
+def _slot_block(model: LinearModel, slots: np.ndarray, wait_cost: float):
+    """One side of the first stage: per flight, slots[f] slot binaries
+    s[f, k] and slots[f] - 1 waits w[f, k] = sum over j > k of s[f, j],
+    each costing wait_cost, in one append; then one row summing the
+    binaries to 1 and one chain row w[f, k] - s[f, k + 1] - w[f, k + 1]
+    = 0 per wait, w[f, k + 1] left out for the last, in another. Returns
+    each flight's first binary and first wait."""
+    size = 2 * slots - 1
+    run, k = _runs(size)
+    binary = k < slots[run]
+    first = model.add_variables(np.where(binary, 0.0, wait_cost), binary)
+    slot = first + np.cumsum(size) - size
+    wait = slot + slots
+
+    row = np.cumsum(slots) - slots
+    run, k = _runs(slots)
+    sum_rows, binaries = row[run], slot[run] + k
+    run, k = _runs(slots - 1)
+    chain = row[run] + 1 + k
+    waits = wait[run] + k
+    more = k + 1 < (slots - 1)[run]
+    rhs = np.zeros(int(slots.sum()))
+    rhs[row] = 1.0
+    model.add_rows(
+        np.concatenate([sum_rows, chain, chain, chain[more]]),
+        np.concatenate([binaries, waits, slot[run] + k + 1, waits[more] + 1]),
+        np.repeat([1.0, -1.0], [len(binaries) + len(k), len(k) + int(more.sum())]),
+        rhs,
+        rhs,
     )
+    return slot, wait
 
 
 def _slot_terms(instance: MaghpInstance, u_index: dict, v_index: dict) -> dict:
@@ -426,7 +425,7 @@ def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
     sequence; cells without an entry are unconstrained.
     """
     model = LinearModel()
-    u_index, v_index = _build_first_stage(instance, model)
+    u_index, v_index = _build_first_stage(instance, model, airborne=True)
     slots = _slot_terms(instance, u_index, v_index)
     for (airport, op_type), profile in sorted(fixed_capacities.items()):
         if len(profile) != instance.horizon:
@@ -506,7 +505,7 @@ def build_sp(instance: MaghpInstance) -> ModelBundle:
     """
     keys = _require_trees(instance)
     model = LinearModel()
-    u_index, v_index = _build_first_stage(instance, model)
+    u_index, v_index = _build_first_stage(instance, model, airborne=False)
     slots = _slot_terms(instance, u_index, v_index)
     z_index = {
         key: _overflow_block(model, instance, slots[key], instance.trees[key]) for key in keys

@@ -100,9 +100,11 @@ def add_row(model: LinearModel, terms, sense: str, rhs: float) -> None:
     )
 
 
-def aggregated_first_stage(instance: MaghpInstance, model: LinearModel):
+def aggregated_first_stage(instance: MaghpInstance, model: LinearModel, airborne: bool):
     """Slot binaries with aggregate delay rows; returns the departure and
-    arrival slot maps, as maghp._build_first_stage does."""
+    arrival slot maps, as maghp._build_first_stage does. Airborne delay
+    is planned whatever airborne reads, so the stochastic and robust
+    models built on it can land a flight late."""
     total = instance.total_periods()
     u_index, v_index, ground, air = {}, {}, {}, {}
     for f in instance.flights:
@@ -209,7 +211,7 @@ def enumerated_sp(instance: MaghpInstance) -> ModelBundle:
     """Extensive-form two-stage model, one recourse block per scenario."""
     keys = _require_trees(instance)
     model = LinearModel()
-    u_index, v_index = _build_first_stage(instance, model)
+    u_index, v_index = _build_first_stage(instance, model, airborne=False)
     unit = instance.recourse_cost
     for key in keys:
         _scenario_overflow(
@@ -225,7 +227,7 @@ def enumerated_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     radius = _radius(epsilon)
     keys = _require_trees(instance)
     model = LinearModel()
-    u_index, v_index = _build_first_stage(instance, model)
+    u_index, v_index = _build_first_stage(instance, model, airborne=False)
     alpha_index = {}
     unit = instance.recourse_cost
     for key in keys:
@@ -554,39 +556,50 @@ def broadcast_overflow(instance: MaghpInstance, policy, capacities: dict) -> dic
     return excess
 
 
-def _rowwise_first_stage(instance: MaghpInstance, model: LinearModel):
-    """maghp._build_first_stage one variable and one row at a time."""
+def _rowwise_side(instance: MaghpInstance, model: LinearModel, first, weight):
+    """maghp._slot_block one variable and one row at a time, with each
+    flight's slots from first(f) on; returns the slot map and, per
+    flight id, its waits."""
     total = instance.total_periods()
-    u_index, v_index, waits = {}, {}, {}
-    ground_weight = instance.cost_ground - instance.cost_air
+    index, waits = {}, {}
     for f in instance.flights:
-        chains = []
-        for slots, first, last, weight in (
-            (u_index, f.sched_dep, total - f.flight_time, ground_weight),
-            (v_index, f.sched_arr, total, instance.cost_air),
-        ):
-            chosen = [model.add_variables([0.0], True) for _ in range(first, last)]
-            slots.update(((f.id, t), var) for t, var in zip(range(first, last), chosen))
-            add_row(model, [(var, 1.0) for var in chosen], "=", 1.0)
-            chain = [model.add_variables([weight]) for _ in chosen[1:]]
-            for k, wait in enumerate(chain):
-                terms = [(wait, 1.0), (chosen[k + 1], -1.0)]
-                if k + 1 < len(chain):
-                    terms.append((chain[k + 1], -1.0))
-                add_row(model, terms, "=", 0.0)
-            chains.append(chain)
-        for x, y in zip(*chains):
-            add_row(model, [(y, 1.0), (x, -1.0)], ">=", 0.0)
-        waits[f.id] = chains
+        times = range(first(f), first(f) + total - f.sched_arr)
+        chosen = [model.add_variables([0.0], True) for _ in times]
+        index.update(((f.id, t), var) for t, var in zip(times, chosen))
+        chain = waits[f.id] = [model.add_variables([weight]) for _ in chosen[1:]]
+        add_row(model, [(var, 1.0) for var in chosen], "=", 1.0)
+        for k, wait in enumerate(chain):
+            terms = [(wait, 1.0), (chosen[k + 1], -1.0)]
+            if k + 1 < len(chain):
+                terms.append((chain[k + 1], -1.0))
+            add_row(model, terms, "=", 0.0)
+    return index, waits
+
+
+def _rowwise_first_stage(instance: MaghpInstance, model: LinearModel, airborne: bool):
+    """maghp._build_first_stage one variable and one row at a time."""
+    if airborne:
+        ground_weight = instance.cost_ground - instance.cost_air
+        u_index, x = _rowwise_side(instance, model, lambda f: f.sched_dep, ground_weight)
+        v_index, y = _rowwise_side(instance, model, lambda f: f.sched_arr, instance.cost_air)
+        for f in instance.flights:
+            for departed, landed in zip(x[f.id], y[f.id]):
+                add_row(model, [(landed, 1.0), (departed, -1.0)], ">=", 0.0)
+    else:
+        u_index, x = _rowwise_side(instance, model, lambda f: f.sched_dep, instance.cost_ground)
+        # each flight lands a flight time after it leaves
+        v_index = {
+            (fid, t + instance.flight(fid).flight_time): var for (fid, t), var in u_index.items()
+        }
+        y = x
 
     for c in instance.delay_connections():
-        x = waits[c.successor][0]
-        y = waits[c.predecessor][1]
-        for k in range(c.slack, len(y)):
-            if k - c.slack < len(x):
-                add_row(model, [(x[k - c.slack], 1.0), (y[k], -1.0)], ">=", 0.0)
+        departed, landed = x[c.successor], y[c.predecessor]
+        for k in range(c.slack, len(landed)):
+            if k - c.slack < len(departed):
+                add_row(model, [(departed[k - c.slack], 1.0), (landed[k], -1.0)], ">=", 0.0)
             else:
-                add_row(model, [(y[k], 1.0)], "<=", 0.0)
+                add_row(model, [(landed[k], 1.0)], "<=", 0.0)
     return u_index, v_index
 
 
@@ -600,7 +613,7 @@ def _rowwise_slot_terms(instance: MaghpInstance, u_index: dict, v_index: dict) -
 def rowwise_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
     """maghp.build_det one variable and one row at a time."""
     model = LinearModel()
-    u_index, v_index = _rowwise_first_stage(instance, model)
+    u_index, v_index = _rowwise_first_stage(instance, model, airborne=True)
     slots = _rowwise_slot_terms(instance, u_index, v_index)
     empty = [[] for _ in range(instance.horizon)]
     for key, profile in sorted(fixed_capacities.items()):
@@ -614,7 +627,7 @@ def rowwise_sp(instance: MaghpInstance) -> ModelBundle:
     """maghp.build_sp one variable and one row at a time."""
     keys = _require_trees(instance)
     model = LinearModel()
-    u_index, v_index = _rowwise_first_stage(instance, model)
+    u_index, v_index = _rowwise_first_stage(instance, model, airborne=False)
     slots = _rowwise_slot_terms(instance, u_index, v_index)
     unit = instance.recourse_cost
     z_index = {}

@@ -1488,6 +1488,18 @@ MALFORMED = {
         2,
         "'reductions'",
     ),
+    "reductions given as one number": (
+        "sweep",
+        {"epsilons": [0.1], "reductions": 0.1},
+        2,
+        "expected a list of numbers, got 0.1",
+    ),
+    "epsilons given as one number": (
+        "sweep",
+        {"epsilons": 0.1, "reductions": [0.1]},
+        2,
+        "expected a list of numbers, got 0.1",
+    ),
     "evaluate reduction out of range": (
         "evaluate",
         {"result": "result.json", "reduction": 1.5},

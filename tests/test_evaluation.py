@@ -21,6 +21,7 @@ from groundhold.evaluation import (
     resample_capacities,
     shifted_representatives,
     sweep_levels,
+    sweep_radii,
     write_in_sample_csv,
     write_report_csv,
     write_sample_costs_csv,
@@ -452,6 +453,17 @@ def test_sweep_levels_take_only_real_numbers(level, message):
 
 def test_sweep_levels_are_distinct_and_ascending():
     assert sweep_levels([0.3, np.float64(0.1), 0, -0.0, 0.3]) == (0.0, 0.1, 0.3)
+
+
+def test_sweep_lists_refuse_a_single_number():
+    """A bare level or radius is no list of them; a tuple, a numpy array
+    and a range are."""
+    for parse, value in ((sweep_levels, 0.1), (sweep_radii, np.float64(0.1))):
+        with pytest.raises(ValueError, match=r"^expected a list of numbers, got .*0\.1"):
+            parse(value)
+    assert sweep_levels(np.array([0.1])) == (0.1,)
+    assert sweep_levels((0.2, 0.1)) == (0.1, 0.2)
+    assert sweep_radii(range(2)) == (0.0, 1.0)
 
 
 def test_evaluate_policy_refuses_samples_without_a_constrained_cell():

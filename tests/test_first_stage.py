@@ -6,9 +6,13 @@ variables and one precedence or connection row per interval, so that
 LinearModel.minimize can usually take the relaxation as the optimum.
 On seeded instances and every model kind, both first stages must reach
 the same optimum, and so must a solve forced through branch and bound.
+The stochastic and robust models plan no airborne delay; built on the
+deterministic model's first stage, which does, they must reach the same
+optimum too.
 """
 
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -81,7 +85,7 @@ def _pinned(first_stage, instance, pins):
     """minimize() of the first stage alone with the given (flight id,
     'u' or 'v', interval) slots forced to 1."""
     model = solver.LinearModel()
-    slots = dict(zip("uv", first_stage(instance, model)))
+    slots = dict(zip("uv", first_stage(instance, model, airborne=True)))
     for fid, which, t in pins:
         add_row(model, [(slots[which][fid, t], 1.0)], "=", 1.0)
     return model.minimize()
@@ -165,3 +169,47 @@ def test_one_ordered_pass_finds_the_fixpoint_horizon(case):
     if case.startswith("chained"):
         assert _longest_chain(instance) >= 3
     assert instance.total_periods() == fixpoint_total_periods(instance)
+
+
+EXCHANGE_CASES = {
+    **{f"random-{seed}": partial(random_instance, seed) for seed in range(10)},
+    "stress": stress_instance,
+    # stress_instance's cost_air is 3
+    "stress-equal-costs": lambda: replace(stress_instance(), cost_ground=3.0),
+    **{
+        f"chained-network-day-{seed}": partial(
+            lambda seed, size: _chained(network_day(seed, *size)), seed, size
+        )
+        for seed, size in ((2, (20, 12)), (4, (20, 12)), (6, (30, 16)))
+    },
+    "network-day-64": partial(network_day, 0, 30, 16, 3, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXCHANGE_CASES))
+def test_planned_airborne_delay_never_pays_under_recourse(case, monkeypatch):
+    """sp and dr at small and saturated radii reach the same optimum
+    with and without the arrival side, on instances with flights out of
+    the network, chained connections, a fractional dr relaxation at 64
+    scenarios per cell and cost_ground equal to cost_air. Landing a
+    slots late costs cost_air * a and takes at most one flight off one
+    interval, which saves at most cost_air of recourse."""
+    instance = EXCHANGE_CASES[case]()
+    if case.startswith("chained"):
+        assert _longest_chain(instance) >= 3
+    builders = {"sp": lambda: build_sp(instance)}
+    for eps in (0.02, 0.1, 0.5, 2.0):
+        builders[f"dr-{eps}"] = lambda eps=eps: build_dr(instance, eps)
+    objectives = {name: solve(build()).objective for name, build in builders.items()}
+
+    first_stage = maghp._build_first_stage
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            maghp,
+            "_build_first_stage",
+            lambda instance, model, airborne: first_stage(instance, model, airborne=True),
+        )
+        planned = {name: solve(build()).objective for name, build in builders.items()}
+
+    for name, objective in objectives.items():
+        assert objective == pytest.approx(planned[name], rel=1e-9, abs=1e-9), name

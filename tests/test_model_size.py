@@ -48,11 +48,11 @@ INSTANCES = {
 # (instance, kind): (variables, rows, nonzeros, objective)
 PINS = {
     ("stress_instance()", "det"): (804, 670, 2130, 0.0),
-    ("stress_instance()", "sp"): (840, 684, 2346, 30.9875),
-    ("stress_instance()", "dr"): (858, 696, 2406, 31.926785714285714),
+    ("stress_instance()", "sp"): (438, 282, 1230, 30.9875),
+    ("stress_instance()", "dr"): (456, 294, 1290, 31.926785714285714),
     ("random_instance(0)", "det"): (270, 247, 715, 0.0),
-    ("random_instance(0)", "sp"): (283, 234, 725, 0.0),
-    ("random_instance(0)", "dr"): (295, 241, 752, 0.0),
+    ("random_instance(0)", "sp"): (148, 99, 347, 0.0),
+    ("random_instance(0)", "dr"): (160, 106, 374, 0.0),
 }
 
 
@@ -87,8 +87,8 @@ def test_model_size_and_objective_are_pinned(bundles, case):
 #: kind: (variables, rows, nonzeros, objective) on network_day(0, 30, 16)
 #: with 3 stages of 4 atoms, 64 scenarios per cell
 PINS_AT_64 = {
-    "sp": (1896, 1581, 6153, 55.041877210830656),
-    "dr": (1956, 1635, 6651, 68.12662555416112),
+    "sp": (1064, 749, 3747, 55.041877210830656),
+    "dr": (1124, 803, 4245, 68.12662555416112),
 }
 
 
@@ -251,70 +251,70 @@ HASHED = {
 #: the numbering of a variable or row moves these.
 MILP_PINS = {
     ("network_day(0)", "det"): {
-        "c": "1b98a91f42971017",
-        "data": "3d2d689bc3af0250",
-        "indices": "abe088624bad7bd8",
-        "indptr": "34c463b4078ecc39",
-        "integrality": "cb06df33861406fc",
+        "c": "9b3db6d185352768",
+        "data": "aab60fd7f3ef45b4",
+        "indices": "ea8cbfbd31540650",
+        "indptr": "bdaa339dac730c3f",
+        "integrality": "00edddebf0b632b7",
         "lb": "43e70407c1c344cc",
-        "row_lb": "a12d7391208e664b",
-        "row_ub": "3ed8a119a722c3c7",
-        "ub": "572f8732ec1e56c8",
+        "row_lb": "33309b49e04ba71e",
+        "row_ub": "c30a4887405592d4",
+        "ub": "2b79e728138249ee",
     },
     ("network_day(0)", "dr"): {
-        "c": "2e90d8293b31f712",
-        "data": "cc18be4dc0b5c31b",
-        "indices": "a504ba99dff7c618",
-        "indptr": "cc632dd9634dc4a8",
-        "integrality": "823588bca88c5dfc",
-        "lb": "0ec9cd6a4b73ba22",
-        "row_lb": "307bea59223d13cb",
-        "row_ub": "6062988b0167a097",
-        "ub": "dccad61cace7d4c6",
+        "c": "70e1483b78b6873b",
+        "data": "ebede6c8519d78ba",
+        "indices": "174dfa13114dafe8",
+        "indptr": "fd64379318c4036a",
+        "integrality": "6da9626a1a767ede",
+        "lb": "a2e4b5a10489dabe",
+        "row_lb": "41772bbccd3b0576",
+        "row_ub": "e73894f153709b4d",
+        "ub": "1e35da57d3f1c606",
     },
     ("network_day(0)", "sp"): {
-        "c": "372346b967650d4a",
-        "data": "95873162d8b687bc",
-        "indices": "e8951fb7e9257325",
-        "indptr": "e7acf33ac166faff",
-        "integrality": "c113b5b305b306fd",
-        "lb": "cd8db6ffeb99acd5",
-        "row_lb": "932178aa8af81263",
-        "row_ub": "4878b1a798b05aab",
-        "ub": "4d0fe1bf52b536d1",
+        "c": "a582ceee86995d97",
+        "data": "eaa393f4d5d7e546",
+        "indices": "209396a84f61969f",
+        "indptr": "c0b61d83eb03a976",
+        "integrality": "d2f4d9e399b0ac62",
+        "lb": "7df491c5f0816aef",
+        "row_lb": "61c91b8a60821011",
+        "row_ub": "1a2975e179b9dbec",
+        "ub": "a85a5ea5e41d365b",
     },
     ("stress_instance()", "det"): {
-        "c": "ca09ae6c8ce9f2a8",
-        "data": "894325eb64b0945c",
-        "indices": "8bd4cc580a9e666a",
-        "indptr": "be43d05b17c4c474",
-        "integrality": "42a70b22bab19bfa",
+        "c": "25770b4b178a7554",
+        "data": "d6dbc487d54c0200",
+        "indices": "674efabd9f314dd9",
+        "indptr": "0aa958f74aa806e2",
+        "integrality": "98ed4f4380540e09",
         "lb": "9f12fb98ebbf4e5d",
-        "row_lb": "ffe2c89a46cff113",
-        "row_ub": "c11178e115048ae5",
-        "ub": "d4a747182963d727",
+        "row_lb": "b941a3edc9bcfe42",
+        "row_ub": "5a33bfc8c9bccaa5",
+        "ub": "a99486942662b682",
     },
     ("stress_instance()", "dr"): {
-        "c": "775105a5b53c410d",
-        "data": "62fc73f1da715447",
-        "indices": "94c9d6e73f1beb51",
-        "indptr": "d5244199ab8dc55c",
-        "integrality": "c6420f1064c361ad",
-        "lb": "cff05fb4568facfc",
-        "row_lb": "21a9959e50d40746",
-        "row_ub": "54703c79354b3b2d",
-        "ub": "2e3aac8a3d571ca8",
+        "c": "bdc977b8249e27ef",
+        "data": "dc7a614a350214ca",
+        "indices": "f9cc917c51656559",
+        "indptr": "2450920316a01872",
+        "integrality": "e04a5548df89c809",
+        "lb": "301efe9642b0328c",
+        "row_lb": "1c4ba73c9926fc30",
+        "row_ub": "2523ab79cbda1d1e",
+        "ub": "528cb849e915e1bb",
     },
     ("stress_instance()", "sp"): {
-        "c": "2dfe5c2ef47e7199",
-        "data": "76a32a15047db99b",
-        "indices": "06908baefab567ec",
-        "indptr": "db92f8cad22c2bc3",
-        "integrality": "84e2f6a7bbb7f16a",
-        "lb": "53192a12b1786877",
-        "row_lb": "9be2435dd6040c6a",
-        "row_ub": "c61eea149dd03345",
-        "ub": "e176a8eed742d528",
+        "c": "e7b8da438a5f8196",
+        "data": "73ecceceb9d21aed",
+        "indices": "e9e42e0d25b896db",
+        "indptr": "ee96e3079af1a23a",
+        "integrality": "99348b3346462c42",
+        "lb": "e10c8cb376b41e42",
+        "row_lb": "cb2bb9946c7eb959",
+        "row_ub": "7bc42bae823c1378",
+        "ub": "04217403671f9b9d",
     },
 }
 

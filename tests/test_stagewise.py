@@ -26,7 +26,6 @@ from groundhold.maghp import (
     _stage_recourse,
     assigned_counts,
     best_capacity_profiles,
-    build_det,
     build_dr,
     build_sp,
     extract_policy,
@@ -182,9 +181,9 @@ def test_solve_rejects_mispriced_overflow():
     understates the recourse and fails the objective check."""
     instance = stress_instance()
     bundle = build_sp(instance)
-    first_stage = build_det(instance, {}).model.num_variables
+    first_overflow = min(var for z in bundle.z_index.values() for var in z.values())
     objective = np.concatenate(bundle.model._objective)
-    objective[first_stage:] *= 0.5
+    objective[first_overflow:] *= 0.5
     bundle.model._objective = [objective]
     with pytest.raises(SolverError):
         solve(bundle)
