@@ -143,11 +143,16 @@ def _feature(text):
     return finite(float(text))
 
 
+def _label(text):
+    """A training label cell: a whole number of at least 0."""
+    return as_whole(int(text))
+
+
 def _read_training_csv(path):
     """The feature and label arrays of a training file: its label column
     and every other column, a feature, in header order. A file with no
     rows or no feature column raises MissingInputError naming it."""
-    rows = list(read_csv(path, "training", {"label": int}, _feature))
+    rows = list(read_csv(path, "training", {"label": _label}, _feature))
     if not rows:
         raise MissingInputError(f"training file {path} has no rows")
     if len(rows[0]) == 1:

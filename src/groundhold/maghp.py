@@ -927,7 +927,7 @@ def result_from_dict(body: dict) -> SolveResult:
         for name in ("alpha", "gamma"):
             if name in body.get("duals", {}):
                 duals[name] = {
-                    tuple(label.split("/")): value
+                    tuple(label.rsplit("/", 1)): value
                     for label, value in body["duals"][name].items()
                 }
     epsilon = body.get("epsilon")

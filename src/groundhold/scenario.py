@@ -13,14 +13,16 @@ directly, so it is reduced in two steps:
    to integer capacities.
 
 The per-stage atoms then combine into a scenario tree whose scenarios
-carry product probabilities, one tree per (airport, op_type).
+carry product probabilities, one tree per (airport, op_type). A tree
+file stores the stage atoms alone; loading it enumerates their product,
+as building the tree does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -38,6 +40,19 @@ from .pmf import (
 
 #: refuse to enumerate trees beyond this many scenarios
 DEFAULT_SCENARIO_CAP = 4096
+
+
+def _product(stages) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """The scenarios of the stage atoms: every choice of one atom per
+    stage, last stage fastest, at the product of its atoms'
+    probabilities. More than DEFAULT_SCENARIO_CAP scenarios raise
+    ValueError before any is enumerated."""
+    count = math.prod(map(len, stages))
+    if count > DEFAULT_SCENARIO_CAP:
+        raise ValueError(f"{count} scenarios exceed the cap of {DEFAULT_SCENARIO_CAP}")
+    vectors = itertools.product(*(stage.supports for stage in stages))
+    probabilities = itertools.product(*(stage.probabilities for stage in stages))
+    return tuple(zip(vectors, map(math.prod, probabilities)))
 
 
 @dataclass(frozen=True)
@@ -114,9 +129,10 @@ class ReducedPmf:
 class ScenarioTree:
     """Stagewise capacity atoms and their full scenario enumeration.
 
-    The scenario vectors are itertools.product of the stage supports, in
-    that order; the robust model relies on this product support. The
-    joint probabilities are free, as long as they sum to 1.
+    The scenario vectors are the product of the stage supports, last
+    stage fastest; the robust model relies on this product support. The
+    joint probabilities may be any that sum to 1, though every tree
+    built or loaded here carries the product of its stage atoms'.
 
     probabilities, vectors and stage_capacities are computed from
     scenarios once per tree and kept; dataclasses.replace builds a new
@@ -135,11 +151,7 @@ class ScenarioTree:
                 f"stage count {len(self.stage_pmfs)} does not match the "
                 f"{segments} time segments"
             )
-        supports = [stage.supports for stage in self.stage_pmfs]
-        # the count first, so a file with many stage atoms is not enumerated
-        if math.prod(map(len, supports)) != len(self.vectors) or any(
-            v != w for v, w in zip(self.vectors, itertools.product(*supports))
-        ):
+        if self.vectors != tuple(v for v, _ in _product(self.stage_pmfs)):
             raise ValueError(
                 "scenario vectors must be the product of the stage supports, "
                 "last stage fastest"
@@ -313,37 +325,14 @@ def build_scenario_tree(
 
     Each stage keeps min(k_per_stage, its atoms that carry mass) atoms:
     a representative with no more atoms than that is its own best
-    compression. Scenario probabilities are the products of their stage
-    atom probabilities; enumeration order varies the last stage fastest.
-    More than DEFAULT_SCENARIO_CAP scenarios raise ValueError before any
-    is enumerated.
+    compression. The scenarios are the product of the stage atoms, as
+    _product enumerates it, cap included.
     """
-    stage_pmfs = [
+    stage_pmfs = tuple(
         compress_pmf_kmeans(rep, min(k_per_stage, sum(1 for w in rep.weights if w > 0)))
         for rep in clustering.representatives
-    ]
-
-    count = 1
-    for stage in stage_pmfs:
-        count *= len(stage)
-    if count > DEFAULT_SCENARIO_CAP:
-        raise ValueError(
-            f"{count} scenarios exceed the cap of {DEFAULT_SCENARIO_CAP}"
-        )
-
-    scenarios = []
-    for combo in itertools.product(*(s.atoms for s in stage_pmfs)):
-        vector = tuple(s for s, _ in combo)
-        probability = math.prod(p for _, p in combo)
-        scenarios.append((vector, probability))
-
-    return ScenarioTree(
-        airport=airport,
-        op_type=op_type,
-        stage_pmfs=tuple(stage_pmfs),
-        time_clusters=clustering,
-        scenarios=tuple(scenarios),
     )
+    return ScenarioTree(airport, op_type, stage_pmfs, clustering, _product(stage_pmfs))
 
 
 # ---------------------------------------------------------------------------
@@ -358,28 +347,33 @@ def tree_to_dict(tree: ScenarioTree) -> dict:
         "segments": [list(seg) for seg in tree.time_clusters.segments],
         "representatives": [pmf_to_dict(p) for p in tree.time_clusters.representatives],
         "stages": [[[s, p] for s, p in stage.atoms] for stage in tree.stage_pmfs],
-        "scenarios": [[list(v), p] for v, p in tree.scenarios],
     }
 
 
 def tree_from_dict(body: dict) -> ScenarioTree:
+    """Rebuild a tree from its stage atoms, its scenarios their product.
+
+    A body that also lists scenarios, as files written before trees
+    were stored as their stages did, must list exactly that product: its
+    entries pass the checks ScenarioTree makes, then any probability
+    other than the product's is refused."""
     clustering = TimeClustering(
         tuple(map(as_whole, body["boundaries"])),
         tuple(tuple(map(as_whole, seg)) for seg in body["segments"]),
         tuple(pmf_from_dict(rep) for rep in body["representatives"]),
     )
-    return ScenarioTree(
-        airport=body["airport"],
-        op_type=body["op_type"],
-        stage_pmfs=tuple(
-            ReducedPmf(tuple((as_whole(s), as_real(p)) for s, p in stage))
-            for stage in body["stages"]
-        ),
-        time_clusters=clustering,
-        scenarios=tuple(
-            (tuple(map(as_whole, v)), as_real(p)) for v, p in body["scenarios"]
-        ),
+    stages = tuple(
+        ReducedPmf(tuple((as_whole(s), as_real(p)) for s, p in stage)) for stage in body["stages"]
     )
+    tree = ScenarioTree(body["airport"], body["op_type"], stages, clustering, _product(stages))
+    if "scenarios" in body:
+        listed = tuple((tuple(map(as_whole, v)), as_real(p)) for v, p in body["scenarios"])
+        replace(tree, scenarios=listed)  # the product support and a total of 1
+        if listed != tree.scenarios:
+            raise ValueError(
+                "scenario probabilities must be the products of their stage atoms' probabilities"
+            )
+    return tree
 
 
 def save_trees(path, trees: list[ScenarioTree]) -> None:

@@ -8,7 +8,9 @@ stochastic and robust policies spread apart; network_day loads the
 benchmark's generated day at its sweep size; synthetic_records and
 bucket_training_data feed the estimation and prediction demos.
 point_mass, save_pmf_series and write_operation_records build and
-write the inputs the command line reads.
+write the inputs the command line reads, and with_listed_scenarios
+gives a tree body in the format trees were written in before they were
+stored as their stage atoms alone.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import importlib.util
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -315,3 +318,12 @@ def write_operation_records(path, records) -> None:
             writer.writerow(
                 [r.airport, r.op_type, repr(r.scheduled_minute), repr(r.actual_minute)]
             )
+
+
+def with_listed_scenarios(body: dict) -> dict:
+    """A tree body as files written before trees were stored as their
+    stages carry it: body with its "scenarios", every choice of one
+    stage atom per stage, last stage fastest, at the product of the
+    atoms' probabilities, computed as those files' writer did."""
+    combos = itertools.product(*body["stages"])
+    return {**body, "scenarios": [[[s for s, _ in c], math.prod(p for _, p in c)] for c in combos]}

@@ -1,7 +1,6 @@
 """End-to-end runs of the command line pipeline."""
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -18,6 +17,7 @@ from fixtures import (
     save_pmf_series,
     stress_instance,
     synthetic_records,
+    with_listed_scenarios,
     write_operation_records,
 )
 from groundhold.capacity import read_capacity_observations, read_operation_records
@@ -242,6 +242,8 @@ def test_reduce_scenarios_builds_trees(tmp_path):
         },
     )
     assert main(["reduce-scenarios", "--config", config]) == 0
+    # a trees file holds each tree's stage atoms, not their product
+    assert not any("scenarios" in body for body in json.loads(out.read_text()))
     trees = load_trees(out)
     assert [(t.airport, t.op_type) for t in trees] == [
         ("A", "departure"),
@@ -817,12 +819,14 @@ def test_tree_segment_entries_read_as_whole_numbers(tmp_path):
 
 
 def test_tree_off_its_product_support_exits_1(tmp_path, capsys):
-    """An instance file whose tree lists its scenario vectors in another
-    order than the product of its stage supports is rejected, naming the
-    file."""
+    """An instance file whose tree lists its scenarios, as files written
+    before trees were stored as their stages did, with the vectors in
+    another order than the product of its stage supports is rejected,
+    naming the file."""
     instance_path = tmp_path / "instance.json"
     save_instance(instance_path, stress_instance())
     body = json.loads(instance_path.read_text())
+    body["trees"][0] = with_listed_scenarios(body["trees"][0])
     scenarios = body["trees"][0]["scenarios"]
     scenarios[0][0], scenarios[1][0] = scenarios[1][0], scenarios[0][0]
     instance_path.write_text(json.dumps(body))
@@ -1369,6 +1373,13 @@ MALFORMED = {
         1,
         "labels.csv line 2, column 'label'",
     ),
+    "negative label": (
+        "predict",
+        {"training": "negative-label.csv"},
+        1,
+        "training file negative-label.csv line 3, column 'label': expected a whole number "
+        "of at least 0, got -2",
+    ),
     "training file without a header": (
         "predict",
         {"training": "empty.csv"},
@@ -1833,10 +1844,8 @@ MALFORMED = {
 
 def _restaged(tree, stages):
     """A tree body with its stage atoms replaced by stages and its
-    scenarios enumerated over them, so only the stage count is off."""
-    combos = itertools.product(*stages)
-    scenarios = [[[s for s, _ in c], math.prod(p for _, p in c)] for c in combos]
-    return {**tree, "stages": stages, "scenarios": scenarios}
+    scenarios listed over them, so only the stage count is off."""
+    return with_listed_scenarios({**tree, "stages": stages})
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -1867,6 +1876,7 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     # the A/departure tree's stage-one capacity 0, in its atom and every
     # scenario, read as 0.6
     fractional = json.loads(json.dumps(stress["trees"]))
+    fractional[1] = with_listed_scenarios(fractional[1])
     stage = fractional[1]["stages"][0]
     assert stage[0][0] == 0
     stage[0][0] = 0.6
@@ -1903,6 +1913,7 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
         if field == "stage probability":
             bad["trees"][0]["stages"][0][0][1] = value
         elif field == "scenario probability":
+            bad["trees"][0] = with_listed_scenarios(bad["trees"][0])
             bad["trees"][0]["scenarios"][0][1] = value
         else:
             bad[field] = value
@@ -1919,6 +1930,7 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     Path("long-row.csv").write_text(records_header + "A,departure,0,1\nB,departure,5,6,99\n")
     Path("short-row.csv").write_text(records_header + "A,departure,0\n")
     Path("labels.csv").write_text("f0,label\n0.5,x\n")
+    Path("negative-label.csv").write_text("f0,label\n0.5,1\n0.5,-2\n" + "0.5,1\n" * 10)
     Path("high.csv").write_text("f0,label\n" + "0.5,3\n" * 12)
     Path("empty.csv").write_text("")
     Path("unlabelled.csv").write_text("f0,f1\n0.5,3\n")

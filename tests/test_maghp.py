@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fixtures import random_instance
+from fixtures import random_instance, stress_instance, with_listed_scenarios
 from groundhold.errors import MissingInputError, SolverError
 from groundhold.maghp import (
     Flight,
@@ -476,6 +476,44 @@ def test_loaders_read_whole_numbers_written_as_floats():
     for entry in floated["flights"].values():
         entry["u_slot"], entry["v_slot"] = float(entry["u_slot"]), float(entry["v_slot"])
     assert json.dumps(result_to_dict(result_from_dict(floated), inst)) == json.dumps(body)
+
+
+def test_dual_labels_keep_a_slash_in_an_airport_name():
+    """A dr result on airports named "X/A" and "X/B" reloads its alpha
+    and gamma under those names, equal to the solved duals."""
+    flights = tuple(flight(f"f{i}", "X/A", "X/B", 0, 1) for i in range(3)) + (
+        flight("f3", "X/A", "X/B", 1, 2),
+    )
+    inst = MaghpInstance(
+        airports=("X/A", "X/B"),
+        flights=flights,
+        connections=(),
+        horizon=3,
+        cost_ground=1.0,
+        cost_air=3.0,
+        trees={
+            ("X/A", "departure"): single_stage_tree("X/A", "departure", 3, [(1, 0.6), (2, 0.4)]),
+            ("X/B", "arrival"): single_stage_tree("X/B", "arrival", 3, [(1, 0.3), (3, 0.7)]),
+        },
+    )
+    result = solve(build_dr(inst, 0.1))
+    assert set(result.duals["alpha"]) == {("X/A", "departure"), ("X/B", "arrival")}
+    loaded = result_from_dict(json.loads(json.dumps(result_to_dict(result, inst))))
+    assert loaded.duals == result.duals
+
+
+def test_instance_file_listing_scenarios_loads_to_the_same_instance(tmp_path):
+    """Instance files store each tree as its stage atoms; one whose trees
+    list their scenarios, as files written before did, loads to the same
+    instance."""
+    save_instance(tmp_path / "instance.json", stress_instance())
+    body = json.loads((tmp_path / "instance.json").read_text())
+    assert all("scenarios" not in tree for tree in body["trees"])
+    body["trees"] = [with_listed_scenarios(tree) for tree in body["trees"]]
+    (tmp_path / "older.json").write_text(json.dumps(body))
+    loaded = load_instance(tmp_path / "older.json")
+    assert loaded == load_instance(tmp_path / "instance.json")
+    assert loaded.trees == stress_instance().trees
 
 
 def test_result_files_carry_no_second_stage_grid():

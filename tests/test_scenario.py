@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groundhold.pmf import make_pmf, pmf_mean
+from groundhold.pmf import make_pmf, pmf_mean, pmf_to_dict
 from groundhold.errors import MissingInputError
 from groundhold.scenario import (
     ReducedPmf,
@@ -24,6 +24,7 @@ from groundhold.scenario import (
     tree_from_dict,
     tree_to_dict,
 )
+from fixtures import with_listed_scenarios
 from oracles import scenario_capacity_profile
 
 EXAMPLE = make_pmf([0, 1, 2, 3, 4, 5], [0.05, 0.10, 0.70, 0.10, 0.03, 0.02])
@@ -445,9 +446,11 @@ def test_tree_json_round_trip(tmp_path):
 
 
 def _tree_body_with_first_capacity(value):
-    """The body of a two-stage tree whose first stage atom, capacity 0,
-    reads value in the stage and in every scenario vector."""
-    body = tree_to_dict(build_scenario_tree(two_stage_clustering(), 2))
+    """The body of a two-stage tree, its scenarios listed as in files
+    written before trees were stored as their stages, whose first stage
+    atom, capacity 0, reads value in the stage and in every scenario
+    vector."""
+    body = with_listed_scenarios(tree_to_dict(build_scenario_tree(two_stage_clustering(), 2)))
     assert body["stages"][0][0][0] == 0
     body["stages"][0][0][0] = value
     for vector, _ in body["scenarios"]:
@@ -493,3 +496,62 @@ def test_load_trees_names_the_file_of_a_bad_tree(tmp_path, case):
     with pytest.raises(MissingInputError) as caught:
         load_trees(path)
     assert str(caught.value) == f"trees file {path} is malformed: {BAD_TREES[case]}"
+
+
+
+def test_listed_scenarios_off_the_product_are_refused(tmp_path):
+    """Listed scenarios on the product support whose probabilities are a
+    Dirichlet joint, not the products of the stage atoms', are refused,
+    naming the file."""
+    body = with_listed_scenarios(tree_to_dict(build_scenario_tree(two_stage_clustering(), 2)))
+    weights = np.random.default_rng(0).dirichlet(np.ones(len(body["scenarios"])))
+    for scenario, weight in zip(body["scenarios"], weights):
+        scenario[1] = float(weight)
+    path = tmp_path / "trees.json"
+    path.write_text(json.dumps([body]))
+    with pytest.raises(MissingInputError) as caught:
+        load_trees(path)
+    assert str(caught.value) == (
+        f"trees file {path} is malformed: scenario probabilities must be the products "
+        "of their stage atoms' probabilities"
+    )
+
+
+def test_tree_file_past_the_cap_is_refused_before_enumeration(tmp_path, monkeypatch):
+    """13 two-atom stages in a file multiply to 8,192 scenarios, over the
+    cap of 4,096; the file is refused, naming it, before any scenario is
+    enumerated."""
+    series = [bernoulli(0.05 + 0.065 * i) for i in range(14)]
+    clustering = cluster_time_series(series, 13)
+    assert clustering.num_stages == 13
+    body = {
+        "airport": "A",
+        "op_type": "departure",
+        "boundaries": list(clustering.boundaries),
+        "segments": [list(seg) for seg in clustering.segments],
+        "representatives": [pmf_to_dict(rep) for rep in clustering.representatives],
+        "stages": [[[0, 0.5], [1, 0.5]]] * 13,
+    }
+    path = tmp_path / "trees.json"
+    path.write_text(json.dumps([body]))
+
+    def enumerate_product(*_):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(itertools, "product", enumerate_product)
+    with pytest.raises(MissingInputError) as caught:
+        load_trees(path)
+    assert str(caught.value) == (
+        f"trees file {path} is malformed: 8192 scenarios exceed the cap of 4096"
+    )
+
+
+def test_tree_at_the_cap_round_trips(tmp_path):
+    """12 two-atom stages make 4,096 scenarios, the cap: the tree saves
+    and loads back equal."""
+    series = [bernoulli(0.05 + 0.065 * i) for i in range(13)]
+    tree = build_scenario_tree(cluster_time_series(series, 12), 2)
+    assert tree.num_scenarios == 4096
+    path = tmp_path / "trees.json"
+    save_trees(path, [tree])
+    assert load_trees(path) == [tree]
