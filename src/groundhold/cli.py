@@ -143,16 +143,21 @@ def _feature(text):
     return finite(float(text))
 
 
-def _label(text):
-    """A training label cell: a whole number of at least 0."""
-    return as_whole(int(text))
+def _label(text, cap):
+    """A training label cell: a whole number of at least 0 and, given
+    cap, at most cap."""
+    label = as_whole(int(text))
+    if cap is not None and label > cap:
+        raise ValueError(f"label {label} exceeds max capacity {cap} set by 'max_capacity'")
+    return label
 
 
-def _read_training_csv(path):
-    """The feature and label arrays of a training file: its label column
-    and every other column, a feature, in header order. A file with no
-    rows or no feature column raises MissingInputError naming it."""
-    rows = list(read_csv(path, "training", {"label": _label}, _feature))
+def _read_training_csv(path, cap=None):
+    """The feature and label arrays of a training file: its label column,
+    each label at most cap if given, and every other column, a feature,
+    in header order. A file with no rows or no feature column raises
+    MissingInputError naming it."""
+    rows = list(read_csv(path, "training", {"label": lambda text: _label(text, cap)}, _feature))
     if not rows:
         raise MissingInputError(f"training file {path} has no rows")
     if len(rows[0]) == 1:
@@ -173,7 +178,7 @@ def cmd_predict(values, seed):
             values, "kind", "max_capacity", "hidden_units", "learning_rate", "epochs", "batch_size"
         ),
     )
-    features, labels = _read_training_csv(values["training"])
+    features, labels = _read_training_csv(values["training"], training.max_capacity)
     split_train, split_val, split_test = temporal_split(len(labels), train_frac, val_frac)
     held_out = split_test if len(split_test) else split_val
     for part, rows in (("training", split_train), ("held-out", held_out)):

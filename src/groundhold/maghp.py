@@ -153,6 +153,10 @@ class MaghpInstance:
                 raise ValueError(f"unknown op_type {op_type!r} in trees")
             if airport not in self.airports:
                 raise ValueError(f"tree attached to unknown airport {airport!r}")
+            if (tree.airport, tree.op_type) != (airport, op_type):
+                raise ValueError(
+                    f"tree for {tree.airport}/{tree.op_type} is attached to cell {airport}/{op_type}"
+                )
             if tree.time_clusters.num_intervals != self.horizon:
                 raise ValueError(
                     f"tree for {airport}/{op_type} covers "
@@ -283,11 +287,9 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel, airborne: bo
     With airborne (build_det), f also lands in one slot v[f, t], t from
     sched_arr, with waits y[f, t] likewise, and its airborne delay is
     sum_t y[f, t] - sum_t x[f, t]: x costs cost_ground - cost_air, y
-    cost_air, and one precedence row per interval, y[f, t + flight_time]
-    >= x[f, t], has f land at least a flight time after it leaves
-    (Bertsimas & Stock Patterson, Oper. Res. 1998). Without (build_sp,
-    build_dr), f lands a flight time after it leaves: v[f, t +
-    flight_time] is u[f, t], y likewise x, and x costs cost_ground.
+    cost_air. Without (build_sp, build_dr), f lands a flight time after
+    it leaves: v[f, t + flight_time] is u[f, t], y likewise x, and x
+    costs cost_ground.
 
     That loses no optimum of sp or dr. In one with airborne delay, land
     each late flight a >= 1 slots earlier, a flight time after it
@@ -298,11 +300,15 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel, airborne: bo
     so the expected or worst expected recourse by at most cost_air.
     Landing earlier only loosens the connection rows.
 
-    One connection row per interval, x[succ, t + lag] >= y[pred, t] with
-    lag = succ.sched_dep - pred.sched_arr - slack, has the successor
-    leave at least lag after the predecessor lands. Where x[succ, t +
-    lag] lies before succ's schedule the row holds by itself; past
-    succ's last slot it reads y[pred, t] <= 0.
+    One rule orders two wait chains (_wait_rows): the one ahead may not
+    have stopped waiting while the one behind, offset entries on, still
+    waits. With airborne, each flight's arrival waits stay ahead of its
+    departure waits, offset 0, so f lands at least a flight time after
+    it leaves (Bertsimas & Stock Patterson, Oper. Res. 1998). Each
+    delay connection's successor's departure waits stay ahead of its
+    predecessor's arrival waits, offset slack, so the successor leaves
+    at least succ.sched_dep - pred.sched_arr - slack after the
+    predecessor lands.
 
     Both sides of a flight have m = total - sched_arr slots. The
     departure side comes first; with airborne, the arrival side and the
@@ -319,35 +325,15 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel, airborne: bo
     if airborne:
         u, x = _slot_block(model, slots, instance.cost_ground - instance.cost_air)
         v, y = _slot_block(model, slots, instance.cost_air)
-        run, k = _runs(slots - 1)
-        rows = np.arange(len(k))
-        model.add_rows(
-            np.concatenate([rows, rows]),
-            np.concatenate([y[run] + k, x[run] + k]),
-            np.repeat([1.0, -1.0], len(k)),
-            np.zeros(len(k)),
-            np.full(len(k), np.inf),
-        )
+        _wait_rows(model, x, y, slots, slots, 0)
     else:
         u, x = v, y = _slot_block(model, slots, instance.cost_ground)
 
-    # entry j of a connection pairs y[pred] entry slack + j with x[succ]
-    # entry j, or reads y <= 0 once succ's waits have run out
     position = {f.id: i for i, f in enumerate(flights)}
     connections = instance.delay_connections()
-    pred = np.array([position[c.predecessor] for c in connections], dtype=int)
-    succ = np.array([position[c.successor] for c in connections], dtype=int)
-    slack = np.array([c.slack for c in connections], dtype=int)
-    run, j = _runs(np.maximum(slots[pred] - 1 - slack, 0))
-    paired = j < (slots[succ] - 1)[run]
-    rows = np.arange(len(j))
-    model.add_rows(
-        np.concatenate([rows, rows[paired]]),
-        np.concatenate([y[pred][run] + slack[run] + j, (x[succ][run] + j)[paired]]),
-        np.concatenate([np.where(paired, -1.0, 1.0), np.ones(int(paired.sum()))]),
-        np.where(paired, 0.0, -np.inf),
-        np.where(paired, np.inf, 0.0),
-    )
+    pairs = [(position[c.predecessor], position[c.successor], c.slack) for c in connections]
+    pred, succ, slack = np.array(pairs, dtype=int).reshape(-1, 3).T
+    _wait_rows(model, y[pred], x[succ], slots[pred], slots[succ], slack)
 
     run, k = _runs(slots)
     ids = [flights[i].id for i in run.tolist()]
@@ -356,6 +342,26 @@ def _build_first_stage(instance: MaghpInstance, model: LinearModel, airborne: bo
     u_index = dict(zip(zip(ids, departures.tolist()), (u[run] + k).tolist()))
     v_index = dict(zip(zip(ids, arrivals.tolist()), (v[run] + k).tolist()))
     return u_index, v_index
+
+
+def _wait_rows(model: LinearModel, behind, ahead, behind_slots, ahead_slots, offset) -> None:
+    """One row per wait offset + j of each behind side, in one append:
+    ahead wait j >= behind wait offset + j, or behind wait offset + j
+    <= 0 once the ahead side's waits have run out. A behind wait below
+    offset would pair with an ahead entry before the side's first slot,
+    a wait that reads 1, so its row holds by itself and is left out.
+    behind and ahead hold each side's first wait, behind_slots and
+    ahead_slots its slot count (a side has one wait fewer,
+    _slot_block), offset one whole number or one per side."""
+    run, j = _runs(np.maximum(behind_slots - 1 - offset, 0))
+    paired = j < (ahead_slots - 1)[run]
+    model.add_rows(
+        np.concatenate([np.arange(len(j)), np.flatnonzero(paired)]),
+        np.concatenate([(behind + offset)[run] + j, (ahead[run] + j)[paired]]),
+        np.concatenate([np.where(paired, -1.0, 1.0), np.ones(int(paired.sum()))]),
+        np.where(paired, 0.0, -np.inf),
+        np.where(paired, np.inf, 0.0),
+    )
 
 
 def _slot_block(model: LinearModel, slots: np.ndarray, wait_cost: float):
@@ -410,12 +416,21 @@ def _slot_terms(instance: MaghpInstance, u_index: dict, v_index: dict) -> dict:
     return slots
 
 
-def _interval_rows(loads: tuple, intervals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, columns) of one row per entry of intervals, each carrying
-    every slot binary on its interval: the terms of a capacity row."""
+def _capacity_rows(model: LinearModel, loads: tuple, intervals, upper, overflow=()) -> None:
+    """One row per entry of intervals, in one append: the slot binaries
+    on that interval, less one overflow variable in each of the last
+    len(overflow) rows, at most its entry of upper. loads is the cell's
+    entry of _slot_terms."""
     binaries, counts = loads
     run, k = _runs(counts[intervals])
-    return run, binaries[(np.cumsum(counts) - counts)[intervals][run] + k]
+    overflow = np.asarray(overflow, dtype=int)
+    model.add_rows(
+        np.concatenate([run, len(intervals) - len(overflow) + np.arange(len(overflow))]),
+        np.concatenate([binaries[(np.cumsum(counts) - counts)[intervals][run] + k], overflow]),
+        np.concatenate([np.ones(len(run)), -np.ones(len(overflow))]),
+        np.full(len(intervals), -np.inf),
+        np.asarray(upper, dtype=float),
+    )
 
 
 def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
@@ -434,9 +449,7 @@ def build_det(instance: MaghpInstance, fixed_capacities: dict) -> ModelBundle:
             )
         loads = slots[airport, op_type]
         intervals = np.flatnonzero(loads[1])
-        rows, cols = _interval_rows(loads, intervals)
-        upper = np.asarray(profile, dtype=float)[intervals]
-        model.add_rows(rows, cols, np.ones(len(cols)), np.full(len(upper), -np.inf), upper)
+        _capacity_rows(model, loads, intervals, np.asarray(profile, dtype=float)[intervals])
     return ModelBundle("det", model, instance, u_index, v_index)
 
 
@@ -479,19 +492,9 @@ def _overflow_block(
     z = first + np.arange(len(t))
 
     floor = min(marginals[stages[0]])
-    intervals, upper = t, capacities[atom]
-    if counts[0] > 0 and counts[0] > floor:
-        intervals = np.concatenate([[0], t])
-        upper = np.concatenate([[floor], upper])
-    rows, cols = _interval_rows(loads, intervals)
-    shift = len(intervals) - len(t)
-    model.add_rows(
-        np.concatenate([rows, np.arange(len(t)) + shift]),
-        np.concatenate([cols, z]),
-        np.concatenate([np.ones(len(cols)), -np.ones(len(t))]),
-        np.full(len(upper), -np.inf),
-        upper.astype(float),
-    )
+    hard = int(counts[0] > max(floor, 0))  # interval 0's row, where it can bind
+    intervals = np.append(np.zeros(hard, dtype=int), t)
+    _capacity_rows(model, loads, intervals, np.append(np.full(hard, floor), capacities[atom]), z)
     return dict(zip(zip(t.tolist(), capacities[atom].tolist()), z.tolist()))
 
 
@@ -913,8 +916,8 @@ def result_from_dict(body: dict) -> SolveResult:
     The policy is read from the slots alone; a flight's ground_delay and
     air_delay fields are derived from them and not read back. Of the
     duals, alpha and gamma are read; the per-scenario beta an older file
-    carries instead of gamma is ignored, and of the radii an older file
-    keys by op type the largest is read."""
+    carries instead of gamma is ignored. epsilon, the radius, is a real
+    number or null."""
     status, objective = body["status"], body["objective"]
     policy = None
     duals = {}
@@ -931,15 +934,13 @@ def result_from_dict(body: dict) -> SolveResult:
                     for label, value in body["duals"][name].items()
                 }
     epsilon = body.get("epsilon")
-    if isinstance(epsilon, dict):
-        epsilon = max(epsilon.values(), default=None)
     return SolveResult(
         status=status,
         objective=objective,
         policy=policy,
         duals=duals,
         kind=body.get("model", ""),
-        epsilon=None if epsilon is None else float(epsilon),
+        epsilon=None if epsilon is None else as_real(epsilon),
     )
 
 

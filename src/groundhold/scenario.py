@@ -178,9 +178,10 @@ class ScenarioTree:
         probability.
 
         Probabilities are summed from scenarios per (stage, capacity),
-        not read from stage_pmfs, so the marginals stay exact for trees
-        loaded from hand-written files and for atoms that collide after
-        rounding. Capacities come in ascending order.
+        not read from stage_pmfs, so the marginals stay exact for a tree
+        built in code with a joint other than the product of its stage
+        atoms (a loaded file's joint is that product) and for atoms that
+        collide after rounding. Capacities come in ascending order.
         """
         marginals: list[dict] = [{} for _ in self.stage_pmfs]
         for vector, prob in self.scenarios:

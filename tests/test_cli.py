@@ -27,9 +27,14 @@ from groundhold.errors import ConfigError, MissingInputError
 from groundhold.maghp import (
     FlightConnection,
     MaghpInstance,
+    best_capacity_profiles,
+    build_det,
     first_stage_cost,
+    load_instance,
     load_result,
     save_instance,
+    save_result,
+    solve,
 )
 from groundhold.pmf import make_pmf
 from groundhold.prediction import load_model
@@ -776,6 +781,39 @@ def test_malformed_config_exits_2(tmp_path):
     assert main(["solve", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        (None, "config error: cannot read config"),
+        ("[1, 2]", "config error: config root must be an object"),
+        ('{"solve": [1]}', "config error: section 'solve' must be an object"),
+        ('{"sweep": {}}', "config error: config has no 'solve' section"),
+    ],
+    ids=["unreadable", "list root", "list section", "no section for the command"],
+)
+def test_config_of_the_wrong_shape_exits_2(tmp_path, capsys, text, named):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_solve_det_without_capacities_takes_each_stage_s_largest(tmp_path):
+    """det without capacities solves against best_capacity_profiles."""
+    instance_path = tmp_path / "instance.json"
+    save_instance(instance_path, stress_instance())
+    instance = load_instance(instance_path)
+    config = write_config(
+        tmp_path,
+        {"solve": {"instance": str(instance_path), "model": "det", "out": str(tmp_path / "r")}},
+    )
+    assert main(["solve", "--config", config]) == 0
+    expected = solve(build_det(instance, best_capacity_profiles(instance)))
+    save_result(tmp_path / "expected", expected, instance)
+    assert (tmp_path / "r").read_bytes() == (tmp_path / "expected").read_bytes()
+
+
 def test_unknown_section_exits_2(tmp_path):
     config = write_config(tmp_path, {"seed": 1, "mystery": {}})
     assert main(["solve", "--config", config]) == 2
@@ -922,20 +960,19 @@ def test_evaluate_reads_the_slots_not_the_delay_fields(tmp_path):
     assert eval_path.read_bytes() == consistent
 
 
-def test_evaluate_reads_an_old_per_op_radius(tmp_path):
-    """An older dr result file keys its radius by op type. It loads, and
-    evaluates to the same bytes as the file that holds one number."""
+def test_evaluate_refuses_an_old_per_op_radius(tmp_path, capsys):
+    """A result file's radius is one number or null. An older dr result
+    file keyed it by op type; that file is refused, naming it."""
     config, result_path, eval_path = _solved_sp(tmp_path)
     assert main(["solve", "--config", config, "--model", "dr", "--epsilon", "0.05"]) == 0
-    assert main(["evaluate", "--config", config]) == 0
-    current = eval_path.read_bytes()
     body = json.loads(result_path.read_text())
     assert body["epsilon"] == 0.05
     body["epsilon"] = {"arrival": 0.05, "departure": 0.05}
     result_path.write_text(json.dumps(body, indent=1) + "\n")
-    assert load_result(result_path).epsilon == 0.05
-    assert main(["evaluate", "--config", config]) == 0
-    assert eval_path.read_bytes() == current
+    assert main(["evaluate", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert f"result file {result_path} is malformed: expected a real number, got {{" in err
+    assert not eval_path.exists()
 
 
 def _drop_f0(flights):
@@ -1742,6 +1779,13 @@ MALFORMED = {
         1,
         "label 3 exceeds max capacity 2 set by 'max_capacity'",
     ),
+    "label above max capacity on line 3": (
+        "predict",
+        {"training": "high-line-3.csv", "max_capacity": 2},
+        1,
+        "training file high-line-3.csv line 3, column 'label': label 3 exceeds max capacity 2 "
+        "set by 'max_capacity'",
+    ),
     # det capacities must name a constrained cell and cover the horizon
     "capacity label for an unused cell": (
         "solve",
@@ -1796,6 +1840,18 @@ MALFORMED = {
         {"instance": "two-trees.json"},
         1,
         "instance file two-trees.json is malformed: two trees for cell A/departure",
+    ),
+    "tree with an unknown op type": (
+        "solve",
+        {"instance": "arival-tree.json"},
+        1,
+        "instance file arival-tree.json is malformed: unknown op_type 'arival' in trees",
+    ),
+    "tree at an unknown airport": (
+        "solve",
+        {"instance": "airport-z-tree.json"},
+        1,
+        "instance file airport-z-tree.json is malformed: tree attached to unknown airport 'Z'",
     ),
     # the cells are checked before any series file, absent here, is read
     "cell airport not a string": (
@@ -1888,6 +1944,13 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     Path("segment-1.5.json").write_text(json.dumps(segment))
     twice = {**stress, "trees": [*stress["trees"], stress["trees"][1]]}
     Path("two-trees.json").write_text(json.dumps(twice))
+    for name, field, value in (
+        ("arival-tree", "op_type", "arival"),
+        ("airport-z-tree", "airport", "Z"),
+    ):
+        bad = json.loads(json.dumps(stress))
+        bad["trees"][0][field] = value
+        Path(f"{name}.json").write_text(json.dumps(bad))
     boundary = json.loads(json.dumps(stress))
     boundary["trees"][0]["boundaries"][0] = True
     Path("boundary-true.json").write_text(json.dumps(boundary))
@@ -1932,6 +1995,7 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     Path("labels.csv").write_text("f0,label\n0.5,x\n")
     Path("negative-label.csv").write_text("f0,label\n0.5,1\n0.5,-2\n" + "0.5,1\n" * 10)
     Path("high.csv").write_text("f0,label\n" + "0.5,3\n" * 12)
+    Path("high-line-3.csv").write_text("f0,label\n0.5,1\n0.5,3\n" + "0.5,1\n" * 10)
     Path("empty.csv").write_text("")
     Path("unlabelled.csv").write_text("f0,f1\n0.5,3\n")
     Path("two-labels.csv").write_text("f0,label,label\n0.5,1,2\n")

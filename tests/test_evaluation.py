@@ -475,3 +475,15 @@ def test_evaluate_policy_refuses_samples_without_a_constrained_cell():
     del samples[left_out]
     with pytest.raises(ValueError, match=re.escape(f"no capacity samples for {[left_out]}")):
         evaluate_policy(policy, inst, samples)
+
+
+def test_evaluate_policy_refuses_sample_sets_of_different_sizes():
+    """Cells whose sample sets differ in size are refused, not priced
+    per sample against each other."""
+    inst = two_airport_instance()
+    policy = extract_policy(solve(build_sp(inst)))
+    samples = resample_capacities(inst.trees, ReductionSpec(0.1, sample_count=5))
+    short = sorted(samples)[0]
+    samples[short] = samples[short][:4]
+    with pytest.raises(ValueError, match="sample sets disagree on sample count"):
+        evaluate_policy(policy, inst, samples)

@@ -399,6 +399,26 @@ def test_instance_validation_rejects_bad_data():
         )
 
 
+def test_instance_refuses_a_tree_under_another_cells_key():
+    """A tree attached under another cell's key is refused: an instance
+    file writes each tree under its own cell, so saving would move it."""
+    inst = stress_instance()
+    trees = dict(inst.trees)
+    trees["A", "arrival"], trees["A", "departure"] = trees["A", "departure"], trees["A", "arrival"]
+    with pytest.raises(ValueError, match="tree for A/arrival is attached to cell A/departure"):
+        MaghpInstance(
+            inst.airports, inst.flights, inst.connections, inst.horizon, 0.25, 3.0, trees
+        )
+
+
+def test_build_det_refuses_a_profile_shorter_than_the_horizon():
+    inst = stress_instance()
+    profiles = best_capacity_profiles(inst)
+    profiles["A", "departure"] = profiles["A", "departure"][:-1]
+    with pytest.raises(ValueError, match="capacity profile for A/departure must cover the horizon"):
+        build_det(inst, profiles)
+
+
 def test_connection_cycle_rejected():
     """A rotation cycle always puts some successor before its aircraft."""
     with pytest.raises(ValueError):
