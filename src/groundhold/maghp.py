@@ -30,8 +30,7 @@ cell and interval t > 0 there is one variable z[t, c] >= assigned_t - c
 for each distinct capacity c of stage(t), left out where it can never be
 positive. The stochastic model prices z[t, c] at that capacity's stage
 probability. Stage probabilities come from ScenarioTree.stage_capacities,
-which sums them from the tree's scenarios, so the block is exact for any
-scenario list, including atoms that collide after rounding.
+which merges atoms that collide after rounding.
 
 The robust dual splits by stage too: a tree's support is the product of
 its stage capacities and the L1 metric, in units of the diameter D, sums
@@ -477,25 +476,20 @@ def _overflow_block(
     """
     counts = loads[1]
     marginals = tree.stage_capacities
-    stages = np.array(tree.time_clusters.stage_index, dtype=int)
-    sizes = np.array([len(atoms) for atoms in marginals], dtype=int)
-    capacities = np.array([c for atoms in marginals for c in atoms], dtype=int)
-    probabilities = np.array([p for atoms in marginals for p in atoms.values()])
-
-    # every (t, c) with t > 0, then the ones some flight can overflow
-    run, k = _runs(sizes[stages[1:]])
-    atom = (np.cumsum(sizes) - sizes)[stages[1:]][run] + k
-    t = 1 + run
-    kept = counts[t] > capacities[atom]
-    t, atom = t[kept], atom[kept]
-    first = model.add_variables(probabilities[atom] * instance.recourse_cost)
-    z = first + np.arange(len(t))
+    stages = tree.time_clusters.stage_index
+    # every (t, c, P(c)) with t > 0 where some flight can overflow c
+    t, capacity, prob = np.array([
+        (i, c, p) for i in range(1, len(stages)) for c, p in marginals[stages[i]].items()
+        if counts[i] > c
+    ]).reshape(-1, 3).T
+    t, capacity = t.astype(int), capacity.astype(int)
+    z = model.add_variables(prob * instance.recourse_cost) + np.arange(len(t))
 
     floor = min(marginals[stages[0]])
     hard = int(counts[0] > max(floor, 0))  # interval 0's row, where it can bind
     intervals = np.append(np.zeros(hard, dtype=int), t)
-    _capacity_rows(model, loads, intervals, np.append(np.full(hard, floor), capacities[atom]), z)
-    return dict(zip(zip(t.tolist(), capacities[atom].tolist()), z.tolist()))
+    _capacity_rows(model, loads, intervals, np.append(np.full(hard, floor), capacity), z)
+    return dict(zip(zip(t.tolist(), capacity.tolist()), z.tolist()))
 
 
 def build_sp(instance: MaghpInstance) -> ModelBundle:
@@ -552,10 +546,10 @@ def build_dr(instance: MaghpInstance, epsilon) -> ModelBundle:
     sum_s G_s(x_j^s); on the product support every ScenarioTree has,
     beta_i = sum_s gamma[s, x_i^s] with gamma[s, a] = max_b (G_s(b) -
     alpha * |a - b| / D), and sum_i p_i beta_i = sum_s sum_a P_s(a)
-    gamma[s, a] for any joint p. At fixed slots, fractional ones
-    included, G_s is convex and non-increasing in b, so the max over
-    b >= a is G_s(a) and over [lo_s, a] sits at an end: gamma[s, a] =
-    max(G_s(a), G_s(lo_s) - alpha * (a - lo_s) / D) = G_s(a) + pi[s, a].
+    gamma[s, a]. At fixed slots, fractional ones included, G_s is convex
+    and non-increasing in b, so the max over b >= a is G_s(a) and over
+    [lo_s, a] sits at an end: gamma[s, a] = max(G_s(a), G_s(lo_s) -
+    alpha * (a - lo_s) / D) = G_s(a) + pi[s, a].
     The objective, sp's plus epsilon * alpha + sum P_s(a) pi[s, a], does
     not decrease in any z, so some optimum has every z at its bound.
     """
@@ -750,14 +744,11 @@ def _stage_gammas(instance: MaghpInstance, policy: GroundDelayPolicy, alphas=Non
         tree = instance.trees[key]
         marginals = tree.stage_capacities
         diameter = _diameter(marginals) or 1.0  # D = 0 leaves every distance 0
-        sizes = [len(atoms) for atoms in marginals]
-        capacities = np.array([c for atoms in marginals for c in atoms], dtype=int)
-        stages = np.repeat(np.arange(len(sizes)), sizes)
-        excess = _stage_overflow(counts[key], tree.time_clusters, capacities, stages)
         gammas[key] = []
-        for atoms, recourse in zip(marginals, np.split(unit * excess, np.cumsum(sizes)[:-1])):
+        for stage, atoms in enumerate(marginals):
+            capacity = np.fromiter(atoms, dtype=int, count=len(atoms))
+            recourse = unit * _stage_overflow(counts[key], tree.time_clusters, capacity, stage)
             if alphas is not None:
-                capacity = np.fromiter(atoms, dtype=float, count=len(atoms))
                 rise = alphas[key] * (capacity - capacity[0]) / diameter
                 recourse = np.maximum(recourse, recourse[0] - rise)
             gammas[key].append((atoms, recourse))
@@ -776,21 +767,18 @@ def _stage_recourse(gammas: dict) -> dict:
 
 
 def support_worst_case(policy: GroundDelayPolicy, instance: MaghpInstance) -> float:
-    """First-stage cost plus, per tree, the largest recourse over its
-    scenarios.
+    """First-stage cost plus, per constrained cell, the largest recourse
+    over its tree's scenarios.
 
     Every distribution in a Wasserstein ball lives on the tree's
     scenarios, so this bounds the policy's robust cost at any radius, and
     the robust cost reaches it once the radius covers the ball's
     diameter. Overflow does not increase with capacity and the support
-    is a product, so the largest recourse is the one at each stage's
-    smallest capacity.
-    """
-    trees = dict(sorted(instance.trees.items()))
-    lowest = {key: [[min(m) for m in t.stage_capacities]] for key, t in trees.items()}
-    excess = overflow(instance, policy, lowest)
-    return first_stage_cost(instance, policy) + instance.recourse_cost * math.fsum(
-        float(excess[key][0]) for key in trees
+    is a product, so the largest recourse sums each stage's G_s at its
+    smallest capacity, the first of _stage_gammas' ascending atoms."""
+    return first_stage_cost(instance, policy) + math.fsum(
+        float(values[0]) for stages in _stage_gammas(instance, policy).values()
+        for _, values in stages
     )
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_input
-from .pmf import MASS_TOL, Pmf, make_pmf
+from .pmf import MASS_TOL, Pmf, as_real, as_whole, make_pmf
 
 EMPIRICAL = "empirical"
 MLP = "mlp"
@@ -380,20 +380,34 @@ def load_model(path) -> PredictorModel:
     return load_input(path, "model", _model_from_dict)
 
 
+def _shaped(values, shape, name: str) -> np.ndarray:
+    """values, finite numbers of the given shape, as a float array, else
+    ValueError; a string or a bool is not a number."""
+    array = np.asarray(values)
+    if not (array.shape == shape and array.dtype.kind in "iuf" and np.isfinite(array).all()):
+        raise ValueError(f"{name!r} must be finite numbers of shape {shape}, got {array.shape}")
+    return array.astype(float)
+
+
 def _model_from_dict(body: dict) -> PredictorModel:
-    model = PredictorModel(
-        kind=body["kind"],
-        max_capacity=body["max_capacity"],
-        feature_lo=np.asarray(body["feature_lo"]),
-        feature_hi=np.asarray(body["feature_hi"]),
-    )
-    if model.kind == EMPIRICAL:
-        model.params = {
-            "buckets": {
-                tuple(key): np.asarray(weights) for key, weights in body["buckets"]
-            },
-            "overall": np.asarray(body["overall"]),
-        }
+    """Rebuild a model. ValueError refuses a kind other than mlp or
+    empirical, a max_capacity as_whole refuses, bounds other than two
+    equal-length lists of finite numbers, and a bucket key, weight row or
+    layer of another shape than the bounds and max_capacity give."""
+    kind = body["kind"]
+    if kind not in (MLP, EMPIRICAL):
+        raise ValueError(f"'kind' must be {MLP!r} or {EMPIRICAL!r}, got {kind!r}")
+    lo = _shaped(body["feature_lo"], (len(body["feature_lo"]),), "feature_lo")
+    hi = _shaped(body["feature_hi"], lo.shape, "feature_hi")
+    model = PredictorModel(kind, as_whole(body["max_capacity"]), lo, hi)
+    dim, row = len(lo), (model.max_capacity + 1,)
+    if kind == EMPIRICAL:
+        buckets = {tuple(map(as_real, k)): _shaped(w, row, "buckets") for k, w in body["buckets"]}
+        if any(len(key) != dim for key in buckets):
+            raise ValueError(f"every bucket key must have {dim} entries, one per feature")
+        model.params = {"buckets": buckets, "overall": _shaped(body["overall"], row, "overall")}
     else:
-        model.params = {name: np.asarray(body[name]) for name in _LAYERS}
+        hidden = len(body["b1"])
+        shapes = {"w1": (dim, hidden), "b1": (hidden,), "w2": (hidden, *row), "b2": row}
+        model.params = {name: _shaped(body[name], shape, name) for name, shape in shapes.items()}
     return model

@@ -130,13 +130,13 @@ class ScenarioTree:
     """Stagewise capacity atoms and their full scenario enumeration.
 
     The scenario vectors are the product of the stage supports, last
-    stage fastest; the robust model relies on this product support. The
-    joint probabilities may be any that sum to 1, though every tree
-    built or loaded here carries the product of its stage atoms'.
+    stage fastest, and every tree built or loaded here carries the
+    product of its stage atoms' probabilities. The models read the
+    stage atoms alone (stage_capacities).
 
-    probabilities, vectors and stage_capacities are computed from
-    scenarios once per tree and kept; dataclasses.replace builds a new
-    tree, which computes its own."""
+    probabilities, vectors and stage_capacities are computed once per
+    tree and kept; dataclasses.replace builds a new tree, which computes
+    its own."""
 
     airport: str
     op_type: str
@@ -174,20 +174,16 @@ class ScenarioTree:
 
     @cached_property
     def stage_capacities(self) -> tuple[MappingProxyType, ...]:
-        """Per stage, a read-only map of each distinct capacity to its
-        probability.
-
-        Probabilities are summed from scenarios per (stage, capacity),
-        not read from stage_pmfs, so the marginals stay exact for a tree
-        built in code with a joint other than the product of its stage
-        atoms (a loaded file's joint is that product) and for atoms that
-        collide after rounding. Capacities come in ascending order.
-        """
-        marginals: list[dict] = [{} for _ in self.stage_pmfs]
-        for vector, prob in self.scenarios:
-            for stage, capacity in enumerate(vector):
-                marginals[stage][capacity] = marginals[stage].get(capacity, 0.0) + prob
-        return tuple(MappingProxyType(dict(sorted(m.items()))) for m in marginals)
+        """Per stage, a read-only map of each distinct capacity of its
+        atoms to its probability, in ascending capacity. Atoms that
+        collide after rounding merge, their probabilities summed."""
+        marginals = []
+        for stage in self.stage_pmfs:
+            merged: dict = {}
+            for capacity, prob in stage.atoms:
+                merged[capacity] = merged.get(capacity, 0.0) + prob
+            marginals.append(MappingProxyType(dict(sorted(merged.items()))))
+        return tuple(marginals)
 
 
 def cluster_time_series(pmfs: list[Pmf], n: int) -> TimeClustering:
@@ -366,11 +362,12 @@ def tree_from_dict(body: dict) -> ScenarioTree:
     stages = tuple(
         ReducedPmf(tuple((as_whole(s), as_real(p)) for s, p in stage)) for stage in body["stages"]
     )
-    tree = ScenarioTree(body["airport"], body["op_type"], stages, clustering, _product(stages))
+    product = _product(stages)
+    tree = ScenarioTree(body["airport"], body["op_type"], stages, clustering, product)
     if "scenarios" in body:
         listed = tuple((tuple(map(as_whole, v)), as_real(p)) for v, p in body["scenarios"])
         replace(tree, scenarios=listed)  # the product support and a total of 1
-        if listed != tree.scenarios:
+        if listed != product:
             raise ValueError(
                 "scenario probabilities must be the products of their stage atoms' probabilities"
             )

@@ -119,10 +119,23 @@ def test_stress_relaxation_is_integral(bundles, kind):
     assert solution.node_count == 0
 
 
+def _joint_marginals(supports, weights) -> tuple[ReducedPmf, ...]:
+    """One stage per support, each atom at its marginal probability
+    under weights, a joint on the product of the supports, last stage
+    fastest."""
+    joint = np.reshape(weights, [len(support) for support in supports])
+    stages = []
+    for k, support in enumerate(supports):
+        others = tuple(axis for axis in range(joint.ndim) if axis != k)
+        stages.append(ReducedPmf(tuple(zip(support, joint.sum(axis=others).tolist()))))
+    return tuple(stages)
+
+
 def _product_tree(key, horizon, atoms, stages, rng):
     """A tree on the product of stages stages of atoms distinct
-    capacities each, the segments cut at random points of the horizon
-    and the joint probabilities drawn at random."""
+    capacities each, the segments cut at random points of the horizon,
+    the joint probabilities drawn at random and the stage atoms their
+    marginals."""
     cuts = sorted(rng.choice(np.arange(horizon - 1), size=stages - 1, replace=False).tolist())
     bounds = [0] + [c + 1 for c in cuts] + [horizon]
     supports = [
@@ -139,8 +152,7 @@ def _product_tree(key, horizon, atoms, stages, rng):
     scenarios = tuple(
         (vector, float(w)) for vector, w in zip(itertools.product(*supports), weights)
     )
-    pmfs = tuple(ReducedPmf(tuple(zip(s, probs))) for s in supports)
-    return ScenarioTree(*key, pmfs, clustering, scenarios)
+    return ScenarioTree(*key, _joint_marginals(supports, weights), clustering, scenarios)
 
 
 @pytest.mark.parametrize("atoms,stages", [(3, 3), (4, 3), (4, 4)])
@@ -262,7 +274,7 @@ MILP_PINS = {
         "ub": "2b79e728138249ee",
     },
     ("network_day(0)", "dr"): {
-        "c": "70e1483b78b6873b",
+        "c": "f6733079ca76288a",
         "data": "ebede6c8519d78ba",
         "indices": "174dfa13114dafe8",
         "indptr": "fd64379318c4036a",
@@ -273,7 +285,7 @@ MILP_PINS = {
         "ub": "1e35da57d3f1c606",
     },
     ("network_day(0)", "sp"): {
-        "c": "a582ceee86995d97",
+        "c": "4e779494e03f9057",
         "data": "eaa393f4d5d7e546",
         "indices": "209396a84f61969f",
         "indptr": "c0b61d83eb03a976",
@@ -295,7 +307,7 @@ MILP_PINS = {
         "ub": "a99486942662b682",
     },
     ("stress_instance()", "dr"): {
-        "c": "bdc977b8249e27ef",
+        "c": "02513dededff97f6",
         "data": "dc7a614a350214ca",
         "indices": "f9cc917c51656559",
         "indptr": "2450920316a01872",
@@ -306,7 +318,7 @@ MILP_PINS = {
         "ub": "528cb849e915e1bb",
     },
     ("stress_instance()", "sp"): {
-        "c": "e7b8da438a5f8196",
+        "c": "ba9e73a149f07b41",
         "data": "73ecceceb9d21aed",
         "indices": "e9e42e0d25b896db",
         "indptr": "ee96e3079af1a23a",

@@ -1,5 +1,6 @@
 """Predictor training, PMF outputs and forecast metrics."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -351,6 +352,63 @@ def test_malformed_model_file_names_the_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(MissingInputError, match="model.json"):
         load_model(path)
+
+
+#: case: (model kind, an edit of its saved body, the refusal's message)
+MODEL_REFUSALS = {
+    "kind-other": (MLP, lambda b: b.update(kind="forest"),
+                   "'kind' must be 'mlp' or 'empirical', got 'forest'"),
+    "max-capacity-negative": (MLP, lambda b: b.update(max_capacity=-1),
+                              "expected a whole number of at least 0, got -1"),
+    "max-capacity-fraction": (EMPIRICAL, lambda b: b.update(max_capacity=2.5),
+                              "expected a whole number of at least 0, got 2.5"),
+    "bounds-unequal": (MLP, lambda b: b["feature_hi"].pop(),
+                       "'feature_hi' must be finite numbers of shape (4,), got (3,)"),
+    "bound-nan": (EMPIRICAL, lambda b: b["feature_lo"].__setitem__(1, math.nan),
+                  "'feature_lo' must be finite numbers of shape (4,), got (4,)"),
+    "bound-string": (MLP, lambda b: b["feature_hi"].__setitem__(0, "1.0"),
+                     "'feature_hi' must be finite numbers of shape (4,), got (4,)"),
+    "bounds-number": (EMPIRICAL, lambda b: b.update(feature_lo=0.0),
+                      "object of type 'float' has no len()"),
+    "w1-rows": (MLP, lambda b: b["w1"].pop(),
+                "'w1' must be finite numbers of shape (4, 5), got (3, 5)"),
+    "w1-nan": (MLP, lambda b: b["w1"][0].__setitem__(2, math.nan),
+               "'w1' must be finite numbers of shape (4, 5), got (4, 5)"),
+    "b1-length": (MLP, lambda b: b["b1"].pop(),
+                  "'w1' must be finite numbers of shape (4, 4), got (4, 5)"),
+    "w2-columns": (MLP, lambda b: b.update(w2=[row[:-1] for row in b["w2"]]),
+                   "'w2' must be finite numbers of shape (5, 3), got (5, 2)"),
+    "b2-length": (MLP, lambda b: b["b2"].append(0.0),
+                  "'b2' must be finite numbers of shape (3,), got (4,)"),
+    "b2-strings": (MLP, lambda b: b.update(b2=["0.5", True, "nan"]),
+                   "'b2' must be finite numbers of shape (3,), got (3,)"),
+    "bucket-key-length": (EMPIRICAL, lambda b: b["buckets"][0][0].pop(),
+                          "every bucket key must have 4 entries, one per feature"),
+    "bucket-weights-length": (EMPIRICAL, lambda b: b["buckets"][0][1].pop(),
+                              "'buckets' must be finite numbers of shape (3,), got (2,)"),
+    "overall-length": (EMPIRICAL, lambda b: b["overall"].append(0.0),
+                       "'overall' must be finite numbers of shape (3,), got (4,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_REFUSALS))
+def test_model_file_refusals_name_the_file(tmp_path, case):
+    """A model file whose kind, max_capacity, feature bounds or array
+    shapes do not fit each other is refused through load_model, naming
+    the file: 4 features, 5 hidden units and labels 0 to 2 give w1 4 x 5,
+    b1 5, w2 5 x 3, b2 3, bucket keys of 4 entries and weight rows of 3."""
+    kind, edit, message = MODEL_REFUSALS[case]
+    rng = np.random.default_rng(34)
+    labels = np.arange(30) % 3
+    model = train(rng.normal(size=(30, 4)), labels, TrainingConfig(kind, hidden_units=5, epochs=1))
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    body = json.loads(path.read_text())
+    edit(body)
+    path.write_text(json.dumps(body))
+    with pytest.raises(MissingInputError) as caught:
+        load_model(path)
+    assert str(caught.value) == f"model file {path} is malformed: {message}"
 
 
 def test_temporal_split_is_contiguous():

@@ -14,10 +14,11 @@ overflow is mispriced.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_model_size import _product_tree
+from test_model_size import _joint_marginals, _product_tree
 
 from fixtures import network_day, random_instance, stress_instance
 from groundhold.errors import SolverError
@@ -30,10 +31,12 @@ from groundhold.maghp import (
     build_sp,
     extract_policy,
     first_stage_cost,
+    load_instance,
+    save_instance,
     solve,
     support_worst_case,
 )
-from groundhold.scenario import ReducedPmf, ScenarioTree
+from groundhold.scenario import ReducedPmf, ScenarioTree, _product
 from oracles import (
     enumerated_dr,
     enumerated_sp,
@@ -49,20 +52,16 @@ TOL = 1e-6
 
 
 def _hand_written(tree: ScenarioTree, rng) -> ScenarioTree:
-    """The tree as a hand-written file might give it: the first stage's
-    atoms collide on one capacity and the scenario probabilities are no
-    longer products of the stage probabilities."""
+    """The tree built in code with a joint of its own: the first stage's
+    atoms collide on one capacity, the scenario probabilities are drawn
+    at random, no longer products of stage probabilities, and the stage
+    atoms carry their marginals."""
     first, *rest = tree.stage_pmfs
-    collided = ReducedPmf(tuple((first.atoms[0][0], p) for _, p in first.atoms))
-    stages = (collided, *rest)
+    supports = [(first.supports[0],) * len(first), *(stage.supports for stage in rest)]
     weights = rng.dirichlet(np.ones(tree.num_scenarios))
-    scenarios = tuple(
-        (tuple(s for s, _ in combo), float(w))
-        for combo, w in zip(itertools.product(*(s.atoms for s in stages)), weights)
-    )
-    return ScenarioTree(
-        tree.airport, tree.op_type, stages, tree.time_clusters, scenarios
-    )
+    scenarios = tuple(zip(itertools.product(*supports), weights.tolist()))
+    stages = _joint_marginals(supports, weights)
+    return ScenarioTree(tree.airport, tree.op_type, stages, tree.time_clusters, scenarios)
 
 
 def _hand_written_instance(seed):
@@ -189,15 +188,33 @@ def test_solve_rejects_mispriced_overflow():
         solve(bundle)
 
 
-def test_stage_capacities_sum_scenarios_per_capacity():
-    tree = _hand_written(stress_instance().trees["C", "arrival"], np.random.default_rng(0))
-    first, second = tree.stage_capacities
-    (only,) = first
-    assert first[only] == pytest.approx(1.0)
-    for capacity, prob in second.items():
-        expected = sum(p for v, p in tree.scenarios if v[1] == capacity)
-        assert prob == pytest.approx(expected, abs=1e-15)
-    assert list(second) == sorted(second)
+def test_stage_capacities_merge_colliding_atoms():
+    """Atoms that collide on one capacity merge into it with their
+    summed probability, the capacities in ascending order whatever the
+    order of the atoms."""
+    tree = stress_instance().trees["C", "arrival"]
+    collided = ReducedPmf(((4, 0.25), (2, 0.125), (7, 0.0625), (4, 0.5), (2, 0.0625)))
+    stages = (collided, *tree.stage_pmfs[1:])
+    merged = replace(tree, stage_pmfs=stages, scenarios=_product(stages))
+    first, *rest = merged.stage_capacities
+    assert list(first.items()) == [(2, 0.1875), (4, 0.75), (7, 0.0625)]
+    assert rest == list(tree.stage_capacities[1:])
+
+
+def test_sp_prices_a_tree_by_its_stage_atoms_in_memory_and_from_a_file(tmp_path):
+    """A tree whose stage atoms change under dataclasses.replace keeps
+    its old scenario list; sp prices it by the new atoms, as it prices
+    the tree its instance file gives back, whose scenarios are their
+    product."""
+    instance = stress_instance()
+    tree = instance.trees["A", "departure"]
+    first, *rest = tree.stage_pmfs
+    swapped = ReducedPmf(tuple(zip(first.supports, first.probabilities[::-1])))
+    instance.trees["A", "departure"] = replace(tree, stage_pmfs=(swapped, *rest))
+    save_instance(tmp_path / "instance.json", instance)
+    in_memory = solve(build_sp(instance)).objective
+    assert solve(build_sp(load_instance(tmp_path / "instance.json"))).objective == in_memory
+    assert in_memory == pytest.approx(31.075, rel=1e-9)
 
 
 EXTREME_CASES = {**CASES, **{f"network-day-{seed}": (network_day, seed) for seed in range(4)}}
