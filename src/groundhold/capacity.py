@@ -17,8 +17,9 @@ For intervals that qualify, observed capacity := observed throughput.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import datetime
+from operator import attrgetter
 
 import numpy as np
 
@@ -357,4 +358,5 @@ def read_capacity_observations(path) -> list[CapacityObservation]:
 
 
 def write_interval_stats(path, stats) -> None:
-    write_csv(path, [f.name for f in fields(IntervalStats)], map(astuple, stats))
+    header = [f.name for f in fields(IntervalStats)]
+    write_csv(path, header, map(attrgetter(*header), stats))

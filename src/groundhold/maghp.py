@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -800,8 +800,15 @@ def best_capacity_profiles(instance: MaghpInstance) -> dict:
 def instance_to_dict(instance: MaghpInstance) -> dict:
     return {
         "airports": list(instance.airports),
-        "flights": [asdict(f) for f in instance.flights],
-        "connections": [asdict(c) for c in instance.connections],
+        "flights": [
+            {"id": f.id, "origin": f.origin, "destination": f.destination,
+             "sched_dep": f.sched_dep, "sched_arr": f.sched_arr}
+            for f in instance.flights
+        ],
+        "connections": [
+            {"predecessor": c.predecessor, "successor": c.successor, "slack": c.slack}
+            for c in instance.connections
+        ],
         "horizon": instance.horizon,
         "cost_ground": instance.cost_ground,
         "cost_air": instance.cost_air,

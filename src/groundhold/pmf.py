@@ -61,13 +61,6 @@ class Pmf:
     def weights_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
-    def weight_at(self, value: int) -> float:
-        """Probability of a single support value (0 if absent)."""
-        try:
-            return self.weights[self.support.index(value)]
-        except ValueError:
-            return 0.0
-
 
 def as_whole(value) -> int:
     """value as a whole number of at least 0, such as 3, 3.0 or a numpy

@@ -389,11 +389,20 @@ def _shaped(values, shape, name: str) -> np.ndarray:
     return array.astype(float)
 
 
+def _weight_row(values, row, name: str) -> np.ndarray:
+    """values, a weight row of the given shape, as the weights make_pmf
+    gives it over 0..max_capacity: a near-unit row renormalized, as
+    predict_pmf would renormalize it, and a negative weight or another
+    total refused with ValueError."""
+    return np.array(make_pmf(range(row[0]), _shaped(values, row, name)).weights)
+
+
 def _model_from_dict(body: dict) -> PredictorModel:
     """Rebuild a model. ValueError refuses a kind other than mlp or
     empirical, a max_capacity as_whole refuses, bounds other than two
-    equal-length lists of finite numbers, and a bucket key, weight row or
-    layer of another shape than the bounds and max_capacity give."""
+    equal-length lists of finite numbers, a bucket key, weight row or
+    layer of another shape than the bounds and max_capacity give, and an
+    empirical weight row that is not a PMF."""
     kind = body["kind"]
     if kind not in (MLP, EMPIRICAL):
         raise ValueError(f"'kind' must be {MLP!r} or {EMPIRICAL!r}, got {kind!r}")
@@ -402,10 +411,10 @@ def _model_from_dict(body: dict) -> PredictorModel:
     model = PredictorModel(kind, as_whole(body["max_capacity"]), lo, hi)
     dim, row = len(lo), (model.max_capacity + 1,)
     if kind == EMPIRICAL:
-        buckets = {tuple(map(as_real, k)): _shaped(w, row, "buckets") for k, w in body["buckets"]}
+        buckets = {tuple(map(as_real, k)): _weight_row(w, row, "buckets") for k, w in body["buckets"]}
         if any(len(key) != dim for key in buckets):
             raise ValueError(f"every bucket key must have {dim} entries, one per feature")
-        model.params = {"buckets": buckets, "overall": _shaped(body["overall"], row, "overall")}
+        model.params = {"buckets": buckets, "overall": _weight_row(body["overall"], row, "overall")}
     else:
         hidden = len(body["b1"])
         shapes = {"w1": (dim, hidden), "b1": (hidden,), "w2": (hidden, *row), "b2": row}

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -230,12 +230,12 @@ def average_pmfs(members: list[Pmf]) -> Pmf:
     """Coordinate-wise average over the union support (missing = 0)."""
     if not members:
         raise ValueError("cannot average zero PMFs")
-    support = sorted({s for p in members for s in p.support})
-    weights = [
-        math.fsum(p.weight_at(s) for p in members) / len(members)
-        for s in support
-    ]
-    return make_pmf(support, weights)
+    terms: dict = {}
+    for p in members:
+        for s, w in zip(p.support, p.weights):
+            terms.setdefault(s, []).append(w)
+    support = sorted(terms)
+    return make_pmf(support, [math.fsum(terms[s]) / len(members) for s in support])
 
 
 def _optimal_cuts(support, weights, k) -> list[int]:
@@ -363,14 +363,14 @@ def tree_from_dict(body: dict) -> ScenarioTree:
         ReducedPmf(tuple((as_whole(s), as_real(p)) for s, p in stage)) for stage in body["stages"]
     )
     product = _product(stages)
-    tree = ScenarioTree(body["airport"], body["op_type"], stages, clustering, product)
+    listed = product
     if "scenarios" in body:
         listed = tuple((tuple(map(as_whole, v)), as_real(p)) for v, p in body["scenarios"])
-        replace(tree, scenarios=listed)  # the product support and a total of 1
-        if listed != product:
-            raise ValueError(
-                "scenario probabilities must be the products of their stage atoms' probabilities"
-            )
+    tree = ScenarioTree(body["airport"], body["op_type"], stages, clustering, listed)
+    if listed != product:
+        raise ValueError(
+            "scenario probabilities must be the products of their stage atoms' probabilities"
+        )
     return tree
 
 

@@ -57,6 +57,10 @@ the builders as first written, one add_variables call per variable and
 one add_row per row; the library's block appends must hand HiGHS the
 same arrays. add_row appends one row given as (variable, coefficient)
 terms, a sense and a right-hand side, as every oracle model here does.
+looked_up_average is the segment average as first written, every
+member asked for every capacity of the union, whose weights the
+library's one pass over each member must reproduce to the bit;
+weight_of reads one capacity's weight of a PMF, 0 off its support.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from groundhold.maghp import (
     first_stage_cost,
 )
 from groundhold.evaluation import shifted_representatives
-from groundhold.pmf import Pmf
+from groundhold.pmf import Pmf, make_pmf
 from groundhold.prediction import _softmax, predict_pmf
 from groundhold.solver import LinearModel
 
@@ -393,6 +397,20 @@ def looped_histograms(normalized, labels, classes):
         "buckets": {k: v / v.sum() for k, v in buckets.items()},
         "overall": overall / overall.sum(),
     }
+
+
+def weight_of(p: Pmf, value: int) -> float:
+    """p's weight at value, 0 if value is off its support."""
+    return dict(zip(p.support, p.weights)).get(value, 0.0)
+
+
+def looked_up_average(members: list[Pmf]) -> Pmf:
+    """The average of members over the union of their supports, each
+    capacity's weight one math.fsum over every member's weight there,
+    0 where a member lacks it."""
+    support = sorted({s for p in members for s in p.support})
+    weights = [math.fsum(weight_of(p, s) for p in members) / len(members) for s in support]
+    return make_pmf(support, weights)
 
 
 def _by_likelihood(p: Pmf) -> list:

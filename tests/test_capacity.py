@@ -23,7 +23,9 @@ from groundhold.capacity import (
     read_operation_records,
     saturation_threshold,
     write_capacity_observations,
+    write_interval_stats,
 )
+from groundhold.config import write_csv
 from groundhold.errors import MissingInputError
 
 
@@ -189,6 +191,17 @@ def test_alpha_monotonicity():
         lo = {o.interval for o in estimate_capacities(stats, alpha=0.5)}
         hi = {o.interval for o in estimate_capacities(stats, alpha=0.9)}
         assert lo <= hi
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stats_file_is_the_astuple_rows(tmp_path, seed):
+    """write_interval_stats reads each field in place; its file has the
+    bytes of one dataclasses.astuple row per cell."""
+    stats = aggregate_intervals(_seeded_records(seed, 400, 180.0), 12)
+    write_interval_stats(tmp_path / "stats.csv", stats)
+    header = [f.name for f in dataclasses.fields(IntervalStats)]
+    write_csv(tmp_path / "rows.csv", header, map(dataclasses.astuple, stats))
+    assert (tmp_path / "stats.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_observation_csv_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """Ground holding model tests with hand-checked optima."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -473,6 +474,17 @@ def test_instance_file_round_trip(tmp_path):
     original = solve(build_sp(inst)).objective
     reloaded = solve(build_sp(loaded)).objective
     assert reloaded == pytest.approx(original, abs=1e-9)
+
+
+@pytest.mark.parametrize("make", [stress_instance, lambda: random_instance(3)], ids=["stress", "random"])
+def test_instance_body_is_the_asdict_rows(make):
+    """instance_to_dict reads each flight and connection field in place;
+    its body has the JSON of dataclasses.asdict's rows."""
+    inst = make()
+    body = instance_to_dict(inst)
+    assert inst.connections
+    for key, rows in (("flights", inst.flights), ("connections", inst.connections)):
+        assert json.dumps(body[key]) == json.dumps([dataclasses.asdict(r) for r in rows])
 
 
 def test_loaders_read_whole_numbers_written_as_floats():

@@ -77,12 +77,6 @@ def test_pmf_mean_example():
     assert pmf_mean(EXAMPLE) == pytest.approx(2.02, abs=1e-12)
 
 
-def test_point_mass_weight_lookup():
-    p = point_mass(4)
-    assert p.weight_at(4) == 1.0
-    assert p.weight_at(3) == 0.0
-
-
 def test_wasserstein_1d_point_masses():
     assert wasserstein_1d(point_mass(3), point_mass(7)) == pytest.approx(4.0)
 

@@ -30,6 +30,7 @@ from oracles import (
     minibatch_descent,
     point_prediction,
     tolerance_interval,
+    weight_of,
 )
 
 EXAMPLE = make_pmf([0, 1, 2, 3, 4, 5], [0.05, 0.10, 0.70, 0.10, 0.03, 0.02])
@@ -68,10 +69,10 @@ def test_tolerance_interval_is_minimal():
         p = make_pmf(np.arange(n), rng.dirichlet(np.ones(n)))
         level = float(rng.uniform(0.2, 0.99))
         chosen = tolerance_interval(p, level)
-        mass = math.fsum(p.weight_at(v) for v in chosen)
+        mass = math.fsum(weight_of(p, v) for v in chosen)
         assert mass >= level - 1e-9
-        smallest = min(chosen, key=lambda v: (p.weight_at(v), -v))
-        assert mass - p.weight_at(smallest) < level - 1e-9 or len(chosen) == 1
+        smallest = min(chosen, key=lambda v: (weight_of(p, v), -v))
+        assert mass - weight_of(p, smallest) < level - 1e-9 or len(chosen) == 1
 
 
 def test_constant_predictor_metrics():
@@ -344,6 +345,27 @@ def test_model_file_round_trip(tmp_path):
         loaded = load_model(path)
         for x in features[:5]:
             assert predict_pmf(loaded, x).weights == predict_pmf(model, x).weights
+        save_model(tmp_path / "again.json", loaded)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_near_unit_model_rows_are_renormalized_at_load(tmp_path):
+    """An empirical row whose total is off 1 by at most RENORM_TOL loads
+    as the weights make_pmf gives it, those predict_pmf answers with."""
+    rng = np.random.default_rng(35)
+    features = rng.normal(size=(30, 4))
+    model = train(features, rng.integers(0, 3, size=30), TrainingConfig(kind=EMPIRICAL))
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    body = json.loads(path.read_text())
+    body["overall"] = [w * (1 + 5e-7) for w in body["overall"]]
+    body["buckets"][0][1] = [w * (1 - 5e-7) for w in body["buckets"][0][1]]
+    path.write_text(json.dumps(body))
+    loaded = load_model(path)
+    assert tuple(loaded.params["overall"]) == make_pmf(range(3), body["overall"]).weights
+    key, row = body["buckets"][0]
+    assert tuple(loaded.params["buckets"][tuple(key)]) == make_pmf(range(3), row).weights
+    assert tuple(loaded.params["overall"]) != tuple(body["overall"])
 
 
 @pytest.mark.parametrize("text", ['{"kind": "mlp", "max_capacity": 3}', "{not json"])
@@ -388,14 +410,18 @@ MODEL_REFUSALS = {
                               "'buckets' must be finite numbers of shape (3,), got (2,)"),
     "overall-length": (EMPIRICAL, lambda b: b["overall"].append(0.0),
                        "'overall' must be finite numbers of shape (3,), got (4,)"),
+    "overall-negative": (EMPIRICAL, lambda b: b.update(overall=[-1, 1, 1]),
+                         "negative weight in (-1.0, 1.0, 1.0)"),
+    "bucket-weights-total": (EMPIRICAL, lambda b: b["buckets"][0].__setitem__(1, [0.5, 0.5, 0.5]),
+                             "weights sum to 1.5, not 1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MODEL_REFUSALS))
 def test_model_file_refusals_name_the_file(tmp_path, case):
     """A model file whose kind, max_capacity, feature bounds or array
-    shapes do not fit each other is refused through load_model, naming
-    the file: 4 features, 5 hidden units and labels 0 to 2 give w1 4 x 5,
+    shapes do not fit each other, or whose empirical weight row is not a
+    PMF, is refused through load_model, naming the file: 4 features, 5 hidden units and labels 0 to 2 give w1 4 x 5,
     b1 5, w2 5 x 3, b2 3, bucket keys of 4 entries and weight rows of 3."""
     kind, edit, message = MODEL_REFUSALS[case]
     rng = np.random.default_rng(34)

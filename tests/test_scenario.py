@@ -10,12 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from groundhold import scenario
 from groundhold.pmf import make_pmf, pmf_mean, pmf_to_dict
 from groundhold.errors import MissingInputError
 from groundhold.scenario import (
     ReducedPmf,
     ScenarioTree,
     _optimal_cuts,
+    average_pmfs,
     build_scenario_tree,
     cluster_time_series,
     compress_pmf_kmeans,
@@ -25,7 +27,7 @@ from groundhold.scenario import (
     tree_to_dict,
 )
 from fixtures import with_listed_scenarios
-from oracles import scenario_capacity_profile
+from oracles import looked_up_average, scenario_capacity_profile, weight_of
 
 EXAMPLE = make_pmf([0, 1, 2, 3, 4, 5], [0.05, 0.10, 0.70, 0.10, 0.03, 0.02])
 
@@ -65,7 +67,7 @@ def test_single_switch_boundary_closes_first_segment():
     assert clustering.representatives[1].weights == pytest.approx(
         high.weights, abs=1e-12
     )
-    assert clustering.representatives[0].weight_at(1) == pytest.approx(
+    assert weight_of(clustering.representatives[0], 1) == pytest.approx(
         1 / 11, abs=1e-12
     )
 
@@ -83,7 +85,27 @@ def test_zero_change_points_single_segment():
     series = [bernoulli(0.2), bernoulli(0.8), bernoulli(0.5)]
     clustering = cluster_time_series(series, 0)
     assert clustering.segments == ((0, 1, 2),)
-    assert clustering.representatives[0].weight_at(1) == pytest.approx(0.5)
+    assert weight_of(clustering.representatives[0], 1) == pytest.approx(0.5)
+
+
+def _sparse_pmf(rng):
+    """A PMF on 1 to 6 random capacities below 12, each weight 0 with
+    probability 1/3 (the first kept when all would be)."""
+    n = int(rng.integers(1, 7))
+    weights = rng.dirichlet(np.ones(n)) * (rng.random(n) > 1 / 3)
+    weights[0] += not weights.any()
+    return make_pmf(np.sort(rng.choice(12, size=n, replace=False)), weights / weights.sum())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_average_is_the_looked_up_average_to_the_bit(seed):
+    """average_pmfs on members of differing supports, zero weights
+    among them, and on a single member, gives the bits of asking every
+    member for every capacity of the union."""
+    rng = np.random.default_rng(seed)
+    for size in (1, 2, 3, 7, 16):
+        members = [_sparse_pmf(rng) for _ in range(size)]
+        assert repr(average_pmfs(members)) == repr(looked_up_average(members))
 
 
 def test_final_index_boundary_drops_empty_segment():
@@ -477,25 +499,70 @@ def test_tree_accepts_integral_capacities(value):
     assert tree_from_dict(_tree_body_with_first_capacity(value)) == tree
 
 
+def _swap_first_probabilities(body):
+    (first, p), (second, q) = body["scenarios"][:2]
+    body["scenarios"][:2] = [[first, q], [second, p]]
+
+
+OFF_PRODUCT = "scenario vectors must be the product of the stage supports, last stage fastest"
+#: case: (an edit of a two-stage tree body that lists its scenarios, the refusal's message)
 BAD_TREES = {
-    "representative weight NaN": "non-finite weight in (nan, 1.0)",
-    "stage capacity 0.6": "expected a whole number of at least 0, got 0.6",
-    "stage probability NaN": "atom probabilities sum to nan, not 1",
+    "representative weight NaN": (
+        lambda b: b["representatives"][0].update(weights=[math.nan, 1.0]),
+        "non-finite weight in (nan, 1.0)",
+    ),
+    "stage capacity 0.6": (
+        lambda b: b.update(_tree_body_with_first_capacity(0.6)),
+        "expected a whole number of at least 0, got 0.6",
+    ),
+    "stage probability NaN": (
+        lambda b: b["stages"][0][0].__setitem__(1, math.nan),
+        "atom probabilities sum to nan, not 1",
+    ),
+    "listed stage count": (
+        lambda b: b["stages"].append(b["stages"][-1]),
+        "stage count 3 does not match the 2 time segments",
+    ),
+    "listed vectors reversed": (lambda b: b["scenarios"].reverse(), OFF_PRODUCT),
+    "listed scenario missing": (lambda b: b["scenarios"].pop(), OFF_PRODUCT),
+    "listed total 2": (
+        lambda b: [entry.__setitem__(1, 2 * entry[1]) for entry in b["scenarios"]],
+        "scenario probabilities sum to 2.0",
+    ),
+    "listed probabilities swapped": (
+        _swap_first_probabilities,
+        "scenario probabilities must be the products of their stage atoms' probabilities",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TREES))
 def test_load_trees_names_the_file_of_a_bad_tree(tmp_path, case):
-    body = _tree_body_with_first_capacity(0.6 if case == "stage capacity 0.6" else 0)
-    if case == "representative weight NaN":
-        body["representatives"][0]["weights"] = [math.nan, 1.0]
-    if case == "stage probability NaN":
-        body["stages"][0][0][1] = math.nan
+    """A bad tree in a file that lists its scenarios is refused, naming
+    the file, with the message of the first check it fails."""
+    edit, message = BAD_TREES[case]
+    body = _tree_body_with_first_capacity(0)
+    edit(body)
     path = tmp_path / "trees.json"
     path.write_text(json.dumps([body]))
     with pytest.raises(MissingInputError) as caught:
         load_trees(path)
-    assert str(caught.value) == f"trees file {path} is malformed: {BAD_TREES[case]}"
+    assert str(caught.value) == f"trees file {path} is malformed: {message}"
+
+
+def test_a_listed_tree_is_built_once(monkeypatch):
+    """A body that lists its scenarios enumerates the stage product
+    twice, as one of stage atoms alone does: once for the tree and once
+    in its product-support check."""
+    tree = build_scenario_tree(two_stage_clustering(), 2)
+    enumerated = []
+    product = scenario._product
+    monkeypatch.setattr(scenario, "_product", lambda stages: enumerated.append(stages) or product(stages))
+    body = tree_to_dict(tree)
+    for read in (with_listed_scenarios(body), body):
+        enumerated.clear()
+        assert tree_from_dict(read) == tree
+        assert len(enumerated) == 2
 
 
 
