@@ -62,7 +62,7 @@ from .capacity import ARRIVAL, DEPARTURE, OP_TYPES
 from .config import load_input, write_json
 from .errors import MissingInputError, SolverError
 from .pmf import as_real, as_whole
-from .scenario import ScenarioTree, TimeClustering, tree_from_dict, tree_to_dict
+from .scenario import ScenarioTree, tree_from_dict, tree_to_dict
 from .solver import LinearModel
 
 DEFAULT_TIME_LIMIT = 300.0
@@ -691,27 +691,25 @@ def assigned_counts(instance: MaghpInstance, policy: GroundDelayPolicy) -> dict:
     return counts
 
 
-def _stage_overflow(
-    counts: np.ndarray, clusters: TimeClustering, capacities: np.ndarray, stages
-) -> np.ndarray:
-    """G_s(c) = sum over t in segment s of max(counts[t] - c, 0) at each
-    whole capacity c of capacities, s its entry of stages (broadcast
-    against capacities): the recourse of a frozen policy in one stage,
+def _stage_overflow(instance: MaghpInstance, policy: GroundDelayPolicy, keys) -> dict:
+    """Per cell of keys, the table G[s, c] = sum over t in stage s of
+    max(assigned_t - c, 0) for c = 0..top, top the cell's largest count,
+    above which G_s is 0: the recourse of a frozen policy in one stage,
     before the unit cost. The evaluator, solve()'s check and the worst
-    case all price it here.
+    case all read it, at column min(c, top).
 
-    Each G_s is tabulated once, over every capacity from 0 to the
-    largest count, above which it is 0, and read at the capacities
-    asked. The counts are whole, so every value is an exact integer, in
-    whatever order its terms are summed. A negative capacity raises
-    ValueError."""
-    if capacities.min(initial=0) < 0:
-        raise ValueError("capacities must be whole numbers of at least 0")
-    top = int(counts.max(initial=0))
-    excess = np.maximum(counts[:, None] - np.arange(top + 1), 0.0)
-    member = np.equal.outer(np.arange(clusters.num_stages), clusters.stage_index)
-    table = (member[:, :, None] * excess).sum(axis=1)
-    return table.ravel()[np.minimum(capacities, top) + np.multiply(stages, top + 1)]
+    Each cell's table is built once, summing its excess rows over the
+    stage segments, which are contiguous, in order and not empty
+    (TimeClustering). The counts are whole, so every value is an exact
+    integer, in whatever order its terms are summed."""
+    counts = assigned_counts(instance, policy)
+    tables = {}
+    for key in keys:
+        loads = counts[key]
+        excess = np.maximum(loads[:, None] - np.arange(int(loads.max(initial=0)) + 1), 0.0)
+        starts = [segment[0] for segment in instance.trees[key].time_clusters.segments]
+        tables[key] = np.add.reduceat(excess, starts)
+    return tables
 
 
 def overflow(instance: MaghpInstance, policy: GroundDelayPolicy, capacities: dict) -> dict:
@@ -719,14 +717,15 @@ def overflow(instance: MaghpInstance, policy: GroundDelayPolicy, capacities: dic
     recourse the evaluator prices. capacities maps a cell to rows of
     whole stage capacities (samples drawn per stage, say); per cell, one
     value per row: max(assigned_t - capacity_t, 0) summed over the
-    horizon, which instance.recourse_cost turns into the recourse cost."""
-    counts = assigned_counts(instance, policy)
+    horizon, which instance.recourse_cost turns into the recourse cost.
+    A negative capacity raises ValueError."""
     excess = {}
-    for key, rows in capacities.items():
-        clusters = instance.trees[key].time_clusters
-        stages = np.arange(clusters.num_stages)[:, None]
-        by_stage = _stage_overflow(counts[key], clusters, np.asarray(rows).T, stages)
-        excess[key] = by_stage.sum(axis=0)
+    for key, table in _stage_overflow(instance, policy, capacities).items():
+        rows = np.asarray(capacities[key])
+        if rows.min(initial=0) < 0:
+            raise ValueError("capacities must be whole numbers of at least 0")
+        stages, columns = table.shape
+        excess[key] = table[np.arange(stages), np.minimum(rows, columns - 1)].sum(axis=1)
     return excess
 
 
@@ -737,17 +736,15 @@ def _stage_gammas(instance: MaghpInstance, policy: GroundDelayPolicy, alphas=Non
     given alphas, a multiplier per cell, gamma[s, a] = max_b (G_s(b) -
     alpha * |a - b| / D) = max(G_s(a), G_s(lo_s) - alpha * (a - lo_s) /
     D), G_s being convex and non-increasing (build_dr)."""
-    counts = assigned_counts(instance, policy)
     unit = instance.recourse_cost
     gammas = {}
-    for key in instance.constrained_keys():
-        tree = instance.trees[key]
-        marginals = tree.stage_capacities
+    for key, table in _stage_overflow(instance, policy, instance.constrained_keys()).items():
+        marginals = instance.trees[key].stage_capacities
         diameter = _diameter(marginals) or 1.0  # D = 0 leaves every distance 0
         gammas[key] = []
         for stage, atoms in enumerate(marginals):
             capacity = np.fromiter(atoms, dtype=int, count=len(atoms))
-            recourse = unit * _stage_overflow(counts[key], tree.time_clusters, capacity, stage)
+            recourse = unit * table[stage, np.minimum(capacity, table.shape[1] - 1)]
             if alphas is not None:
                 rise = alphas[key] * (capacity - capacity[0]) / diameter
                 recourse = np.maximum(recourse, recourse[0] - rise)

@@ -62,7 +62,9 @@ class TimeClustering:
     boundaries holds the chosen change-point indices; segment k covers
     the intervals from the previous boundary (exclusive) through its own
     boundary (inclusive), so a boundary interval belongs to the segment
-    it closes.
+    it closes. The segments are contiguous, in order and not empty, and
+    the boundaries are the last intervals of every segment, or of every
+    segment but the last.
     """
 
     boundaries: tuple[int, ...]
@@ -73,6 +75,14 @@ class TimeClustering:
         flat = [t for seg in self.segments for t in seg]
         if flat != list(range(len(flat))):
             raise ValueError("segments must partition the horizon in order")
+        if not all(self.segments):
+            raise ValueError("segments must not be empty")
+        ends, boundaries = tuple(seg[-1] for seg in self.segments), tuple(self.boundaries)
+        if boundaries not in (ends, ends[:-1]):
+            raise ValueError(
+                f"boundaries {boundaries} must be the last intervals {ends} "
+                "of the segments, or of all but the last"
+            )
         if len(self.segments) != len(self.representatives):
             raise ValueError("one representative per segment required")
 
@@ -96,7 +106,9 @@ class ReducedPmf:
 
     Atom probabilities are carried over from the source PMF by plain
     summation, so their total equals the source total; supports are the
-    rounded cluster centroids and may collide after rounding.
+    rounded cluster centroids and may collide after rounding. Each
+    capacity must be a whole number of at least 0 (pmf.as_whole) and is
+    kept as given.
     """
 
     atoms: tuple[tuple[int, float], ...]
@@ -104,6 +116,8 @@ class ReducedPmf:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("a reduced PMF needs at least one atom")
+        for capacity, _ in self.atoms:
+            as_whole(capacity)
         if any(p < 0 for _, p in self.atoms):
             raise ValueError("atom probabilities must be non-negative")
         total = math.fsum(p for _, p in self.atoms)

@@ -52,11 +52,14 @@ samples and dtype the library's draws must reproduce. broadcast_overflow is a fr
 policy's queue overflow as first written, every interval's excess over
 its stage's capacity summed per sample; the library's per-stage tables
 must reproduce it to the bit, and the oracles here that price a policy
-scenario by scenario use it. rowwise_det, rowwise_sp and rowwise_dr are
-the builders as first written, one add_variables call per variable and
-one add_row per row; the library's block appends must hand HiGHS the
-same arrays. add_row appends one row given as (variable, coefficient)
-terms, a sense and a right-hand side, as every oracle model here does.
+scenario by scenario use it. looped_stage_overflow is a cell's stage
+table summed one interval and one capacity at a time, which the
+library's one sum over each stage's intervals must reproduce exactly.
+rowwise_det, rowwise_sp and rowwise_dr are the builders as first
+written, one add_variables call per variable and one add_row per row;
+the library's block appends must hand HiGHS the same arrays. add_row
+appends one row given as (variable, coefficient) terms, a sense and a
+right-hand side, as every oracle model here does.
 looked_up_average is the segment average as first written, every
 member asked for every capacity of the union, whose weights the
 library's one pass over each member must reproduce to the bit;
@@ -572,6 +575,23 @@ def broadcast_overflow(instance: MaghpInstance, policy, capacities: dict) -> dic
         profiles = np.asarray(rows)[:, stages]
         excess[key] = np.maximum(counts[key] - profiles, 0.0).sum(axis=1)
     return excess
+
+
+def looped_stage_overflow(instance: MaghpInstance, policy, keys) -> dict:
+    """Per cell of keys, the table G[s, c] = sum over t in stage s of
+    max(assigned_t - c, 0) for c = 0..top, top the cell's largest count,
+    one interval and one capacity at a time."""
+    counts = assigned_counts(instance, policy)
+    tables = {}
+    for key in keys:
+        clusters = instance.trees[key].time_clusters
+        top = int(max(counts[key], default=0))
+        table = np.zeros((clusters.num_stages, top + 1))
+        for t, stage in enumerate(clusters.stage_index):
+            for c in range(top + 1):
+                table[stage, c] += max(counts[key][t] - c, 0.0)
+        tables[key] = table
+    return tables
 
 
 def _rowwise_side(instance: MaghpInstance, model: LinearModel, first, weight):

@@ -6,6 +6,9 @@ numbers, which no order of summation can round, and the block appends
 number variables and rows as the per-row builders did.
 """
 
+import json
+import sys
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -14,21 +17,27 @@ from test_evaluation import _min_band_mean
 from test_model_size import handed_to_milp
 
 from fixtures import network_day, random_instance, stress_instance
+from groundhold import maghp
+from groundhold.cli import main
 from groundhold.errors import InfeasibleReductionError
 from groundhold.evaluation import ReductionSpec, reduce_distribution, resample_capacities
 from groundhold.maghp import (
     GroundDelayPolicy,
+    _stage_overflow,
+    assigned_counts,
     best_capacity_profiles,
     build_det,
     build_dr,
     build_sp,
     overflow,
+    save_instance,
 )
 from groundhold.pmf import make_pmf, pmf_mean
 from groundhold.scenario import TimeClustering, build_scenario_tree
 from oracles import (
     broadcast_overflow,
     choice_capacities,
+    looped_stage_overflow,
     rowwise_det,
     rowwise_dr,
     rowwise_sp,
@@ -121,6 +130,99 @@ PRICING_CASES = {
 }
 
 
+def _random_policy(instance, rng):
+    """Every flight held 0 to 2 intervals and landing 0 or 1 late."""
+    ground = {f.id: int(rng.integers(0, 3)) for f in instance.flights}
+    return GroundDelayPolicy(
+        {f.id: f.sched_dep + ground[f.id] for f in instance.flights},
+        {f.id: f.sched_arr + ground[f.id] + int(rng.integers(0, 2)) for f in instance.flights},
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PRICING_CASES))
+def test_stage_tables_are_the_interval_loop(case):
+    """Each cell's table equals the loop's to the bit, on random policies
+    and on one that holds every flight past the horizon, which loads no
+    cell: then each table is one column of zeros, top being 0. Every
+    random instance has a single-stage tree."""
+    instance = PRICING_CASES[case]()
+    rng = np.random.default_rng(len(case) + 1)
+    keys = sorted(instance.trees)
+    if case.startswith("random"):
+        assert 1 in {tree.time_clusters.num_stages for tree in instance.trees.values()}
+    held = {f.id: max(f.sched_dep, instance.horizon) for f in instance.flights}
+    idle = GroundDelayPolicy(
+        held, {f.id: held[f.id] + f.flight_time for f in instance.flights}
+    )
+    for policy in [_random_policy(instance, rng) for _ in range(5)] + [idle]:
+        tables = _stage_overflow(instance, policy, keys)
+        expected = looped_stage_overflow(instance, policy, keys)
+        assert list(tables) == keys
+        counts = assigned_counts(instance, policy)
+        for key, table in tables.items():
+            assert table.shape == (
+                instance.trees[key].time_clusters.num_stages,
+                int(counts[key].max()) + 1,
+            )
+            assert table.dtype == expected[key].dtype
+            assert table.tobytes() == expected[key].tobytes(), key
+    assert all(table.shape[1] == 1 and not table.any() for table in tables.values())
+
+
+@pytest.mark.parametrize("case", sorted(PRICING_CASES))
+def test_capacities_above_the_largest_count_price_zero(case):
+    """Rows at or above a cell's largest count read the table's last
+    column, which is 0, and rows reaching 3 past it price as the oracle
+    does."""
+    instance = PRICING_CASES[case]()
+    rng = np.random.default_rng(len(case) + 2)
+    policy = _random_policy(instance, rng)
+    counts = assigned_counts(instance, policy)
+    high, mixed = {}, {}
+    for key, tree in instance.trees.items():
+        top = int(counts[key].max())
+        shape = (20, tree.time_clusters.num_stages)
+        high[key] = rng.integers(top, top + 4, size=shape)
+        mixed[key] = rng.integers(0, top + 4, size=shape)
+    assert all(not excess.any() for excess in overflow(instance, policy, high).values())
+    expected = broadcast_overflow(instance, policy, mixed)
+    for key, excess in overflow(instance, policy, mixed).items():
+        assert excess.tobytes() == expected[key].tobytes(), key
+
+
+def test_a_sweep_round_builds_one_table_per_cell_and_call(tmp_path, monkeypatch):
+    """The benchmark's seed-3 sweep round on its day builds 114 tables:
+    90 for the evaluator's sampled costs and 24 for the dr gammas,
+    solve()'s check and the support worst case, one per cell and call.
+    Building one table per stage, as before, the gammas took 72."""
+    save_instance(tmp_path / "day.json", network_day(0))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 3,
+        "sweep": {
+            "instance": str(tmp_path / "day.json"),
+            "epsilons": [0.0, 0.02, 0.05, 0.1, 0.2, 0.5],
+            "reductions": [0.1, 0.2, 0.3, 0.4, 0.5],
+            "band": 1.0,
+            "sample_count": 2000,
+            "day": "bench",
+            "out": str(tmp_path / "report.csv"),
+            "samples_out": str(tmp_path / "samples.csv"),
+            "curve_out": str(tmp_path / "curve.csv"),
+        },
+    }))
+    builds = Counter()
+
+    def counted(instance, policy, keys):
+        tables = _stage_overflow(instance, policy, keys)
+        builds[sys._getframe(1).f_code.co_name] += len(tables)
+        return tables
+
+    monkeypatch.setattr(maghp, "_stage_overflow", counted)
+    assert main(["sweep", "--config", str(config)]) == 0
+    assert builds == {"overflow": 90, "_stage_gammas": 24}
+
+
 @pytest.mark.parametrize("case", sorted(PRICING_CASES))
 def test_stage_tables_price_like_the_broadcast_sum(case):
     """Random policies against random rows of stage capacities give the
@@ -131,11 +233,7 @@ def test_stage_tables_price_like_the_broadcast_sum(case):
     if case.startswith("random"):
         assert 1 in {tree.time_clusters.num_stages for tree in instance.trees.values()}
     for _ in range(5):
-        ground = {f.id: int(rng.integers(0, 3)) for f in instance.flights}
-        policy = GroundDelayPolicy(
-            {f.id: f.sched_dep + ground[f.id] for f in instance.flights},
-            {f.id: f.sched_arr + ground[f.id] + int(rng.integers(0, 2)) for f in instance.flights},
-        )
+        policy = _random_policy(instance, rng)
         capacities = {
             key: rng.integers(0, 8, size=(int(rng.integers(1, 40)), tree.time_clusters.num_stages))
             for key, tree in instance.trees.items()

@@ -1336,6 +1336,19 @@ MALFORMED = {
         "instance file boundary-true.json is malformed: expected a whole number "
         "of at least 0, got True",
     ),
+    "tree with an empty stage": (
+        "solve",
+        {"instance": "empty-stage.json"},
+        1,
+        "instance file empty-stage.json is malformed: segments must not be empty",
+    ),
+    "tree boundary past its segments": (
+        "solve",
+        {"instance": "boundary-5.json"},
+        1,
+        "instance file boundary-5.json is malformed: boundaries (5,) must be the last "
+        "intervals (3, 5) of the segments, or of all but the last",
+    ),
     "tree with more stages than time segments": (
         "solve",
         {"instance": "extra-stage.json"},
@@ -1954,6 +1967,16 @@ def test_malformed_input_names_the_field(tmp_path, monkeypatch, capsys, case):
     boundary = json.loads(json.dumps(stress))
     boundary["trees"][0]["boundaries"][0] = True
     Path("boundary-true.json").write_text(json.dumps(boundary))
+    boundary["trees"][0]["boundaries"][0] = 5
+    Path("boundary-5.json").write_text(json.dumps(boundary))
+    # the B/departure tree with an empty stage of atoms {0, 50} between its two
+    empty = json.loads(json.dumps(stress))
+    tree = empty["trees"][3]
+    assert (tree["airport"], tree["op_type"]) == ("B", "departure")
+    tree["segments"].insert(1, [])
+    tree["representatives"].insert(1, {"support": [0, 50], "weights": [0.5, 0.5]})
+    tree["stages"].insert(1, [[0, 0.5], [50, 0.5]])
+    Path("empty-stage.json").write_text(json.dumps(empty))
     schedule = {
         f.id: {"u_slot": f.sched_dep, "v_slot": f.sched_arr} for f in stress_instance().flights
     }

@@ -16,6 +16,7 @@ from groundhold.errors import MissingInputError
 from groundhold.scenario import (
     ReducedPmf,
     ScenarioTree,
+    TimeClustering,
     _optimal_cuts,
     average_pmfs,
     build_scenario_tree,
@@ -123,6 +124,54 @@ def test_clustering_validation():
         cluster_time_series([EXAMPLE] * 4, 4)
     with pytest.raises(ValueError, match=r"change-point count -1 outside \[0, 3\]"):
         cluster_time_series([EXAMPLE] * 4, -1)
+
+
+SEGMENTS_AND_BOUNDARIES = {
+    "an empty middle segment": (((0, 1), (), (2, 3)), (1,), "segments must not be empty"),
+    "an empty last segment": (((0, 1), (2, 3), ()), (1, 3), "segments must not be empty"),
+    "a boundary past the horizon": (
+        ((0, 1), (2, 3)),
+        (5,),
+        "boundaries (5,) must be the last intervals (1, 3) of the segments, or of all but the last",
+    ),
+    "a boundary inside a segment": (
+        ((0, 1), (2, 3)),
+        (0,),
+        "boundaries (0,) must be the last intervals (1, 3) of the segments, or of all but the last",
+    ),
+    "a boundary missing": (
+        ((0,), (1, 2), (3,)),
+        (0,),
+        "boundaries (0,) must be the last intervals (0, 2, 3) of the segments, or of all but "
+        "the last",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEGMENTS_AND_BOUNDARIES))
+def test_clustering_refuses_empty_segments_and_stray_boundaries(case):
+    segments, boundaries, message = SEGMENTS_AND_BOUNDARIES[case]
+    representatives = (EXAMPLE,) * len(segments)
+    with pytest.raises(ValueError) as caught:
+        TimeClustering(boundaries, segments, representatives)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "segments, boundaries",
+    [
+        (((0, 1, 2, 3),), ()),
+        (((0, 1, 2, 3),), (3,)),
+        (((0, 1), (2, 3)), (1,)),
+        (((0, 1), (2, 3)), (1, 3)),
+        (((0,), (1, 2), (3,)), (0, 2)),
+    ],
+)
+def test_clustering_takes_the_ends_of_all_segments_or_all_but_the_last(segments, boundaries):
+    """cluster_time_series leaves out the last segment's end, unless it
+    chose the final interval as a boundary."""
+    clustering = TimeClustering(boundaries, segments, (EXAMPLE,) * len(segments))
+    assert clustering.stage_index == tuple(k for k, seg in enumerate(segments) for _ in seg)
 
 
 def test_representatives_average_mass():
@@ -360,6 +409,19 @@ def test_stage_with_fewer_atoms_than_k_keeps_its_exact_atoms():
     assert tree.stage_capacities[1] == pytest.approx({4: 0.6, 8: 0.4}, abs=1e-15)
 
 
+@pytest.mark.parametrize("value", [0.9, 0.5, -1, True, "1", None], ids=repr)
+def test_reduced_pmf_refuses_a_capacity_that_is_not_a_whole_number(value):
+    with pytest.raises(ValueError) as caught:
+        ReducedPmf(((value, 0.5), (4, 0.5)))
+    assert str(caught.value) == f"expected a whole number of at least 0, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3)], ids=["int", "float", "numpy-int"])
+def test_reduced_pmf_keeps_a_whole_capacity_as_given(value):
+    stage = ReducedPmf(((value, 0.5), (4, 0.5)))
+    assert stage.supports[0] is value
+
+
 def test_simple_product_example():
     stage_a = ReducedPmf(((10, 0.5), (20, 0.5)))
     stage_b = ReducedPmf(((5, 0.4), (15, 0.6)))
@@ -504,6 +566,16 @@ def _swap_first_probabilities(body):
     body["scenarios"][:2] = [[first, q], [second, p]]
 
 
+def _with_empty_stage(body):
+    """An empty segment between the two, with a representative and
+    stage atoms {0, 50} of its own, its scenarios no longer listed: a
+    body every other check passes."""
+    body["segments"].insert(1, [])
+    body["representatives"].insert(1, pmf_to_dict(make_pmf([0, 50], [0.5, 0.5])))
+    body["stages"].insert(1, [[0, 0.5], [50, 0.5]])
+    del body["scenarios"]
+
+
 OFF_PRODUCT = "scenario vectors must be the product of the stage supports, last stage fastest"
 #: case: (an edit of a two-stage tree body that lists its scenarios, the refusal's message)
 BAD_TREES = {
@@ -522,6 +594,11 @@ BAD_TREES = {
     "listed stage count": (
         lambda b: b["stages"].append(b["stages"][-1]),
         "stage count 3 does not match the 2 time segments",
+    ),
+    "empty stage": (_with_empty_stage, "segments must not be empty"),
+    "boundary past the segments": (
+        lambda b: b.update(boundaries=[5]),
+        "boundaries (5,) must be the last intervals (2, 3) of the segments, or of all but the last",
     ),
     "listed vectors reversed": (lambda b: b["scenarios"].reverse(), OFF_PRODUCT),
     "listed scenario missing": (lambda b: b["scenarios"].pop(), OFF_PRODUCT),
