@@ -63,7 +63,7 @@ from .config import load_input, write_json
 from .errors import MissingInputError, SolverError
 from .pmf import as_real, as_whole
 from .scenario import ScenarioTree, tree_from_dict, tree_to_dict
-from .solver import LinearModel
+from .solver import LinearModel, Solution
 
 DEFAULT_TIME_LIMIT = 300.0
 
@@ -594,8 +594,32 @@ def _chosen_slots(index: dict, values: np.ndarray) -> dict:
     }
 
 
+def _as_scheduled(bundle: ModelBundle) -> np.ndarray:
+    """The model's point that flies the schedule: each flight's slot
+    binaries at sched_dep and sched_arr at 1 (one binary in sp and dr),
+    every other variable, waits, overflow, multipliers and premiums, at
+    0."""
+    values = np.zeros(bundle.model.num_variables)
+    for f in bundle.instance.flights:
+        values[bundle.u_index[f.id, f.sched_dep]] = 1.0
+        values[bundle.v_index[f.id, f.sched_arr]] = 1.0
+    return values
+
+
 def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveResult:
     """Run the solver and read the solution back into domain terms.
+
+    The schedule comes first: when its point (_as_scheduled) meets every
+    bound and row of the model, exactly (LinearModel.feasible), it is
+    the optimum, with objective 0, gap 0, dual bound 0 and 0 nodes, and
+    HiGHS is not called. Every model's objective is at least 0 on its
+    points: delay costs cost_ground per ground and cost_air per airborne
+    interval (0 < cost_ground <= cost_air), and overflow, multipliers
+    and premiums are at least 0 with weights at least 0. The schedule's
+    point costs 0, so nothing does better, and since cost_ground > 0 the
+    schedule is the only first stage that costs 0, the policy HiGHS
+    would return. A point that breaks a row goes to
+    LinearModel.minimize.
 
     For dr, duals["alpha"] maps each cell to its multiplier and
     duals["gamma"] each cell to one list per stage of [capacity, gamma]
@@ -607,7 +631,11 @@ def solve(bundle: ModelBundle, time_limit: float = DEFAULT_TIME_LIMIT) -> SolveR
     overflow variables nor its premiums, so it checks the stagewise rows
     of build_sp and build_dr independently.
     """
-    solution = bundle.model.minimize(time_limit=time_limit)
+    point = _as_scheduled(bundle)
+    if bundle.model.feasible(point):
+        solution = Solution("optimal", 0.0, point, 0.0, 0.0, 0)
+    else:
+        solution = bundle.model.minimize(time_limit=time_limit)
     if solution.status != "optimal":
         return SolveResult(
             solution.status,

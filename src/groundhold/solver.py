@@ -2,23 +2,24 @@
 
 Every optimization problem in the package (the ground holding MILPs and
 the robust deterministic equivalent) is built against the same calls:
-add_variables and add_rows append whole blocks, and minimize solves.
+add_variables and add_rows append whole blocks, minimize solves, and
+feasible checks a given point against the same bounds and rows.
 Every variable is at least 0, and a binary at most 1. A block of
 variables is one array of objective weights and one of binary flags,
 numbered in order from the model's next index. A block of rows is three
 index arrays of (row within the block, column, value) triplets plus one
 lower and one upper bound per row, numbered in order from the model's
 next row; the columns are not checked when they are added. A model is
-built for one problem and solved once: each minimize call joins the
-blocks into one sparse matrix, which refuses a variable index out of
-range with ValueError, and hands the model to scipy.optimize.milp,
-first without integrality. A relaxation that comes out integral is the
-MILP's optimum and ends the solve; only a fractional one goes on to
-branch and bound.
+built for one problem and solved once: each minimize or feasible call
+joins the blocks into one array each, refusing a variable index out of
+range with ValueError; minimize hands them to scipy.optimize.milp as
+one sparse matrix, first without integrality. A relaxation that comes
+out integral is the MILP's optimum and ends the solve; only a
+fractional one goes on to branch and bound.
 
-scipy loads on the first solve, not on import, so the forecasting half
-of the package (capacity, prediction, pmf, scenario) never pays for the
-optimizer stack.
+scipy loads on the first minimize call, not on import, so the
+forecasting half of the package (capacity, prediction, pmf, scenario),
+and a solve that feasible answers, never pays for the optimizer stack.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ INTEGRALITY_TOL = 1e-9
 
 @dataclass
 class Solution:
-    """Outcome of a minimize() call.
+    """Outcome of a minimize() call, or a point the caller proved
+    optimal without one.
 
     status is one of 'optimal', 'infeasible', 'time_limit' or 'error';
     objective and values are None unless status is 'optimal' or the solver
@@ -44,7 +46,8 @@ class Solution:
     node_count are HiGHS's MIP telemetry; they are None for a model
     without integer variables and whenever HiGHS reports none. A MILP
     whose relaxation came out integral reports gap 0, the objective as
-    its dual bound and 0 nodes, since no branch and bound ran.
+    its dual bound and 0 nodes, since no branch and bound ran; so does
+    a point that maghp.solve answers without HiGHS.
     """
 
     status: str
@@ -59,7 +62,7 @@ class LinearModel:
     """A minimization MILP assembled in blocks of variables and rows.
 
     Each block is kept as the arrays it was added with and joined once
-    per minimize call."""
+    per minimize or feasible call."""
 
     def __init__(self):
         self._objective = [np.zeros(0)]
@@ -100,6 +103,46 @@ class LinearModel:
         self.num_constraints += len(lower)
         self.num_nonzeros += len(self._vals[-1])
 
+    def _joined(self) -> tuple:
+        """The blocks joined into one array each: objective weights,
+        binary flags, and the rows' (row, column, value) triplets and
+        bounds. A column outside the model raises ValueError."""
+        cols = np.concatenate(self._cols)
+        outside = cols[(cols < 0) | (cols >= self.num_variables)]
+        if len(outside):
+            raise ValueError(
+                f"column index {outside[0]} is outside the model's "
+                f"{self.num_variables} variables"
+            )
+        return (
+            np.concatenate(self._objective),
+            np.concatenate(self._integrality),
+            np.concatenate(self._row_ids),
+            cols,
+            np.concatenate(self._vals),
+            np.concatenate(self._row_lb),
+            np.concatenate(self._row_ub),
+        )
+
+    def feasible(self, values) -> bool:
+        """Whether values, one per variable, is a point of the model:
+        every variable at least 0, every binary 0 or 1, and every row
+        within its bounds. The comparisons are exact, with no tolerance,
+        so a point HiGHS would accept only within its own tolerance is
+        refused. Each row's terms are summed in floating point, which is
+        exact where they are whole numbers, as they are for binaries
+        with whole coefficients and for variables at 0."""
+        _, integrality, rows, cols, vals, lower, upper = self._joined()
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.num_variables,):
+            raise ValueError(f"need {self.num_variables} values, got {values.shape}")
+        binary = values[integrality.astype(bool)]
+        if not (np.all(values >= 0) and np.all(values < np.inf)
+                and np.all((binary == 0) | (binary == 1))):
+            return False
+        activity = np.bincount(rows, vals * values[cols], minlength=self.num_constraints)
+        return bool(np.all(lower <= activity) and np.all(activity <= upper))
+
     def minimize(self, time_limit: float | None = None) -> Solution:
         """Solve and return a Solution. Never raises for infeasibility.
 
@@ -120,24 +163,15 @@ class LinearModel:
         from scipy.optimize import Bounds, LinearConstraint
 
         start = time.perf_counter()
-        c = np.concatenate(self._objective)
-        integrality = np.concatenate(self._integrality)
+        c, integrality, rows, cols, vals, lower, upper = self._joined()
         bounds = Bounds(np.zeros(n), np.where(integrality, 1.0, np.inf))
 
         constraints = []
         if self.num_constraints:
-            # refuses a negative or out-of-range index with ValueError
             a = sparse.csr_matrix(
-                (
-                    np.concatenate(self._vals),
-                    (np.concatenate(self._row_ids), np.concatenate(self._cols)),
-                ),
-                shape=(self.num_constraints, n),
-                dtype=float,
+                (vals, (rows, cols)), shape=(self.num_constraints, n), dtype=float
             )
-            constraints.append(
-                LinearConstraint(a, np.concatenate(self._row_lb), np.concatenate(self._row_ub))
-            )
+            constraints.append(LinearConstraint(a, lower, upper))
 
         # the relaxation has no integer variables, so it gets no MIP gap
         options: dict = {}

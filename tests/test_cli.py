@@ -39,6 +39,7 @@ from groundhold.maghp import (
 from groundhold.pmf import make_pmf
 from groundhold.prediction import load_model
 from groundhold.scenario import load_trees
+from groundhold.solver import LinearModel
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -347,6 +348,53 @@ def test_forecast_commands_never_load_scipy(tmp_path):
         "after": True,
     }
     assert json.loads((tmp_path / "result.json").read_text())["status"] == "optimal"
+
+
+SOLVE_THEN_REPORT = """
+import json, sys
+from groundhold.cli import main
+
+code = main(["solve", "--config", sys.argv[1]])
+print(json.dumps({"code": code, "optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
+def _solve_in_subprocess(cwd, config) -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", SOLVE_THEN_REPORT, config],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_a_det_solve_the_schedule_fits_never_loads_scipy(tmp_path, monkeypatch):
+    """On the benchmark's sweep day the schedule fits each stage's
+    largest capacity, so solve --model det writes HiGHS's result
+    without importing scipy.optimize; capacities that force airborne
+    delay still take HiGHS."""
+    save_instance(tmp_path / "instance.json", network_day(0, 14, 12, 3, 3))
+    solve = {"instance": "instance.json", "model": "det", "out": "det.json"}
+    air = {
+        **solve,
+        "out": "air.json",
+        "capacities": {"B/departure": [9] * 5 + [0] * 7, "C/arrival": [9] * 7 + [0] + [9] * 4},
+    }
+    write_config(tmp_path, {"solve": solve}, "det-config.json")
+    write_config(tmp_path, {"solve": air}, "air-config.json")
+    assert _solve_in_subprocess(tmp_path, "det-config.json") == {"code": 0, "optimize": False}
+    assert _solve_in_subprocess(tmp_path, "air-config.json") == {"code": 0, "optimize": True}
+    flights = json.loads((tmp_path / "det.json").read_text())["flights"].values()
+    assert {(f["ground_delay"], f["air_delay"]) for f in flights} == {(0, 0)}
+    flights = json.loads((tmp_path / "air.json").read_text())["flights"].values()
+    assert any(f["air_delay"] > 0 for f in flights)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(LinearModel, "feasible", lambda self, values: False)
+    assert main(["solve", "--config", "det-config.json", "--out", "highs.json"]) == 0
+    assert (tmp_path / "det.json").read_bytes() == (tmp_path / "highs.json").read_bytes()
 
 
 def test_solve_dr_result_recomputes_from_file(tmp_path):

@@ -29,6 +29,8 @@ from groundhold.evaluation import (
 from groundhold.maghp import (
     GroundDelayPolicy,
     MaghpInstance,
+    best_capacity_profiles,
+    build_det,
     build_dr,
     build_sp,
     extract_policy,
@@ -188,34 +190,39 @@ SHIFTS = (0.1, 0.3, 0.5)
 # name: (instance, radii, reduction levels, solver calls)
 SWEEP_CASES = {
     # radius 0.5 saturates and is solved; radius 0.1 is not saturated
-    "stress-0.1-0.5": (stress_instance, (0.0, 0.1, 0.5), SHIFTS, 4),
+    "stress-0.1-0.5": (stress_instance, (0.0, 0.1, 0.5), SHIFTS, 3),
     # no radius saturates, so every positive radius is solved
-    "stress-unsaturated": (stress_instance, (0.0, 0.02, 0.05, 0.1, 0.2), SHIFTS, 6),
-    # sp has no recourse: its radius-0 optimum certifies every radius
-    "random-0": (lambda: random_instance(0), GRID, (0.0,), 2),
+    "stress-unsaturated": (stress_instance, (0.0, 0.02, 0.05, 0.1, 0.2), SHIFTS, 5),
+    # the schedule fits every capacity: no model reaches HiGHS
+    "random-0": (lambda: random_instance(0), GRID, (0.0,), 0),
     # the first robust solve, at 0.02, certifies the rest of the grid
-    "random-52": (lambda: random_instance(52), GRID, (0.0,), 3),
+    "random-52": (lambda: random_instance(52), GRID, (0.0,), 2),
 }
 
 
 def test_sweep_solves_only_its_models(monkeypatch):
-    """A sweep calls the solver once for det and once for sp; shifting
-    the test distributions takes no solve. Radius 0 reuses sp, and of
-    the positive radii only those up to the first whose optimum reaches
-    its policy's support worst case are solved (none when sp already
-    does), which fresh per-radius solves decide here."""
+    """A sweep calls the solver for det and for sp only where their
+    optimum is above 0, since solve() answers a model the schedule fits
+    without it; shifting the test distributions takes no solve. Radius 0
+    reuses sp, and of the positive radii only those up to the first
+    whose optimum reaches its policy's support worst case are solved
+    (none when sp already does), which fresh per-radius solves decide
+    here."""
     spec = ReductionSpec(reduction=0.0, band=1.0, sample_count=20, seed=0)
     for name, (make, radii, reductions, pinned) in SWEEP_CASES.items():
         instance = make()
+        det = build_det(instance, best_capacity_profiles(instance))
+        solved = sum(
+            bundle.model.minimize().objective > 0 for bundle in (det, build_sp(instance))
+        )
         certified = _saturates(solve(build_sp(instance)), instance)
-        solved = 0
         for eps in radii:
             if eps > 0 and not certified:
                 solved += 1
                 certified = _saturates(solve(build_dr(instance, eps)), instance)
         calls = _count_milp(monkeypatch)
         epsilon_sweep(instance, radii, reductions, spec)
-        assert len(calls) == 2 + solved == pinned, name
+        assert len(calls) == solved == pinned, name
         monkeypatch.undo()
 
 

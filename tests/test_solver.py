@@ -155,19 +155,67 @@ def test_infeasible_model_reports_status():
 
 @pytest.mark.parametrize("variables, index", [(1, 99), (1, -1), (0, 0)])
 def test_bad_index_is_refused_at_minimize(monkeypatch, variables, index):
-    """add_rows takes any index; the sparse assembly in
-    minimize refuses one outside the model before HiGHS is called, in a
-    model without variables too."""
+    """add_rows takes any index; minimize and feasible refuse one
+    outside the model, before HiGHS is called, in a model without
+    variables too."""
     calls = _recording_milp(monkeypatch)
     model = LinearModel()
     for _ in range(variables):
         model.add_variables([1.0])
     add_row(model, [(index, 1.0)], "<=", 0.0)
-    # scipy 1.10 names the axis ("column index exceeds matrix
-    # dimensions"), later releases the index itself
-    with pytest.raises(ValueError, match=rf"index:? {index}\b|column index"):
+    with pytest.raises(ValueError, match=rf"column index {index}\b"):
         model.minimize()
+    with pytest.raises(ValueError, match=rf"column index {index}\b"):
+        model.feasible(np.zeros(variables))
     assert calls == []
+
+
+def _model_with_row(lower, upper):
+    """One binary x and one continuous y under lower <= x + 2y <= upper."""
+    model = LinearModel()
+    x = model.add_variables([1.0], True)
+    y = model.add_variables([1.0])
+    add_row(model, [(x, 1.0), (y, 2.0)], ">=", lower)
+    add_row(model, [(x, 1.0), (y, 2.0)], "<=", upper)
+    return model
+
+
+def test_a_row_at_its_bound_holds():
+    model = _model_with_row(1.0, 3.0)
+    assert model.feasible([1.0, 1.0])
+    assert model.feasible([1.0, 0.0])
+    assert model.feasible([0.0, 0.5])
+
+
+def test_a_row_past_its_bound_fails():
+    """By one unit in the last place, on either side: no tolerance."""
+    model = _model_with_row(1.0, 3.0)
+    assert not model.feasible([1.0, np.nextafter(1.0, 2.0)])
+    assert not model.feasible([0.0, np.nextafter(0.5, 0.0)])
+    assert not model.feasible([1.0, 1.5])
+
+
+def test_a_binary_off_0_and_1_fails():
+    model = _model_with_row(-10.0, 10.0)
+    assert not model.feasible([2.0, 0.0])
+    assert not model.feasible([0.5, 0.0])
+
+
+def test_a_negative_or_infinite_variable_fails():
+    model = _model_with_row(-10.0, 10.0)
+    assert not model.feasible([0.0, -1.0])
+    assert not model.feasible([0.0, -0.5])
+    assert not model.feasible([0.0, np.inf])
+    assert not model.feasible([0.0, np.nan])
+
+
+def test_an_empty_model_holds_its_empty_point():
+    assert LinearModel().feasible(np.zeros(0))
+
+
+def test_a_point_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="need 2 values"):
+        _model_with_row(0.0, 1.0).feasible([0.0])
 
 
 def test_bounds_follow_from_the_variable_kind(monkeypatch):
