@@ -10,12 +10,13 @@ numbered in order from the model's next index. A block of rows is three
 index arrays of (row within the block, column, value) triplets plus one
 lower and one upper bound per row, numbered in order from the model's
 next row; the columns are not checked when they are added. A model is
-built for one problem and solved once: each minimize or feasible call
-joins the blocks into one array each, refusing a variable index out of
-range with ValueError; minimize hands them to scipy.optimize.milp as
-one sparse matrix, first without integrality. A relaxation that comes
-out integral is the MILP's optimum and ends the solve; only a
-fractional one goes on to branch and bound.
+built for one problem and solved once: the first minimize or feasible
+call joins the blocks into one array each, refusing a variable index
+out of range with ValueError, and keeps them until a block is added;
+minimize hands them to scipy.optimize.milp as one sparse matrix, first
+without integrality. A relaxation that comes out integral is the
+MILP's optimum and ends the solve; only a fractional one goes on to
+branch and bound.
 
 scipy loads on the first minimize call, not on import, so the
 forecasting half of the package (capacity, prediction, pmf, scenario),
@@ -61,8 +62,9 @@ class Solution:
 class LinearModel:
     """A minimization MILP assembled in blocks of variables and rows.
 
-    Each block is kept as the arrays it was added with and joined once
-    per minimize or feasible call."""
+    Each block is kept as the arrays it was added with; the first
+    minimize or feasible call joins them, and adding a block drops the
+    join."""
 
     def __init__(self):
         self._objective = [np.zeros(0)]
@@ -76,6 +78,7 @@ class LinearModel:
         self.num_variables = 0
         self.num_constraints = 0
         self.num_nonzeros = 0
+        self._join = None
 
     def add_variables(self, objective, binary=False) -> int:
         """Append one variable per objective weight and return the index
@@ -87,13 +90,14 @@ class LinearModel:
         self._objective.append(objective)
         self._integrality.append(np.broadcast_to(np.asarray(binary, dtype=int), objective.shape))
         self.num_variables += len(objective)
+        self._join = None
         return first
 
     def add_rows(self, rows, cols, vals, lower, upper) -> None:
         """Append one row per entry of lower and upper. Term k adds
         vals[k] times variable cols[k] to row rows[k] of the block,
         counted from 0; row i reads lower[i] <= sum <= upper[i]. The
-        columns are checked at minimize."""
+        columns are checked at the next minimize or feasible call."""
         lower = np.asarray(lower, dtype=float)
         self._row_ids.append(np.asarray(rows, dtype=int) + self.num_constraints)
         self._cols.append(np.asarray(cols, dtype=int))
@@ -102,11 +106,15 @@ class LinearModel:
         self._row_ub.append(np.asarray(upper, dtype=float))
         self.num_constraints += len(lower)
         self.num_nonzeros += len(self._vals[-1])
+        self._join = None
 
     def _joined(self) -> tuple:
         """The blocks joined into one array each: objective weights,
         binary flags, and the rows' (row, column, value) triplets and
-        bounds. A column outside the model raises ValueError."""
+        bounds, kept until a block is added. A column outside the model
+        raises ValueError."""
+        if self._join is not None:
+            return self._join
         cols = np.concatenate(self._cols)
         outside = cols[(cols < 0) | (cols >= self.num_variables)]
         if len(outside):
@@ -114,7 +122,7 @@ class LinearModel:
                 f"column index {outside[0]} is outside the model's "
                 f"{self.num_variables} variables"
             )
-        return (
+        self._join = (
             np.concatenate(self._objective),
             np.concatenate(self._integrality),
             np.concatenate(self._row_ids),
@@ -123,6 +131,7 @@ class LinearModel:
             np.concatenate(self._row_lb),
             np.concatenate(self._row_ub),
         )
+        return self._join
 
     def feasible(self, values) -> bool:
         """Whether values, one per variable, is a point of the model:

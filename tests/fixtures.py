@@ -10,7 +10,8 @@ bucket_training_data feed the estimation and prediction demos.
 point_mass, save_pmf_series and write_operation_records build and
 write the inputs the command line reads, and with_listed_scenarios
 gives a tree body in the format trees were written in before they were
-stored as their stage atoms alone.
+stored as their stage atoms alone. one_below turns capacity profiles
+the schedule fits into ones it breaks on one interval.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from groundhold.capacity import ARRIVAL, DEPARTURE, RECORD_COLUMNS, OperationRecord
-from groundhold.maghp import Flight, FlightConnection, MaghpInstance
+from groundhold.maghp import (
+    Flight,
+    FlightConnection,
+    GroundDelayPolicy,
+    MaghpInstance,
+    assigned_counts,
+)
 from groundhold.pmf import Pmf, make_pmf, pmf_to_dict
 from groundhold.scenario import (
     ReducedPmf,
@@ -230,6 +237,21 @@ def network_day(
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen.network_day(seed, flights, horizon, stages, atoms)
+
+
+def one_below(instance: MaghpInstance, profiles: dict) -> dict:
+    """profiles with the first loaded interval of the first loaded cell
+    set one below the schedule's count there."""
+    schedule = GroundDelayPolicy(
+        {f.id: f.sched_dep for f in instance.flights},
+        {f.id: f.sched_arr for f in instance.flights},
+    )
+    counts = assigned_counts(instance, schedule)
+    key = next(key for key in sorted(profiles) if counts[key].any())
+    t = int(np.flatnonzero(counts[key])[0])
+    profile = list(profiles[key])
+    profile[t] = int(counts[key][t]) - 1
+    return {**profiles, key: profile}
 
 
 def synthetic_records(

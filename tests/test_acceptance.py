@@ -80,6 +80,7 @@ def stress_report():
     return report, time.monotonic() - started
 
 
+@pytest.mark.usefixtures("highs_only")
 def test_zero_radius_robust_model_collapses_to_stochastic():
     started = time.monotonic()
     for seed in range(20):

@@ -6,19 +6,10 @@ model to HiGHS; the two results must be equal field by field."""
 
 from functools import partial
 
-import numpy as np
 import pytest
 
-from fixtures import network_day, random_instance, stress_instance
-from groundhold.maghp import (
-    GroundDelayPolicy,
-    assigned_counts,
-    best_capacity_profiles,
-    build_det,
-    build_dr,
-    build_sp,
-    solve,
-)
+from fixtures import network_day, one_below, random_instance, stress_instance
+from groundhold.maghp import best_capacity_profiles, build_det, build_dr, build_sp, solve
 from groundhold.solver import LinearModel
 
 CASES = {
@@ -33,26 +24,11 @@ DET_FITS = set(CASES) - {"random-1", "random-3", "random-6"}
 ALL_FIT = "random-0"
 
 
-def _one_below(instance, profiles) -> dict:
-    """profiles with the first loaded interval of the first loaded cell
-    set one below the schedule's count there."""
-    schedule = GroundDelayPolicy(
-        {f.id: f.sched_dep for f in instance.flights},
-        {f.id: f.sched_arr for f in instance.flights},
-    )
-    counts = assigned_counts(instance, schedule)
-    key = next(key for key in sorted(profiles) if counts[key].any())
-    t = int(np.flatnonzero(counts[key])[0])
-    profile = list(profiles[key])
-    profile[t] = int(counts[key][t]) - 1
-    return {**profiles, key: profile}
-
-
 def _models(instance) -> dict:
     best = best_capacity_profiles(instance)
     models = {
         "det": build_det(instance, best),
-        "det-tight": build_det(instance, _one_below(instance, best)),
+        "det-tight": build_det(instance, one_below(instance, best)),
         "sp": build_sp(instance),
     }
     for eps in (0.0, 0.02, 0.1):

@@ -218,6 +218,26 @@ def test_a_point_of_the_wrong_length_is_refused():
         _model_with_row(0.0, 1.0).feasible([0.0])
 
 
+def test_a_block_added_after_a_check_is_seen_by_the_next_call(monkeypatch):
+    """feasible and minimize share the joined blocks; adding variables or
+    rows after a call joins them again, with the new column check."""
+    model = _model_with_row(0.0, 3.0)
+    assert model.feasible([1.0, 1.0])
+    add_row(model, [(1, 1.0)], "<=", 0.5)
+    assert not model.feasible([1.0, 1.0])
+    z = model.add_variables([-1.0], True)
+    add_row(model, [(z, 1.0)], "<=", 0.0)
+    assert model.feasible([1.0, 0.0, 0.0])
+    assert model.minimize().objective == 0.0
+    add_row(model, [(3, 1.0)], "<=", 0.0)
+    calls = _recording_milp(monkeypatch)
+    with pytest.raises(ValueError, match=r"column index 3\b"):
+        model.feasible(np.zeros(3))
+    with pytest.raises(ValueError, match=r"column index 3\b"):
+        model.minimize()
+    assert calls == []
+
+
 def test_bounds_follow_from_the_variable_kind(monkeypatch):
     """Every variable is at least 0; HiGHS gets 0/1 for a binary and
     0/inf for a continuous variable, on both solves."""

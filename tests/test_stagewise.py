@@ -101,6 +101,7 @@ def _stagewise_recourse(policy, instance):
     return instance.recourse_cost * total
 
 
+@pytest.mark.usefixtures("highs_only")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stagewise_models_match_enumeration(case):
     make, seed = CASES[case]
